@@ -189,6 +189,11 @@ def gmm_sample(model, rng, count=None):
 
 # -- adaptive KDE ---------------------------------------------------------
 
+# Cap on the (queries, support, m) whitened-difference block that
+# KdeModel.logpdf holds at once, in float64 elements (2 MB).
+_KDE_BLOCK_ELEMENTS = 1 << 18
+
+
 @dataclass
 class KdeModel:
     points: np.ndarray           # (N, m)
@@ -198,7 +203,16 @@ class KdeModel:
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         self.bandwidths = np.asarray(self.bandwidths, dtype=float)
-        self._chols = [cholesky(h, lower=True) for h in self.bandwidths]
+        self._chols = np.stack([cholesky(h, lower=True)
+                                for h in self.bandwidths])
+        # transposed inverse factors, so that diff @ inv_t = (L^-1 diff)^T
+        eye = np.eye(self.dim)
+        self._inv_chols_t = np.stack([
+            solve_triangular(c, eye, lower=True).T for c in self._chols])
+        # per-support log normalizer -(m log 2pi + log det H_i) / 2
+        logdets = np.array([2.0 * np.sum(np.log(np.diag(c)))
+                            for c in self._chols])
+        self._log_norms = -0.5 * (self.dim * _LOG_2PI + logdets)
 
     @property
     def dim(self):
@@ -208,19 +222,27 @@ class KdeModel:
         z = np.asarray(z, dtype=float)
         z2 = np.atleast_2d(z)
         n = len(self.points)
-        parts = np.empty((len(z2), n))
-        for i in range(n):
-            parts[:, i] = _gauss_logpdf(z2, self.points[i], self._chols[i])
-        vals = logsumexp(parts, axis=1) - np.log(n)
+        block = max(1, _KDE_BLOCK_ELEMENTS // (n * self.dim))
+        vals = np.empty(len(z2))
+        for lo in range(0, len(z2), block):
+            diff = z2[None, lo:lo + block] - self.points[:, None]  # (N, Q, m)
+            white = diff @ self._inv_chols_t
+            parts = (self._log_norms[:, None]
+                     - 0.5 * np.einsum("nqi,nqi->nq", white, white))
+            top = parts.max(axis=0)
+            top = np.where(np.isfinite(top), top, 0.0)
+            vals[lo:lo + block] = top + np.log(
+                np.sum(np.exp(parts - top), axis=0))
+        vals -= np.log(n)
         return float(vals[0]) if z.ndim == 1 else vals
 
     def sample(self, rng, count=None):
         n = 1 if count is None else count
         picks = rng.integers(0, len(self.points), size=n)
-        out = np.empty((n, self.dim))
-        for j, i in enumerate(picks):
-            out[j] = self.points[i] + self._chols[i] @ rng.standard_normal(
-                self.dim)
+        eps = rng.standard_normal((n, self.dim))
+        # matmul per draw, not einsum: this matches chol @ eps bit for bit
+        out = self.points[picks] + (self._chols[picks]
+                                    @ eps[:, :, None])[:, :, 0]
         return out[0] if count is None else out
 
     def to_dict(self):

@@ -81,9 +81,9 @@ def render_scene(path, env, trajectories=(), colors=None, moving_disks=(),
         canvas.circle(obs.center, obs.radius, fill="#555555", opacity=0.85)
     for disk in moving_disks:
         times = snapshot_times if len(snapshot_times) else disk.times
-        for j, t in enumerate(times):
-            fade = 0.15 + 0.6 * (j + 1) / max(len(times), 1)
-            canvas.circle(disk.center_at(t), disk.radius, fill="#aa3377",
+        for j, center in enumerate(disk.center_at(np.asarray(times))):
+            fade = 0.15 + 0.6 * (j + 1) / len(times)
+            canvas.circle(center, disk.radius, fill="#aa3377",
                           opacity=fade)
     for i, pts in enumerate(trajectories):
         color = colors[i] if colors else PALETTE[i % len(PALETTE)]

@@ -52,6 +52,8 @@ class ReplanConfig:
             raise ValueError("candidate_budget must be at least 1")
         if self.max_time is None:
             self.max_time = 3.0 * self.total_time
+        if self.max_time <= 0:
+            raise ValueError("max_time must be positive")
 
 
 @dataclass
@@ -71,17 +73,28 @@ class ReplanState:
 
 @dataclass
 class DynamicConstraint:
-    """Feasibility field C(q, t) <= 0; deterministic in both arguments."""
+    """Feasibility field C(q, t) <= 0; deterministic in both arguments.
+
+    The evaluator is batched: it takes points of shape (..., n) and times
+    that broadcast against shape (...), and returns penetration depths of
+    shape (...).  Calling with one point of shape (n,) returns a float.
+    """
 
     evaluator: callable
 
     def __call__(self, q, t):
-        return float(self.evaluator(np.asarray(q, dtype=float), float(t)))
+        q = np.asarray(q, dtype=float)
+        depth = self.evaluator(q, np.asarray(t, dtype=float))
+        return float(depth) if q.ndim == 1 else np.asarray(depth,
+                                                           dtype=float)
 
 
 @dataclass
 class MovingDisk:
-    """Disk obstacle whose center tracks timed waypoints piecewise-linearly."""
+    """Disk obstacle whose center tracks timed waypoints piecewise-linearly.
+
+    A single waypoint makes a static disk.
+    """
 
     times: np.ndarray
     centers: np.ndarray
@@ -98,10 +111,9 @@ class MovingDisk:
             raise ValueError("radius must be positive")
 
     def center_at(self, t):
-        out = np.empty(self.centers.shape[1])
-        for d in range(self.centers.shape[1]):
-            out[d] = np.interp(t, self.times, self.centers[:, d])
-        return out
+        """Center at times t of shape (...); returns shape (..., n)."""
+        return np.stack([np.interp(t, self.times, self.centers[:, d])
+                         for d in range(self.centers.shape[1])], axis=-1)
 
     def to_dict(self):
         return {"times": self.times.tolist(),
@@ -126,38 +138,48 @@ def load_obstacle_script(path):
 
 
 def constraint_from_script(disks, static_obstacles=()):
-    """Penetration depth of the worst obstacle; positive means collision."""
-    statics = [(np.asarray(c, dtype=float), float(r))
-               for c, r in static_obstacles]
+    """Penetration depth of the worst obstacle; positive means collision.
+
+    The field is batched over points (..., n) and times (...) and returns
+    depths (...); with no obstacle at all every depth is -1.  Each static
+    obstacle (center, radius) is a one-waypoint MovingDisk.
+    """
+    obstacles = list(disks) + [MovingDisk(times=[0.0], centers=[c],
+                                          radius=r)
+                               for c, r in static_obstacles]
 
     def evaluator(q, t):
-        worst = -np.inf
-        for disk in disks:
-            worst = max(worst,
-                        disk.radius - np.linalg.norm(q - disk.center_at(t)))
-        for center, radius in statics:
-            worst = max(worst, radius - np.linalg.norm(q - center))
-        return worst if np.isfinite(worst) else -1.0
+        if not obstacles:
+            return np.full(np.broadcast_shapes(q.shape[:-1], t.shape), -1.0)
+        worst = None
+        for disk in obstacles:
+            diff = (q - disk.center_at(t))[..., None, :]
+            # a row-times-column product per point: the same dot product,
+            # bit for bit, as np.linalg.norm of a single point
+            dist = np.sqrt((diff @ np.swapaxes(diff, -1, -2))[..., 0, 0])
+            depth = disk.radius - dist
+            worst = depth if worst is None else np.maximum(worst, depth)
+        return worst
 
     return DynamicConstraint(evaluator=evaluator)
 
 
-def _window_feasible(points, taus, start_tau, t_now, constraint, cfg):
-    """Check C <= 0 at future wall-times implied by phase distance."""
-    times = t_now + (taus - start_tau) * cfg.total_time
-    for q, t in zip(points, times):
-        if constraint(q, t) > 0:
-            return False
-    return True
+def _window(tau, cfg):
+    """Phase grid over the lookahead window that starts at tau."""
+    hi = min(tau + cfg.window / cfg.total_time, 1.0)
+    return np.linspace(tau, hi, cfg.window_resolution)
 
 
 def predict_violation(state, model, constraint, t_now, cfg):
-    """True if the current plan violates the constraint inside the window."""
-    hi = min(state.tau + cfg.window / cfg.total_time, 1.0)
-    grid = np.linspace(state.tau, hi, cfg.window_resolution)
+    """True if the current plan violates the constraint inside the window.
+
+    Window phases map to the future wall-times their phase distance
+    implies at the nominal rate.
+    """
+    grid = _window(state.tau, cfg)
     points = model.curve_points(state.z, grid)
-    return not _window_feasible(points, grid, state.tau, t_now, constraint,
-                                cfg)
+    times = t_now + (grid - state.tau) * cfg.total_time
+    return bool(np.any(constraint(points, times) > 0))
 
 
 def _candidate_latents(state, density, cfg, rng):
@@ -187,63 +209,54 @@ def solve_replan(state, model, density, constraint, t_now, cfg, rng):
 
     Candidates are checked in ascending-objective order; the first one
     satisfying all four constraints wins, which equals the feasible
-    arg-min with ties broken toward the lowest candidate index.
+    arg-min with ties broken toward the lowest candidate index.  The
+    density and window checks run for every pair up front, one
+    evaluate_batch and one constraint call per tau'; the eta path check
+    runs per pair in objective order until one passes.
     """
     tau = state.tau
     tau_lo = max(tau - cfg.delta_back, 0.0)
     tau_grid = np.linspace(tau, tau_lo, cfg.tau_candidates) \
         if cfg.tau_candidates > 1 else np.array([tau])
     z_cands = _candidate_latents(state, density, cfg, rng)
-    n_z = len(z_cands)
     log_dens = np.atleast_1d(density.logpdf(z_cands))
     stacks = model.decode_many(z_cands)          # (n_z, n, B)
 
-    pair_obj = []
-    for iz in range(n_z):
-        dz2 = float(np.sum((z_cands[iz] - state.z) ** 2))
-        for it, tp in enumerate(tau_grid):
-            obj = dz2 + cfg.alpha_time * (tau - tp) ** 2
-            pair_obj.append((obj, iz, it))
-    order = sorted(range(len(pair_obj)), key=lambda i: (pair_obj[i][0], i))
+    dz2 = np.sum((z_cands - state.z) ** 2, axis=1)
+    pair_obj = dz2[:, None] + cfg.alpha_time * (tau - tau_grid) ** 2
+    order = np.argsort(pair_obj.ravel(), kind="stable")
+
+    density_ok = log_dens >= cfg.threshold
+    window_ok = np.zeros(pair_obj.shape, dtype=bool)
+    for it, tp in enumerate(tau_grid):
+        grid = _window(tp, cfg)
+        pts = evaluate_batch(model.curve_model, stacks[density_ok], grid)
+        times = t_now + (grid - tp) * cfg.total_time
+        window_ok[density_ok, it] = ~np.any(constraint(pts, times) > 0,
+                                            axis=1)
 
     eta = np.linspace(0.0, 1.0, cfg.eta_points)
-    n_density_ok = int(np.sum(log_dens >= cfg.threshold))
-    n_window_ok = 0
-    window_cache = {}
+    diag = np.arange(cfg.eta_points)
+    n_tau = len(tau_grid)
     for rank in order:
-        obj, iz, it = pair_obj[rank]
-        if log_dens[iz] < cfg.threshold:
+        iz, it = divmod(int(rank), n_tau)
+        if not window_ok[iz, it]:
             continue
         tp = float(tau_grid[it])
-        key = (iz, it)
-        if key not in window_cache:
-            hi = min(tp + cfg.window / cfg.total_time, 1.0)
-            grid = np.linspace(tp, hi, cfg.window_resolution)
-            pts = evaluate_batch(model.curve_model, stacks[iz:iz + 1],
-                                 grid)[0]
-            window_cache[key] = _window_feasible(pts, grid, tp, t_now,
-                                                 constraint, cfg)
-        if not window_cache[key]:
-            continue
-        n_window_ok += 1
         z_path = eta[:, None] * state.z + (1.0 - eta)[:, None] * z_cands[iz]
-        tau_path = eta * tau + (1.0 - eta) * tp
         path_dens = np.atleast_1d(density.logpdf(z_path))
         if np.any(path_dens < cfg.threshold):
             continue
-        path_stacks = model.decode_many(z_path)
-        ok = True
-        for j in range(cfg.eta_points):
-            q = evaluate_batch(model.curve_model, path_stacks[j:j + 1],
-                               np.array([tau_path[j]]))[0, 0]
-            if constraint(q, t_now) > 0:
-                ok = False
-                break
-        if ok:
+        # path point j is decoded from z_path[j] and evaluated at its own
+        # phase, i.e. the diagonal of the all-pairs evaluation
+        tau_path = eta * tau + (1.0 - eta) * tp
+        pts = evaluate_batch(model.curve_model, model.decode_many(z_path),
+                             tau_path)[diag, diag]
+        if not np.any(constraint(pts, t_now) > 0):
             return z_cands[iz].copy(), tp
-    raise ReplanInfeasibleError(n_candidates=len(pair_obj),
-                                n_density_ok=n_density_ok,
-                                n_window_ok=n_window_ok)
+    raise ReplanInfeasibleError(n_candidates=pair_obj.size,
+                                n_density_ok=int(np.sum(density_ok)),
+                                n_window_ok=int(np.sum(window_ok)))
 
 
 @dataclass
@@ -298,13 +311,14 @@ class EpisodeTrace:
         cons = np.array([float(r[2 + m + n]) for r in rows])
         cv = np.array([int(r[3 + m + n]) for r in rows])
         events = np.array([int(r[4 + m + n]) for r in rows])
+        # run_episode stops early only at tau = 1 with no active replan
+        reached = bool(taus[-1] >= 1.0 - 1e-9 and cv[-1] == 0)
         return cls(times=times, taus=taus, latents=latents, points=points,
                    constraint_values=cons, violation_flags=cv,
                    replan_events=events,
                    n_replans=int(np.sum(events == 1)),
                    n_infeasible=int(np.sum(events == 2)),
-                   reached_goal=bool(taus[-1] >= 1.0 - 1e-9),
-                   timed_out=False)
+                   reached_goal=reached, timed_out=not reached)
 
 
 def initial_latent(density, cfg, rng, max_attempts=10000):
@@ -335,15 +349,19 @@ def run_episode(model, density, constraint, cfg, seed=0, z0=None):
     ticks_per_replan = max(1, int(round(cfg.control_hz / cfg.replan_hz)))
     max_ticks = int(np.ceil(cfg.max_time * cfg.control_hz))
 
-    rows = {"t": [], "tau": [], "z": [], "q": [], "c": [], "cv": [],
-            "event": []}
+    # per-tick buffers; the constraint column is filled in one field call
+    # once the episode ends
+    times = np.empty(max_ticks)
+    taus = np.empty(max_ticks)
+    latents = np.empty((max_ticks, state.z.size))
+    points = np.empty((max_ticks, model.curve_model.dim))
+    flags = np.zeros(max_ticks, dtype=int)
+    events = np.zeros(max_ticks, dtype=int)
     n_replans = 0
     n_infeasible = 0
     reached = False
-    timed_out = False
     for tick in range(max_ticks):
         t_now = tick * dt
-        event = 0
         if tick % ticks_per_replan == 0:
             if predict_violation(state, model, constraint, t_now, cfg):
                 try:
@@ -353,10 +371,10 @@ def run_episode(model, density, constraint, cfg, seed=0, z0=None):
                     state.goal_tau = goal_tau
                     state.violated = True
                     n_replans += 1
-                    event = 1
+                    events[tick] = 1
                 except ReplanInfeasibleError:
                     n_infeasible += 1
-                    event = 2
+                    events[tick] = 2
             else:
                 state.violated = False
         if state.violated:
@@ -365,24 +383,24 @@ def run_episode(model, density, constraint, cfg, seed=0, z0=None):
         else:
             state.tau = min(state.tau + dtau, 1.0)
         q = model.curve_points(state.z, np.array([state.tau]))[0]
-        rows["t"].append(t_now)
-        rows["tau"].append(state.tau)
-        rows["z"].append(state.z.copy())
-        rows["q"].append(q)
-        rows["c"].append(constraint(q, t_now))
-        rows["cv"].append(state.violated)
-        rows["event"].append(event)
+        times[tick] = t_now
+        taus[tick] = state.tau
+        latents[tick] = state.z
+        points[tick] = q
+        flags[tick] = state.violated
         if state.tau >= 1.0 - 1e-12 and not state.violated:
             reached = True
             break
-    else:
-        timed_out = True
-    return EpisodeTrace(times=np.array(rows["t"]),
-                        taus=np.array(rows["tau"]),
-                        latents=np.array(rows["z"]),
-                        points=np.array(rows["q"]),
-                        constraint_values=np.array(rows["c"]),
-                        violation_flags=np.array(rows["cv"], dtype=int),
-                        replan_events=np.array(rows["event"], dtype=int),
+    # Rebind every buffer to its compact copy: a caller that keeps an
+    # infeasible-search exception keeps this frame alive through its
+    # traceback, and with it whatever these names hold.
+    k = tick + 1
+    times, taus, latents, points, flags, events = (
+        buf[:k].copy()
+        for buf in (times, taus, latents, points, flags, events))
+    return EpisodeTrace(times=times, taus=taus, latents=latents,
+                        points=points,
+                        constraint_values=constraint(points, times),
+                        violation_flags=flags, replan_events=events,
                         n_replans=n_replans, n_infeasible=n_infeasible,
-                        reached_goal=reached, timed_out=timed_out)
+                        reached_goal=reached, timed_out=not reached)

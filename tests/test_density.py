@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky
+from scipy.special import logsumexp
 
 from motionmanifold.density import (GmmModel, KdeModel, SampleFilter,
-                                    gmm_fit, gmm_logpdf, gmm_sample,
+                                    _gauss_logpdf, gmm_fit, gmm_logpdf, gmm_sample,
                                     kde_build, kde_logpdf, kde_sample,
                                     load_density, min_loglik_threshold,
                                     rejection_sample, save_density)
@@ -173,6 +175,40 @@ def test_kde_sample_stays_near_support():
     d_min = np.linalg.norm(draws[:, None, :] - pts[None, :, :],
                            axis=2).min(axis=1)
     assert np.quantile(d_min, 0.95) < 1.0
+
+
+def test_kde_logpdf_matches_per_support_loop():
+    # enough queries to span several blocks of the stacked evaluation
+    rng = np.random.default_rng(15)
+    pts = rng.normal(size=(200, 3)) * 0.5
+    k = kde_build(pts)
+    queries = rng.normal(size=(1500, 3))
+    parts = np.stack([_gauss_logpdf(queries, k.points[i],
+                                    cholesky(k.bandwidths[i], lower=True))
+                      for i in range(len(k.points))], axis=1)
+    want = logsumexp(parts, axis=1) - np.log(len(k.points))
+    got = k.logpdf(queries)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert isinstance(k.logpdf(queries[0]), float)
+    assert k.logpdf(queries[0]) == pytest.approx(want[0], rel=1e-12)
+
+
+def test_kde_sample_matches_per_draw_loop_bit_for_bit():
+    pts = two_blobs(n_per=20, scale=0.3, seed=16)
+    k = kde_build(pts)
+    chols = [cholesky(h, lower=True) for h in k.bandwidths]
+
+    def per_draw(rng, n):
+        picks = rng.integers(0, len(k.points), size=n)
+        return np.array([k.points[i] + chols[i] @ rng.standard_normal(k.dim)
+                         for i in picks])
+
+    want = per_draw(np.random.default_rng(17), 300)
+    got = k.sample(np.random.default_rng(17), count=300)
+    assert np.array_equal(got, want)
+    one = k.sample(np.random.default_rng(18))
+    assert one.shape == (2,)
+    assert np.array_equal(one, per_draw(np.random.default_rng(18), 1)[0])
 
 
 # -- thresholds and rejection --------------------------------------------

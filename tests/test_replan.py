@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from motionmanifold import replan
 from motionmanifold.basis import BasisSet, CurveModel
-from motionmanifold.density import GmmModel
+from motionmanifold.density import GmmModel, kde_build
 from motionmanifold.errors import ReplanInfeasibleError
 from motionmanifold.replan import (DynamicConstraint, EpisodeTrace,
                                    MovingDisk, ReplanConfig, ReplanState,
@@ -70,6 +73,7 @@ def test_config_defaults_and_derived_cap():
     dict(gain=1.5),
     dict(delta_back=-0.1),
     dict(candidate_budget=0),
+    dict(max_time=0.0),
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
@@ -137,6 +141,61 @@ def test_constraint_with_static_obstacles_and_empty_script():
     assert c([1.0, 0.1], 0.0) == pytest.approx(0.2)
     empty = constraint_from_script([])
     assert empty([0.0, 0.0], 0.0) == -1.0
+
+
+def test_moving_disk_center_at_takes_time_arrays():
+    disk = MovingDisk(times=[0.0, 2.0, 4.0],
+                      centers=[[0.0, 0.0], [1.0, 0.0], [1.0, 2.0]],
+                      radius=0.1)
+    times = np.array([[0.0, 1.0], [3.0, 99.0]])
+    centers = disk.center_at(times)
+    assert centers.shape == (2, 2, 2)
+    for idx in np.ndindex(times.shape):
+        assert np.array_equal(centers[idx], disk.center_at(times[idx]))
+
+
+_coord = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def _moving_disks(draw):
+    n_way = draw(st.integers(1, 4))
+    gaps = draw(st.lists(st.floats(0.1, 2.0), min_size=n_way,
+                         max_size=n_way))
+    centers = draw(st.lists(st.tuples(_coord, _coord), min_size=n_way,
+                            max_size=n_way))
+    return MovingDisk(times=np.cumsum(gaps) - 0.5, centers=centers,
+                      radius=draw(st.floats(0.01, 1.0)))
+
+
+_statics = st.lists(st.tuples(st.tuples(_coord, _coord),
+                              st.floats(0.01, 1.0)), max_size=2)
+_samples = st.lists(st.tuples(_coord, _coord, st.floats(-1.0, 6.0)),
+                    min_size=1, max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(disks=st.lists(_moving_disks(), max_size=3), statics=_statics,
+       samples=_samples)
+@example(disks=[], statics=[], samples=[(0.0, 0.0, 0.0), (1.0, 2.0, 3.0)])
+@example(disks=[], statics=[((0.5, 0.5), 0.3), ((-1.0, 0.0), 0.2)],
+         samples=[(0.5, 0.6, 0.0), (2.0, 2.0, 1.0)])
+def test_batched_constraint_matches_per_point_calls(disks, statics,
+                                                    samples):
+    c = constraint_from_script(disks, static_obstacles=statics)
+    points = np.array([s[:2] for s in samples])
+    times = np.array([s[2] for s in samples])
+    batched = c(points, times)
+    assert batched.shape == (len(samples),)
+    singles = [c(q, t) for q, t in zip(points, times)]
+    assert all(isinstance(v, float) for v in singles)
+    np.testing.assert_allclose(batched, singles, rtol=0.0, atol=1e-15)
+    if not disks and not statics:
+        assert np.all(batched == -1.0)
+    # any leading shape: points (2, k, n) with times (2, k)
+    grid = c(np.stack([points] * 2), np.stack([times] * 2))
+    assert grid.shape == (2, len(samples))
+    np.testing.assert_allclose(grid, [singles] * 2, rtol=0.0, atol=1e-15)
 
 
 # -- violation prediction --------------------------------------------------
@@ -235,6 +294,118 @@ def test_replan_infeasible_when_density_floor_excludes_everything():
     assert err.value.n_candidates > 0
 
 
+def _reference_window_feasible(points, taus, start_tau, t_now, constraint,
+                               cfg):
+    times = t_now + (taus - start_tau) * cfg.total_time
+    for q, t in zip(points, times):
+        if constraint(q, t) > 0:
+            return False
+    return True
+
+
+def reference_solve_replan(state, model, density, constraint, t_now, cfg,
+                           rng):
+    """The sequential per-pair, per-point search the batched one replaces."""
+    tau = state.tau
+    tau_lo = max(tau - cfg.delta_back, 0.0)
+    tau_grid = np.linspace(tau, tau_lo, cfg.tau_candidates) \
+        if cfg.tau_candidates > 1 else np.array([tau])
+    z_cands = replan._candidate_latents(state, density, cfg, rng)
+    n_z = len(z_cands)
+    log_dens = np.atleast_1d(density.logpdf(z_cands))
+    stacks = model.decode_many(z_cands)
+
+    pair_obj = []
+    for iz in range(n_z):
+        dz2 = float(np.sum((z_cands[iz] - state.z) ** 2))
+        for it, tp in enumerate(tau_grid):
+            obj = dz2 + cfg.alpha_time * (tau - tp) ** 2
+            pair_obj.append((obj, iz, it))
+    order = sorted(range(len(pair_obj)), key=lambda i: (pair_obj[i][0], i))
+
+    eta = np.linspace(0.0, 1.0, cfg.eta_points)
+    n_density_ok = int(np.sum(log_dens >= cfg.threshold))
+    n_window_ok = 0
+    window_cache = {}
+    for rank in order:
+        obj, iz, it = pair_obj[rank]
+        if log_dens[iz] < cfg.threshold:
+            continue
+        tp = float(tau_grid[it])
+        key = (iz, it)
+        if key not in window_cache:
+            hi = min(tp + cfg.window / cfg.total_time, 1.0)
+            grid = np.linspace(tp, hi, cfg.window_resolution)
+            pts = evaluate_batch(model.curve_model, stacks[iz:iz + 1],
+                                 grid)[0]
+            window_cache[key] = _reference_window_feasible(
+                pts, grid, tp, t_now, constraint, cfg)
+        if not window_cache[key]:
+            continue
+        n_window_ok += 1
+        z_path = eta[:, None] * state.z + (1.0 - eta)[:, None] * z_cands[iz]
+        tau_path = eta * tau + (1.0 - eta) * tp
+        path_dens = np.atleast_1d(density.logpdf(z_path))
+        if np.any(path_dens < cfg.threshold):
+            continue
+        path_stacks = model.decode_many(z_path)
+        ok = True
+        for j in range(cfg.eta_points):
+            q = evaluate_batch(model.curve_model, path_stacks[j:j + 1],
+                               np.array([tau_path[j]]))[0, 0]
+            if constraint(q, t_now) > 0:
+                ok = False
+                break
+        if ok:
+            return z_cands[iz].copy(), tp
+    raise ReplanInfeasibleError(n_candidates=len(pair_obj),
+                                n_density_ok=n_density_ok,
+                                n_window_ok=n_window_ok)
+
+
+def _search_outcome(search, *args):
+    try:
+        z, tau = search(*args)
+    except ReplanInfeasibleError as err:
+        return ("infeasible", err.n_candidates, err.n_density_ok,
+                err.n_window_ok)
+    return ("ok", z.tobytes(), tau)
+
+
+def test_batched_search_matches_sequential_reference():
+    model = BumpModel()
+    gmm = two_cluster_density()
+    kde = kde_build(np.random.default_rng(0).normal(
+        [[1.0, 0.0]] * 15 + [[-1.0, 0.0]] * 15, 0.4))
+    sweeper = MovingDisk(times=[0.0, 1.0, 2.0],
+                         centers=[[0.3, 0.6], [0.5, 0.1], [0.7, -0.4]],
+                         radius=0.15)
+    scripts = [[upper_blocker()], [upper_blocker(), sweeper], [sweeper]]
+    setup = np.random.default_rng(42)
+    kinds = set()
+    for case in range(20):
+        density = gmm if case % 2 == 0 else kde
+        floor = density.logpdf(np.zeros(2)) + setup.choice([-1.0, -0.5, 0.5])
+        cfg = ReplanConfig(total_time=2.0, window=0.6, control_hz=200.0,
+                           replan_hz=10.0, candidate_budget=120,
+                           threshold=floor if case % 5 else -np.inf)
+        constraint = constraint_from_script(scripts[case % 3])
+        # upper-arc plans heading into the blockers
+        state = ReplanState(z=[setup.uniform(0.5, 1.5),
+                               setup.uniform(-0.3, 0.3)],
+                            tau=setup.uniform(0.05, 0.35))
+        t_now = setup.uniform(0.0, 1.0)
+        args = (model, density, constraint, t_now, cfg)
+        want = _search_outcome(reference_solve_replan, state, *args,
+                               np.random.default_rng(case))
+        got = _search_outcome(solve_replan, state, *args,
+                              np.random.default_rng(case))
+        assert got == want, case
+        moved = want[0] == "ok" and want[1] != state.z.tobytes()
+        kinds.add("moved" if moved else want[0])
+    assert kinds >= {"moved", "infeasible"}
+
+
 # -- initial draw ----------------------------------------------------------
 
 
@@ -327,6 +498,21 @@ def test_trace_csv_round_trip(tmp_path):
     assert np.array_equal(back.replan_events, trace.replan_events)
     assert back.n_replans == trace.n_replans
     assert back.reached_goal == trace.reached_goal
+    assert back.timed_out == trace.timed_out
+
+
+def test_trace_csv_round_trip_keeps_timeout(tmp_path):
+    model = BumpModel()
+    density = two_cluster_density()
+    cfg = ReplanConfig(total_time=1.0, window=0.1, control_hz=100.0,
+                       replan_hz=10.0, threshold=-np.inf, max_time=0.3)
+    trace = run_episode(model, density, constraint_from_script([]), cfg,
+                        seed=4, z0=np.array([0.5, -0.2]))
+    assert trace.timed_out and not trace.reached_goal
+    path = tmp_path / "trace.csv"
+    trace.save_csv(path)
+    back = EpisodeTrace.load_csv(path)
+    assert back.timed_out and not back.reached_goal
 
 
 def test_dynamic_constraint_wraps_plain_callables():

@@ -10,10 +10,9 @@ from .basis import (BasisSet, CurveModel, CurveParams, PhaseProfile,
                     TimedTrajectory, evaluate_batch,
                     load_trajectory_dataset, save_trajectory_dataset)
 from .density import (GmmModel, KdeModel, RejectionResult, SampleFilter,
-                      gmm_fit, gmm_logpdf, gmm_sample, kde_build,
-                      kde_logpdf, kde_sample, load_density,
+                      gmm_fit, kde_build, load_density,
                       min_loglik_threshold, rejection_sample, save_density)
-from .envs import (Disk, EvalReport, ModelBundle, PlanarEnv,
+from .envs import (EvalReport, ModelBundle, PlanarEnv,
                    build_bundle, collision_check, evaluate_success,
                    fit_demos, generate_continuum_demos, generate_env,
                    sample_curves, success_rate)
@@ -40,7 +39,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState", "BasisSet", "BranchError", "ConfigMetric", "CurveGeomMetric",
-    "CurveModel", "CurveParams", "DegenerateSupportError", "Disk",
+    "CurveModel", "CurveParams", "DegenerateSupportError",
     "DistortionUndefinedError", "DynamicConstraint", "EpisodeTrace",
     "EvalReport", "GenerationError", "GmmModel", "KdeModel", "ManifoldModel",
     "MetricError", "Mlp", "ModelBundle", "MovingDisk",
@@ -52,8 +51,7 @@ __all__ = [
     "constraint_from_script", "curvegeom_euclidean", "curvegeom_general",
     "eval_position_curve", "eval_rotation_curve", "evaluate_batch",
     "evaluate_success", "exp_so3", "fit_demos", "fit_se3_params",
-    "generate_continuum_demos", "generate_env", "gmm_fit", "gmm_logpdf",
-    "gmm_sample", "hat", "kde_build", "kde_logpdf", "kde_sample",
+    "generate_continuum_demos", "generate_env", "gmm_fit", "hat", "kde_build",
     "load_density", "load_obstacle_script", "load_trajectory_dataset",
     "log_so3", "make_pouring_demos", "min_loglik_threshold",
     "predict_violation", "pullback_metric", "rejection_sample",

@@ -25,10 +25,30 @@ VIA_POINT = "via-point"
 def _as_tau_array(tau):
     """Validate tau values and return (array, was_scalar)."""
     arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    if arr.min() < -1e-12 or arr.max() > 1.0 + 1e-12:
-        raise ValueError(f"tau must lie in [0, 1], got range "
-                         f"[{arr.min():.6g}, {arr.max():.6g}]")
+    if arr.size == 0:
+        raise ValueError("tau is empty; need at least one phase value")
+    lo, hi = arr.min(), arr.max()
+    # a NaN propagates through min/max and fails both comparisons
+    if not (lo >= -1e-12 and hi <= 1.0 + 1e-12):
+        raise ValueError(f"tau must be finite and lie in [0, 1], got range "
+                         f"[{lo:.6g}, {hi:.6g}]")
     return np.clip(arr, 0.0, 1.0), np.ndim(tau) == 0
+
+
+def lstsq_coefficients(phi, targets, cond_limit=1e12):
+    """W (d, B) minimizing sum_k ||W phi_k - targets_k||^2.
+
+    phi (L, B) holds the basis values at the samples and targets (L, d)
+    the values to match.  The normal matrix is checked for conditioning
+    and solved through its Cholesky factorization.
+    """
+    normal = phi.T @ phi
+    eigs = np.linalg.eigvalsh(normal)
+    if eigs[0] <= 0 or eigs[-1] / eigs[0] > cond_limit:
+        raise SingularFitError(
+            f"normal matrix is numerically singular: smallest singular "
+            f"value {max(eigs[0], 0.0):.3e}")
+    return cho_solve(cho_factor(normal), phi.T @ targets).T
 
 
 class BasisSet:
@@ -390,17 +410,9 @@ class CurveModel:
                              f"({self.basis.size}) to fit")
         t = trajectory.times - trajectory.times[0]
         tau = t / t[-1]
-        phi = self.basis.evaluate(tau)                  # (L, B)
         delta = trajectory.points - self.elementary(tau)  # (L, n)
-        normal = phi.T @ phi
-        eigs = np.linalg.eigvalsh(normal)
-        if eigs[0] <= 0 or eigs[-1] / eigs[0] > cond_limit:
-            raise SingularFitError(
-                f"normal matrix is numerically singular: smallest singular "
-                f"value {max(eigs[0], 0.0):.3e}")
-        factor = cho_factor(normal)
-        coeff = cho_solve(factor, phi.T @ delta)        # (B, n)
-        return CurveParams(coeff.T)
+        return CurveParams(lstsq_coefficients(self.basis.evaluate(tau),
+                                              delta, cond_limit))
 
     def fit_objective(self, params, trajectory):
         """Sum of squared residuals of the fitting problem, for diagnostics."""

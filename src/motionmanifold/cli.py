@@ -133,8 +133,7 @@ def cmd_train(args):
     model, fits, _ = load_fits(args.fits)
     cfg = TrainConfig(latent_dim=args.latent_dim, alpha=args.alpha,
                       epochs=args.epochs, learning_rate=args.learning_rate,
-                      hidden=_parse_hidden(args.hidden), seed=args.seed,
-                      trace_mode=args.trace_mode)
+                      hidden=_parse_hidden(args.hidden), seed=args.seed)
     manifold = train(fits, model, cfg)
     manifold.save(out)
     z = manifold.encode_many(fits)
@@ -142,7 +141,7 @@ def cmd_train(args):
         json.dump({"z": z.tolist()}, fh, indent=1)
     _write_meta(out, "train", args,
                 ["fits", "alpha", "latent_dim", "epochs", "learning_rate",
-                 "hidden", "trace_mode"])
+                 "hidden"])
     _log(out, f"train alpha={args.alpha} epochs={args.epochs}")
     print(f"final reconstruction loss "
           f"{manifold.history['recon'][-1]:.6e}")
@@ -359,8 +358,6 @@ def build_parser():
     p.add_argument("--epochs", type=int, default=5000)
     p.add_argument("--learning-rate", type=float, default=1e-3)
     p.add_argument("--hidden", type=str, default="256,256,256")
-    p.add_argument("--trace-mode", default="exact",
-                   choices=["exact", "hutchinson"])
     _add_common(p)
     p.set_defaults(func=cmd_train)
 

@@ -179,14 +179,6 @@ def gmm_fit(points, n_components, seed=0, tol=1e-8, max_iter=500,
                     log_likelihood_history=history)
 
 
-def gmm_logpdf(model, z):
-    return model.logpdf(z)
-
-
-def gmm_sample(model, rng, count=None):
-    return model.sample(rng, count)
-
-
 # -- adaptive KDE ---------------------------------------------------------
 
 # Cap on the (queries, support, m) whitened-difference block that
@@ -285,14 +277,6 @@ def kde_build(points, kernel_width=None, ridge=1e-9):
         scatter /= weights[i].sum()
         bands[i] = scatter @ scatter + ridge * eye
     return KdeModel(points=x, bandwidths=bands, kernel_width=h)
-
-
-def kde_logpdf(model, z):
-    return model.logpdf(z)
-
-
-def kde_sample(model, rng, count=None):
-    return model.sample(rng, count)
 
 
 # -- thresholded sampling -------------------------------------------------

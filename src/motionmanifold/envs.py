@@ -22,23 +22,13 @@ from .basis import BasisSet, CurveModel, TimedTrajectory, evaluate_batch
 from .density import (SampleFilter, gmm_fit, kde_build, min_loglik_threshold,
                       rejection_sample)
 from .errors import GenerationError
+from .replan import MovingDisk, constraint_from_script
 from .training import TrainConfig, train, flatten_params
 
 
 @dataclass
-class Disk:
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float)
-        if self.radius <= 0:
-            raise ValueError("obstacle radius must be positive")
-
-
-@dataclass
 class PlanarEnv:
-    obstacles: list
+    obstacles: list              # static one-waypoint MovingDisks
     q_start: np.ndarray
     q_goal: np.ndarray
     bounds: np.ndarray           # ((xmin, xmax), (ymin, ymax))
@@ -47,12 +37,12 @@ class PlanarEnv:
         self.q_start = np.asarray(self.q_start, dtype=float)
         self.q_goal = np.asarray(self.q_goal, dtype=float)
         self.bounds = np.asarray(self.bounds, dtype=float)
-        for q in (self.q_start, self.q_goal):
-            if collision_check(q, self) > 0:
-                raise ValueError("endpoint lies inside an obstacle")
+        if np.any(collision_check(np.stack([self.q_start, self.q_goal]),
+                                  self) > 0):
+            raise ValueError("endpoint lies inside an obstacle")
 
     def to_dict(self):
-        return {"obstacles": [{"center": o.center.tolist(),
+        return {"obstacles": [{"center": o.centers[0].tolist(),
                                "radius": o.radius} for o in self.obstacles],
                 "q_start": self.q_start.tolist(),
                 "q_goal": self.q_goal.tolist(),
@@ -60,7 +50,8 @@ class PlanarEnv:
 
     @classmethod
     def from_dict(cls, data):
-        obstacles = [Disk(center=np.array(o["center"]), radius=o["radius"])
+        obstacles = [MovingDisk(times=[0.0], centers=[o["center"]],
+                                radius=o["radius"])
                      for o in data["obstacles"]]
         return cls(obstacles=obstacles, q_start=np.array(data["q_start"]),
                    q_goal=np.array(data["q_goal"]),
@@ -77,12 +68,12 @@ class PlanarEnv:
 
 
 def collision_check(q, env, t=0.0):
-    """Worst-case penetration depth; positive means inside an obstacle."""
-    q = np.asarray(q, dtype=float)
-    worst = -np.inf
-    for obs in env.obstacles:
-        worst = max(worst, obs.radius - float(np.linalg.norm(q - obs.center)))
-    return worst if np.isfinite(worst) else -1.0
+    """Worst-case penetration depth; positive means inside an obstacle.
+
+    Batched over points q (..., n) like the replanning field: returns
+    depths (...), a float for one point, and -1 with no obstacle.
+    """
+    return constraint_from_script(env.obstacles)(q, t)
 
 
 @dataclass
@@ -146,7 +137,7 @@ def _demo_clear(traj, env, margin=0.02, grid_points=500):
     pts = np.column_stack([
         np.interp(xs, traj.times / traj.times[-1], traj.points[:, 0]),
         np.interp(xs, traj.times / traj.times[-1], traj.points[:, 1])])
-    return max(collision_check(q, env) for q in pts) < -margin
+    return collision_check(pts, env).max() < -margin
 
 
 def generate_env(env_id, seed=0):
@@ -158,7 +149,7 @@ def generate_env(env_id, seed=0):
     entry = _ENV_TABLE[key]
     spec = entry["spec"]
     env = PlanarEnv(
-        obstacles=[Disk(center=np.array(c), radius=r)
+        obstacles=[MovingDisk(times=[0.0], centers=[c], radius=r)
                    for c, r in entry["obstacles"]],
         q_start=np.array([0.0, 0.0]), q_goal=np.array([1.0, 0.0]),
         bounds=np.array([[-0.2, 1.2], [-0.8, 0.8]]))
@@ -295,10 +286,7 @@ def success_rate(bundle, env, num_samples, rng, grid_points=500):
     stacks, result = sample_curves(bundle, num_samples, rng)
     grid = np.linspace(0.0, 1.0, grid_points)
     pts = evaluate_batch(bundle.curve_model, stacks, grid)  # (N, T, 2)
-    collided = np.zeros(len(pts), dtype=bool)
-    for obs in env.obstacles:
-        dist = np.linalg.norm(pts - obs.center, axis=2)
-        collided |= np.any(obs.radius - dist > 0, axis=1)
+    collided = np.any(collision_check(pts, env) > 0, axis=1)
     rate = 100.0 * float(np.mean(~collided))
     return rate, result.acceptance_rate
 

@@ -174,42 +174,19 @@ def pullback_metric(decoder, z, metric):
     return PullbackMetric(matrix=0.5 * (mat + mat.T), latent=z)
 
 
-def relaxed_distortion(decoder, z_batch, metric, trace_mode="exact",
-                       probes=64, rng=None):
+def relaxed_distortion(decoder, z_batch, metric):
     """Distortion of the decoder over a latent batch.
 
     The scalar E[Tr(Hbar^2)] / E[Tr(Hbar)]^2 is minimized (value 1/m) when
     the pullback metric has equal eigenvalues everywhere on the batch,
-    i.e. the decoder is a scaled isometry there.  ``hutchinson`` mode
-    replaces both traces with Gaussian-probe estimates.
+    i.e. the decoder is a scaled isometry there.
     """
     z = np.atleast_2d(np.asarray(z_batch, dtype=float))
     if z.shape[0] == 0:
         raise ValueError("empty latent batch")
-    if trace_mode == "exact":
-        _, _, _, _, tr, tr_sq = nets.distortion_terms(decoder, z, metric)
-        denom = tr.mean()
-        if denom < 1e-12:
-            raise DistortionUndefinedError(
-                f"mean pullback trace {denom:.3e} is too small")
-        return float(tr_sq.mean() / denom ** 2)
-    if trace_mode != "hutchinson":
-        raise ValueError(f"unknown trace mode {trace_mode!r}")
-    if rng is None:
-        raise ValueError("hutchinson mode needs an explicit rng")
-    n_pts, m = z.shape
-    z_rep = np.repeat(z, probes, axis=0)
-    v = rng.standard_normal((n_pts * probes, 1, m))
-    acts = decoder.forward_cache(z_rep)
-    _, cache = decoder._push_tangents(acts, v)
-    u = cache[-1][1][:, 0, :]                    # J v per probe row
-    ku = metric.apply(u)
-    tr_est = np.einsum("px,px->p", u, ku).reshape(n_pts, probes).mean(axis=1)
-    hv, _ = decoder.backward(acts, ku)           # J^T K J v
-    tr_sq_est = np.einsum("pa,pa->p", hv, hv).reshape(n_pts, probes) \
-        .mean(axis=1)
-    denom = tr_est.mean()
+    _, _, _, _, tr, tr_sq = nets.distortion_terms(decoder, z, metric)
+    denom = tr.mean()
     if denom < 1e-12:
         raise DistortionUndefinedError(
-            f"mean pullback trace estimate {denom:.3e} is too small")
-    return float(tr_sq_est.mean() / denom ** 2)
+            f"mean pullback trace {denom:.3e} is too small")
+    return float(tr_sq.mean() / denom ** 2)

@@ -16,8 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BranchError, SingularFitError, TrainingError
+from .basis import lstsq_coefficients
+from .errors import BranchError
 from . import nets
+from .training import fit_autoencoder
 
 _BRANCH_MARGIN = 1e-6
 _SMALL_ANGLE = 1e-8
@@ -256,17 +258,6 @@ def eval_position_curve(params, basis, tau):
     return out[0] if np.isscalar(tau) or np.ndim(tau) == 0 else out
 
 
-def _ridge_free_lstsq(phi, targets, cond_limit=1e12):
-    """W (d, B) minimizing sum_k ||W phi_k - targets_k||^2."""
-    normal = phi.T @ phi
-    eigs = np.linalg.eigvalsh(normal)
-    if eigs[0] <= 0 or eigs[-1] / max(eigs[0], 1e-300) > cond_limit:
-        raise SingularFitError(
-            f"basis normal matrix ill-conditioned; smallest eigenvalue "
-            f"{eigs[0]:.3e}")
-    return np.linalg.solve(normal, phi.T @ targets).T
-
-
 def fit_rotation_curve(taus, rotations, r_start, r_end, basis):
     """Least-squares shape coefficients in endpoint-relative log coordinates."""
     taus = np.asarray(taus, dtype=float)
@@ -277,7 +268,7 @@ def fit_rotation_curve(taus, rotations, r_start, r_end, basis):
     rel = _exp_batch(-taus[:, None] * ell) @ aligned
     resid = _log_batch(rel)                       # (L, 3)
     phi = basis.evaluate(taus)
-    return _ridge_free_lstsq(phi, resid)
+    return lstsq_coefficients(phi, resid)
 
 
 def fit_se3_params(traj, basis):
@@ -287,7 +278,7 @@ def fit_se3_params(traj, basis):
     r_i, r_f = traj.rotations[0], traj.rotations[-1]
     base = (1.0 - taus)[:, None] * p_i + taus[:, None] * p_f
     phi = basis.evaluate(taus)
-    w_pos = _ridge_free_lstsq(phi, traj.positions - base)
+    w_pos = lstsq_coefficients(phi, traj.positions - base)
     w_rot = fit_rotation_curve(taus, traj.rotations, r_i, r_f, basis)
     return Se3CurveParams(w_pos=w_pos, w_rot=w_rot, p_start=p_i, p_end=p_f,
                           r_start=r_i, r_end=r_f)
@@ -448,26 +439,10 @@ def train_se3(dataset, basis, config, beta=1.0):
     x = np.stack([pack_se3_features(p) for p in fitted])
     grids = [_DemoGrid(traj, basis) for traj in dataset]
     n_b = basis.size
-    m = config.latent_dim
-    encoder = nets.Mlp.create([x.shape[1], *config.hidden, m],
-                              seed=config.seed)
-    decoder = nets.Mlp.create([m, *config.hidden, 6 * n_b + 6],
-                              seed=config.seed + 1)
-    opt_enc = nets.AdamState(encoder, learning_rate=config.learning_rate)
-    opt_dec = nets.AdamState(decoder, learning_rate=config.learning_rate)
-    history = {"recon": []}
-    for epoch in range(config.epochs):
-        enc_acts = encoder.forward_cache(x)
-        dec_acts = decoder.forward_cache(enc_acts[-1])
-        loss, g_out = se3_loss_and_grads(dec_acts[-1], grids, p_start,
-                                         r_start, n_b, beta=beta)
-        if not np.isfinite(loss):
-            raise TrainingError(f"non-finite loss at epoch {epoch}")
-        dz, dec_grads = decoder.backward(dec_acts, g_out)
-        _, enc_grads = encoder.backward(enc_acts, dz)
-        nets.adam_step(opt_enc, encoder, enc_grads)
-        nets.adam_step(opt_dec, decoder, dec_grads)
-        history["recon"].append(loss)
+    encoder, decoder, history = fit_autoencoder(
+        x, 6 * n_b + 6, config,
+        lambda outputs: se3_loss_and_grads(outputs, grids, p_start, r_start,
+                                           n_b, beta=beta))
     return Se3ManifoldModel(encoder=encoder, decoder=decoder, basis=basis,
                             p_start=p_start, r_start=r_start, config=config,
                             history=history)

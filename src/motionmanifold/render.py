@@ -78,7 +78,8 @@ def render_scene(path, env, trajectories=(), colors=None, moving_disks=(),
     """Obstacles plus trajectory polylines; moving disks drawn per snapshot."""
     canvas = SvgCanvas(env.bounds[0], env.bounds[1])
     for obs in env.obstacles:
-        canvas.circle(obs.center, obs.radius, fill="#555555", opacity=0.85)
+        canvas.circle(obs.centers[0], obs.radius, fill="#555555",
+                      opacity=0.85)
     for disk in moving_disks:
         times = snapshot_times if len(snapshot_times) else disk.times
         for j, center in enumerate(disk.center_at(np.asarray(times))):

@@ -137,16 +137,14 @@ def load_obstacle_script(path):
         return [MovingDisk.from_dict(d) for d in json.load(fh)]
 
 
-def constraint_from_script(disks, static_obstacles=()):
+def constraint_from_script(disks):
     """Penetration depth of the worst obstacle; positive means collision.
 
     The field is batched over points (..., n) and times (...) and returns
-    depths (...); with no obstacle at all every depth is -1.  Each static
-    obstacle (center, radius) is a one-waypoint MovingDisk.
+    depths (...); with no obstacle at all every depth is -1.  A static
+    obstacle is a one-waypoint MovingDisk.
     """
-    obstacles = list(disks) + [MovingDisk(times=[0.0], centers=[c],
-                                          radius=r)
-                               for c, r in static_obstacles]
+    obstacles = list(disks)
 
     def evaluator(q, t):
         if not obstacles:

@@ -35,10 +35,17 @@ def unflatten_params(vec, dim, n_bases):
     return CurveParams(coefficients=vec.reshape(dim, n_bases))
 
 
-def mixup_sample(z_a, z_b, rng, extension=0.2):
-    """Point on the extended segment between two latents."""
-    delta = rng.uniform(-extension, 1.0 + extension)
-    return delta * np.asarray(z_a) + (1.0 - delta) * np.asarray(z_b)
+def mixup_sample(z, rng, count, extension=0.2):
+    """count points on extended segments between random pairs of rows of z.
+
+    Each point is delta z[a] + (1 - delta) z[b] with a, b drawn uniformly
+    from the rows of z (N, m) and delta uniform on [-extension,
+    1 + extension]; returns (count, m).
+    """
+    ia = rng.integers(0, len(z), size=count)
+    ib = rng.integers(0, len(z), size=count)
+    delta = rng.uniform(-extension, 1.0 + extension, size=count)
+    return delta[:, None] * z[ia] + (1.0 - delta)[:, None] * z[ib]
 
 
 @dataclass
@@ -51,7 +58,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     hidden: tuple = (256, 256, 256)
     seed: int = 0
-    trace_mode: str = "exact"
 
     def __post_init__(self):
         if self.latent_dim < 1:
@@ -60,8 +66,6 @@ class TrainConfig:
             raise ValueError("alpha must be nonnegative")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
-        if self.trace_mode not in ("exact", "hutchinson"):
-            raise ValueError(f"unknown trace mode {self.trace_mode!r}")
         self.hidden = tuple(int(h) for h in self.hidden)
 
     def to_dict(self):
@@ -71,7 +75,9 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(**data)
+        # configs saved with the removed "trace_mode" field were all
+        # trained with the exact distortion gradient
+        return cls(**{k: v for k, v in data.items() if k != "trace_mode"})
 
 
 @dataclass
@@ -173,6 +179,47 @@ def _dataset_matrix(dataset, model):
     return x
 
 
+def fit_autoencoder(x, n_out, config, reconstruction, penalty=None):
+    """Full-batch Adam over a fresh encoder/decoder pair.
+
+    x: (N, d) encoder inputs; the decoder maps the config.latent_dim
+    latent to n_out outputs.  reconstruction(outputs) returns the loss and
+    its gradient with respect to the (N, n_out) decoder outputs.  The
+    optional penalty(decoder, z) returns a value and decoder gradients at
+    the encoded latents z; both are weighted by config.alpha.  Returns
+    (encoder, decoder, history) with per-epoch recon, distortion and total.
+    """
+    m = config.latent_dim
+    encoder = nets.Mlp.create([x.shape[1], *config.hidden, m],
+                              seed=config.seed)
+    decoder = nets.Mlp.create([m, *config.hidden, n_out],
+                              seed=config.seed + 1)
+    opt_enc = nets.AdamState(encoder, learning_rate=config.learning_rate)
+    opt_dec = nets.AdamState(decoder, learning_rate=config.learning_rate)
+    history = {"recon": [], "distortion": [], "total": []}
+    for epoch in range(config.epochs):
+        enc_acts = encoder.forward_cache(x)
+        dec_acts = decoder.forward_cache(enc_acts[-1])
+        recon, g_out = reconstruction(dec_acts[-1])
+        dz, dec_grads = decoder.backward(dec_acts, g_out)
+        _, enc_grads = encoder.backward(enc_acts, dz)
+        dist_value = 0.0
+        if penalty is not None:
+            dist_value, dist_grads = penalty(decoder, enc_acts[-1])
+            dec_grads = nets.add_grads(dec_grads, dist_grads,
+                                       scale=config.alpha)
+        total = recon + config.alpha * dist_value
+        if not np.isfinite(total):
+            raise TrainingError(f"non-finite loss at epoch {epoch}: "
+                                f"recon {recon}, distortion {dist_value}")
+        nets.adam_step(opt_enc, encoder, enc_grads)
+        nets.adam_step(opt_dec, decoder, dec_grads)
+        history["recon"].append(recon)
+        history["distortion"].append(dist_value)
+        history["total"].append(total)
+    return encoder, decoder, history
+
+
 def train(dataset, model, config=None, metric=None):
     """Fit the latent manifold to fitted curve coefficients.
 
@@ -183,53 +230,25 @@ def train(dataset, model, config=None, metric=None):
     if config is None:
         config = TrainConfig()
     x = _dataset_matrix(dataset, model)
-    n_data, n_feat = x.shape
-    m = config.latent_dim
-    sizes_enc = [n_feat, *config.hidden, m]
-    sizes_dec = [m, *config.hidden, n_feat]
-    encoder = nets.Mlp.create(sizes_enc, seed=config.seed)
-    decoder = nets.Mlp.create(sizes_dec, seed=config.seed + 1)
     if metric is None:
         metric = curvegeom_euclidean(model.basis, dim=model.dim)
-    rng = np.random.default_rng(config.seed + 2)
-    opt_enc = nets.AdamState(encoder, learning_rate=config.learning_rate)
-    opt_dec = nets.AdamState(decoder, learning_rate=config.learning_rate)
-    history = {"recon": [], "distortion": [], "total": []}
-    use_distortion = config.alpha > 0
-    for epoch in range(config.epochs):
-        enc_acts = encoder.forward_cache(x)
-        z = enc_acts[-1]
-        dec_acts = decoder.forward_cache(z)
-        resid = dec_acts[-1] - x
-        recon = float(np.mean(np.sum(resid ** 2, axis=1)))
-        dz, dec_grads = decoder.backward(dec_acts, 2.0 * resid / n_data)
-        _, enc_grads = encoder.backward(enc_acts, dz)
-        dist_value = 0.0
-        if use_distortion:
-            ia = rng.integers(0, n_data, size=config.mix_batch)
-            ib = rng.integers(0, n_data, size=config.mix_batch)
-            delta = rng.uniform(-config.mix_extension,
-                                1.0 + config.mix_extension,
-                                size=config.mix_batch)
-            z_mix = delta[:, None] * z[ia] + (1.0 - delta)[:, None] * z[ib]
-            dist_value, dist_grads = nets.grad_of_distortion(
-                decoder, z_mix, metric)
-            dec_grads = nets.add_grads(dec_grads, dist_grads,
-                                       scale=config.alpha)
-        total = recon + config.alpha * dist_value
-        if not np.isfinite(total):
-            raise TrainingError(f"non-finite loss at epoch {epoch}: "
-                                f"recon {recon}, distortion {dist_value}")
-        try:
-            nets.check_finite_grads(enc_grads)
-            nets.check_finite_grads(dec_grads)
-        except TrainingError as err:
-            raise TrainingError(f"epoch {epoch}: {err}") from None
-        nets.adam_step(opt_enc, encoder, enc_grads)
-        nets.adam_step(opt_dec, decoder, dec_grads)
-        history["recon"].append(recon)
-        history["distortion"].append(dist_value)
-        history["total"].append(total)
+
+    def reconstruction(outputs):
+        resid = outputs - x
+        return (float(np.mean(np.sum(resid ** 2, axis=1))),
+                2.0 * resid / len(x))
+
+    penalty = None
+    if config.alpha > 0:
+        rng = np.random.default_rng(config.seed + 2)
+
+        def penalty(decoder, z):
+            z_mix = mixup_sample(z, rng, config.mix_batch,
+                                 config.mix_extension)
+            return nets.grad_of_distortion(decoder, z_mix, metric)
+
+    encoder, decoder, history = fit_autoencoder(
+        x, x.shape[1], config, reconstruction, penalty)
     return ManifoldModel(encoder=encoder, decoder=decoder, curve_model=model,
                          config=config, history=history,
                          metric_use_count=metric.use_count)

@@ -116,6 +116,20 @@ def test_scalar_and_array_tau_agree():
         assert np.allclose(model.evaluate(w, float(tau)), arr[k])
 
 
+@pytest.mark.parametrize("tau, message", [
+    ([0.2, np.nan], "finite"), (np.nan, "finite"), ([], "empty"),
+    (np.array([]), "empty"), ([0.5, 1.01], r"\[0, 1\]"),
+    (-0.1, r"\[0, 1\]")])
+def test_bad_tau_is_rejected(tau, message):
+    basis = BasisSet.uniform(6)
+    model = CurveModel.via_point(basis, np.zeros(2), np.ones(2))
+    stack = np.zeros((1, 2, 6))
+    for call in (basis.evaluate, basis.derivative, basis.raw,
+                 model.elementary, lambda t: evaluate_batch(model, stack, t)):
+        with pytest.raises(ValueError, match=message):
+            call(tau)
+
+
 def test_derivative_tau_matches_finite_differences():
     rng = np.random.default_rng(4)
     basis = BasisSet.uniform(7)

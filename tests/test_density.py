@@ -6,8 +6,7 @@ from scipy.linalg import cholesky
 from scipy.special import logsumexp
 
 from motionmanifold.density import (GmmModel, KdeModel, SampleFilter,
-                                    _gauss_logpdf, gmm_fit, gmm_logpdf, gmm_sample,
-                                    kde_build, kde_logpdf, kde_sample,
+                                    _gauss_logpdf, gmm_fit, kde_build,
                                     load_density, min_loglik_threshold,
                                     rejection_sample, save_density)
 from motionmanifold.errors import DegenerateSupportError, SamplingStarvedError
@@ -100,15 +99,6 @@ def test_gmm_weights_validated():
         GmmModel(weights=np.array([0.7, 0.7]),
                  means=np.zeros((2, 2)),
                  covariances=np.stack([np.eye(2)] * 2))
-
-
-def test_gmm_functional_wrappers():
-    pts = two_blobs(seed=8)
-    g = gmm_fit(pts, 2, seed=0)
-    assert np.allclose(gmm_logpdf(g, pts), g.logpdf(pts))
-    a = gmm_sample(g, np.random.default_rng(9), count=4)
-    b = g.sample(np.random.default_rng(9), count=4)
-    assert np.allclose(a, b)
 
 
 # -- adaptive KDE ---------------------------------------------------------

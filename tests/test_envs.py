@@ -1,16 +1,19 @@
 """Planar environment synthesis, model bundles, and success evaluation."""
 
+import json
+
 import numpy as np
 import pytest
 
 from motionmanifold import envs
 from motionmanifold.density import gmm_fit
-from motionmanifold.envs import (Disk, EvalReport, PlanarEnv, ModelBundle,
+from motionmanifold.envs import (EvalReport, PlanarEnv, ModelBundle,
                                  build_bundle, collision_check,
                                  default_components, evaluate_success,
                                  fit_demos, generate_continuum_demos,
                                  generate_env, sample_curves, success_rate)
 from motionmanifold.errors import GenerationError
+from motionmanifold.replan import MovingDisk
 from motionmanifold.training import TrainConfig
 
 SMALL_TRAIN = TrainConfig(latent_dim=2, epochs=150, hidden=(32, 32), seed=0)
@@ -122,14 +125,24 @@ def test_continuum_demos_sweep_one_family():
 # -- collision geometry ----------------------------------------------------
 
 
+def _static_disk(center, radius):
+    return MovingDisk(times=[0.0], centers=[center], radius=radius)
+
+
 def test_collision_check_is_penetration_depth():
-    env = PlanarEnv(obstacles=[Disk(center=[0.5, 0.0], radius=0.2)],
+    env = PlanarEnv(obstacles=[_static_disk([0.5, 0.0], 0.2)],
                     q_start=[0.0, 0.0], q_goal=[1.0, 0.0],
                     bounds=[[-0.2, 1.2], [-0.8, 0.8]])
     assert collision_check([0.5, 0.0], env) == pytest.approx(0.2)
     assert collision_check([0.5, 0.1], env) == pytest.approx(0.1)
     assert collision_check([0.5, 0.2], env) == pytest.approx(0.0, abs=1e-12)
     assert collision_check([0.5, 0.5], env) == pytest.approx(-0.3)
+    # batched over leading axes: one depth per point
+    pts = np.array([[[0.5, 0.0], [0.5, 0.1]], [[0.5, 0.2], [0.5, 0.5]]])
+    depths = collision_check(pts, env)
+    assert depths.shape == (2, 2)
+    singles = [collision_check(q, env) for q in pts.reshape(-1, 2)]
+    assert np.array_equal(depths.ravel(), singles)
 
 
 def test_collision_check_without_obstacles():
@@ -140,7 +153,7 @@ def test_collision_check_without_obstacles():
 
 def test_endpoint_inside_obstacle_is_rejected():
     with pytest.raises(ValueError, match="endpoint"):
-        PlanarEnv(obstacles=[Disk(center=[0.0, 0.0], radius=0.1)],
+        PlanarEnv(obstacles=[_static_disk([0.0, 0.0], 0.1)],
                   q_start=[0.0, 0.0], q_goal=[1.0, 0.0],
                   bounds=[[-0.2, 1.2], [-0.8, 0.8]])
 
@@ -152,9 +165,12 @@ def test_env_io_round_trip(tmp_path):
     back = PlanarEnv.load(path)
     assert len(back.obstacles) == len(env.obstacles)
     for a, b in zip(back.obstacles, env.obstacles):
-        assert np.allclose(a.center, b.center)
+        assert np.allclose(a.centers, b.centers)
         assert a.radius == b.radius
     assert np.allclose(back.bounds, env.bounds)
+    # static obstacles keep their on-disk {"center", "radius"} form
+    saved = json.loads(path.read_text())["obstacles"]
+    assert saved[0] == {"center": [0.5, 0.22], "radius": 0.12}
 
 
 # -- curve fitting over demos ---------------------------------------------
@@ -183,7 +199,7 @@ def test_default_components_tracks_obstacle_count():
     free, _ = generate_continuum_demos(count=3, seed=0)
     assert default_components(free) == 1
     crowded = PlanarEnv(
-        obstacles=[Disk(center=[0.5, 0.3 * k], radius=0.01)
+        obstacles=[_static_disk([0.5, 0.3 * k], 0.01)
                    for k in range(1, 6)],
         q_start=[0.0, 0.0], q_goal=[1.0, 0.0],
         bounds=[[-0.2, 1.2], [-0.8, 0.8]])

@@ -149,26 +149,6 @@ def test_relaxed_distortion_scale_invariance():
         assert np.abs(wa - wb).max() < 1e-8 * max(1.0, np.abs(wa).max())
 
 
-def test_hutchinson_estimate_tracks_exact():
-    basis = BasisSet.uniform(5, mode="via-point")
-    metric = curvegeom_euclidean(basis, dim=2)
-    dec = nets.Mlp.create([2, 14, 10], seed=9)
-    z = np.random.default_rng(10).normal(size=(16, 2))
-    exact = relaxed_distortion(dec, z, metric, trace_mode="exact")
-    est = relaxed_distortion(dec, z, metric, trace_mode="hutchinson",
-                             probes=64, rng=np.random.default_rng(11))
-    assert abs(est - exact) / exact < 0.15
-
-
-def test_hutchinson_requires_rng():
-    basis = BasisSet.uniform(4, mode="via-point")
-    metric = curvegeom_euclidean(basis, dim=1)
-    dec = nets.Mlp.create([2, 4], seed=0)
-    z = np.zeros((3, 2))
-    with pytest.raises(ValueError, match="rng"):
-        relaxed_distortion(dec, z, metric, trace_mode="hutchinson")
-
-
 def test_constant_decoder_distortion_undefined():
     basis = BasisSet.uniform(4, mode="via-point")
     metric = curvegeom_euclidean(basis, dim=1)

@@ -137,7 +137,8 @@ def test_constraint_tracks_scripted_motion():
 
 
 def test_constraint_with_static_obstacles_and_empty_script():
-    c = constraint_from_script([], static_obstacles=[([1.0, 0.0], 0.3)])
+    c = constraint_from_script([MovingDisk(times=[0.0], centers=[[1.0, 0.0]],
+                                           radius=0.3)])
     assert c([1.0, 0.1], 0.0) == pytest.approx(0.2)
     empty = constraint_from_script([])
     assert empty([0.0, 0.0], 0.0) == -1.0
@@ -182,7 +183,9 @@ _samples = st.lists(st.tuples(_coord, _coord, st.floats(-1.0, 6.0)),
          samples=[(0.5, 0.6, 0.0), (2.0, 2.0, 1.0)])
 def test_batched_constraint_matches_per_point_calls(disks, statics,
                                                     samples):
-    c = constraint_from_script(disks, static_obstacles=statics)
+    c = constraint_from_script(disks + [
+        MovingDisk(times=[0.0], centers=[center], radius=radius)
+        for center, radius in statics])
     points = np.array([s[:2] for s in samples])
     times = np.array([s[2] for s in samples])
     batched = c(points, times)

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from motionmanifold import lie, nets
 from motionmanifold.basis import CurveParams
 from motionmanifold.errors import TrainingError
 from motionmanifold.geometry import curvegeom_euclidean
@@ -22,9 +25,10 @@ def test_flatten_round_trip():
 
 
 def test_mixup_extends_past_both_endpoints():
-    # with endpoints 0 and 1 the sample equals the mixing coefficient
+    # with latents 0 and 1 every draw is the mixing coefficient, its
+    # complement, or an endpoint
     rng = np.random.default_rng(1)
-    draws = np.array([mixup_sample(1.0, 0.0, rng) for _ in range(20000)])
+    draws = mixup_sample(np.array([[1.0], [0.0]]), rng, 20000)[:, 0]
     assert draws.min() >= -0.2 and draws.max() <= 1.2
     assert draws.min() < -0.15 and draws.max() > 1.15   # reaches extensions
     assert abs(draws.mean() - 0.5) < 0.01
@@ -32,8 +36,8 @@ def test_mixup_extends_past_both_endpoints():
 
 def test_mixup_respects_extension_argument():
     rng = np.random.default_rng(2)
-    draws = np.array([mixup_sample(1.0, 0.0, rng, extension=0.0)
-                      for _ in range(2000)])
+    draws = mixup_sample(np.array([[1.0], [0.0]]), rng, 2000, extension=0.0)
+    assert draws.shape == (2000, 1)
     assert draws.min() >= 0.0 and draws.max() <= 1.0
 
 
@@ -44,8 +48,6 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError, match="latent"):
         TrainConfig(latent_dim=0)
-    with pytest.raises(ValueError, match="trace"):
-        TrainConfig(trace_mode="qr")
 
 
 def test_config_round_trip():
@@ -131,6 +133,20 @@ def test_model_save_load_round_trip(tmp_path, small_manifold):
     assert clone.history["recon"] == pytest.approx(m.history["recon"])
 
 
+def test_load_reads_configs_saved_with_trace_mode(tmp_path, small_manifold):
+    # train_meta.json as written before the trace_mode field was removed;
+    # every such model was trained with the exact distortion gradient
+    m, model, fits = small_manifold
+    m.save(tmp_path)
+    meta_path = tmp_path / "train_meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["config"]["trace_mode"] = "exact"
+    meta_path.write_text(json.dumps(meta, indent=1))
+    clone = ManifoldModel.load(tmp_path)
+    assert clone.config == m.config
+    assert np.array_equal(clone.encode_many(fits), m.encode_many(fits))
+
+
 def test_encode_decode_shapes(small_manifold):
     m, model, fits = small_manifold
     z = m.encode(fits[0])
@@ -159,3 +175,106 @@ def test_reconstruction_quality_of_trained_model(small_manifold):
     rmse = np.sqrt(np.mean((xhat - x) ** 2))
     scale = np.sqrt(np.mean(x ** 2))
     assert rmse < 0.25 * scale
+
+
+# -- the shared engine against the two loops it replaced ------------------
+
+
+def _reference_train_loop(x, config, metric):
+    """The vector-curve training loop as it stood before the shared engine."""
+    n_data, n_feat = x.shape
+    m = config.latent_dim
+    encoder = nets.Mlp.create([n_feat, *config.hidden, m], seed=config.seed)
+    decoder = nets.Mlp.create([m, *config.hidden, n_feat],
+                              seed=config.seed + 1)
+    rng = np.random.default_rng(config.seed + 2)
+    opt_enc = nets.AdamState(encoder, learning_rate=config.learning_rate)
+    opt_dec = nets.AdamState(decoder, learning_rate=config.learning_rate)
+    history = {"recon": [], "distortion": [], "total": []}
+    for epoch in range(config.epochs):
+        enc_acts = encoder.forward_cache(x)
+        z = enc_acts[-1]
+        dec_acts = decoder.forward_cache(z)
+        resid = dec_acts[-1] - x
+        recon = float(np.mean(np.sum(resid ** 2, axis=1)))
+        dz, dec_grads = decoder.backward(dec_acts, 2.0 * resid / n_data)
+        _, enc_grads = encoder.backward(enc_acts, dz)
+        dist_value = 0.0
+        if config.alpha > 0:
+            ia = rng.integers(0, n_data, size=config.mix_batch)
+            ib = rng.integers(0, n_data, size=config.mix_batch)
+            delta = rng.uniform(-config.mix_extension,
+                                1.0 + config.mix_extension,
+                                size=config.mix_batch)
+            z_mix = delta[:, None] * z[ia] + (1.0 - delta)[:, None] * z[ib]
+            dist_value, dist_grads = nets.grad_of_distortion(
+                decoder, z_mix, metric)
+            dec_grads = nets.add_grads(dec_grads, dist_grads,
+                                       scale=config.alpha)
+        total = recon + config.alpha * dist_value
+        nets.adam_step(opt_enc, encoder, enc_grads)
+        nets.adam_step(opt_dec, decoder, dec_grads)
+        history["recon"].append(recon)
+        history["distortion"].append(dist_value)
+        history["total"].append(total)
+    return encoder, decoder, history
+
+
+def _reference_se3_loop(x, grids, p_start, r_start, n_b, config, beta):
+    """The pose-curve training loop as it stood before the shared engine."""
+    m = config.latent_dim
+    encoder = nets.Mlp.create([x.shape[1], *config.hidden, m],
+                              seed=config.seed)
+    decoder = nets.Mlp.create([m, *config.hidden, 6 * n_b + 6],
+                              seed=config.seed + 1)
+    opt_enc = nets.AdamState(encoder, learning_rate=config.learning_rate)
+    opt_dec = nets.AdamState(decoder, learning_rate=config.learning_rate)
+    history = {"recon": []}
+    for epoch in range(config.epochs):
+        enc_acts = encoder.forward_cache(x)
+        dec_acts = decoder.forward_cache(enc_acts[-1])
+        loss, g_out = lie.se3_loss_and_grads(dec_acts[-1], grids, p_start,
+                                             r_start, n_b, beta=beta)
+        dz, dec_grads = decoder.backward(dec_acts, g_out)
+        _, enc_grads = encoder.backward(enc_acts, dz)
+        nets.adam_step(opt_enc, encoder, enc_grads)
+        nets.adam_step(opt_dec, decoder, dec_grads)
+        history["recon"].append(loss)
+    return encoder, decoder, history
+
+
+def _assert_same_nets(got, want):
+    for net_got, net_want in zip(got, want):
+        for a, b in zip(net_got.weights + net_got.biases,
+                        net_want.weights + net_want.biases):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1])
+def test_train_matches_reference_loop(arc_family, alpha):
+    model, fits = arc_family
+    cfg = TrainConfig(latent_dim=2, epochs=40, hidden=(16, 16), seed=4,
+                      alpha=alpha)
+    metric = curvegeom_euclidean(model.basis, dim=model.dim)
+    got = train(fits, model, cfg, metric=metric)
+    x = np.stack([flatten_params(f) for f in fits])
+    encoder, decoder, history = _reference_train_loop(
+        x, cfg, curvegeom_euclidean(model.basis, dim=model.dim))
+    assert got.history == history
+    _assert_same_nets((got.encoder, got.decoder), (encoder, decoder))
+
+
+def test_train_se3_matches_reference_loop():
+    demos, basis = lie.make_pouring_demos(count=4, seed=1, n_samples=20)
+    cfg = TrainConfig(latent_dim=2, epochs=25, hidden=(16, 16), seed=2)
+    got = lie.train_se3(demos, basis, cfg, beta=0.7)
+    fitted = [lie.fit_se3_params(traj, basis) for traj in demos]
+    x = np.stack([lie.pack_se3_features(p) for p in fitted])
+    grids = [lie._DemoGrid(traj, basis) for traj in demos]
+    encoder, decoder, history = _reference_se3_loop(
+        x, grids, demos[0].positions[0], demos[0].rotations[0], basis.size,
+        cfg, beta=0.7)
+    assert got.history["recon"] == history["recon"]
+    assert got.history["total"] == history["recon"]
+    assert got.history["distortion"] == [0.0] * cfg.epochs
+    _assert_same_nets((got.encoder, got.decoder), (encoder, decoder))

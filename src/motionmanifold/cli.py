@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .basis import (BasisSet, CurveModel, CurveParams, TimedTrajectory,
+from .basis import (CurveModel, CurveParams, TimedTrajectory,
                     load_trajectory_dataset, save_trajectory_dataset)
 from .density import (SampleFilter, gmm_fit, kde_build, min_loglik_threshold,
                       rejection_sample, save_density)
@@ -460,6 +460,11 @@ def main(argv=None):
         print(f"numerical failure: {type(err).__name__}: {err}",
               file=sys.stderr)
         return 3
+    except ValueError as err:
+        # an option value the library rejects; the numerical errors
+        # caught above subclass ValueError and keep exit code 3
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

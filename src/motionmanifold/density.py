@@ -134,6 +134,8 @@ def gmm_fit(points, n_components, seed=0, tol=1e-8, max_iter=500,
     if n_components > n:
         raise DegenerateSupportError(
             f"{n_components} components but only {n} points")
+    if np.all(x == x[0]):
+        raise DegenerateSupportError("all support points identical")
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_seeds(x, n_components, rng)
     centers, labels = _kmeans(x, centers, iters=10)

@@ -25,11 +25,20 @@ _BRANCH_MARGIN = 1e-6
 _SMALL_ANGLE = 1e-8
 
 
+# -- so(3) maps over stacks: vectors (..., 3), matrices (..., 3, 3) --------
+
 def hat(v):
     v = np.asarray(v, dtype=float)
-    return np.array([[0.0, -v[2], v[1]],
-                     [v[2], 0.0, -v[0]],
-                     [-v[1], v[0], 0.0]])
+    if v.shape[-1:] != (3,):
+        raise ValueError(f"rotation vectors must be (..., 3), got {v.shape}")
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1] = -v[..., 2]
+    out[..., 0, 2] = v[..., 1]
+    out[..., 1, 0] = v[..., 2]
+    out[..., 1, 2] = -v[..., 0]
+    out[..., 2, 0] = -v[..., 1]
+    out[..., 2, 1] = v[..., 0]
+    return out
 
 
 def vee(s):
@@ -41,125 +50,80 @@ def vee(s):
 
 def check_rotation(r, tol=1e-9):
     r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3):
+    if r.shape[-2:] != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {r.shape}")
-    if np.abs(r.T @ r - np.eye(3)).max() > tol:
+    if not np.all(np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)) <= tol):
         raise ValueError("matrix is not orthonormal")
-    if abs(np.linalg.det(r) - 1.0) > tol:
+    if not np.all(np.abs(np.linalg.det(r) - 1.0) <= tol):
         raise ValueError("matrix has determinant != +1")
     return r
 
 
+def _skew(v):
+    """hat(v), the angle |v| and where the series forms apply."""
+    k = hat(v)
+    # a row-times-column product per vector: the same dot product, bit
+    # for bit, as np.linalg.norm of a single vector
+    v = np.asarray(v, dtype=float)[..., None, :]
+    theta = np.sqrt((v @ np.swapaxes(v, -1, -2))[..., 0, 0])
+    return k, theta, theta < _SMALL_ANGLE
+
+
+def _skew_poly(k, c1, c2):
+    """I + c1 K + c2 K^2 with one coefficient pair per matrix."""
+    c1 = np.asarray(c1)[..., None, None]
+    return np.eye(3) + c1 * k + c2[..., None, None] * (k @ k)
+
+
 def exp_so3(v):
     """Rodrigues formula, series-stabilized near zero."""
-    v = np.asarray(v, dtype=float)
-    theta = np.linalg.norm(v)
-    k = hat(v)
-    if theta < _SMALL_ANGLE:
-        a = 1.0 - theta ** 2 / 6.0
-        b = 0.5 - theta ** 2 / 24.0
-    else:
-        a = np.sin(theta) / theta
-        b = (1.0 - np.cos(theta)) / theta ** 2
-    return np.eye(3) + a * k + b * (k @ k)
-
-
-def log_so3(r):
-    """Principal-branch rotation log; angles at or past pi are rejected."""
-    r = check_rotation(np.asarray(r, dtype=float), tol=1e-8)
-    cos_t = np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0)
-    theta = np.arccos(cos_t)
-    if theta >= np.pi - _BRANCH_MARGIN:
-        raise BranchError(f"rotation angle {theta:.8f} is too close to pi "
-                          "for the principal branch")
-    if theta < _SMALL_ANGLE:
-        s = 0.5 * (1.0 + theta ** 2 / 6.0)
-    else:
-        s = theta / (2.0 * np.sin(theta))
-    d = r - r.T
-    return s * np.array([d[2, 1], d[0, 2], d[1, 0]])
+    k, theta, small = _skew(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(small, 1.0 - theta ** 2 / 6.0, np.sin(theta) / theta)
+        b = np.where(small, 0.5 - theta ** 2 / 24.0,
+                     (1.0 - np.cos(theta)) / theta ** 2)
+    return _skew_poly(k, a, b)
 
 
 def so3_jacobian_right(v):
     """J_r with exp(v + dv) = exp(v) exp(hat(J_r(v) dv)) to first order."""
-    v = np.asarray(v, dtype=float)
-    theta = np.linalg.norm(v)
-    k = hat(v)
-    if theta < _SMALL_ANGLE:
-        b = 0.5 - theta ** 2 / 24.0
-        c = 1.0 / 6.0 - theta ** 2 / 120.0
-    else:
-        b = (1.0 - np.cos(theta)) / theta ** 2
-        c = (theta - np.sin(theta)) / theta ** 3
-    return np.eye(3) - b * k + c * (k @ k)
+    k, theta, small = _skew(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = np.where(small, 0.5 - theta ** 2 / 24.0,
+                     (1.0 - np.cos(theta)) / theta ** 2)
+        c = np.where(small, 1.0 / 6.0 - theta ** 2 / 120.0,
+                     (theta - np.sin(theta)) / theta ** 3)
+    return _skew_poly(k, -b, c)
 
 
 def so3_jacobian_right_inv(v):
-    v = np.asarray(v, dtype=float)
-    theta = np.linalg.norm(v)
-    k = hat(v)
-    if theta < _SMALL_ANGLE:
-        e = 1.0 / 12.0 + theta ** 2 / 720.0
-    else:
-        e = 1.0 / theta ** 2 - (1.0 + np.cos(theta)) / (
-            2.0 * theta * np.sin(theta))
-    return np.eye(3) + 0.5 * k + e * (k @ k)
-
-
-# -- batched forms over stacks of shape (..., 3) --------------------------
-
-def _hat_batch(v):
-    out = np.zeros(v.shape[:-1] + (3, 3))
-    out[..., 0, 1] = -v[..., 2]
-    out[..., 0, 2] = v[..., 1]
-    out[..., 1, 0] = v[..., 2]
-    out[..., 1, 2] = -v[..., 0]
-    out[..., 2, 0] = -v[..., 1]
-    out[..., 2, 1] = v[..., 0]
-    return out
-
-
-def _exp_batch(v):
-    theta = np.linalg.norm(v, axis=-1)
-    small = theta < _SMALL_ANGLE
-    t2 = theta ** 2
+    k, theta, small = _skew(v)
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(small, 1.0 - t2 / 6.0, np.sin(theta) / theta)
-        b = np.where(small, 0.5 - t2 / 24.0,
-                     (1.0 - np.cos(theta)) / t2)
-    k = _hat_batch(v)
-    k2 = k @ k
-    return np.eye(3) + a[..., None, None] * k + b[..., None, None] * k2
+        e = np.where(small, 1.0 / 12.0 + theta ** 2 / 720.0,
+                     1.0 / theta ** 2 - (1.0 + np.cos(theta)) / (
+                         2.0 * theta * np.sin(theta)))
+    return _skew_poly(k, 0.5, e)
 
 
-def _log_batch(r):
-    trace = np.trace(r, axis1=-2, axis2=-1)
-    cos_t = np.clip((trace - 1.0) / 2.0, -1.0, 1.0)
+def log_so3(r):
+    """Principal-branch rotation log; angles at or past pi are rejected."""
+    return _log(check_rotation(r, tol=1e-8))
+
+
+def _log(r):
+    """log_so3 without the rotation check, for matrices built here."""
+    cos_t = np.clip((np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0,
+                    -1.0, 1.0)
     theta = np.arccos(cos_t)
     if np.any(theta >= np.pi - _BRANCH_MARGIN):
-        worst = float(theta.max())
-        raise BranchError(f"rotation angle {worst:.8f} is too close to pi "
-                          "for the principal branch")
-    small = theta < _SMALL_ANGLE
+        raise BranchError(f"rotation angle {float(theta.max()):.8f} is too "
+                          "close to pi for the principal branch")
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(small, 0.5 * (1.0 + theta ** 2 / 6.0),
+        s = np.where(theta < _SMALL_ANGLE, 0.5 * (1.0 + theta ** 2 / 6.0),
                      theta / (2.0 * np.sin(theta)))
     d = r - np.swapaxes(r, -1, -2)
     return s[..., None] * np.stack(
         [d[..., 2, 1], d[..., 0, 2], d[..., 1, 0]], axis=-1)
-
-
-def _jr_batch(v):
-    theta = np.linalg.norm(v, axis=-1)
-    small = theta < _SMALL_ANGLE
-    t2 = theta ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / t2)
-        c = np.where(small, 1.0 / 6.0 - t2 / 120.0,
-                     (theta - np.sin(theta)) / (t2 * theta))
-    k = _hat_batch(v)
-    k2 = k @ k
-    return np.eye(3) - b[..., None, None] * k + c[..., None, None] * k2
 
 
 # -- pose trajectories and curve parameters -------------------------------
@@ -174,17 +138,19 @@ class Se3Trajectory:
         self.times = np.asarray(self.times, dtype=float)
         self.positions = np.asarray(self.positions, dtype=float)
         self.rotations = np.asarray(self.rotations, dtype=float)
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("sample times must be strictly increasing")
         l = len(self.times)
+        if l < 2:
+            raise ValueError(f"a pose trajectory needs at least 2 samples, "
+                             f"got {l}")
+        if not np.all(np.diff(self.times) > 0):
+            raise ValueError("sample times must be strictly increasing")
         if self.positions.shape != (l, 3):
             raise ValueError(f"positions shape {self.positions.shape} != "
                              f"({l}, 3)")
         if self.rotations.shape != (l, 3, 3):
             raise ValueError(f"rotations shape {self.rotations.shape} != "
                              f"({l}, 3, 3)")
-        for r in self.rotations:
-            check_rotation(r)
+        check_rotation(self.rotations)
 
     @property
     def taus(self):
@@ -232,56 +198,116 @@ class Se3CurveParams:
         self.r_start = check_rotation(self.r_start)
         self.r_end = check_rotation(self.r_end)
 
-    @property
-    def rel_log(self):
-        """Tangent of the endpoint geodesic, log(R_i^T R_f)."""
-        return log_so3(self.r_start.T @ self.r_end)
+
+@dataclass
+class Se3Samples:
+    """Every sample of a demonstration set in one stack.
+
+    Sample s belongs to demonstration d = index[s] and has weight
+    1 / (N K_d), where K_d is the sample count of demo d among N demos;
+    a weighted sum over samples is then the mean over each demo's samples
+    averaged over the demos.
+    """
+    taus: np.ndarray             # (S,)
+    phi: np.ndarray              # (S, B)
+    index: np.ndarray            # (S,)
+    positions: np.ndarray        # (S, 3)
+    rotations: np.ndarray        # (S, 3, 3)
+    weight: np.ndarray           # (S,)
+
+    @classmethod
+    def from_dataset(cls, dataset, basis):
+        counts = np.array([len(traj.times) for traj in dataset])
+        index = np.repeat(np.arange(len(dataset)), counts)
+        taus = np.concatenate([traj.taus for traj in dataset])
+        return cls(taus=taus, phi=basis.evaluate(taus), index=index,
+                   positions=np.concatenate(
+                       [traj.positions for traj in dataset]),
+                   rotations=np.concatenate(
+                       [traj.rotations for traj in dataset]),
+                   weight=1.0 / (len(dataset) * counts[index]))
+
+
+def _pose_curves(taus, phi, index, p_start, p_end, w_pos, r_start, ell,
+                 w_rot):
+    """p(tau) and R(tau) of N via-point pose curves at concatenated phases.
+
+    p(tau) = (1 - tau) p_i + tau p_f + w_p phi(tau) and
+    R(tau) = R_i exp(tau ell) exp([w_R phi(tau)]).  Sample s lies on
+    curve index[s] at phase taus[s], with basis row phi[s].  Per-curve
+    arrays have N rows: p_start and p_end (N, 3), w_pos and w_rot
+    (N, 3, B), r_start (N, 3, 3), and ell = log(R_i^T R_f) (N, 3); a
+    start pose shared by all curves may be passed once.  Returns p (S, 3)
+    and R (S, 3, 3) with the tangents a = tau ell, c = w_R phi and
+    exp(c), which the loss gradient reuses.
+    """
+    shape = (len(ell),)
+    p_start = np.broadcast_to(p_start, shape + (3,))[index]
+    r_start = np.broadcast_to(r_start, shape + (3, 3))[index]
+    t = taus[:, None]
+    p = (1.0 - t) * p_start + t * p_end[index] \
+        + np.einsum("sdb,sb->sd", w_pos[index], phi)
+    a = t * ell[index]
+    c = np.einsum("sdb,sb->sd", w_rot[index], phi)
+    exp_c = exp_so3(c)
+    return p, r_start @ exp_so3(a) @ exp_c, a, c, exp_c
+
+
+def _stack_curves(params_list):
+    """The per-curve arguments of _pose_curves for a list of parameters."""
+    curves = {name: np.stack([getattr(p, name) for p in params_list])
+              for name in ("p_start", "p_end", "w_pos", "r_start", "w_rot")}
+    r_end = np.stack([p.r_end for p in params_list])
+    curves["ell"] = log_so3(np.swapaxes(curves["r_start"], -1, -2) @ r_end)
+    return curves
+
+
+def _eval_curve(params, basis, tau):
+    taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    p, r = _pose_curves(taus, basis.evaluate(taus),
+                        np.zeros(len(taus), dtype=int),
+                        **_stack_curves([params]))[:2]
+    return (p[0], r[0]) if np.ndim(tau) == 0 else (p, r)
 
 
 def eval_rotation_curve(params, basis, tau):
     """R(tau) = R_i exp(tau ell) exp([w_R phi(tau)])."""
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    phi = basis.evaluate(taus)                    # (T, B)
-    ell = params.rel_log
-    geo = _exp_batch(taus[:, None] * ell)
-    shape = _exp_batch(phi @ params.w_rot.T)
-    out = np.einsum("ij,tjk,tkl->til", params.r_start, geo, shape)
-    return out[0] if np.isscalar(tau) or np.ndim(tau) == 0 else out
+    return _eval_curve(params, basis, tau)[1]
 
 
 def eval_position_curve(params, basis, tau):
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    phi = basis.evaluate(taus)
-    base = (1.0 - taus)[:, None] * params.p_start \
-        + taus[:, None] * params.p_end
-    out = base + phi @ params.w_pos.T
-    return out[0] if np.isscalar(tau) or np.ndim(tau) == 0 else out
-
-
-def fit_rotation_curve(taus, rotations, r_start, r_end, basis):
-    """Least-squares shape coefficients in endpoint-relative log coordinates."""
-    taus = np.asarray(taus, dtype=float)
-    rotations = np.asarray(rotations, dtype=float)
-    r_start = np.asarray(r_start, dtype=float)
-    ell = log_so3(r_start.T @ np.asarray(r_end))
-    aligned = np.einsum("ji,tjk->tik", r_start, rotations)
-    rel = _exp_batch(-taus[:, None] * ell) @ aligned
-    resid = _log_batch(rel)                       # (L, 3)
-    phi = basis.evaluate(taus)
-    return lstsq_coefficients(phi, resid)
+    return _eval_curve(params, basis, tau)[0]
 
 
 def fit_se3_params(traj, basis):
-    """Via-point pose-curve coefficients for one demonstration."""
-    taus = traj.taus
-    p_i, p_f = traj.positions[0], traj.positions[-1]
-    r_i, r_f = traj.rotations[0], traj.rotations[-1]
-    base = (1.0 - taus)[:, None] * p_i + taus[:, None] * p_f
-    phi = basis.evaluate(taus)
-    w_pos = lstsq_coefficients(phi, traj.positions - base)
-    w_rot = fit_rotation_curve(taus, traj.rotations, r_i, r_f, basis)
-    return Se3CurveParams(w_pos=w_pos, w_rot=w_rot, p_start=p_i, p_end=p_f,
-                          r_start=r_i, r_end=r_f)
+    """Via-point pose-curve coefficients for one demonstration.
+
+    Least squares on the residuals from the geodesic curve (zero shape
+    coefficients): position differences, and rotation differences in
+    endpoint-relative log coordinates, log(R_geo^T R).
+    """
+    p, r = traj.positions, traj.rotations
+    zero = np.zeros((3, basis.size))
+    geodesic = Se3CurveParams(w_pos=zero, w_rot=zero, p_start=p[0],
+                              p_end=p[-1], r_start=r[0], r_end=r[-1])
+    p_geo, r_geo = _eval_curve(geodesic, basis, traj.taus)
+    phi = basis.evaluate(traj.taus)
+    w_pos = lstsq_coefficients(phi, p - p_geo)
+    w_rot = lstsq_coefficients(phi, _log(np.swapaxes(r_geo, -1, -2) @ r))
+    return Se3CurveParams(w_pos=w_pos, w_rot=w_rot, p_start=p[0],
+                          p_end=p[-1], r_start=r[0], r_end=r[-1])
+
+
+def _blended_error(samples, p_hat, r_hat, beta):
+    """Weighted pose error and its position and rotation residuals.
+
+    The rotation residual log(R^T R_hat) is the right tangent at R_hat.
+    """
+    e_pos = p_hat - samples.positions
+    err = _log(np.swapaxes(samples.rotations, -1, -2) @ r_hat)
+    per_sample = np.sum(e_pos ** 2, axis=1) \
+        + 2.0 * beta * np.sum(err ** 2, axis=1)
+    return float(samples.weight @ per_sample), e_pos, err
 
 
 def se3_recon_loss(dataset, params_list, basis, beta=1.0):
@@ -292,16 +318,10 @@ def se3_recon_loss(dataset, params_list, basis, beta=1.0):
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    total = 0.0
-    for traj, params in zip(dataset, params_list):
-        taus = traj.taus
-        p_hat = eval_position_curve(params, basis, taus)
-        r_hat = eval_rotation_curve(params, basis, taus)
-        e_pos = np.sum((p_hat - traj.positions) ** 2, axis=1)
-        rel = np.einsum("tij,tik->tjk", traj.rotations, r_hat)
-        e_rot = 2.0 * np.sum(_log_batch(rel) ** 2, axis=1)
-        total += float(np.mean(e_pos + beta * e_rot))
-    return total / len(dataset)
+    samples = Se3Samples.from_dataset(dataset, basis)
+    p_hat, r_hat = _pose_curves(samples.taus, samples.phi, samples.index,
+                                **_stack_curves(params_list))[:2]
+    return _blended_error(samples, p_hat, r_hat, beta)[0]
 
 
 # -- autoencoder features and the training loss ---------------------------
@@ -329,74 +349,39 @@ def unpack_se3_output(vec, p_start, r_start, n_bases):
                           r_end=exp_so3(w_f))
 
 
-class _DemoGrid:
-    """Cached per-demo quantities reused every training epoch."""
-
-    def __init__(self, traj, basis):
-        self.taus = traj.taus
-        self.phi = basis.evaluate(self.taus)      # (K, B)
-        self.positions = traj.positions
-        self.rotations = traj.rotations
-        self.base_pos = (1.0 - self.taus)[:, None] * traj.positions[0] \
-            + self.taus[:, None] * traj.positions[-1]
-
-
-def se3_loss_and_grads(outputs, grids, p_start, r_start, n_bases, beta=1.0):
+def se3_loss_and_grads(outputs, samples, p_start, r_start, n_bases, beta=1.0):
     """Loss and d loss / d decoder-outputs for a batch of demonstrations.
 
-    outputs: (N, 6B+6) raw decoder rows, one per demonstration in grids.
-    Gradient of the rotation terms flows through both the shape rotation
-    and the decoded final rotation via right-Jacobian chain rules.
+    outputs: (N, 6B+6) raw decoder rows, row d for demonstration d of the
+    Se3Samples.  All samples are evaluated in one pass, and each sample's
+    weighted gradient is added into its demonstration's row.  Gradient of
+    the rotation terms flows through both the shape rotation and the
+    decoded final rotation via right-Jacobian chain rules.
     """
-    n = len(grids)
-    b = n_bases
+    n, b = len(outputs), n_bases
+    w_f = outputs[:, 6 * b + 3:]
+    ell = _log(r_start.T @ exp_so3(w_f))
+    p_hat, r_hat, a, c, exp_c = _pose_curves(
+        samples.taus, samples.phi, samples.index, p_start,
+        outputs[:, 6 * b:6 * b + 3], outputs[:, :3 * b].reshape(n, 3, b),
+        r_start, ell, outputs[:, 3 * b:6 * b].reshape(n, 3, b))
+    total, e_pos, err = _blended_error(samples, p_hat, r_hat, beta)
+
+    g_eps = 4.0 * beta * err
+    g_c = np.einsum("sji,sj->si", so3_jacobian_right(c), g_eps)
+    g_a = np.einsum("sji,sjk,sk->si", so3_jacobian_right(a), exp_c, g_eps)
+    taus, phi = samples.taus[:, None], samples.phi[:, None, :]
+    rows = np.concatenate([
+        (2.0 * e_pos[:, :, None] * phi).reshape(len(taus), -1),
+        (g_c[:, :, None] * phi).reshape(len(taus), -1),
+        2.0 * taus * e_pos,
+        taus * g_a], axis=1)
     grads = np.zeros_like(outputs)
-    total = 0.0
-    for d, grid in enumerate(grids):
-        vec = outputs[d]
-        w_pos = vec[:3 * b].reshape(3, b)
-        w_rot = vec[3 * b:6 * b].reshape(3, b)
-        p_end = vec[6 * b:6 * b + 3]
-        w_f = vec[6 * b + 3:]
-        taus = grid.taus
-        k_s = len(taus)
-        scale = 1.0 / (n * k_s)
-
-        r_end = exp_so3(w_f)
-        ell = log_so3(r_start.T @ r_end)
-
-        # positions
-        p_hat = (1.0 - taus)[:, None] * p_start + taus[:, None] * p_end \
-            + grid.phi @ w_pos.T
-        e_pos = p_hat - grid.positions
-        total += scale * float(np.sum(e_pos ** 2))
-        g_wpos = 2.0 * scale * e_pos.T @ grid.phi
-        g_pend = 2.0 * scale * taus @ e_pos
-
-        # rotations
-        a = taus[:, None] * ell                   # (K, 3)
-        c = grid.phi @ w_rot.T                    # (K, 3)
-        exp_a = _exp_batch(a)
-        exp_c = _exp_batch(c)
-        r_hat = np.einsum("ij,tjk,tkl->til", r_start, exp_a, exp_c)
-        rel = np.einsum("tij,tik->tjk", grid.rotations, r_hat)
-        err = _log_batch(rel)                     # (K, 3)
-        total += scale * beta * 2.0 * float(np.sum(err ** 2))
-
-        g_eps = 4.0 * beta * err                  # right tangent at r_hat
-        jr_c = _jr_batch(c)
-        g_c = np.einsum("tji,tj->ti", jr_c, g_eps)
-        g_wrot = scale * g_c.T @ grid.phi
-        jr_a = _jr_batch(a)
-        g_a = np.einsum("tji,tjk,tk->ti", jr_a, exp_c, g_eps)
-        g_ell = scale * taus @ g_a
-        g_wf = so3_jacobian_right(w_f).T @ so3_jacobian_right_inv(ell).T \
-            @ g_ell
-
-        grads[d, :3 * b] = g_wpos.reshape(-1)
-        grads[d, 3 * b:6 * b] = g_wrot.reshape(-1)
-        grads[d, 6 * b:6 * b + 3] = g_pend
-        grads[d, 6 * b + 3:] = g_wf
+    np.add.at(grads, samples.index, samples.weight[:, None] * rows)
+    # the last block holds d loss / d ell; ell = log(R_i^T exp(w_f))
+    grads[:, 6 * b + 3:] = np.einsum(
+        "dji,dkj,dk->di", so3_jacobian_right(w_f),
+        so3_jacobian_right_inv(ell), grads[:, 6 * b + 3:])
     return total, grads
 
 
@@ -437,12 +422,12 @@ def train_se3(dataset, basis, config, beta=1.0):
             raise ValueError("demonstrations must share the initial pose")
     fitted = [fit_se3_params(traj, basis) for traj in dataset]
     x = np.stack([pack_se3_features(p) for p in fitted])
-    grids = [_DemoGrid(traj, basis) for traj in dataset]
+    samples = Se3Samples.from_dataset(dataset, basis)
     n_b = basis.size
     encoder, decoder, history = fit_autoencoder(
         x, 6 * n_b + 6, config,
-        lambda outputs: se3_loss_and_grads(outputs, grids, p_start, r_start,
-                                           n_b, beta=beta))
+        lambda outputs: se3_loss_and_grads(outputs, samples, p_start,
+                                           r_start, n_b, beta=beta))
     return Se3ManifoldModel(encoder=encoder, decoder=decoder, basis=basis,
                             p_start=p_start, r_start=r_start, config=config,
                             history=history)
@@ -463,7 +448,7 @@ def make_pouring_demos(count=8, seed=0, n_samples=60, basis=None):
     p_start = np.array([0.0, 0.0, 0.3])
     r_start = np.eye(3)
     taus = np.linspace(0.0, 1.0, n_samples)
-    demos = []
+    params = []
     for j in range(count):
         u = j / max(count - 1, 1)
         p_end = np.array([0.35 + 0.1 * u, 0.25 * (u - 0.5), 0.12])
@@ -482,10 +467,14 @@ def make_pouring_demos(count=8, seed=0, n_samples=60, basis=None):
             0.3 * np.sin(2.0 * np.pi * centers),
             0.1 * np.cos(np.pi * centers) * u,
         ]) + 0.005 * rng.standard_normal((3, basis.size))
-        params = Se3CurveParams(w_pos=w_pos, w_rot=w_rot, p_start=p_start,
-                                p_end=p_end, r_start=r_start, r_end=r_end)
-        demos.append(Se3Trajectory(
-            times=taus.copy(),
-            positions=eval_position_curve(params, basis, taus),
-            rotations=eval_rotation_curve(params, basis, taus)))
+        params.append(Se3CurveParams(w_pos=w_pos, w_rot=w_rot,
+                                     p_start=p_start, p_end=p_end,
+                                     r_start=r_start, r_end=r_end))
+    p, r = _pose_curves(np.tile(taus, count),
+                        np.tile(basis.evaluate(taus), (count, 1)),
+                        np.repeat(np.arange(count), n_samples),
+                        **_stack_curves(params))[:2]
+    demos = [Se3Trajectory(times=taus.copy(), positions=pos, rotations=rot)
+             for pos, rot in zip(p.reshape(count, n_samples, 3),
+                                 r.reshape(count, n_samples, 3, 3))]
     return demos, basis

@@ -1,6 +1,7 @@
 """End-to-end command-line workflows, exit codes, and artifact formats."""
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -214,6 +215,38 @@ def test_numerical_failure_exits_3(workspace, tmp_path, capsys):
                    "--count", "4", "--out", str(tmp_path / "o"))
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth-demos", "--env", "continuum", "--count", "0"],
+    ["train", "--fits", "{fits}", "--epochs", "0"],
+    ["train", "--fits", "{fits}", "--alpha", "-1"],
+    ["sample", "--from-params", "{fits}", "--grid", "0"],
+    ["fit", "--demos", "{demos}", "--env", "{env}", "--bases", "1"],
+    ["replan", "--replan-hz", "2000", "--epochs", "2", "--count", "6",
+     "--hidden", "4"],
+], ids=["synth-count", "train-epochs", "train-alpha", "sample-grid",
+        "fit-bases", "replan-hz"])
+def test_rejected_option_value_exits_2(workspace, tmp_path, capsys, argv):
+    paths = {"fits": workspace["fits"] / "fits.json",
+             "demos": workspace["demos"] / "demos.json",
+             "env": workspace["demos"] / "env.json"}
+    argv = [arg.format(**paths) for arg in argv]
+    assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+
+
+def test_identical_latents_exit_3(workspace, tmp_path, capsys):
+    model = tmp_path / "model"
+    shutil.copytree(workspace["model"], model)
+    latents = json.loads((model / "latents.json").read_text())
+    latents["z"] = [latents["z"][0]] * len(latents["z"])
+    (model / "latents.json").write_text(json.dumps(latents))
+    code = run_cli("sample", "--model", str(model), "--density", "gmm",
+                   "--count", "4", "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert "DegenerateSupportError" in capsys.readouterr().err
 
 
 def test_console_script_is_installed(tmp_path):

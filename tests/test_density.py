@@ -151,6 +151,12 @@ def test_kde_normalizes_in_three_dims():
     assert abs(integral - 1.0) < 0.03
 
 
+@pytest.mark.parametrize("n_components", [1, 2])
+def test_gmm_on_identical_points_raises(n_components):
+    with pytest.raises(DegenerateSupportError, match="identical"):
+        gmm_fit(np.ones((6, 2)), n_components)
+
+
 def test_kde_degenerate_inputs_raise():
     with pytest.raises(DegenerateSupportError):
         kde_build(np.zeros((1, 2)))

@@ -99,16 +99,44 @@ def test_right_jacobian_small_angle_continuity():
     assert np.abs(Ji_small - np.eye(3)).max() < 1e-9
 
 
-def test_batched_helpers_match_scalar():
+def test_so3_maps_take_single_vectors_and_stacks():
     rng = np.random.default_rng(5)
-    vs = np.stack([random_rotvec(rng) for _ in range(6)])
-    Rs = lie._exp_batch(vs)
-    logs = lie._log_batch(Rs)
-    jrs = lie._jr_batch(vs)
-    for k in range(6):
-        assert np.allclose(Rs[k], lie.exp_so3(vs[k]))
-        assert np.allclose(logs[k], vs[k], atol=1e-10)
-        assert np.allclose(jrs[k], lie.so3_jacobian_right(vs[k]))
+    vs = np.stack([random_rotvec(rng) for _ in range(6)]).reshape(2, 3, 3)
+    vs[0, 0] = [1e-10, 0.0, 0.0]               # series branch inside a stack
+    for f in (lie.hat, lie.exp_so3, lie.so3_jacobian_right,
+              lie.so3_jacobian_right_inv):
+        stacked = f(vs)
+        assert stacked.shape == (2, 3, 3, 3)
+        for idx in np.ndindex(2, 3):
+            assert f(vs[idx]).shape == (3, 3)
+            assert np.abs(stacked[idx] - f(vs[idx])).max() <= 1e-15
+    rs = lie.exp_so3(vs)
+    assert lie.check_rotation(rs) is not None
+    logs = lie.log_so3(rs)
+    assert logs.shape == (2, 3, 3)
+    for idx in np.ndindex(2, 3):
+        assert np.abs(logs[idx] - lie.log_so3(rs[idx])).max() <= 1e-15
+        assert np.allclose(logs[idx], vs[idx], atol=1e-10)
+
+
+def test_stack_checks_reject_any_bad_matrix():
+    rs = lie.exp_so3(np.array([[0.1, 0.2, 0.3], [0.0, 0.0, np.pi - 1e-9],
+                               [-0.4, 0.0, 0.2]]))
+    with pytest.raises(BranchError):
+        lie.log_so3(rs)
+    rs[1] = np.eye(3) * 1.1
+    with pytest.raises(ValueError, match="orthonormal"):
+        lie.log_so3(rs)
+    rs[1] = np.diag([1.0, 1.0, -1.0])
+    with pytest.raises(ValueError, match="determinant"):
+        lie.check_rotation(rs)
+    rs[1] = np.nan
+    with pytest.raises(ValueError, match="orthonormal"):
+        lie.check_rotation(rs)
+    with pytest.raises(ValueError, match="3x3"):
+        lie.check_rotation(np.eye(4))
+    with pytest.raises(ValueError, match=r"\(\.\.\., 3\)"):
+        lie.exp_so3(np.zeros(4))
 
 
 # -- pose curves ----------------------------------------------------------
@@ -222,13 +250,14 @@ def test_loss_gradients_match_finite_differences(rotated):
                                    positions=t.positions,
                                    rotations=R0[None] @ t.rotations)
                  for t in demos]
-    grids = [lie._DemoGrid(t, basis) for t in demos]
+    samples = lie.Se3Samples.from_dataset(demos, basis)
     p0 = demos[0].positions[0]
     r0 = demos[0].rotations[0]
     B = basis.size
     rng = np.random.default_rng(13)
     outputs = rng.normal(scale=0.1, size=(len(demos), 6 * B + 6))
-    loss, grads = lie.se3_loss_and_grads(outputs, grids, p0, r0, B, beta=0.7)
+    loss, grads = lie.se3_loss_and_grads(outputs, samples, p0, r0, B,
+                                         beta=0.7)
     assert np.isfinite(loss)
     eps = 1e-6
     worst = 0.0
@@ -237,11 +266,219 @@ def test_loss_gradients_match_finite_differences(rotated):
         j = int(rng.integers(0, outputs.shape[1]))
         up = outputs.copy(); up[i, j] += eps
         dn = outputs.copy(); dn[i, j] -= eps
-        lu, _ = lie.se3_loss_and_grads(up, grids, p0, r0, B, beta=0.7)
-        ld, _ = lie.se3_loss_and_grads(dn, grids, p0, r0, B, beta=0.7)
+        lu, _ = lie.se3_loss_and_grads(up, samples, p0, r0, B, beta=0.7)
+        ld, _ = lie.se3_loss_and_grads(dn, samples, p0, r0, B, beta=0.7)
         fd = (lu - ld) / (2 * eps)
         worst = max(worst, abs(fd - grads[i, j]) / max(1.0, abs(fd)))
     assert worst < 1e-6
+
+
+# -- the per-demo loss as it stood before the batched one, as reference ---
+
+
+def _ref_hat(v):
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1] = -v[..., 2]
+    out[..., 0, 2] = v[..., 1]
+    out[..., 1, 0] = v[..., 2]
+    out[..., 1, 2] = -v[..., 0]
+    out[..., 2, 0] = -v[..., 1]
+    out[..., 2, 1] = v[..., 0]
+    return out
+
+
+def _ref_exp(v):
+    theta = np.linalg.norm(v, axis=-1)
+    small = theta < 1e-8
+    t2 = theta ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(small, 1.0 - t2 / 6.0, np.sin(theta) / theta)
+        b = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / t2)
+    k = _ref_hat(v)
+    return np.eye(3) + a[..., None, None] * k + b[..., None, None] * (k @ k)
+
+
+def _ref_log(r):
+    trace = np.trace(r, axis1=-2, axis2=-1)
+    theta = np.arccos(np.clip((trace - 1.0) / 2.0, -1.0, 1.0))
+    small = theta < 1e-8
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(small, 0.5 * (1.0 + theta ** 2 / 6.0),
+                     theta / (2.0 * np.sin(theta)))
+    d = r - np.swapaxes(r, -1, -2)
+    return s[..., None] * np.stack(
+        [d[..., 2, 1], d[..., 0, 2], d[..., 1, 0]], axis=-1)
+
+
+def _ref_jr(v):
+    theta = np.linalg.norm(v, axis=-1)
+    small = theta < 1e-8
+    t2 = theta ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / t2)
+        c = np.where(small, 1.0 / 6.0 - t2 / 120.0,
+                     (theta - np.sin(theta)) / (t2 * theta))
+    k = _ref_hat(v)
+    return np.eye(3) - b[..., None, None] * k + c[..., None, None] * (k @ k)
+
+
+def _ref_jr_inv(v):
+    theta = np.linalg.norm(v)
+    k = _ref_hat(v)
+    if theta < 1e-8:
+        e = 1.0 / 12.0 + theta ** 2 / 720.0
+    else:
+        e = 1.0 / theta ** 2 - (1.0 + np.cos(theta)) / (
+            2.0 * theta * np.sin(theta))
+    return np.eye(3) + 0.5 * k + e * (k @ k)
+
+
+class _RefDemoGrid:
+    def __init__(self, traj, basis):
+        self.taus = traj.taus
+        self.phi = basis.evaluate(self.taus)
+        self.positions = traj.positions
+        self.rotations = traj.rotations
+
+
+def _ref_se3_loss_and_grads(outputs, grids, p_start, r_start, n_bases,
+                            beta=1.0):
+    n = len(grids)
+    b = n_bases
+    grads = np.zeros_like(outputs)
+    total = 0.0
+    for d, grid in enumerate(grids):
+        vec = outputs[d]
+        w_pos = vec[:3 * b].reshape(3, b)
+        w_rot = vec[3 * b:6 * b].reshape(3, b)
+        p_end = vec[6 * b:6 * b + 3]
+        w_f = vec[6 * b + 3:]
+        taus = grid.taus
+        scale = 1.0 / (n * len(taus))
+        ell = _ref_log(r_start.T @ _ref_exp(w_f))
+
+        p_hat = (1.0 - taus)[:, None] * p_start + taus[:, None] * p_end \
+            + grid.phi @ w_pos.T
+        e_pos = p_hat - grid.positions
+        total += scale * float(np.sum(e_pos ** 2))
+        g_wpos = 2.0 * scale * e_pos.T @ grid.phi
+        g_pend = 2.0 * scale * taus @ e_pos
+
+        a = taus[:, None] * ell
+        c = grid.phi @ w_rot.T
+        exp_c = _ref_exp(c)
+        r_hat = np.einsum("ij,tjk,tkl->til", r_start, _ref_exp(a), exp_c)
+        rel = np.einsum("tij,tik->tjk", grid.rotations, r_hat)
+        err = _ref_log(rel)
+        total += scale * beta * 2.0 * float(np.sum(err ** 2))
+
+        g_eps = 4.0 * beta * err
+        g_c = np.einsum("tji,tj->ti", _ref_jr(c), g_eps)
+        g_wrot = scale * g_c.T @ grid.phi
+        g_a = np.einsum("tji,tjk,tk->ti", _ref_jr(a), exp_c, g_eps)
+        g_ell = scale * taus @ g_a
+        g_wf = _ref_jr(w_f).T @ _ref_jr_inv(ell).T @ g_ell
+
+        grads[d, :3 * b] = g_wpos.reshape(-1)
+        grads[d, 3 * b:6 * b] = g_wrot.reshape(-1)
+        grads[d, 6 * b:6 * b + 3] = g_pend
+        grads[d, 6 * b + 3:] = g_wf
+    return total, grads
+
+
+def _ref_eval_curve(params, basis, taus):
+    phi = basis.evaluate(taus)
+    ell = _ref_log(params.r_start.T @ params.r_end)
+    rot = np.einsum("ij,tjk,tkl->til", params.r_start,
+                    _ref_exp(taus[:, None] * ell),
+                    _ref_exp(phi @ params.w_rot.T))
+    pos = (1.0 - taus)[:, None] * params.p_start \
+        + taus[:, None] * params.p_end + phi @ params.w_pos.T
+    return pos, rot
+
+
+def _ref_se3_recon_loss(dataset, params_list, basis, beta=1.0):
+    total = 0.0
+    for traj, params in zip(dataset, params_list):
+        p_hat, r_hat = _ref_eval_curve(params, basis, traj.taus)
+        e_pos = np.sum((p_hat - traj.positions) ** 2, axis=1)
+        rel = np.einsum("tij,tik->tjk", traj.rotations, r_hat)
+        e_rot = 2.0 * np.sum(_ref_log(rel) ** 2, axis=1)
+        total += float(np.mean(e_pos + beta * e_rot))
+    return total / len(dataset)
+
+
+def _loss_fixtures():
+    """Identity start frame, rotated start frame, unequal sample counts."""
+    demos, basis = se3_fixture(seed=12, n=20, n_bases=6)
+    r0 = lie.exp_so3(np.array([0.4, -0.9, 0.7]))
+    rotated = [lie.Se3Trajectory(times=t.times, positions=t.positions,
+                                 rotations=r0[None] @ t.rotations)
+               for t in demos]
+    unequal = [lie.Se3Trajectory(times=t.times[keep],
+                                 positions=t.positions[keep],
+                                 rotations=t.rotations[keep])
+               for t, keep in zip(rotated, [slice(None), slice(None, None, 2),
+                                            slice(None, None, 3),
+                                            slice(None, 15)])]
+    return {"identity": demos, "rotated": rotated,
+            "unequal": unequal}, basis
+
+
+def _rel_err(got, want):
+    return np.abs(np.asarray(got) - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("case", ["identity", "rotated", "unequal"])
+def test_batched_loss_matches_per_demo_reference(case):
+    sets, basis = _loss_fixtures()
+    demos = sets[case]
+    assert case != "unequal" or len({len(t.times) for t in demos}) == 4
+    samples = lie.Se3Samples.from_dataset(demos, basis)
+    grids = [_RefDemoGrid(t, basis) for t in demos]
+    p0, r0 = demos[0].positions[0], demos[0].rotations[0]
+    B = basis.size
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        outputs = rng.normal(scale=rng.choice([0.05, 0.3, 1.0]),
+                             size=(len(demos), 6 * B + 6))
+        beta = rng.uniform(0.2, 2.0)
+        loss, grads = lie.se3_loss_and_grads(outputs, samples, p0, r0, B,
+                                             beta=beta)
+        ref_loss, ref_grads = _ref_se3_loss_and_grads(outputs, grids, p0, r0,
+                                                      B, beta=beta)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert _rel_err(grads, ref_grads) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["identity", "rotated", "unequal"])
+def test_recon_loss_and_curves_match_per_demo_reference(case):
+    sets, basis = _loss_fixtures()
+    demos = sets[case]
+    rng = np.random.default_rng(21)
+    params = [lie.Se3CurveParams(
+        w_pos=f.w_pos + 0.1 * rng.normal(size=f.w_pos.shape),
+        w_rot=f.w_rot + 0.1 * rng.normal(size=f.w_rot.shape),
+        p_start=f.p_start, p_end=f.p_end, r_start=f.r_start, r_end=f.r_end)
+        for f in (lie.fit_se3_params(t, basis)
+                  for t in sets["identity" if case == "identity"
+                                else "rotated"])]
+    for beta in (0.5, 1.0, 2.0):
+        got = lie.se3_recon_loss(demos, params, basis, beta=beta)
+        want = _ref_se3_recon_loss(demos, params, basis, beta=beta)
+        assert abs(got - want) <= 1e-12 * want
+    taus = np.linspace(0.0, 1.0, 23)
+    for p in params:
+        want_pos, want_rot = _ref_eval_curve(p, basis, taus)
+        assert _rel_err(lie.eval_position_curve(p, basis, taus),
+                        want_pos) <= 1e-12
+        assert _rel_err(lie.eval_rotation_curve(p, basis, taus),
+                        want_rot) <= 1e-12
+        want_pos, want_rot = _ref_eval_curve(p, basis, np.array([0.4]))
+        assert _rel_err(lie.eval_position_curve(p, basis, 0.4),
+                        want_pos[0]) <= 1e-12
+        assert _rel_err(lie.eval_rotation_curve(p, basis, 0.4),
+                        want_rot[0]) <= 1e-12
 
 
 # -- data and training ----------------------------------------------------
@@ -270,6 +507,29 @@ def test_trajectory_io_round_trip(tmp_path):
     assert np.allclose(clone.times, demos[0].times)
     assert np.allclose(clone.positions, demos[0].positions)
     assert np.allclose(clone.rotations, demos[0].rotations)
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_trajectory_needs_two_samples(count):
+    with pytest.raises(ValueError, match=f"at least 2 samples, got {count}"):
+        lie.Se3Trajectory(times=np.zeros(count),
+                          positions=np.zeros((count, 3)),
+                          rotations=np.tile(np.eye(3), (count, 1, 1)))
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.0, 1.0], [0.0, np.nan, 2.0]])
+def test_trajectory_times_must_increase(times):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        lie.Se3Trajectory(times=times, positions=np.zeros((3, 3)),
+                          rotations=np.tile(np.eye(3), (3, 1, 1)))
+
+
+def test_trajectory_checks_every_rotation():
+    rots = lie.exp_so3(np.linspace(0.0, 1.0, 15).reshape(5, 3))
+    rots[3] = rots[3] * 1.01
+    with pytest.raises(ValueError, match="orthonormal"):
+        lie.Se3Trajectory(times=np.arange(5.0), positions=np.zeros((5, 3)),
+                          rotations=rots)
 
 
 def test_train_se3_learns_and_guards():

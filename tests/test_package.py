@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import pathlib
 
 import motionmanifold
 
@@ -17,3 +18,24 @@ def test_public_api_resolves():
                 for alias in node.names}
     public = {name for name in imported if not name.startswith("_")}
     assert sorted(public - set(motionmanifold.__all__)) == []
+
+
+def test_modules_have_no_unused_imports():
+    unused = []
+    for path in sorted(pathlib.Path(motionmanifold.__file__).parent.glob(
+            "*.py")):
+        if path.name == "__init__.py":           # re-exports
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

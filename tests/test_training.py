@@ -220,7 +220,8 @@ def _reference_train_loop(x, config, metric):
     return encoder, decoder, history
 
 
-def _reference_se3_loop(x, grids, p_start, r_start, n_b, config, beta):
+def _reference_se3_loop(x, samples, p_start, r_start, n_b, config,
+                        beta):
     """The pose-curve training loop as it stood before the shared engine."""
     m = config.latent_dim
     encoder = nets.Mlp.create([x.shape[1], *config.hidden, m],
@@ -233,8 +234,8 @@ def _reference_se3_loop(x, grids, p_start, r_start, n_b, config, beta):
     for epoch in range(config.epochs):
         enc_acts = encoder.forward_cache(x)
         dec_acts = decoder.forward_cache(enc_acts[-1])
-        loss, g_out = lie.se3_loss_and_grads(dec_acts[-1], grids, p_start,
-                                             r_start, n_b, beta=beta)
+        loss, g_out = lie.se3_loss_and_grads(dec_acts[-1], samples,
+                                             p_start, r_start, n_b, beta=beta)
         dz, dec_grads = decoder.backward(dec_acts, g_out)
         _, enc_grads = encoder.backward(enc_acts, dz)
         nets.adam_step(opt_enc, encoder, enc_grads)
@@ -270,9 +271,9 @@ def test_train_se3_matches_reference_loop():
     got = lie.train_se3(demos, basis, cfg, beta=0.7)
     fitted = [lie.fit_se3_params(traj, basis) for traj in demos]
     x = np.stack([lie.pack_se3_features(p) for p in fitted])
-    grids = [lie._DemoGrid(traj, basis) for traj in demos]
+    samples = lie.Se3Samples.from_dataset(demos, basis)
     encoder, decoder, history = _reference_se3_loop(
-        x, grids, demos[0].positions[0], demos[0].rotations[0], basis.size,
+        x, samples, demos[0].positions[0], demos[0].rotations[0], basis.size,
         cfg, beta=0.7)
     assert got.history["recon"] == history["recon"]
     assert got.history["total"] == history["recon"]

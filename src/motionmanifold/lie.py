@@ -43,7 +43,7 @@ def hat(v):
 
 def vee(s):
     s = np.asarray(s, dtype=float)
-    if np.abs(s + s.T).max() > 1e-9:
+    if not np.abs(s + s.T).max() <= 1e-9:
         raise ValueError("matrix is not skew-symmetric")
     return np.array([s[2, 1], s[0, 2], s[1, 0]])
 
@@ -359,6 +359,9 @@ def se3_loss_and_grads(outputs, samples, p_start, r_start, n_bases, beta=1.0):
     decoded final rotation via right-Jacobian chain rules.
     """
     n, b = len(outputs), n_bases
+    if n != samples.index.max() + 1:
+        raise ValueError(f"{n} output rows for "
+                         f"{samples.index.max() + 1} demonstrations")
     w_f = outputs[:, 6 * b + 3:]
     ell = _log(r_start.T @ exp_so3(w_f))
     p_hat, r_hat, a, c, exp_c = _pose_curves(

@@ -334,6 +334,10 @@ def initial_latent(density, cfg, rng, max_attempts=10000):
 def run_episode(model, density, constraint, cfg, seed=0, z0=None):
     """Simulate the dual-frequency loop; returns the per-tick trace.
 
+    Ticks run in blocks from one replan check to the next.  A block's
+    (z, tau) updates follow the rule fixed at its check and run first;
+    its points are then decoded and evaluated together.
+
     A replan search that comes up empty is recorded (event code 2) and the
     previous goal, if any, keeps being tracked; the episode itself never
     raises for it.
@@ -342,6 +346,7 @@ def run_episode(model, density, constraint, cfg, seed=0, z0=None):
     z = np.asarray(z0, dtype=float) if z0 is not None \
         else initial_latent(density, cfg, rng)
     state = ReplanState(z=z.copy(), tau=0.0)
+    curve = model.curve_model
     dt = 1.0 / cfg.control_hz
     dtau = 1.0 / (cfg.control_hz * cfg.total_time)
     ticks_per_replan = max(1, int(round(cfg.control_hz / cfg.replan_hz)))
@@ -352,46 +357,57 @@ def run_episode(model, density, constraint, cfg, seed=0, z0=None):
     times = np.empty(max_ticks)
     taus = np.empty(max_ticks)
     latents = np.empty((max_ticks, state.z.size))
-    points = np.empty((max_ticks, model.curve_model.dim))
+    points = np.empty((max_ticks, curve.dim))
     flags = np.zeros(max_ticks, dtype=int)
     events = np.zeros(max_ticks, dtype=int)
     n_replans = 0
     n_infeasible = 0
     reached = False
-    for tick in range(max_ticks):
-        t_now = tick * dt
-        if tick % ticks_per_replan == 0:
-            if predict_violation(state, model, constraint, t_now, cfg):
-                try:
-                    goal_z, goal_tau = solve_replan(
-                        state, model, density, constraint, t_now, cfg, rng)
-                    state.goal_z = goal_z
-                    state.goal_tau = goal_tau
-                    state.violated = True
-                    n_replans += 1
-                    events[tick] = 1
-                except ReplanInfeasibleError:
-                    n_infeasible += 1
-                    events[tick] = 2
-            else:
-                state.violated = False
-        if state.violated:
-            state.z = state.z + cfg.gain * (state.goal_z - state.z)
-            state.tau = state.tau + cfg.gain * (state.goal_tau - state.tau)
+    for start in range(0, max_ticks, ticks_per_replan):
+        if predict_violation(state, model, constraint, start * dt, cfg):
+            try:
+                goal_z, goal_tau = solve_replan(
+                    state, model, density, constraint, start * dt, cfg, rng)
+                state.goal_z = goal_z
+                state.goal_tau = goal_tau
+                state.violated = True
+                n_replans += 1
+                events[start] = 1
+            except ReplanInfeasibleError as exc:
+                n_infeasible += 1
+                events[start] = 2
+                # a kept traceback would pin the search frame and, through
+                # f_back, every caller's frame with whatever they hold
+                exc.__traceback__ = None
         else:
-            state.tau = min(state.tau + dtau, 1.0)
-        q = model.curve_points(state.z, np.array([state.tau]))[0]
-        times[tick] = t_now
-        taus[tick] = state.tau
-        latents[tick] = state.z
-        points[tick] = q
-        flags[tick] = state.violated
-        if state.tau >= 1.0 - 1e-12 and not state.violated:
-            reached = True
+            state.violated = False
+        for tick in range(start, min(start + ticks_per_replan, max_ticks)):
+            if state.violated:
+                state.z = state.z + cfg.gain * (state.goal_z - state.z)
+                state.tau = state.tau + cfg.gain * (state.goal_tau - state.tau)
+            else:
+                state.tau = min(state.tau + dtau, 1.0)
+            taus[tick] = state.tau
+            latents[tick] = state.z
+            if state.tau >= 1.0 - 1e-12 and not state.violated:
+                reached = True
+                break
+        block = slice(start, tick + 1)
+        times[block] = np.arange(start, tick + 1) * dt
+        flags[block] = state.violated
+        if state.violated:
+            # one decoded curve per tick, each evaluated at its own phase
+            points[block] = curve.elementary(taus[block]) + np.einsum(
+                "kcb,kb->kc", model.decode_many(latents[block]),
+                curve.basis.evaluate(taus[block]))
+        else:
+            points[block] = evaluate_batch(
+                curve, model.decode_many(state.z[None]), taus[block])[0]
+        if reached:
             break
-    # Rebind every buffer to its compact copy: a caller that keeps an
-    # infeasible-search exception keeps this frame alive through its
-    # traceback, and with it whatever these names hold.
+    # Rebind every buffer to a compact copy: the buffers are sized for
+    # max_time, and a slice would keep the whole buffer alive through its
+    # base for as long as the trace lives.
     k = tick + 1
     times, taus, latents, points, flags, events = (
         buf[:k].copy()

@@ -6,6 +6,8 @@ end-of-run summary (see pytest_terminal_summary in conftest.py), so they
 are visible without -s.
 """
 
+import json
+import pathlib
 import time
 
 import numpy as np
@@ -392,6 +394,53 @@ def test_online_replanning_avoids_scripted_obstacle(replan_fixture):
             f"5 seeds reach the goal, worst constraint "
             f"{max_violation:.4f} <= 0, replans per seed {replans}, "
             f"log-density floor held, control run replans 0 times")
+
+
+GOLDEN_REPLAN = pathlib.Path(__file__).parent / "data" / "replan_golden.json"
+TRACE_COLUMNS = ("times", "taus", "latents", "points", "constraint_values",
+                 "violation_flags", "replan_events")
+
+
+def replan_fingerprint(fx):
+    """Every 100th trace row, plus the last, of seeds 0-4 and control.
+
+    At 1000/10 Hz a replan check falls on every 100th tick, so the rows
+    include every check.  tests/data/replan_golden.json holds this for the
+    per-tick control loop the blocked one replaced.
+    """
+    runs = [(f"episode {s}", fx["constraint"], s) for s in range(5)]
+    runs.append(("control", constraint_from_script([]), 0))
+    out = {}
+    for name, constraint, seed in runs:
+        trace = run_episode(fx["manifold"], fx["density"], constraint,
+                            fx["config"], seed=seed)
+        rows = sorted(set(range(0, len(trace.times), 100))
+                      | {len(trace.times) - 1})
+        out[name] = {"length": len(trace.times), "rows": rows,
+                     "n_replans": trace.n_replans,
+                     "n_infeasible": trace.n_infeasible,
+                     "reached_goal": trace.reached_goal,
+                     "timed_out": trace.timed_out}
+        for column in TRACE_COLUMNS:
+            out[name][column] = getattr(trace, column)[rows].tolist()
+    return out
+
+
+def test_replan_traces_match_golden_fingerprint(replan_fixture):
+    golden = json.loads(GOLDEN_REPLAN.read_text())
+    fresh = replan_fingerprint(replan_fixture)
+    assert sorted(fresh) == sorted(golden)
+    for name, want in golden.items():
+        got = fresh[name]
+        for key in ("length", "rows", "n_replans", "n_infeasible",
+                    "reached_goal", "timed_out", "violation_flags",
+                    "replan_events"):
+            assert got[key] == want[key], (name, key)
+        for column in ("times", "taus", "latents", "points",
+                       "constraint_values"):
+            np.testing.assert_allclose(got[column], want[column],
+                                       rtol=1e-12, atol=0.0,
+                                       err_msg=f"{name} {column}")
 
 
 # -- 9: pose-curve training beats the geodesic baseline --------------------

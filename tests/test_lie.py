@@ -21,8 +21,10 @@ def test_hat_vee_round_trip():
     m = lie.hat(v)
     assert np.allclose(m, -m.T)
     assert np.allclose(lie.vee(m), v)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="skew-symmetric"):
         lie.vee(np.eye(3))
+    with pytest.raises(ValueError, match="skew-symmetric"):
+        lie.vee(np.full((3, 3), np.nan))
 
 
 def test_exp_of_zero_is_identity():
@@ -271,6 +273,16 @@ def test_loss_gradients_match_finite_differences(rotated):
         fd = (lu - ld) / (2 * eps)
         worst = max(worst, abs(fd - grads[i, j]) / max(1.0, abs(fd)))
     assert worst < 1e-6
+
+
+@pytest.mark.parametrize("rows", [5, 2])
+def test_loss_needs_one_output_row_per_demo(rows):
+    demos, basis = lie.make_pouring_demos(count=3, seed=16, n_samples=12)
+    samples = lie.Se3Samples.from_dataset(demos, basis)
+    outputs = np.zeros((rows, 6 * basis.size + 6))
+    with pytest.raises(ValueError, match=f"{rows} output rows for 3 demo"):
+        lie.se3_loss_and_grads(outputs, samples, demos[0].positions[0],
+                               demos[0].rotations[0], basis.size)
 
 
 # -- the per-demo loss as it stood before the batched one, as reference ---

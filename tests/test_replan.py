@@ -522,3 +522,131 @@ def test_dynamic_constraint_wraps_plain_callables():
     c = DynamicConstraint(evaluator=lambda q, t: q[0] - t)
     assert c(np.array([3.0, 0.0]), 1.0) == 2.0
     assert isinstance(c([1.0, 0.0], 0.5), float)
+
+
+def reference_run_episode(model, density, constraint, cfg, seed=0, z0=None):
+    """The per-tick control loop the blocked one replaces."""
+    rng = np.random.default_rng(seed)
+    z = np.asarray(z0, dtype=float) if z0 is not None \
+        else initial_latent(density, cfg, rng)
+    state = ReplanState(z=z.copy(), tau=0.0)
+    dt = 1.0 / cfg.control_hz
+    dtau = 1.0 / (cfg.control_hz * cfg.total_time)
+    ticks_per_replan = max(1, int(round(cfg.control_hz / cfg.replan_hz)))
+    max_ticks = int(np.ceil(cfg.max_time * cfg.control_hz))
+    times, taus, latents, points, flags, events = [], [], [], [], [], []
+    n_replans = n_infeasible = 0
+    reached = False
+    for tick in range(max_ticks):
+        t_now = tick * dt
+        event = 0
+        if tick % ticks_per_replan == 0:
+            if predict_violation(state, model, constraint, t_now, cfg):
+                try:
+                    goal_z, goal_tau = solve_replan(
+                        state, model, density, constraint, t_now, cfg, rng)
+                    state.goal_z = goal_z
+                    state.goal_tau = goal_tau
+                    state.violated = True
+                    n_replans += 1
+                    event = 1
+                except ReplanInfeasibleError:
+                    n_infeasible += 1
+                    event = 2
+            else:
+                state.violated = False
+        if state.violated:
+            state.z = state.z + cfg.gain * (state.goal_z - state.z)
+            state.tau = state.tau + cfg.gain * (state.goal_tau - state.tau)
+        else:
+            state.tau = min(state.tau + dtau, 1.0)
+        times.append(t_now)
+        taus.append(state.tau)
+        latents.append(state.z)
+        points.append(model.curve_points(state.z, np.array([state.tau]))[0])
+        flags.append(int(state.violated))
+        events.append(event)
+        if state.tau >= 1.0 - 1e-12 and not state.violated:
+            reached = True
+            break
+    times, points = np.array(times), np.array(points)
+    return EpisodeTrace(times=times, taus=np.array(taus),
+                        latents=np.array(latents), points=points,
+                        constraint_values=constraint(points, times),
+                        violation_flags=np.array(flags),
+                        replan_events=np.array(events),
+                        n_replans=n_replans, n_infeasible=n_infeasible,
+                        reached_goal=reached, timed_out=not reached)
+
+
+def _blocker_density():
+    density = two_cluster_density()
+    return density, density.logpdf(np.zeros(2)) - 0.5
+
+
+@pytest.mark.parametrize("case", ["free", "tracking", "infeasible",
+                                  "timeout"])
+def test_blocked_episode_matches_per_tick_reference(case):
+    density, floor = _blocker_density()
+    blocker = constraint_from_script([upper_blocker()])
+    free = constraint_from_script([])
+    cfg, constraint, seed, z0 = {
+        # 47 ticks at 100/10 Hz: tau reaches 1 inside the fifth block
+        "free": (ReplanConfig(total_time=0.47, window=0.2, control_hz=100.0,
+                              replan_hz=10.0), free, 0, [1.0, 0.0]),
+        "tracking": (ReplanConfig(total_time=2.0, window=0.6,
+                                  control_hz=200.0, replan_hz=10.0,
+                                  threshold=floor, delta_back=0.0),
+                     blocker, 1, [1.0, 0.0]),
+        "infeasible": (ReplanConfig(total_time=1.0, window=0.4,
+                                    control_hz=100.0, replan_hz=10.0,
+                                    threshold=1e9, max_time=1.5),
+                       blocker, 2, [1.0, 0.0]),
+        # 35 ticks: the last block is cut short by max_time
+        "timeout": (ReplanConfig(total_time=1.0, window=0.1,
+                                 control_hz=100.0, replan_hz=10.0,
+                                 max_time=0.35), free, 4, [0.5, -0.2]),
+    }[case]
+    model = BumpModel()
+    args = (model, density, constraint, cfg)
+    want = reference_run_episode(*args, seed=seed, z0=np.array(z0))
+    got = run_episode(*args, seed=seed, z0=np.array(z0))
+    for name in ("times", "taus", "latents", "violation_flags",
+                 "replan_events"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("n_replans", "n_infeasible", "reached_goal", "timed_out"):
+        assert getattr(got, name) == getattr(want, name), name
+    np.testing.assert_allclose(got.points, want.points, rtol=0.0,
+                               atol=1e-12)
+    np.testing.assert_allclose(got.constraint_values,
+                               want.constraint_values, rtol=0.0, atol=1e-12)
+    ticks_per_replan = 10 if cfg.control_hz == 100.0 else 20
+    if case == "free":
+        assert got.reached_goal and len(got.times) % ticks_per_replan
+    if case == "tracking":
+        assert got.n_replans >= 1 and np.any(got.violation_flags == 1)
+    if case == "infeasible":
+        assert got.n_infeasible >= 1
+    if case == "timeout":
+        assert got.timed_out and len(got.times) % ticks_per_replan
+
+
+def test_episode_drops_traceback_of_infeasible_search(monkeypatch):
+    kept = []
+    search = replan.solve_replan
+
+    def keeping(*args):
+        try:
+            return search(*args)
+        except ReplanInfeasibleError as exc:
+            kept.append(exc)
+            raise
+
+    monkeypatch.setattr(replan, "solve_replan", keeping)
+    cfg = ReplanConfig(total_time=1.0, window=0.4, control_hz=100.0,
+                       replan_hz=10.0, threshold=1e9, max_time=1.5)
+    trace = run_episode(BumpModel(), two_cluster_density(),
+                        constraint_from_script([upper_blocker()]), cfg,
+                        seed=2, z0=np.array([1.0, 0.0]))
+    assert len(kept) == trace.n_infeasible >= 1
+    assert all(exc.__traceback__ is None for exc in kept)

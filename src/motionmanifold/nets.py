@@ -24,16 +24,25 @@ class Mlp:
 
     def __init__(self, sizes, weights, biases, seed=None):
         self.sizes = list(int(s) for s in sizes)
-        self.weights = weights
-        self.biases = biases
         self.seed = seed
+        n_layers = len(self.sizes) - 1
+        if len(weights) != n_layers or len(biases) != n_layers:
+            raise ValueError(f"{len(weights)} weights and {len(biases)} "
+                             f"biases for {n_layers} layers")
+        self.params = np.empty(sum(o * (i + 1) for i, o in
+                                   zip(self.sizes[:-1], self.sizes[1:])))
+        self.weights, self.biases = self.layer_views(self.params)
         for i, (w, b) in enumerate(zip(weights, biases)):
-            if w.shape != (self.sizes[i + 1], self.sizes[i]):
+            w = np.asarray(w, dtype=float)
+            b = np.asarray(b, dtype=float)
+            if w.shape != self.weights[i].shape:
                 raise ValueError(f"layer {i} weight shape {w.shape} does not "
                                  f"match sizes {self.sizes}")
-            if b.shape != (self.sizes[i + 1],):
+            if b.shape != self.biases[i].shape:
                 raise ValueError(f"layer {i} bias shape {b.shape} does not "
                                  f"match sizes {self.sizes}")
+            self.weights[i][...] = w
+            self.biases[i][...] = b
 
     @classmethod
     def create(cls, sizes, seed):
@@ -58,8 +67,20 @@ class Mlp:
     def out_dim(self):
         return self.sizes[-1]
 
-    def n_params(self):
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+    def layer_views(self, flat):
+        """Per-layer (weights, biases) views into a parameter-sized vector.
+
+        Layer i's (out, in) weight block comes first, then its bias; the
+        network's own weights and biases are these views of params.
+        """
+        weights, biases = [], []
+        start = 0
+        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+            stop = start + fan_out * fan_in
+            weights.append(flat[start:stop].reshape(fan_out, fan_in))
+            biases.append(flat[stop:stop + fan_out])
+            start = stop + fan_out
+        return tuple(weights), tuple(biases)
 
     # -- primal ----------------------------------------------------------
 
@@ -98,23 +119,27 @@ class Mlp:
     def backward(self, acts, cotangent):
         """Gradients of <cotangent, output> summed over the batch.
 
-        Returns (input_grad, grads) with grads a list of (dW, db) pairs.
+        Returns (input_grad, grad) with grad a flat vector laid out like
+        params; layer_views(grad) gives the per-layer (dW, db).
         """
         g = np.asarray(cotangent, dtype=float)
         if g.shape != acts[-1].shape:
             raise ValueError(f"cotangent shape {g.shape} != output shape "
                              f"{acts[-1].shape}")
-        grads = [None] * self.n_layers
+        grad = np.empty(self.params.size)
+        dws, dbs = self.layer_views(grad)
         for i in range(self.n_layers - 1, -1, -1):
             if i != self.n_layers - 1:
                 g = g * (1.0 - acts[i + 1] ** 2)
             a_prev = acts[i]
             if g.ndim == 1:
-                grads[i] = (np.outer(g, a_prev), g.copy())
+                np.outer(g, a_prev, out=dws[i])
+                dbs[i][...] = g
             else:
-                grads[i] = (g.T @ a_prev, g.sum(axis=0))
+                np.matmul(g.T, a_prev, out=dws[i])
+                np.sum(g, axis=0, out=dbs[i])
             g = g @ self.weights[i]
-        return g, grads
+        return g, grad
 
     def vjp(self, x, cotangent):
         """Reverse-mode gradients of <cotangent, forward(x)>."""
@@ -165,8 +190,8 @@ class Mlp:
         """Reverse-mode through the forward-mode pass.
 
         cotangents attach to the jvp outputs d_L, shape matching them
-        ((batch, k, out) or (k, out)).  Returns parameter gradients of
-        <cotangents, d_L> summed over batch and directions; the primal
+        ((batch, k, out) or (k, out)).  Returns the flat parameter gradient
+        of <cotangents, d_L> summed over batch and directions; the primal
         inputs and the seed directions are treated as constants.
         """
         gd = np.asarray(cotangents, dtype=float)
@@ -175,13 +200,14 @@ class Mlp:
             raise ValueError(f"cotangent shape {gd.shape} != jvp output "
                              f"shape {d_last.shape}")
         ga = np.zeros_like(acts[-1])
-        grads = [None] * self.n_layers
+        grad = np.empty(self.params.size)
+        dws, dbs = self.layer_views(grad)
 
-        def wsum(left, right):
+        def wsum(left, right, out):
             # Contract (..., k, out) x (..., k, in) -> (out, in).
             if left.ndim == 2:
-                return np.einsum("ko,ki->oi", left, right)
-            return np.einsum("bko,bki->oi", left, right)
+                return np.einsum("ko,ki->oi", left, right, out=out)
+            return np.einsum("bko,bki->oi", left, right, out=out)
 
         for i in range(self.n_layers - 1, -1, -1):
             t_i, _ = tangent_cache[i + 1]
@@ -196,18 +222,16 @@ class Mlp:
                 spp = -2.0 * a_i * sp
                 gt = sp[..., None, :] * gd
                 gs = (spp[..., None, :] * t_i * gd).sum(axis=-2) + sp * ga
-            dw = wsum(gt, d_prev)
-            db = np.zeros(self.sizes[i + 1])
+            dw = wsum(gt, d_prev, dws[i])
             if np.ndim(gs) == 1:
-                dw = dw + np.outer(gs, a_prev)
-                db = db + gs
+                dw += np.outer(gs, a_prev)
+                dbs[i][...] = gs
             else:
-                dw = dw + gs.T @ a_prev
-                db = db + gs.sum(axis=0)
-            grads[i] = (dw, db)
+                dw += gs.T @ a_prev
+                np.sum(gs, axis=0, out=dbs[i])
             gd = gt @ self.weights[i]
             ga = gs @ self.weights[i]
-        return grads
+        return grad
 
     # -- serialization ---------------------------------------------------
 
@@ -235,26 +259,8 @@ class Mlp:
             return cls.from_dict(json.load(f))
 
 
-def zero_grads(net):
-    return [(np.zeros_like(w), np.zeros_like(b))
-            for w, b in zip(net.weights, net.biases)]
-
-
-def add_grads(total, extra, scale=1.0):
-    return [(tw + scale * ew, tb + scale * eb)
-            for (tw, tb), (ew, eb) in zip(total, extra)]
-
-
-def check_finite_grads(grads):
-    for i, (dw, db) in enumerate(grads):
-        if not np.all(np.isfinite(dw)):
-            raise TrainingError(f"non-finite gradient in layer {i} weights")
-        if not np.all(np.isfinite(db)):
-            raise TrainingError(f"non-finite gradient in layer {i} bias")
-
-
 class AdamState:
-    """Adaptive-moment accumulators for one network's parameter list."""
+    """Adaptive-moment accumulators for one network's parameter vector."""
 
     def __init__(self, net, learning_rate=1e-3, beta1=0.9, beta2=0.999,
                  eps=1e-8):
@@ -263,28 +269,49 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = zero_grads(net)
-        self.v = zero_grads(net)
+        self.m = np.zeros(net.params.size)
+        self.v = np.zeros(net.params.size)
+        self.scratch = (np.empty(net.params.size), np.empty(net.params.size))
 
 
-def adam_step(state, net, grads):
-    """One adaptive-moment update, in place on the network parameters."""
-    check_finite_grads(grads)
+def adam_step(state, net, grad):
+    """One adaptive-moment update, in place on net.params.
+
+    grad is a flat vector laid out like params.  Every element goes through
+    m*b1 + (1-b1)*g, v*b2 + ((1-b2)*g)*g and lr*(m/c1) / (sqrt(v/c2)+eps)
+    in that order, with no temporary allocated.
+    """
+    g = np.asarray(grad, dtype=float)
+    if g.shape != state.m.shape:
+        raise ValueError(f"gradient shape {g.shape} != parameter shape "
+                         f"{state.m.shape}")
+    if not np.isfinite(g).all():
+        for i, (dw, db) in enumerate(zip(*net.layer_views(g))):
+            if not np.isfinite(dw).all():
+                raise TrainingError(f"non-finite gradient in layer {i} "
+                                    f"weights")
+            if not np.isfinite(db).all():
+                raise TrainingError(f"non-finite gradient in layer {i} bias")
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    for i, (dw, db) in enumerate(grads):
-        for j, g in enumerate((dw, db)):
-            m = state.m[i][j]
-            v = state.v[i][j]
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * g * g
-            target = net.weights[i] if j == 0 else net.biases[i]
-            target -= state.learning_rate * (m / c1) \
-                / (np.sqrt(v / c2) + state.eps)
+    m, v = state.m, state.v
+    step, denom = state.scratch
+    m *= state.beta1
+    np.multiply(1.0 - state.beta1, g, out=step)
+    m += step
+    v *= state.beta2
+    np.multiply(1.0 - state.beta2, g, out=step)
+    step *= g
+    v += step
+    np.divide(v, c2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    np.divide(m, c1, out=step)
+    step *= state.learning_rate
+    step /= denom
+    net.params -= step
 
 
 def distortion_terms(decoder, z_batch, metric):
@@ -308,7 +335,7 @@ def distortion_terms(decoder, z_batch, metric):
 
 
 def grad_of_distortion(decoder, z_batch, metric):
-    """Exact-mode distortion value and its decoder-parameter gradient.
+    """Exact-mode distortion value and its flat decoder-parameter gradient.
 
     The scalar is E[Tr(Hbar^2)] / E[Tr(Hbar)]^2 over the batch; the
     gradient flows through every directional-derivative evaluation
@@ -330,5 +357,4 @@ def grad_of_distortion(decoder, z_batch, metric):
     # d value / d u, with u[p, a] = J(z_p) e_a.
     gu = (4.0 / (n_pts * denom ** 2)) * np.einsum("pab,pbx->pax", q, ku) \
         - (4.0 * numer / (n_pts * denom ** 3)) * ku
-    grads = decoder.backward_through_jvp(acts, cache, gu)
-    return value, grads
+    return value, decoder.backward_through_jvp(acts, cache, gu)

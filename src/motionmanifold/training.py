@@ -185,9 +185,10 @@ def fit_autoencoder(x, n_out, config, reconstruction, penalty=None):
     x: (N, d) encoder inputs; the decoder maps the config.latent_dim
     latent to n_out outputs.  reconstruction(outputs) returns the loss and
     its gradient with respect to the (N, n_out) decoder outputs.  The
-    optional penalty(decoder, z) returns a value and decoder gradients at
-    the encoded latents z; both are weighted by config.alpha.  Returns
-    (encoder, decoder, history) with per-epoch recon, distortion and total.
+    optional penalty(decoder, z) returns a value and the flat decoder
+    gradient at the encoded latents z; both are weighted by config.alpha.
+    Returns (encoder, decoder, history) with per-epoch recon, distortion
+    and total.
     """
     m = config.latent_dim
     encoder = nets.Mlp.create([x.shape[1], *config.hidden, m],
@@ -201,19 +202,18 @@ def fit_autoencoder(x, n_out, config, reconstruction, penalty=None):
         enc_acts = encoder.forward_cache(x)
         dec_acts = decoder.forward_cache(enc_acts[-1])
         recon, g_out = reconstruction(dec_acts[-1])
-        dz, dec_grads = decoder.backward(dec_acts, g_out)
-        _, enc_grads = encoder.backward(enc_acts, dz)
+        dz, dec_grad = decoder.backward(dec_acts, g_out)
+        _, enc_grad = encoder.backward(enc_acts, dz)
         dist_value = 0.0
         if penalty is not None:
-            dist_value, dist_grads = penalty(decoder, enc_acts[-1])
-            dec_grads = nets.add_grads(dec_grads, dist_grads,
-                                       scale=config.alpha)
+            dist_value, dist_grad = penalty(decoder, enc_acts[-1])
+            dec_grad += config.alpha * dist_grad
         total = recon + config.alpha * dist_value
         if not np.isfinite(total):
             raise TrainingError(f"non-finite loss at epoch {epoch}: "
                                 f"recon {recon}, distortion {dist_value}")
-        nets.adam_step(opt_enc, encoder, enc_grads)
-        nets.adam_step(opt_dec, decoder, dec_grads)
+        nets.adam_step(opt_enc, encoder, enc_grad)
+        nets.adam_step(opt_dec, decoder, dec_grad)
         history["recon"].append(recon)
         history["distortion"].append(dist_value)
         history["total"].append(total)

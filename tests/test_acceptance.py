@@ -126,7 +126,8 @@ def test_gradients_match_finite_differences():
     net = nets.Mlp.create([6, 14, 14, 5], seed=31)
     x = rng.normal(size=6)
     cot = rng.normal(size=5)
-    input_grad, grads = net.vjp(x, cot)
+    input_grad, grad = net.vjp(x, cot)
+    dws, _ = net.layer_views(grad)
     eps = 1e-6
     fd_x = np.empty_like(x)
     for i in range(x.size):
@@ -147,7 +148,7 @@ def test_gradients_match_finite_differences():
                 lo = float(cot @ net.forward(x))
                 w0[i, j] = orig
                 fd_w[i, j] = (hi - lo) / (2 * eps)
-        rel_vjp = max(rel_vjp, np.abs(grads[layer][0] - fd_w).max()
+        rel_vjp = max(rel_vjp, np.abs(dws[layer] - fd_w).max()
                       / max(np.abs(fd_w).max(), 1e-8))
 
     # forward mode: directional derivatives
@@ -165,7 +166,7 @@ def test_gradients_match_finite_differences():
     for trial in range(10):
         dec = nets.Mlp.create([2, 6, 8], seed=300 + trial)
         z = rng.normal(size=(5, 2))
-        _, dgrads = nets.grad_of_distortion(dec, z, metric)
+        _, dgrad = nets.grad_of_distortion(dec, z, metric)
         layer = int(rng.integers(0, dec.n_layers))
         i = int(rng.integers(0, dec.weights[layer].shape[0]))
         j = int(rng.integers(0, dec.weights[layer].shape[1]))
@@ -178,7 +179,8 @@ def test_gradients_match_finite_differences():
         dec.weights[layer][i, j] = w0
         fd = (up - dn) / (2 * h)
         rel_dist = max(rel_dist,
-                       abs(dgrads[layer][0][i, j] - fd) / max(abs(fd), 1e-8))
+                       abs(dec.layer_views(dgrad)[0][layer][i, j] - fd)
+                       / max(abs(fd), 1e-8))
 
     ok = rel_vjp <= 1e-5 and rel_jvp <= 1e-5 and rel_dist <= 1e-3
     _finish("finite-difference gradient checks", ok, t0, budget,
@@ -441,6 +443,47 @@ def test_replan_traces_match_golden_fingerprint(replan_fixture):
             np.testing.assert_allclose(got[column], want[column],
                                        rtol=1e-12, atol=0.0,
                                        err_msg=f"{name} {column}")
+
+
+GOLDEN_SUCCESS = pathlib.Path(__file__).parent / "data" / "success_golden.json"
+
+
+def success_fingerprint():
+    """A short env3 evaluate_success report for each of the four kinds.
+
+    Small nets and few samples keep it to about a second; the latent kinds
+    also record their final training losses.  tests/data/success_golden.json
+    holds this as written by the list-based Adam update.
+    """
+    env, demos = generate_env("env3", seed=0)
+    cfg = TrainConfig(epochs=300, hidden=(32, 32), seed=0)
+    out = {}
+    for kind in KINDS:
+        bundle = build_bundle(kind, env, demos, seed=0, train_config=cfg)
+        report = evaluate_success(bundle, env, env_id="env3",
+                                  num_samples=200, seeds=(0, 1, 2))
+        out[kind] = {"success_rates": report.success_rates,
+                     "acceptance_rates": report.acceptance_rates}
+        if bundle.manifold is not None:
+            history = bundle.manifold.history
+            out[kind]["recon_final"] = history["recon"][-1]
+            out[kind]["distortion_final"] = history["distortion"][-1]
+    return out
+
+
+def test_success_reports_match_golden_fingerprint():
+    golden = json.loads(GOLDEN_SUCCESS.read_text())
+    fresh = success_fingerprint()
+    assert sorted(fresh) == sorted(golden)
+    for kind, want in golden.items():
+        got = fresh[kind]
+        assert sorted(got) == sorted(want), kind
+        assert got["success_rates"] == want["success_rates"], kind
+        assert got["acceptance_rates"] == want["acceptance_rates"], kind
+        for key in ("recon_final", "distortion_final"):
+            if key in want:
+                np.testing.assert_allclose(got[key], want[key], rtol=1e-12,
+                                           atol=0.0, err_msg=f"{kind} {key}")
 
 
 # -- 9: pose-curve training beats the geodesic baseline --------------------

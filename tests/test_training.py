@@ -197,8 +197,8 @@ def _reference_train_loop(x, config, metric):
         dec_acts = decoder.forward_cache(z)
         resid = dec_acts[-1] - x
         recon = float(np.mean(np.sum(resid ** 2, axis=1)))
-        dz, dec_grads = decoder.backward(dec_acts, 2.0 * resid / n_data)
-        _, enc_grads = encoder.backward(enc_acts, dz)
+        dz, dec_grad = decoder.backward(dec_acts, 2.0 * resid / n_data)
+        _, enc_grad = encoder.backward(enc_acts, dz)
         dist_value = 0.0
         if config.alpha > 0:
             ia = rng.integers(0, n_data, size=config.mix_batch)
@@ -207,13 +207,12 @@ def _reference_train_loop(x, config, metric):
                                 1.0 + config.mix_extension,
                                 size=config.mix_batch)
             z_mix = delta[:, None] * z[ia] + (1.0 - delta)[:, None] * z[ib]
-            dist_value, dist_grads = nets.grad_of_distortion(
+            dist_value, dist_grad = nets.grad_of_distortion(
                 decoder, z_mix, metric)
-            dec_grads = nets.add_grads(dec_grads, dist_grads,
-                                       scale=config.alpha)
+            dec_grad = dec_grad + config.alpha * dist_grad
         total = recon + config.alpha * dist_value
-        nets.adam_step(opt_enc, encoder, enc_grads)
-        nets.adam_step(opt_dec, decoder, dec_grads)
+        nets.adam_step(opt_enc, encoder, enc_grad)
+        nets.adam_step(opt_dec, decoder, dec_grad)
         history["recon"].append(recon)
         history["distortion"].append(dist_value)
         history["total"].append(total)
@@ -236,10 +235,10 @@ def _reference_se3_loop(x, samples, p_start, r_start, n_b, config,
         dec_acts = decoder.forward_cache(enc_acts[-1])
         loss, g_out = lie.se3_loss_and_grads(dec_acts[-1], samples,
                                              p_start, r_start, n_b, beta=beta)
-        dz, dec_grads = decoder.backward(dec_acts, g_out)
-        _, enc_grads = encoder.backward(enc_acts, dz)
-        nets.adam_step(opt_enc, encoder, enc_grads)
-        nets.adam_step(opt_dec, decoder, dec_grads)
+        dz, dec_grad = decoder.backward(dec_acts, g_out)
+        _, enc_grad = encoder.backward(enc_acts, dz)
+        nets.adam_step(opt_enc, encoder, enc_grad)
+        nets.adam_step(opt_dec, decoder, dec_grad)
         history["recon"].append(loss)
     return encoder, decoder, history
 

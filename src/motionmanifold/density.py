@@ -267,6 +267,12 @@ def kde_build(points, kernel_width=None, ridge=1e-9):
     off_diag = d2[~np.eye(n, dtype=bool)]
     if off_diag.max() <= 0:
         raise DegenerateSupportError("all support points identical")
+    rank = np.linalg.matrix_rank(x - x.mean(axis=0))
+    if rank < m:
+        # every bandwidth would be the ridge alone off the spanned subspace
+        raise DegenerateSupportError(
+            f"KDE support points span {rank} of {m} dimensions "
+            f"(collinear or otherwise rank-deficient)")
     h = float(np.median(off_diag)) if kernel_width is None else float(
         kernel_width)
     if h <= 0:

@@ -281,12 +281,20 @@ def sample_curves(bundle, count, rng, max_attempt_factor=400):
     return bundle.decode_batch(np.atleast_2d(result.samples)), result
 
 
+# curves evaluated and collision-checked together: bounds the (N, T, ...)
+# field temporaries without changing any per-curve result
+_CHECK_CHUNK = 50
+
+
 def success_rate(bundle, env, num_samples, rng, grid_points=500):
     """Fraction of sampled trajectories that never touch an obstacle."""
     stacks, result = sample_curves(bundle, num_samples, rng)
     grid = np.linspace(0.0, 1.0, grid_points)
-    pts = evaluate_batch(bundle.curve_model, stacks, grid)  # (N, T, 2)
-    collided = np.any(collision_check(pts, env) > 0, axis=1)
+    collided = np.concatenate([
+        np.any(collision_check(evaluate_batch(
+            bundle.curve_model, stacks[i:i + _CHECK_CHUNK], grid), env) > 0,
+            axis=1)
+        for i in range(0, len(stacks), _CHECK_CHUNK)])
     rate = 100.0 * float(np.mean(~collided))
     return rate, result.acceptance_rate
 

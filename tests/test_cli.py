@@ -249,6 +249,21 @@ def test_identical_latents_exit_3(workspace, tmp_path, capsys):
     assert "DegenerateSupportError" in capsys.readouterr().err
 
 
+def test_collinear_latents_kde_exit_3(workspace, tmp_path, capsys):
+    model = tmp_path / "model"
+    shutil.copytree(workspace["model"], model)
+    latents = json.loads((model / "latents.json").read_text())
+    latents["z"] = [[0.5 * k, 1.0 - 0.25 * k]
+                    for k in range(len(latents["z"]))]
+    (model / "latents.json").write_text(json.dumps(latents))
+    code = run_cli("sample", "--model", str(model), "--density", "kde",
+                   "--count", "4", "--out", str(tmp_path / "o"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "DegenerateSupportError" in err and "rank-deficient" in err
+    assert "Traceback" not in err
+
+
 def test_console_script_is_installed(tmp_path):
     out = tmp_path / "via_script"
     proc = subprocess.run(

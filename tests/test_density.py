@@ -112,9 +112,11 @@ def test_kde_bandwidth_default_is_median_squared_distance():
 
 
 def test_kde_adapts_to_local_direction():
-    # collinear cloud: per-point covariances should flatten onto the line
+    # thin cloud along a line (an exactly collinear one is rejected):
+    # per-point covariances should flatten onto the line
     ts = np.linspace(-1, 1, 40)
-    pts = np.stack([ts, 0.3 * ts], axis=1)
+    jitter = 1e-3 * (-1.0) ** np.arange(40)
+    pts = np.stack([ts - 0.3 * jitter, 0.3 * ts + jitter], axis=1)
     k = kde_build(pts)
     mid = 20
     eigs = np.linalg.eigvalsh(k.bandwidths[mid])
@@ -162,6 +164,19 @@ def test_kde_degenerate_inputs_raise():
         kde_build(np.zeros((1, 2)))
     with pytest.raises(DegenerateSupportError):
         kde_build(np.ones((8, 2)))
+
+
+@pytest.mark.parametrize("points", [
+    np.outer(np.linspace(-1.0, 2.0, 9), [0.3, -0.7]) + [0.1, 0.2],
+    np.array([[0.0, 0.0], [1.0, 1.0]]),
+    np.column_stack([np.cos(np.arange(8.0)), np.sin(np.arange(8.0)),
+                     np.cos(np.arange(8.0)) - 2.0 * np.sin(np.arange(8.0))]),
+], ids=["collinear", "two-points", "coplanar-3d"])
+def test_kde_rank_deficient_support_raises(points):
+    m = points.shape[1]
+    with pytest.raises(DegenerateSupportError,
+                       match=f"span {m - 1} of {m} dimensions"):
+        kde_build(points)
 
 
 def test_kde_sample_stays_near_support():

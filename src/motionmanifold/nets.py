@@ -202,13 +202,6 @@ class Mlp:
         ga = np.zeros_like(acts[-1])
         grad = np.empty(self.params.size)
         dws, dbs = self.layer_views(grad)
-
-        def wsum(left, right, out):
-            # Contract (..., k, out) x (..., k, in) -> (out, in).
-            if left.ndim == 2:
-                return np.einsum("ko,ki->oi", left, right, out=out)
-            return np.einsum("bko,bki->oi", left, right, out=out)
-
         for i in range(self.n_layers - 1, -1, -1):
             t_i, _ = tangent_cache[i + 1]
             d_prev = tangent_cache[i][1]
@@ -222,7 +215,10 @@ class Mlp:
                 spp = -2.0 * a_i * sp
                 gt = sp[..., None, :] * gd
                 gs = (spp[..., None, :] * t_i * gd).sum(axis=-2) + sp * ga
-            dw = wsum(gt, d_prev, dws[i])
+            # sum over batch and directions: (..., k, out) x (..., k, in)
+            # -> (out, in) as one matmul over the stacked rows
+            dw = np.matmul(gt.reshape(-1, gt.shape[-1]).T,
+                           d_prev.reshape(-1, d_prev.shape[-1]), out=dws[i])
             if np.ndim(gs) == 1:
                 dw += np.outer(gs, a_prev)
                 dbs[i][...] = gs
@@ -328,7 +324,7 @@ def distortion_terms(decoder, z_batch, metric):
     _, cache = decoder._push_tangents(acts, directions)
     u = cache[-1][1]                       # (N, m, nB): J e_a rows
     ku = metric.apply(u)
-    q = np.einsum("pax,pbx->pab", u, ku)   # pullback matrices
+    q = u @ ku.transpose(0, 2, 1)          # pullback matrices
     tr = np.einsum("paa->p", q)
     tr_sq = np.einsum("pab,pab->p", q, q)
     return acts, cache, ku, q, tr, tr_sq
@@ -355,6 +351,6 @@ def grad_of_distortion(decoder, z_batch, metric):
     value = numer / denom ** 2
 
     # d value / d u, with u[p, a] = J(z_p) e_a.
-    gu = (4.0 / (n_pts * denom ** 2)) * np.einsum("pab,pbx->pax", q, ku) \
+    gu = (4.0 / (n_pts * denom ** 2)) * (q @ ku) \
         - (4.0 * numer / (n_pts * denom ** 3)) * ku
     return value, decoder.backward_through_jvp(acts, cache, gu)

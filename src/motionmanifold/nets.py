@@ -33,14 +33,12 @@ class Mlp:
                                    zip(self.sizes[:-1], self.sizes[1:])))
         self.weights, self.biases = self.layer_views(self.params)
         for i, (w, b) in enumerate(zip(weights, biases)):
-            w = np.asarray(w, dtype=float)
-            b = np.asarray(b, dtype=float)
-            if w.shape != self.weights[i].shape:
-                raise ValueError(f"layer {i} weight shape {w.shape} does not "
-                                 f"match sizes {self.sizes}")
-            if b.shape != self.biases[i].shape:
-                raise ValueError(f"layer {i} bias shape {b.shape} does not "
-                                 f"match sizes {self.sizes}")
+            if np.shape(w) != self.weights[i].shape:
+                raise ValueError(f"layer {i} weight shape {np.shape(w)} does "
+                                 f"not match sizes {self.sizes}")
+            if np.shape(b) != self.biases[i].shape:
+                raise ValueError(f"layer {i} bias shape {np.shape(b)} does "
+                                 f"not match sizes {self.sizes}")
             self.weights[i][...] = w
             self.biases[i][...] = b
 
@@ -93,14 +91,7 @@ class Mlp:
 
     def forward(self, x):
         """Evaluate the network; accepts (p,) or (batch, p)."""
-        x = self._check_input(x)
-        a = x
-        last = self.n_layers - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ w.T + b
-            if i != last:
-                a = np.tanh(a)
-        return a
+        return self.forward_cache(x)[-1]
 
     def forward_cache(self, x):
         """Activations [a_0, ..., a_L] for use by the derivative passes."""
@@ -131,13 +122,9 @@ class Mlp:
         for i in range(self.n_layers - 1, -1, -1):
             if i != self.n_layers - 1:
                 g = g * (1.0 - acts[i + 1] ** 2)
-            a_prev = acts[i]
-            if g.ndim == 1:
-                np.outer(g, a_prev, out=dws[i])
-                dbs[i][...] = g
-            else:
-                np.matmul(g.T, a_prev, out=dws[i])
-                np.sum(g, axis=0, out=dbs[i])
+            g2, a2 = np.atleast_2d(g, acts[i])
+            np.matmul(g2.T, a2, out=dws[i])
+            np.sum(g2, axis=0, out=dbs[i])
             g = g @ self.weights[i]
         return g, grad
 
@@ -205,7 +192,6 @@ class Mlp:
         for i in range(self.n_layers - 1, -1, -1):
             t_i, _ = tangent_cache[i + 1]
             d_prev = tangent_cache[i][1]
-            a_prev = acts[i]
             if i == self.n_layers - 1:
                 gt = gd
                 gs = ga
@@ -219,12 +205,9 @@ class Mlp:
             # -> (out, in) as one matmul over the stacked rows
             dw = np.matmul(gt.reshape(-1, gt.shape[-1]).T,
                            d_prev.reshape(-1, d_prev.shape[-1]), out=dws[i])
-            if np.ndim(gs) == 1:
-                dw += np.outer(gs, a_prev)
-                dbs[i][...] = gs
-            else:
-                dw += gs.T @ a_prev
-                np.sum(gs, axis=0, out=dbs[i])
+            gs2, a2 = np.atleast_2d(gs, acts[i])
+            dw += gs2.T @ a2
+            np.sum(gs2, axis=0, out=dbs[i])
             gd = gt @ self.weights[i]
             ga = gs @ self.weights[i]
         return grad

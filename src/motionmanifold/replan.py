@@ -381,9 +381,8 @@ def run_episode(model, density, constraint, cfg, seed=0, z0=None):
                 exc.__traceback__ = None
         else:
             state.violated = False
-        # the per-tick updates run on Python floats, component by
-        # component: the same IEEE operations as on arrays, at a fraction
-        # of the per-call cost
+        # per-tick updates on Python floats: the same IEEE operations as
+        # on the arrays, without numpy's per-call cost
         z, goal_z = state.z.tolist(), state.goal_z.tolist()
         tau, goal_tau = state.tau, float(state.goal_tau)
         rows = []

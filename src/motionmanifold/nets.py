@@ -250,7 +250,6 @@ class AdamState:
         self.step_count = 0
         self.m = np.zeros(net.params.size)
         self.v = np.zeros(net.params.size)
-        self.scratch = (np.empty(net.params.size), np.empty(net.params.size))
 
 
 def adam_step(state, net, grad):
@@ -258,7 +257,9 @@ def adam_step(state, net, grad):
 
     grad is a flat vector laid out like params.  Every element goes through
     m*b1 + (1-b1)*g, v*b2 + ((1-b2)*g)*g and lr*(m/c1) / (sqrt(v/c2)+eps)
-    in that order, with no temporary allocated.
+    in that order, in place apart from two parameter-sized temporaries.
+    They live for one step, not in the state, so the allocator can reuse
+    their memory between steps.
     """
     g = np.asarray(grad, dtype=float)
     if g.shape != state.m.shape:
@@ -276,15 +277,14 @@ def adam_step(state, net, grad):
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
     m, v = state.m, state.v
-    step, denom = state.scratch
+    step = np.multiply(1.0 - state.beta1, g)
     m *= state.beta1
-    np.multiply(1.0 - state.beta1, g, out=step)
     m += step
     v *= state.beta2
     np.multiply(1.0 - state.beta2, g, out=step)
     step *= g
     v += step
-    np.divide(v, c2, out=denom)
+    denom = np.divide(v, c2)
     np.sqrt(denom, out=denom)
     denom += state.eps
     np.divide(m, c1, out=step)

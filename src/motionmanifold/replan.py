@@ -390,16 +390,20 @@ def run_episode(model, density, constraint, cfg, seed=0, z0=None):
             if state.violated:
                 z = [zc + cfg.gain * (gc - zc) for zc, gc in zip(z, goal_z)]
                 tau = tau + cfg.gain * (goal_tau - tau)
+                rows.append(z)
             else:
                 tau = min(tau + dtau, 1.0)
             taus[tick] = tau
-            rows.append(z)
             if tau >= 1.0 - 1e-12 and not state.violated:
                 reached = True
                 break
         block = slice(start, tick + 1)
-        state.z, state.tau = np.array(z), tau
-        latents[block] = rows
+        state.tau = tau
+        if state.violated:
+            state.z = np.array(z)
+            latents[block] = rows
+        else:
+            latents[block] = state.z
         times[block] = np.arange(start, tick + 1) * dt
         flags[block] = state.violated
         if state.violated:

@@ -91,7 +91,14 @@ class Mlp:
 
     def forward(self, x):
         """Evaluate the network; accepts (p,) or (batch, p)."""
-        return self.forward_cache(x)[-1]
+        x = self._check_input(x)
+        a = x
+        last = self.n_layers - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            a = a @ w.T + b
+            if i != last:
+                a = np.tanh(a)
+        return a
 
     def forward_cache(self, x):
         """Activations [a_0, ..., a_L] for use by the derivative passes."""

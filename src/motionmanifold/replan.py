@@ -399,19 +399,17 @@ def run_episode(model, density, constraint, cfg, seed=0, z0=None):
                 break
         block = slice(start, tick + 1)
         state.tau = tau
-        if state.violated:
-            state.z = np.array(z)
-            latents[block] = rows
-        else:
-            latents[block] = state.z
         times[block] = np.arange(start, tick + 1) * dt
         flags[block] = state.violated
         if state.violated:
+            state.z = np.array(z)
+            latents[block] = rows
             # one decoded curve per tick, each evaluated at its own phase
             points[block] = curve.elementary(taus[block]) + np.einsum(
                 "kcb,kb->kc", model.decode_many(latents[block]),
                 curve.basis.evaluate(taus[block]))
         else:
+            latents[block] = state.z
             points[block] = evaluate_batch(
                 curve, model.decode_many(state.z[None]), taus[block])[0]
         if reached:

@@ -131,7 +131,7 @@ class Mlp:
                 g = g * (1.0 - acts[i + 1] ** 2)
             g2, a2 = np.atleast_2d(g, acts[i])
             np.matmul(g2.T, a2, out=dws[i])
-            np.sum(g2, axis=0, out=dbs[i])
+            dbs[i][...] = g2.sum(axis=0)
             g = g @ self.weights[i]
         return g, grad
 
@@ -214,7 +214,7 @@ class Mlp:
                            d_prev.reshape(-1, d_prev.shape[-1]), out=dws[i])
             gs2, a2 = np.atleast_2d(gs, acts[i])
             dw += gs2.T @ a2
-            np.sum(gs2, axis=0, out=dbs[i])
+            dbs[i][...] = gs2.sum(axis=0)
             gd = gt @ self.weights[i]
             ga = gs @ self.weights[i]
         return grad

@@ -43,9 +43,11 @@ def hat(v):
 
 def vee(s):
     s = np.asarray(s, dtype=float)
-    if not np.abs(s + s.T).max() <= 1e-9:
+    if s.shape[-2:] != (3, 3):
+        raise ValueError(f"skew matrices must be (..., 3, 3), got {s.shape}")
+    if not np.all(np.abs(s + np.swapaxes(s, -1, -2)) <= 1e-9):
         raise ValueError("matrix is not skew-symmetric")
-    return np.array([s[2, 1], s[0, 2], s[1, 0]])
+    return np.stack([s[..., 2, 1], s[..., 0, 2], s[..., 1, 0]], axis=-1)
 
 
 def check_rotation(r, tol=1e-9):
@@ -69,31 +71,34 @@ def _skew(v):
     return k, theta, theta < _SMALL_ANGLE
 
 
-def _skew_poly(k, c1, c2):
+def _skew_poly(k, k2, c1, c2):
     """I + c1 K + c2 K^2 with one coefficient pair per matrix."""
     c1 = np.asarray(c1)[..., None, None]
-    return np.eye(3) + c1 * k + c2[..., None, None] * (k @ k)
+    return np.eye(3) + c1 * k + c2[..., None, None] * k2
+
+
+def _exp_and_jacobian(v):
+    """exp(hat(v)) and J_r(v), sharing K, K^2, the angle, sin and cos."""
+    k, theta, small = _skew(v)
+    k2 = k @ k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sin_t = np.sin(theta)
+        a = np.where(small, 1.0 - theta ** 2 / 6.0, sin_t / theta)
+        b = np.where(small, 0.5 - theta ** 2 / 24.0,
+                     (1.0 - np.cos(theta)) / theta ** 2)
+        c = np.where(small, 1.0 / 6.0 - theta ** 2 / 120.0,
+                     (theta - sin_t) / theta ** 3)
+    return _skew_poly(k, k2, a, b), _skew_poly(k, k2, -b, c)
 
 
 def exp_so3(v):
     """Rodrigues formula, series-stabilized near zero."""
-    k, theta, small = _skew(v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(small, 1.0 - theta ** 2 / 6.0, np.sin(theta) / theta)
-        b = np.where(small, 0.5 - theta ** 2 / 24.0,
-                     (1.0 - np.cos(theta)) / theta ** 2)
-    return _skew_poly(k, a, b)
+    return _exp_and_jacobian(v)[0]
 
 
 def so3_jacobian_right(v):
     """J_r with exp(v + dv) = exp(v) exp(hat(J_r(v) dv)) to first order."""
-    k, theta, small = _skew(v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b = np.where(small, 0.5 - theta ** 2 / 24.0,
-                     (1.0 - np.cos(theta)) / theta ** 2)
-        c = np.where(small, 1.0 / 6.0 - theta ** 2 / 120.0,
-                     (theta - np.sin(theta)) / theta ** 3)
-    return _skew_poly(k, -b, c)
+    return _exp_and_jacobian(v)[1]
 
 
 def so3_jacobian_right_inv(v):
@@ -102,7 +107,7 @@ def so3_jacobian_right_inv(v):
         e = np.where(small, 1.0 / 12.0 + theta ** 2 / 720.0,
                      1.0 / theta ** 2 - (1.0 + np.cos(theta)) / (
                          2.0 * theta * np.sin(theta)))
-    return _skew_poly(k, 0.5, e)
+    return _skew_poly(k, k @ k, 0.5, e)
 
 
 def log_so3(r):
@@ -206,7 +211,9 @@ class Se3Samples:
     Sample s belongs to demonstration d = index[s] and has weight
     1 / (N K_d), where K_d is the sample count of demo d among N demos;
     a weighted sum over samples is then the mean over each demo's samples
-    averaged over the demos.
+    averaged over the demos.  pool[d, s] holds weight[s] where
+    index[s] == d and 0 elsewhere, so pool @ rows sums each demo's
+    weighted sample rows.
     """
     taus: np.ndarray             # (S,)
     phi: np.ndarray              # (S, B)
@@ -214,18 +221,22 @@ class Se3Samples:
     positions: np.ndarray        # (S, 3)
     rotations: np.ndarray        # (S, 3, 3)
     weight: np.ndarray           # (S,)
+    pool: np.ndarray             # (N, S)
 
     @classmethod
     def from_dataset(cls, dataset, basis):
         counts = np.array([len(traj.times) for traj in dataset])
         index = np.repeat(np.arange(len(dataset)), counts)
         taus = np.concatenate([traj.taus for traj in dataset])
+        weight = 1.0 / (len(dataset) * counts[index])
+        pool = np.zeros((len(dataset), len(index)))
+        pool[index, np.arange(len(index))] = weight
         return cls(taus=taus, phi=basis.evaluate(taus), index=index,
                    positions=np.concatenate(
                        [traj.positions for traj in dataset]),
                    rotations=np.concatenate(
                        [traj.rotations for traj in dataset]),
-                   weight=1.0 / (len(dataset) * counts[index]))
+                   weight=weight, pool=pool)
 
 
 def _pose_curves(taus, phi, index, p_start, p_end, w_pos, r_start, ell,
@@ -237,20 +248,21 @@ def _pose_curves(taus, phi, index, p_start, p_end, w_pos, r_start, ell,
     curve index[s] at phase taus[s], with basis row phi[s].  Per-curve
     arrays have N rows: p_start and p_end (N, 3), w_pos and w_rot
     (N, 3, B), r_start (N, 3, 3), and ell = log(R_i^T R_f) (N, 3); a
-    start pose shared by all curves may be passed once.  Returns p (S, 3)
-    and R (S, 3, 3) with the tangents a = tau ell, c = w_R phi and
-    exp(c), which the loss gradient reuses.
+    start pose shared by all curves may be passed once and is broadcast.
+    Returns p (S, 3) and R (S, 3, 3) with exp(c) and the right Jacobians
+    of exp at a = tau ell and c = w_R phi, which the loss gradient reuses.
     """
-    shape = (len(ell),)
-    p_start = np.broadcast_to(p_start, shape + (3,))[index]
-    r_start = np.broadcast_to(r_start, shape + (3, 3))[index]
+    if np.ndim(p_start) == 2:
+        p_start = p_start[index]
+    if np.ndim(r_start) == 3:
+        r_start = r_start[index]
     t = taus[:, None]
     p = (1.0 - t) * p_start + t * p_end[index] \
         + np.einsum("sdb,sb->sd", w_pos[index], phi)
-    a = t * ell[index]
-    c = np.einsum("sdb,sb->sd", w_rot[index], phi)
-    exp_c = exp_so3(c)
-    return p, r_start @ exp_so3(a) @ exp_c, a, c, exp_c
+    exp_a, jac_a = _exp_and_jacobian(t * ell[index])
+    exp_c, jac_c = _exp_and_jacobian(
+        np.einsum("sdb,sb->sd", w_rot[index], phi))
+    return p, r_start @ exp_a @ exp_c, exp_c, jac_a, jac_c
 
 
 def _stack_curves(params_list):
@@ -353,38 +365,38 @@ def se3_loss_and_grads(outputs, samples, p_start, r_start, n_bases, beta=1.0):
     """Loss and d loss / d decoder-outputs for a batch of demonstrations.
 
     outputs: (N, 6B+6) raw decoder rows, row d for demonstration d of the
-    Se3Samples.  All samples are evaluated in one pass, and each sample's
-    weighted gradient is added into its demonstration's row.  Gradient of
-    the rotation terms flows through both the shape rotation and the
-    decoded final rotation via right-Jacobian chain rules.
+    Se3Samples.  All samples are evaluated in one pass, and one pooling
+    matmul sums each sample's weighted gradient into its demonstration's
+    row.  Gradient of the rotation terms flows through both the shape
+    rotation and the decoded final rotation via right-Jacobian chain
+    rules.
     """
     n, b = len(outputs), n_bases
-    if n != samples.index.max() + 1:
-        raise ValueError(f"{n} output rows for "
-                         f"{samples.index.max() + 1} demonstrations")
-    w_f = outputs[:, 6 * b + 3:]
-    ell = _log(r_start.T @ exp_so3(w_f))
-    p_hat, r_hat, a, c, exp_c = _pose_curves(
+    if n != len(samples.pool):
+        raise ValueError(f"{n} output rows for {len(samples.pool)} "
+                         "demonstrations")
+    exp_f, jac_f = _exp_and_jacobian(outputs[:, 6 * b + 3:])
+    ell = _log(r_start.T @ exp_f)
+    p_hat, r_hat, exp_c, jac_a, jac_c = _pose_curves(
         samples.taus, samples.phi, samples.index, p_start,
         outputs[:, 6 * b:6 * b + 3], outputs[:, :3 * b].reshape(n, 3, b),
         r_start, ell, outputs[:, 3 * b:6 * b].reshape(n, 3, b))
     total, e_pos, err = _blended_error(samples, p_hat, r_hat, beta)
 
-    g_eps = 4.0 * beta * err
-    g_c = np.einsum("sji,sj->si", so3_jacobian_right(c), g_eps)
-    g_a = np.einsum("sji,sjk,sk->si", so3_jacobian_right(a), exp_c, g_eps)
+    # each sample's J^T g as the row-vector product g^T J, one batched matmul
+    g_eps = (4.0 * beta * err)[:, None, :]
+    g_c = (g_eps @ jac_c)[:, 0]
+    g_a = (g_eps @ np.swapaxes(exp_c, -1, -2) @ jac_a)[:, 0]
     taus, phi = samples.taus[:, None], samples.phi[:, None, :]
     rows = np.concatenate([
         (2.0 * e_pos[:, :, None] * phi).reshape(len(taus), -1),
         (g_c[:, :, None] * phi).reshape(len(taus), -1),
         2.0 * taus * e_pos,
         taus * g_a], axis=1)
-    grads = np.zeros_like(outputs)
-    np.add.at(grads, samples.index, samples.weight[:, None] * rows)
+    grads = samples.pool @ rows
     # the last block holds d loss / d ell; ell = log(R_i^T exp(w_f))
-    grads[:, 6 * b + 3:] = np.einsum(
-        "dji,dkj,dk->di", so3_jacobian_right(w_f),
-        so3_jacobian_right_inv(ell), grads[:, 6 * b + 3:])
+    grads[:, 6 * b + 3:] = (grads[:, None, 6 * b + 3:]
+                            @ so3_jacobian_right_inv(ell) @ jac_f)[:, 0]
     return total, grads
 
 

@@ -27,6 +27,69 @@ def test_hat_vee_round_trip():
         lie.vee(np.full((3, 3), np.nan))
 
 
+@pytest.mark.parametrize("count", [1, 3, 5])
+def test_vee_takes_stacks(count):
+    rng = np.random.default_rng(30 + count)
+    v = rng.normal(size=(count, 3))
+    assert np.array_equal(lie.vee(lie.hat(v)), v)
+    assert np.array_equal(lie.vee(lie.hat(v).reshape(1, count, 3, 3)),
+                          v.reshape(1, count, 3))
+    bad = lie.hat(v)
+    bad[-1, 0, 1] += 1.0
+    with pytest.raises(ValueError, match="skew-symmetric"):
+        lie.vee(bad)
+
+
+@pytest.mark.parametrize("shape", [(3,), (9,), (3, 4), (2, 4, 3)])
+def test_vee_rejects_wrong_shape(shape):
+    with pytest.raises(ValueError, match=r"\(\.\.\., 3, 3\)"):
+        lie.vee(np.zeros(shape))
+
+
+# exp and J_r as separate maps, each from its own hat matrix and K^2: the
+# bits the fused helper must reproduce
+def _separate_exp(v):
+    k, theta, small = lie._skew(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(small, 1.0 - theta ** 2 / 6.0, np.sin(theta) / theta)
+        b = np.where(small, 0.5 - theta ** 2 / 24.0,
+                     (1.0 - np.cos(theta)) / theta ** 2)
+    return np.eye(3) + a[..., None, None] * k + b[..., None, None] * (k @ k)
+
+
+def _separate_jr(v):
+    k, theta, small = lie._skew(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = np.where(small, 0.5 - theta ** 2 / 24.0,
+                     (1.0 - np.cos(theta)) / theta ** 2)
+        c = np.where(small, 1.0 / 6.0 - theta ** 2 / 120.0,
+                     (theta - np.sin(theta)) / theta ** 3)
+    return np.eye(3) + (-b)[..., None, None] * k + c[..., None, None] * (k @ k)
+
+
+_AXIS = np.array([0.6, -0.48, 0.64])            # unit length
+_FUSED_INPUTS = {
+    "zero": np.zeros(3),
+    "series": 0.3 * lie._SMALL_ANGLE * _AXIS,
+    "generic": np.array([0.3, -1.2, 0.7]),
+    "near-pi": (np.pi - 1e-3) * _AXIS,
+}
+
+
+@pytest.mark.parametrize("case", list(_FUSED_INPUTS))
+@pytest.mark.parametrize("stacked", [False, True])
+def test_fused_exp_and_jacobian_match_the_separate_maps(case, stacked):
+    v = _FUSED_INPUTS[case]
+    if stacked:
+        v = np.stack([v, *_FUSED_INPUTS.values(), v])
+    exp_v, jac_v = lie._exp_and_jacobian(v)
+    assert exp_v.shape == jac_v.shape == v.shape[:-1] + (3, 3)
+    assert np.array_equal(exp_v, lie.exp_so3(v))
+    assert np.array_equal(jac_v, lie.so3_jacobian_right(v))
+    assert np.array_equal(exp_v, _separate_exp(v))
+    assert np.array_equal(jac_v, _separate_jr(v))
+
+
 def test_exp_of_zero_is_identity():
     assert np.allclose(lie.exp_so3(np.zeros(3)), np.eye(3))
 
@@ -461,6 +524,23 @@ def test_batched_loss_matches_per_demo_reference(case):
                                                       B, beta=beta)
         assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
         assert _rel_err(grads, ref_grads) <= 1e-12
+
+
+def test_pool_sums_each_demos_weighted_samples():
+    sets, basis = _loss_fixtures()
+    demos = sets["unequal"]
+    samples = lie.Se3Samples.from_dataset(demos, basis)
+    n, s = len(demos), len(samples.index)
+    assert samples.pool.shape == (n, s)
+    for d in range(n):
+        for k in range(s):
+            want = samples.weight[k] if samples.index[k] == d else 0.0
+            assert samples.pool[d, k] == want
+        assert samples.pool[d].sum() == pytest.approx(1.0 / n, rel=1e-14)
+    rows = np.random.default_rng(22).normal(size=(s, 4))
+    want = np.zeros((n, 4))
+    np.add.at(want, samples.index, samples.weight[:, None] * rows)
+    assert np.allclose(samples.pool @ rows, want, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("case", ["identity", "rotated", "unequal"])

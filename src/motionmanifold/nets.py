@@ -29,8 +29,15 @@ class Mlp:
         if len(weights) != n_layers or len(biases) != n_layers:
             raise ValueError(f"{len(weights)} weights and {len(biases)} "
                              f"biases for {n_layers} layers")
-        self.params = np.empty(sum(o * (i + 1) for i, o in
-                                   zip(self.sizes[:-1], self.sizes[1:])))
+        # (start, stop, out, in) of each layer's weight block in params;
+        # its bias follows at stop
+        layout, start = [], 0
+        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+            stop = start + fan_out * fan_in
+            layout.append((start, stop, fan_out, fan_in))
+            start = stop + fan_out
+        self._layout = tuple(layout)
+        self.params = np.empty(start)
         self.weights, self.biases = self.layer_views(self.params)
         for i, (w, b) in enumerate(zip(weights, biases)):
             if np.shape(w) != self.weights[i].shape:
@@ -72,12 +79,9 @@ class Mlp:
         network's own weights and biases are these views of params.
         """
         weights, biases = [], []
-        start = 0
-        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
-            stop = start + fan_out * fan_in
+        for start, stop, fan_out, fan_in in self._layout:
             weights.append(flat[start:stop].reshape(fan_out, fan_in))
             biases.append(flat[stop:stop + fan_out])
-            start = stop + fan_out
         return tuple(weights), tuple(biases)
 
     # -- primal ----------------------------------------------------------

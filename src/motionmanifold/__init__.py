@@ -1,14 +1,15 @@
 """Motion-manifold movement primitives.
 
-Via-point trajectory curves with Gaussian bases, an autoencoder latent
-manifold with optional isometric regularization, latent densities with
-threshold rejection sampling, SE(3) pose curves, and sampling-based
-online replanning against moving obstacles.
+Via-point trajectory curves with Gaussian bases over a linear phase, an
+autoencoder latent manifold with an optional isometric regularization
+under the Euclidean curve metric (the basis Gram matrix), latent
+densities with threshold rejection sampling, SE(3) pose curves, and
+sampling-based online replanning against moving obstacles.
 """
 
-from .basis import (BasisSet, CurveModel, CurveParams, PhaseProfile,
-                    TimedTrajectory, evaluate_batch,
-                    load_trajectory_dataset, save_trajectory_dataset)
+from .basis import (BasisSet, CurveModel, CurveParams, TimedTrajectory,
+                    evaluate_batch, load_trajectory_dataset,
+                    save_trajectory_dataset)
 from .density import (GmmModel, KdeModel, RejectionResult, SampleFilter,
                       gmm_fit, kde_build, load_density,
                       min_loglik_threshold, rejection_sample, save_density)
@@ -17,11 +18,10 @@ from .envs import (EvalReport, ModelBundle, PlanarEnv,
                    fit_demos, generate_continuum_demos, generate_env,
                    sample_curves, success_rate)
 from .errors import (BranchError, DegenerateSupportError,
-                     DistortionUndefinedError, GenerationError, MetricError,
+                     DistortionUndefinedError, GenerationError,
                      ReplanInfeasibleError, SamplingStarvedError,
                      SingularFitError, TrainingError)
-from .geometry import (ConfigMetric, CurveGeomMetric, PullbackMetric,
-                       curvegeom_euclidean, curvegeom_general,
+from .geometry import (CurveGeomMetric, PullbackMetric, curvegeom_euclidean,
                        pullback_metric, relaxed_distortion)
 from .lie import (Se3CurveParams, Se3ManifoldModel, Se3Trajectory,
                   eval_position_curve, eval_rotation_curve, exp_so3,
@@ -38,20 +38,19 @@ from .training import ManifoldModel, TrainConfig, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState", "BasisSet", "BranchError", "ConfigMetric", "CurveGeomMetric",
-    "CurveModel", "CurveParams", "DegenerateSupportError",
-    "DistortionUndefinedError", "DynamicConstraint", "EpisodeTrace",
-    "EvalReport", "GenerationError", "GmmModel", "KdeModel", "ManifoldModel",
-    "MetricError", "Mlp", "ModelBundle", "MovingDisk",
-    "PhaseProfile", "PlanarEnv", "PullbackMetric", "RejectionResult",
+    "AdamState", "BasisSet", "BranchError", "CurveGeomMetric", "CurveModel",
+    "CurveParams", "DegenerateSupportError", "DistortionUndefinedError",
+    "DynamicConstraint", "EpisodeTrace", "EvalReport", "GenerationError",
+    "GmmModel", "KdeModel", "ManifoldModel", "Mlp", "ModelBundle",
+    "MovingDisk", "PlanarEnv", "PullbackMetric", "RejectionResult",
     "ReplanConfig", "ReplanInfeasibleError", "ReplanState", "SampleFilter",
     "SamplingStarvedError", "Se3CurveParams", "Se3ManifoldModel",
     "Se3Trajectory", "SingularFitError", "TimedTrajectory", "TrainConfig",
     "TrainingError", "adam_step", "build_bundle", "collision_check",
-    "constraint_from_script", "curvegeom_euclidean", "curvegeom_general",
-    "eval_position_curve", "eval_rotation_curve", "evaluate_batch",
-    "evaluate_success", "exp_so3", "fit_demos", "fit_se3_params",
-    "generate_continuum_demos", "generate_env", "gmm_fit", "hat", "kde_build",
+    "constraint_from_script", "curvegeom_euclidean", "eval_position_curve",
+    "eval_rotation_curve", "evaluate_batch", "evaluate_success", "exp_so3",
+    "fit_demos", "fit_se3_params", "generate_continuum_demos",
+    "generate_env", "gmm_fit", "hat", "kde_build",
     "load_density", "load_obstacle_script", "load_trajectory_dataset",
     "log_so3", "make_pouring_demos", "min_loglik_threshold",
     "predict_violation", "pullback_metric", "rejection_sample",

@@ -1,7 +1,7 @@
-"""Gaussian basis families and affine/via-point parametric curve models.
+"""Gaussian basis families and via-point parametric curve models.
 
-A curve is q(tau) = elementary(tau) + w @ phi(tau) for tau in [0, 1], with
-w an (n, B) coefficient matrix.  In via-point mode the bases carry a
+A curve is q(tau) = (1 - tau) q_start + tau q_end + w @ phi(tau) for tau in
+[0, 1], with w an (n, B) coefficient matrix.  The bases carry a
 tau*(1-tau) factor so the curve meets its endpoints exactly for every w.
 """
 
@@ -18,7 +18,7 @@ from .errors import SingularFitError
 # Uniform trapezoid grid used for every integral over [0, 1].
 QUAD_GRID_POINTS = 201
 
-FREE = "free"
+# The only curve kind and basis mode; serialized dicts name it.
 VIA_POINT = "via-point"
 
 
@@ -33,6 +33,13 @@ def _as_tau_array(tau):
         raise ValueError(f"tau must be finite and lie in [0, 1], got range "
                          f"[{lo:.6g}, {hi:.6g}]")
     return np.clip(arr, 0.0, 1.0), np.ndim(tau) == 0
+
+
+def _check_via_point(data, field):
+    """Reject a serialized curve or basis of any kind but via-point."""
+    if data[field] != VIA_POINT:
+        raise ValueError(f"field {field!r}: unsupported value "
+                         f"{data[field]!r}; only {VIA_POINT!r} is supported")
 
 
 def lstsq_coefficients(phi, targets, cond_limit=1e12):
@@ -54,11 +61,11 @@ def lstsq_coefficients(phi, targets, cond_limit=1e12):
 class BasisSet:
     """Normalized Gaussian bases b_i(tau) = exp(-(tau - c_i)^2 / (2h)).
 
-    Free mode evaluates phi_i = b_i / sum_j b_j; via-point mode multiplies
-    by tau*(1-tau) so every basis vanishes at the ends of the phase range.
+    phi_i = tau*(1-tau) b_i / sum_j b_j, so every basis vanishes at the
+    ends of the phase range.
     """
 
-    def __init__(self, centers, width, mode=VIA_POINT):
+    def __init__(self, centers, width):
         centers = np.asarray(centers, dtype=float)
         if centers.ndim != 1 or centers.size < 2:
             raise ValueError("need at least 2 basis centers")
@@ -66,14 +73,11 @@ class BasisSet:
             raise ValueError("basis centers must be mutually distinct")
         if width <= 0:
             raise ValueError("basis width must be positive")
-        if mode not in (FREE, VIA_POINT):
-            raise ValueError(f"unknown basis mode {mode!r}")
         self.centers = centers
         self.width = float(width)
-        self.mode = mode
 
     @classmethod
-    def uniform(cls, count, mode=VIA_POINT, width=None):
+    def uniform(cls, count, width=None):
         """Evenly spaced centers on [0, 1] including endpoints.
 
         Default width is the squared center spacing, which keeps adjacent
@@ -84,27 +88,18 @@ class BasisSet:
         centers = np.linspace(0.0, 1.0, count)
         if width is None:
             width = (1.0 / (count - 1)) ** 2
-        return cls(centers, width, mode)
+        return cls(centers, width)
 
     @property
     def size(self):
         return self.centers.size
-
-    def raw(self, tau):
-        """Unnormalized Gaussian values, shape (..., B)."""
-        arr, scalar = _as_tau_array(tau)
-        vals = np.exp(-((arr[:, None] - self.centers[None, :]) ** 2)
-                      / (2.0 * self.width))
-        return vals[0] if scalar else vals
 
     def evaluate(self, tau):
         """phi(tau); shape (B,) for scalar tau, (T, B) for a tau array."""
         arr, scalar = _as_tau_array(tau)
         b = np.exp(-((arr[:, None] - self.centers[None, :]) ** 2)
                    / (2.0 * self.width))
-        phi = b / b.sum(axis=1, keepdims=True)
-        if self.mode == VIA_POINT:
-            phi = phi * (arr * (1.0 - arr))[:, None]
+        phi = b / b.sum(axis=1, keepdims=True) * (arr * (1.0 - arr))[:, None]
         return phi[0] if scalar else phi
 
     def derivative(self, tau):
@@ -117,12 +112,9 @@ class BasisSet:
         ds = db.sum(axis=1, keepdims=True)
         norm = b / s
         dnorm = (db - norm * ds) / s
-        if self.mode == FREE:
-            out = dnorm
-        else:
-            m = (arr * (1.0 - arr))[:, None]
-            dm = (1.0 - 2.0 * arr)[:, None]
-            out = dm * norm + m * dnorm
+        m = (arr * (1.0 - arr))[:, None]
+        dm = (1.0 - 2.0 * arr)[:, None]
+        out = dm * norm + m * dnorm
         return out[0] if scalar else out
 
     def gram(self, grid_points=QUAD_GRID_POINTS):
@@ -134,27 +126,17 @@ class BasisSet:
         weights[-1] *= 0.5
         return (vals * weights[:, None]).T @ vals
 
-    def kernel_matrix(self):
-        """Gaussian kernel Gram matrix K(c_i, c_j) over the centers.
-
-        Positive-definiteness of this matrix certifies linear independence
-        of the bases for mutually distinct centers.
-        """
-        diff = self.centers[:, None] - self.centers[None, :]
-        return np.exp(-(diff ** 2) / (2.0 * self.width))
-
     def to_dict(self):
         return {"centers": self.centers.tolist(), "width": self.width,
-                "mode": self.mode}
+                "mode": VIA_POINT}
 
     @classmethod
     def from_dict(cls, data):
-        return cls(np.asarray(data["centers"], dtype=float),
-                   data["width"], data["mode"])
+        _check_via_point(data, "mode")
+        return cls(np.asarray(data["centers"], dtype=float), data["width"])
 
     def __eq__(self, other):
-        return (isinstance(other, BasisSet) and self.mode == other.mode
-                and self.width == other.width
+        return (isinstance(other, BasisSet) and self.width == other.width
                 and np.array_equal(self.centers, other.centers))
 
 
@@ -250,125 +232,31 @@ def load_trajectory_dataset(path):
     return trajs
 
 
-class PhaseProfile:
-    """Monotone map from wall time on [0, T] to phase on [0, 1]."""
-
-    _CHECK_POINTS = 501
-
-    def __init__(self, total_time, phase_fn, rate_fn):
-        if total_time <= 0:
-            raise ValueError("total time must be positive")
-        self.total_time = float(total_time)
-        self._phase = phase_fn
-        self._rate = rate_fn
-        grid = np.linspace(0.0, total_time, self._CHECK_POINTS)
-        vals = np.array([float(phase_fn(t)) for t in grid])
-        if abs(vals[0]) > 1e-9 or abs(vals[-1] - 1.0) > 1e-9:
-            raise ValueError("phase profile must run from 0 to 1")
-        if np.any(np.diff(vals) < -1e-12):
-            raise ValueError("phase profile must be nondecreasing")
-
-    @classmethod
-    def linear(cls, total_time):
-        return cls(total_time, lambda t: t / total_time,
-                   lambda t: 1.0 / total_time)
-
-    @classmethod
-    def smoothstep(cls, total_time):
-        """Slow start and stop: tau = 3s^2 - 2s^3 with s = t / T."""
-        def phase(t):
-            s = t / total_time
-            return 3.0 * s * s - 2.0 * s ** 3
-
-        def rate(t):
-            s = t / total_time
-            return (6.0 * s - 6.0 * s * s) / total_time
-
-        return cls(total_time, phase, rate)
-
-    def phase(self, t):
-        self._check_time(t)
-        return float(np.clip(self._phase(t), 0.0, 1.0))
-
-    def rate(self, t):
-        self._check_time(t)
-        return float(self._rate(t))
-
-    def _check_time(self, t):
-        if t < -1e-12 or t > self.total_time + 1e-12:
-            raise ValueError(f"time {t:.6g} outside [0, {self.total_time:.6g}]")
-
-
 class CurveModel:
-    """Affine curve family q(tau; w) = elementary(tau) + w @ phi(tau).
+    """Via-point curve family q(tau; w) = elementary(tau) + w @ phi(tau).
 
-    Via-point kind pins the endpoints: elementary(tau) is the straight
-    segment (1-tau) q_start + tau q_end, and the basis must be via-point
-    mode so the shape term vanishes at tau = 0 and 1.
+    elementary(tau) is the straight segment (1-tau) q_start + tau q_end,
+    and the bases vanish at tau = 0 and 1, so the curve meets both
+    endpoints exactly for every w.
     """
 
-    def __init__(self, basis, dim, kind=VIA_POINT, q_start=None, q_end=None,
-                 elementary=None, elementary_rate=None):
-        if kind not in (VIA_POINT, "affine"):
-            raise ValueError(f"unknown curve kind {kind!r}")
+    def __init__(self, basis, q_start, q_end):
         self.basis = basis
-        self.dim = int(dim)
-        self.kind = kind
-        if kind == VIA_POINT:
-            if basis.mode != VIA_POINT:
-                raise ValueError("via-point curves require a via-point basis")
-            if q_start is None or q_end is None:
-                raise ValueError("via-point curves need q_start and q_end")
-            self.q_start = np.asarray(q_start, dtype=float)
-            self.q_end = np.asarray(q_end, dtype=float)
-            if self.q_start.shape != (dim,) or self.q_end.shape != (dim,):
-                raise ValueError("endpoint shapes must match the curve dim")
-        else:
-            self.q_start = None
-            self.q_end = None
-            self._elementary = elementary
-            self._elementary_rate = elementary_rate
+        self.q_start = np.asarray(q_start, dtype=float)
+        self.q_end = np.asarray(q_end, dtype=float)
+        if self.q_start.ndim != 1 or self.q_end.shape != self.q_start.shape:
+            raise ValueError("endpoints must be vectors of one shape")
+        self.dim = self.q_start.size
 
     @classmethod
     def via_point(cls, basis, q_start, q_end):
-        q_start = np.asarray(q_start, dtype=float)
-        return cls(basis, q_start.size, VIA_POINT, q_start=q_start,
-                   q_end=np.asarray(q_end, dtype=float))
-
-    @classmethod
-    def free(cls, basis, dim, elementary=None, elementary_rate=None):
-        return cls(basis, dim, "affine", elementary=elementary,
-                   elementary_rate=elementary_rate)
+        return cls(basis, q_start, q_end)
 
     def elementary(self, tau):
-        """Shape-free part of the curve; (n,) scalar tau, (T, n) for arrays."""
+        """Straight segment between the endpoints; (n,) or (T, n)."""
         arr, scalar = _as_tau_array(tau)
-        if self.kind == VIA_POINT:
-            out = (1.0 - arr)[:, None] * self.q_start[None, :] \
-                + arr[:, None] * self.q_end[None, :]
-        elif self._elementary is None:
-            out = np.zeros((arr.size, self.dim))
-        else:
-            out = np.stack([np.asarray(self._elementary(t), dtype=float)
-                            for t in arr])
-        return out[0] if scalar else out
-
-    def elementary_rate(self, tau):
-        arr, scalar = _as_tau_array(tau)
-        if self.kind == VIA_POINT:
-            out = np.tile(self.q_end - self.q_start, (arr.size, 1))
-        elif self._elementary_rate is not None:
-            out = np.stack([np.asarray(self._elementary_rate(t), dtype=float)
-                            for t in arr])
-        elif self._elementary is None:
-            out = np.zeros((arr.size, self.dim))
-        else:
-            # No analytic form supplied; fall back to central differences.
-            eps = 1e-7
-            lo = np.clip(arr - eps, 0.0, 1.0)
-            hi = np.clip(arr + eps, 0.0, 1.0)
-            out = (self.elementary(hi) - self.elementary(lo)) \
-                / (hi - lo)[:, None]
+        out = (1.0 - arr)[:, None] * self.q_start[None, :] \
+            + arr[:, None] * self.q_end[None, :]
         return out[0] if scalar else out
 
     def _check_params(self, params):
@@ -387,56 +275,51 @@ class CurveModel:
         """Analytic d q / d tau."""
         self._check_params(params)
         dphi = self.basis.derivative(tau)
-        return self.elementary_rate(tau) + dphi @ params.coefficients.T
+        return (self.q_end - self.q_start) + dphi @ params.coefficients.T
 
-    def velocity(self, params, profile, t):
-        """d q / d t under a phase profile: rate(t) * dq/dtau at phase(t)."""
-        tau = profile.phase(t)
-        return profile.rate(t) * self.derivative_tau(params, tau)
+    def _phases(self, trajectory):
+        """Check the trajectory's dimension and map its times to phase.
 
-    def fit(self, trajectory, cond_limit=1e12):
-        """Least-squares coefficients for one demonstration.
-
-        Times are shifted to start at zero and mapped to phase linearly by
-        tau = t / t_last.  Solves w = Delta Phi^T (Phi Phi^T)^{-1} through a
-        Cholesky factorization of the normal matrix.
+        Times are shifted to start at zero and mapped linearly by
+        tau = t / t_last.
         """
         if trajectory.dim != self.dim:
             raise ValueError(f"trajectory dim {trajectory.dim} != curve dim "
                              f"{self.dim}")
+        t = trajectory.times - trajectory.times[0]
+        return t / t[-1]
+
+    def fit(self, trajectory, cond_limit=1e12):
+        """Least-squares coefficients for one demonstration.
+
+        Solves w = Delta Phi^T (Phi Phi^T)^{-1} at the trajectory's phases
+        through a Cholesky factorization of the normal matrix.
+        """
+        tau = self._phases(trajectory)
         n_samples = len(trajectory)
         if n_samples <= self.basis.size:
             raise ValueError(f"need more samples ({n_samples}) than bases "
                              f"({self.basis.size}) to fit")
-        t = trajectory.times - trajectory.times[0]
-        tau = t / t[-1]
         delta = trajectory.points - self.elementary(tau)  # (L, n)
         return CurveParams(lstsq_coefficients(self.basis.evaluate(tau),
                                               delta, cond_limit))
 
     def fit_objective(self, params, trajectory):
         """Sum of squared residuals of the fitting problem, for diagnostics."""
-        t = trajectory.times - trajectory.times[0]
-        tau = t / t[-1]
-        resid = trajectory.points - self.evaluate(params, tau)
+        resid = trajectory.points - self.evaluate(params,
+                                                  self._phases(trajectory))
         return float(np.sum(resid ** 2))
 
     def to_dict(self):
-        if self.kind != VIA_POINT and self._elementary is not None:
-            raise ValueError("cannot serialize a custom elementary callable")
-        data = {"kind": self.kind, "dim": self.dim,
-                "basis": self.basis.to_dict()}
-        if self.kind == VIA_POINT:
-            data["q_start"] = self.q_start.tolist()
-            data["q_end"] = self.q_end.tolist()
-        return data
+        return {"kind": VIA_POINT, "dim": self.dim,
+                "basis": self.basis.to_dict(),
+                "q_start": self.q_start.tolist(), "q_end": self.q_end.tolist()}
 
     @classmethod
     def from_dict(cls, data):
-        basis = BasisSet.from_dict(data["basis"])
-        if data["kind"] == VIA_POINT:
-            return cls.via_point(basis, data["q_start"], data["q_end"])
-        return cls.free(basis, data["dim"])
+        _check_via_point(data, "kind")
+        return cls(BasisSet.from_dict(data["basis"]), data["q_start"],
+                   data["q_end"])
 
 
 def evaluate_batch(model, coefficient_stack, tau):

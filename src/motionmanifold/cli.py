@@ -24,7 +24,7 @@ from .density import (SampleFilter, gmm_fit, kde_build, min_loglik_threshold,
 from .envs import (PlanarEnv, build_bundle, evaluate_success, fit_demos,
                    generate_continuum_demos, generate_env, sample_curves)
 from .errors import (BranchError, DegenerateSupportError,
-                     DistortionUndefinedError, GenerationError, MetricError,
+                     DistortionUndefinedError, GenerationError,
                      ReplanInfeasibleError, SamplingStarvedError,
                      SingularFitError, TrainingError)
 from .render import render_latent_scatter, render_loss_curves, render_scene
@@ -33,7 +33,7 @@ from .replan import (MovingDisk, ReplanConfig, constraint_from_script,
 from .training import ManifoldModel, TrainConfig, train
 from . import basis as basis_mod
 
-_NUMERICAL_ERRORS = (SingularFitError, MetricError, DistortionUndefinedError,
+_NUMERICAL_ERRORS = (SingularFitError, DistortionUndefinedError,
                      TrainingError, BranchError, DegenerateSupportError,
                      SamplingStarvedError, ReplanInfeasibleError,
                      GenerationError, np.linalg.LinAlgError)
@@ -98,8 +98,13 @@ def load_fits(path):
 # -- commands -------------------------------------------------------------
 
 def cmd_synth_demos(args):
+    if args.env != "continuum" and args.count is not None:
+        raise ConfigError(f"field 'count': {args.env} has a fixed demo set; "
+                          f"count applies only to --env continuum")
     out = _prepare_out(args)
     if args.env == "continuum":
+        if args.count is None:
+            args.count = 30
         env, demos = generate_continuum_demos(count=args.count,
                                               seed=args.seed)
     else:
@@ -340,7 +345,8 @@ def build_parser():
                                            "demonstration set")
     p.add_argument("--env", required=True,
                    choices=["env1", "env2", "env3", "continuum"])
-    p.add_argument("--count", type=int, default=30)
+    # None marks an unset count, which env1-env3 require (continuum: 30)
+    p.add_argument("--count", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_synth_demos)
 

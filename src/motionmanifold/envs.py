@@ -113,14 +113,6 @@ _WAYPOINT_X = np.array([0.0, 0.2, 0.5, 0.8, 1.0])
 _WAYPOINT_SHAPE = np.array([0.0, 0.55, 1.0, 0.55, 0.0])
 
 
-def env_spec(env_id):
-    key = env_id.lower()
-    if key not in _ENV_TABLE:
-        raise ValueError(f"unknown environment {env_id!r}; "
-                         f"expected one of {sorted(_ENV_TABLE)}")
-    return _ENV_TABLE[key]["spec"]
-
-
 def _spline_demo(peak, noise, rng, spec):
     ys = peak * _WAYPOINT_SHAPE.copy()
     ys[1:-1] += noise * rng.standard_normal(3)
@@ -176,6 +168,8 @@ def generate_continuum_demos(count=30, seed=0, peak_range=(-0.5, 0.5)):
     separated clusters, which is the regime where the adaptive kernel
     density is the right latent density model.
     """
+    if not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError(f"count must be a positive integer, got {count!r}")
     env = PlanarEnv(obstacles=[], q_start=np.array([0.0, 0.0]),
                     q_goal=np.array([1.0, 0.0]),
                     bounds=np.array([[-0.2, 1.2], [-0.8, 0.8]]))
@@ -190,7 +184,7 @@ def generate_continuum_demos(count=30, seed=0, peak_range=(-0.5, 0.5)):
 
 def fit_demos(env, demos, n_bases=20):
     """Via-point curve model with shared endpoints, plus per-demo fits."""
-    basis = BasisSet.uniform(n_bases, mode="via-point")
+    basis = BasisSet.uniform(n_bases)
     model = CurveModel.via_point(basis, env.q_start, env.q_goal)
     return model, [model.fit(traj) for traj in demos]
 

@@ -5,10 +5,6 @@ class SingularFitError(ValueError):
     """Least-squares normal matrix is numerically singular."""
 
 
-class MetricError(ValueError):
-    """A configuration-space metric failed positive-definiteness."""
-
-
 class DistortionUndefinedError(ValueError):
     """Distortion ratio has a degenerate denominator (near-zero trace)."""
 

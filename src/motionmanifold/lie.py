@@ -458,7 +458,7 @@ def make_pouring_demos(count=8, seed=0, n_samples=60, basis=None):
     """
     from .basis import BasisSet
     if basis is None:
-        basis = BasisSet.uniform(10, mode="via-point")
+        basis = BasisSet.uniform(10)
     rng = np.random.default_rng(seed)
     p_start = np.array([0.0, 0.0, 0.3])
     r_start = np.eye(3)

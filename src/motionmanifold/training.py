@@ -231,7 +231,7 @@ def train(dataset, model, config=None, metric=None):
         config = TrainConfig()
     x = _dataset_matrix(dataset, model)
     if metric is None:
-        metric = curvegeom_euclidean(model.basis, dim=model.dim)
+        metric = curvegeom_euclidean(model.basis)
 
     def reconstruction(outputs):
         resid = outputs - x

@@ -88,7 +88,7 @@ def test_fit_matches_iterative_least_squares_oracle():
         n_bases = int(rng.integers(5, 15))
         n_dim = int(rng.integers(1, 4))
         n_samples = int(rng.integers(n_bases + 5, 80))
-        basis = BasisSet.uniform(n_bases, mode="via-point")
+        basis = BasisSet.uniform(n_bases)
         model = CurveModel.via_point(basis, rng.normal(size=n_dim),
                                      rng.normal(size=n_dim))
         start = rng.uniform(-3, 3)
@@ -160,8 +160,8 @@ def test_gradients_match_finite_differences():
                       / max(np.abs(fd).max(), 1e-8))
 
     # distortion objective: gradient through the second-order pipeline
-    basis = BasisSet.uniform(4, mode="via-point")
-    metric = curvegeom_euclidean(basis, dim=2)
+    basis = BasisSet.uniform(4)
+    metric = curvegeom_euclidean(basis)
     rel_dist = 0.0
     for trial in range(10):
         dec = nets.Mlp.create([2, 6, 8], seed=300 + trial)
@@ -197,7 +197,7 @@ def test_distortion_penalty_flattens_latent_metric():
     env, demos = generate_env("env1", seed=0)
     model, fits = fit_demos(env, demos)
     labels = np.repeat([0, 1], 5)
-    metric = curvegeom_euclidean(model.basis, dim=2)
+    metric = curvegeom_euclidean(model.basis)
 
     def study(alpha):
         cfg = TrainConfig(latent_dim=2, alpha=alpha, epochs=2000,
@@ -231,7 +231,7 @@ def test_via_point_endpoints_are_exact():
     for _ in range(1000):
         n_bases = int(rng.integers(3, 25))
         n_dim = int(rng.integers(1, 7))
-        basis = BasisSet.uniform(n_bases, mode="via-point")
+        basis = BasisSet.uniform(n_bases)
         q0 = rng.normal(size=n_dim) * 10.0 ** rng.uniform(-3, 3)
         q1 = rng.normal(size=n_dim) * 10.0 ** rng.uniform(-3, 3)
         w = rng.normal(size=(n_dim, n_bases)) * 10.0 ** rng.uniform(-3, 3)
@@ -245,7 +245,7 @@ def test_via_point_endpoints_are_exact():
     worst_rot = 0.0
     for k in range(1000):
         n_bases = int(rng.integers(3, 12))
-        basis = BasisSet.uniform(n_bases, mode="via-point")
+        basis = BasisSet.uniform(n_bases)
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         r0 = lie.exp_so3(axis * rng.uniform(0, 2.8))
@@ -287,7 +287,7 @@ def test_rotation_round_trips_and_orthonormality():
     worst_curve = 0.0
     taus = np.linspace(0.0, 1.0, 51)
     for k in range(20):
-        basis = BasisSet.uniform(8, mode="via-point")
+        basis = BasisSet.uniform(8)
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         params = lie.Se3CurveParams(

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from motionmanifold.basis import (BasisSet, CurveModel, CurveParams,
-                                  PhaseProfile, TimedTrajectory,
-                                  evaluate_batch, load_trajectory_dataset,
+                                  TimedTrajectory, evaluate_batch,
+                                  load_trajectory_dataset,
                                   save_trajectory_dataset)
 from motionmanifold.errors import SingularFitError
 
@@ -17,7 +17,7 @@ def random_fixture(rng, n_bases=None, n_dim=None, n_samples=None):
     n_bases = n_bases or rng.integers(5, 15)
     n_dim = n_dim or rng.integers(1, 4)
     n_samples = n_samples or rng.integers(n_bases + 5, 80)
-    basis = BasisSet.uniform(int(n_bases), mode="via-point")
+    basis = BasisSet.uniform(int(n_bases))
     q0 = rng.normal(size=n_dim)
     q1 = rng.normal(size=n_dim)
     model = CurveModel.via_point(basis, q0, q1)
@@ -32,15 +32,16 @@ def random_fixture(rng, n_bases=None, n_dim=None, n_samples=None):
 # -- basis function properties -------------------------------------------
 
 
-def test_free_mode_partition_of_unity():
-    basis = BasisSet.uniform(10, mode="free")
-    taus = np.linspace(0, 1, 101)
-    sums = basis.evaluate(taus).sum(axis=1)
+def test_via_point_bases_normalised_inside_range():
+    # without the tau*(1-tau) factor the bases are a partition of unity
+    basis = BasisSet.uniform(10)
+    taus = np.linspace(0, 1, 101)[1:-1]
+    sums = basis.evaluate(taus).sum(axis=1) / (taus * (1.0 - taus))
     assert np.abs(sums - 1.0).max() < 1e-12
 
 
 def test_via_point_mode_vanishes_at_endpoints():
-    basis = BasisSet.uniform(7, mode="via-point")
+    basis = BasisSet.uniform(7)
     ends = basis.evaluate(np.array([0.0, 1.0]))
     assert np.abs(ends).max() < 1e-15
 
@@ -58,28 +59,22 @@ def test_uniform_centers_include_endpoints():
 
 
 def test_basis_derivative_matches_finite_differences():
-    basis = BasisSet.uniform(9, mode="via-point")
+    basis = BasisSet.uniform(9)
     taus = np.linspace(0.05, 0.95, 19)
     eps = 1e-6
     fd = (basis.evaluate(taus + eps) - basis.evaluate(taus - eps)) / (2 * eps)
     assert np.abs(basis.derivative(taus) - fd).max() < 1e-6
 
 
-def test_kernel_matrix_positive_definite():
-    basis = BasisSet.uniform(12)
-    eigs = np.linalg.eigvalsh(basis.kernel_matrix())
-    assert eigs[0] > 0
-
-
 def test_gram_matches_refined_quadrature():
-    basis = BasisSet.uniform(8, mode="via-point")
+    basis = BasisSet.uniform(8)
     coarse = basis.gram()
     fine = basis.gram(grid_points=2001)
     assert np.abs(coarse - fine).max() < 1e-7
 
 
 def test_basis_serialization_round_trip():
-    basis = BasisSet.uniform(5, mode="free", width=0.07)
+    basis = BasisSet.uniform(5, width=0.07)
     clone = BasisSet.from_dict(json.loads(json.dumps(basis.to_dict())))
     assert clone == basis
     taus = np.linspace(0, 1, 17)
@@ -94,7 +89,7 @@ def test_basis_serialization_round_trip():
 def test_via_point_endpoints_exact(seed):
     rng = np.random.default_rng(seed)
     n_dim = int(rng.integers(1, 5))
-    basis = BasisSet.uniform(int(rng.integers(4, 12)), mode="via-point")
+    basis = BasisSet.uniform(int(rng.integers(4, 12)))
     q0, q1 = rng.normal(size=(2, n_dim)) * 10
     model = CurveModel.via_point(basis, q0, q1)
     w = CurveParams(rng.normal(size=(n_dim, basis.size)) * 5)
@@ -124,8 +119,8 @@ def test_bad_tau_is_rejected(tau, message):
     basis = BasisSet.uniform(6)
     model = CurveModel.via_point(basis, np.zeros(2), np.ones(2))
     stack = np.zeros((1, 2, 6))
-    for call in (basis.evaluate, basis.derivative, basis.raw,
-                 model.elementary, lambda t: evaluate_batch(model, stack, t)):
+    for call in (basis.evaluate, basis.derivative, model.elementary,
+                 lambda t: evaluate_batch(model, stack, t)):
         with pytest.raises(ValueError, match=message):
             call(tau)
 
@@ -223,6 +218,16 @@ def test_indistinguishable_bases_raise_singular_fit():
         model.fit(traj)
 
 
+def test_fit_and_objective_reject_wrong_dimension():
+    basis = BasisSet.uniform(5)
+    model = CurveModel.via_point(basis, np.zeros(2), np.ones(2))
+    traj = TimedTrajectory(times=np.linspace(0, 1, 20), points=np.zeros(20))
+    with pytest.raises(ValueError, match="trajectory dim 1 != curve dim 2"):
+        model.fit(traj)
+    with pytest.raises(ValueError, match="trajectory dim 1 != curve dim 2"):
+        model.fit_objective(CurveParams(np.zeros((2, 5))), traj)
+
+
 def test_fit_invariant_to_time_shift_and_scale():
     rng = np.random.default_rng(9)
     basis = BasisSet.uniform(7)
@@ -232,36 +237,6 @@ def test_fit_invariant_to_time_shift_and_scale():
     a = model.fit(TimedTrajectory(times=taus, points=pts))
     b = model.fit(TimedTrajectory(times=5.0 + 3.0 * taus, points=pts))
     assert np.allclose(a.coefficients, b.coefficients)
-
-
-# -- phase profiles -------------------------------------------------------
-
-
-def test_linear_profile():
-    prof = PhaseProfile.linear(4.0)
-    assert prof.phase(0.0) == 0.0
-    assert prof.phase(4.0) == 1.0
-    assert prof.phase(1.0) == pytest.approx(0.25)
-    assert prof.rate(2.0) == pytest.approx(0.25)
-
-
-def test_smoothstep_profile_rests_at_endpoints():
-    prof = PhaseProfile.smoothstep(2.0)
-    assert prof.phase(0.0) == 0.0
-    assert prof.phase(2.0) == pytest.approx(1.0)
-    assert prof.rate(0.0) == pytest.approx(0.0)
-    assert prof.rate(2.0) == pytest.approx(0.0, abs=1e-12)
-    assert prof.rate(1.0) > 0
-
-
-def test_velocity_scales_with_duration():
-    rng = np.random.default_rng(10)
-    basis = BasisSet.uniform(6)
-    model = CurveModel.via_point(basis, np.zeros(2), np.ones(2))
-    w = CurveParams(rng.normal(size=(2, 6)))
-    fast = model.velocity(w, PhaseProfile.linear(1.0), 0.5)
-    slow = model.velocity(w, PhaseProfile.linear(2.0), 1.0)
-    assert np.allclose(fast, 2.0 * slow)
 
 
 # -- serialization --------------------------------------------------------
@@ -275,6 +250,17 @@ def test_curve_model_round_trip(tmp_path):
     w = CurveParams(np.random.default_rng(0).normal(size=(2, 5)))
     taus = np.linspace(0, 1, 13)
     assert np.array_equal(clone.evaluate(w, taus), model.evaluate(w, taus))
+
+
+def test_loaders_reject_non_via_point():
+    data = CurveModel.via_point(BasisSet.uniform(5), np.zeros(2),
+                                np.ones(2)).to_dict()
+    data["kind"] = "affine"
+    with pytest.raises(ValueError, match="field 'kind'.*'affine'"):
+        CurveModel.from_dict(data)
+    data["basis"]["mode"] = "free"
+    with pytest.raises(ValueError, match="field 'mode'.*'free'"):
+        BasisSet.from_dict(data["basis"])
 
 
 def test_params_save_load(tmp_path):

@@ -185,6 +185,33 @@ def test_malformed_config_exits_2(tmp_path, payload, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_count_for_fixed_environment_exits_2(tmp_path, capsys, source):
+    # env1-env3 have a fixed demo set, so an explicit count cannot apply
+    argv = ["synth-demos", "--env", "env1", "--out", str(tmp_path / "o")]
+    if source == "flag":
+        argv += ["--count", "4"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"count": 4}))
+        argv += ["--config", str(cfg)]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'count'" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_via_point_fits_exit_2(workspace, tmp_path, capsys):
+    data = json.loads((workspace["fits"] / "fits.json").read_text())
+    data["model"]["kind"] = "affine"
+    fits = tmp_path / "fits.json"
+    fits.write_text(json.dumps(data))
+    assert run_cli("train", "--fits", str(fits), "--epochs", "2",
+                   "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'affine'" in err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code = run_cli("synth-demos", "--env", "continuum",
                    "--config", str(tmp_path / "absent.json"),

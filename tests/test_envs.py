@@ -102,10 +102,9 @@ def test_generation_error_when_no_clear_demo_exists(monkeypatch):
 
 
 def test_unknown_environment_is_rejected():
-    with pytest.raises(ValueError, match="unknown environment"):
-        generate_env("env9")
-    with pytest.raises(ValueError, match="unknown environment"):
-        envs.env_spec("nope")
+    for env_id in ("env9", "nope"):
+        with pytest.raises(ValueError, match="unknown environment"):
+            generate_env(env_id)
 
 
 def test_continuum_demos_sweep_one_family():

@@ -215,7 +215,7 @@ def se3_fixture(seed=0, n=40, n_bases=8):
 
 def test_rotation_curve_hits_endpoints():
     rng = np.random.default_rng(6)
-    basis = BasisSet.uniform(7, mode="via-point")
+    basis = BasisSet.uniform(7)
     for _ in range(20):
         r0 = lie.exp_so3(random_rotvec(rng))
         r1 = lie.exp_so3(random_rotvec(rng))
@@ -231,7 +231,7 @@ def test_rotation_curve_hits_endpoints():
 
 def test_rotation_curve_stays_orthonormal():
     rng = np.random.default_rng(7)
-    basis = BasisSet.uniform(6, mode="via-point")
+    basis = BasisSet.uniform(6)
     params = lie.Se3CurveParams(
         w_pos=rng.normal(size=(3, 6)), w_rot=rng.normal(size=(3, 6)),
         p_start=np.zeros(3), p_end=np.ones(3),
@@ -243,7 +243,7 @@ def test_rotation_curve_stays_orthonormal():
 
 def test_position_curve_endpoints():
     rng = np.random.default_rng(8)
-    basis = BasisSet.uniform(5, mode="via-point")
+    basis = BasisSet.uniform(5)
     params = lie.Se3CurveParams(
         w_pos=rng.normal(size=(3, 5)), w_rot=np.zeros((3, 5)),
         p_start=np.array([1.0, 2.0, 3.0]), p_end=np.array([-1.0, 0.0, 5.0]),
@@ -287,7 +287,7 @@ def test_recon_loss_zero_for_exact_fit_and_beta_scaling():
 
 def test_feature_packing_round_trip():
     rng = np.random.default_rng(11)
-    basis = BasisSet.uniform(5, mode="via-point")
+    basis = BasisSet.uniform(5)
     r0 = lie.exp_so3(random_rotvec(rng))
     r1 = lie.exp_so3(random_rotvec(rng, max_angle=2.0))
     params = lie.Se3CurveParams(

@@ -200,8 +200,8 @@ def test_serialization_round_trip(tmp_path):
 
 
 def test_distortion_terms_shapes():
-    basis = BasisSet.uniform(5, mode="via-point")
-    metric = curvegeom_euclidean(basis, dim=2)
+    basis = BasisSet.uniform(5)
+    metric = curvegeom_euclidean(basis)
     dec = nets.Mlp.create([2, 8, 10], seed=0)
     z = np.random.default_rng(1).normal(size=(6, 2))
     acts, cache, ku, q, tr, tr_sq = nets.distortion_terms(dec, z, metric)
@@ -211,8 +211,8 @@ def test_distortion_terms_shapes():
 
 
 def test_grad_of_distortion_matches_finite_differences():
-    basis = BasisSet.uniform(4, mode="via-point")
-    metric = curvegeom_euclidean(basis, dim=2)
+    basis = BasisSet.uniform(4)
+    metric = curvegeom_euclidean(basis)
     rng = np.random.default_rng(14)
     worst = 0.0
     for trial in range(20):
@@ -239,8 +239,8 @@ def test_grad_of_distortion_matches_finite_differences():
 
 def test_distortion_value_floor():
     # ratio E[S^2]/E[S]^2 >= 1/N by Cauchy-Schwarz; equality when S constant
-    basis = BasisSet.uniform(4, mode="via-point")
-    metric = curvegeom_euclidean(basis, dim=1)
+    basis = BasisSet.uniform(4)
+    metric = curvegeom_euclidean(basis)
     dec = nets.Mlp.create([2, 6, 4], seed=2)
     z = np.random.default_rng(3).normal(size=(8, 2))
     value, _ = nets.grad_of_distortion(dec, z, metric)

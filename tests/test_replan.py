@@ -26,7 +26,7 @@ class BumpModel:
     """
 
     def __init__(self, n_bases=8):
-        basis = BasisSet.uniform(n_bases, mode="via-point")
+        basis = BasisSet.uniform(n_bases)
         self.curve_model = CurveModel.via_point(
             basis, np.zeros(2), np.array([1.0, 0.0]))
         self.pattern = np.vstack([np.zeros(n_bases), np.ones(n_bases)])

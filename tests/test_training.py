@@ -79,7 +79,7 @@ def test_training_is_seed_reproducible(arc_family):
 
 def test_alpha_zero_never_touches_metric(arc_family):
     model, fits = arc_family
-    metric = curvegeom_euclidean(model.basis, dim=model.dim)
+    metric = curvegeom_euclidean(model.basis)
     cfg = TrainConfig(latent_dim=2, epochs=20, hidden=(8, 8), seed=0,
                       alpha=0.0)
     m = train(fits, model, cfg, metric=metric)
@@ -89,7 +89,7 @@ def test_alpha_zero_never_touches_metric(arc_family):
 
 def test_alpha_positive_regularizes(arc_family):
     model, fits = arc_family
-    metric = curvegeom_euclidean(model.basis, dim=model.dim)
+    metric = curvegeom_euclidean(model.basis)
     cfg = TrainConfig(latent_dim=2, epochs=60, hidden=(16, 16), seed=0,
                       alpha=0.1)
     m = train(fits, model, cfg, metric=metric)
@@ -255,11 +255,11 @@ def test_train_matches_reference_loop(arc_family, alpha):
     model, fits = arc_family
     cfg = TrainConfig(latent_dim=2, epochs=40, hidden=(16, 16), seed=4,
                       alpha=alpha)
-    metric = curvegeom_euclidean(model.basis, dim=model.dim)
+    metric = curvegeom_euclidean(model.basis)
     got = train(fits, model, cfg, metric=metric)
     x = np.stack([flatten_params(f) for f in fits])
     encoder, decoder, history = _reference_train_loop(
-        x, cfg, curvegeom_euclidean(model.basis, dim=model.dim))
+        x, cfg, curvegeom_euclidean(model.basis))
     assert got.history == history
     _assert_same_nets((got.encoder, got.decoder), (encoder, decoder))
 

@@ -11,7 +11,7 @@ from .basis import (BasisSet, CurveModel, CurveParams, TimedTrajectory,
                     evaluate_batch, load_trajectory_dataset,
                     save_trajectory_dataset)
 from .density import (GmmModel, KdeModel, RejectionResult, SampleFilter,
-                      gmm_fit, kde_build, load_density,
+                      fit_density, gmm_fit, kde_build, load_density,
                       min_loglik_threshold, rejection_sample, save_density)
 from .envs import (EvalReport, ModelBundle, PlanarEnv,
                    build_bundle, collision_check, evaluate_success,
@@ -49,7 +49,7 @@ __all__ = [
     "TrainingError", "adam_step", "build_bundle", "collision_check",
     "constraint_from_script", "curvegeom_euclidean", "eval_position_curve",
     "eval_rotation_curve", "evaluate_batch", "evaluate_success", "exp_so3",
-    "fit_demos", "fit_se3_params", "generate_continuum_demos",
+    "fit_demos", "fit_density", "fit_se3_params", "generate_continuum_demos",
     "generate_env", "gmm_fit", "hat", "kde_build",
     "load_density", "load_obstacle_script", "load_trajectory_dataset",
     "log_so3", "make_pouring_demos", "min_loglik_threshold",

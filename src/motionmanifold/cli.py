@@ -19,8 +19,8 @@ import numpy as np
 
 from .basis import (CurveModel, CurveParams, TimedTrajectory,
                     load_trajectory_dataset, save_trajectory_dataset)
-from .density import (SampleFilter, gmm_fit, kde_build, min_loglik_threshold,
-                      rejection_sample, save_density)
+from .density import (FAMILIES, SampleFilter, fit_density, kde_build,
+                      min_loglik_threshold, rejection_sample, save_density)
 from .envs import (PlanarEnv, build_bundle, evaluate_success, fit_demos,
                    generate_continuum_demos, generate_env, sample_curves)
 from .errors import (BranchError, DegenerateSupportError,
@@ -153,14 +153,6 @@ def cmd_train(args):
     return 0
 
 
-def _density_over(z, family, components, seed):
-    if family == "gmm":
-        return gmm_fit(z, components, seed=seed)
-    if family == "kde":
-        return kde_build(z)
-    raise ConfigError(f"field 'density': unknown family {family!r}")
-
-
 def cmd_sample(args):
     out = _prepare_out(args)
     if args.from_params:
@@ -179,7 +171,7 @@ def cmd_sample(args):
     manifold = ManifoldModel.load(args.model)
     with open(os.path.join(args.model, "latents.json")) as fh:
         z = np.asarray(json.load(fh)["z"], dtype=float)
-    density = _density_over(z, args.density, args.components, args.seed)
+    density = fit_density(z, args.density, args.components, args.seed)
     threshold = min_loglik_threshold(density, z)
     rng = np.random.default_rng(args.seed)
     result = rejection_sample(
@@ -218,10 +210,8 @@ def cmd_eval(args):
     rng = np.random.default_rng(9999)
     stacks, _ = sample_curves(bundle, min(30, args.num_samples), rng)
     grid = np.linspace(0.0, 1.0, 200)
-    curves = [basis_mod.evaluate_batch(bundle.curve_model,
-                                       stacks[i:i + 1], grid)[0]
-              for i in range(len(stacks))]
-    render_scene(os.path.join(out, "scene.svg"), env, curves)
+    curves = basis_mod.evaluate_batch(bundle.curve_model, stacks, grid)
+    render_scene(os.path.join(out, "scene.svg"), env, list(curves))
     _write_meta(out, "eval", args,
                 ["env", "kind", "num_samples", "seeds", "epochs", "alpha",
                  "density", "bases"])
@@ -305,7 +295,7 @@ def cmd_export_plot(args):
     if os.path.exists(latents_path):
         with open(latents_path) as fh:
             z = np.asarray(json.load(fh)["z"], dtype=float)
-        density = _density_over(z, args.density, args.components, args.seed)
+        density = fit_density(z, args.density, args.components, args.seed)
         rng = np.random.default_rng(args.seed)
         draws = np.atleast_2d(density.sample(rng, count=args.count))
         render_latent_scatter(os.path.join(out, "latent_scatter.svg"), z,
@@ -372,7 +362,7 @@ def build_parser():
     p.add_argument("--model", default=None)
     p.add_argument("--from-params", default=None)
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--density", default="gmm", choices=["gmm", "kde"])
+    p.add_argument("--density", default="gmm", choices=list(FAMILIES))
     p.add_argument("--components", type=int, default=2)
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--grid", type=int, default=101)
@@ -389,7 +379,7 @@ def build_parser():
     p.add_argument("--epochs", type=int, default=5000)
     p.add_argument("--hidden", type=str, default="256,256,256")
     p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--density", default="gmm", choices=["gmm", "kde"])
+    p.add_argument("--density", default="gmm", choices=list(FAMILIES))
     p.add_argument("--bases", type=int, default=20)
     _add_common(p)
     p.set_defaults(func=cmd_eval)
@@ -411,7 +401,7 @@ def build_parser():
                                             "samples, and loss curves")
     p.add_argument("--model", required=True)
     p.add_argument("--env", default=None)
-    p.add_argument("--density", default="gmm", choices=["gmm", "kde"])
+    p.add_argument("--density", default="gmm", choices=list(FAMILIES))
     p.add_argument("--components", type=int, default=2)
     p.add_argument("--count", type=int, default=40)
     _add_common(p)
@@ -419,37 +409,45 @@ def build_parser():
     return parser
 
 
-def _apply_config(args, argv):
+def _config_value(key, value, action):
+    """A JSON config value checked as argparse checks the flag's text."""
+    if value is None and action.default is None:
+        return None                      # the option's own unset marker
+    want = bool if action.nargs == 0 else action.type or str
+    # bool subclasses int, so it must be told apart explicitly
+    accepted = (int, float) if want is float else want
+    if isinstance(value, bool) != (want is bool) \
+            or not isinstance(value, accepted):
+        raise ConfigError(f"field {key!r}: expected {want.__name__}, "
+                          f"got {type(value).__name__}")
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"field {key!r}: {value!r} is not one of "
+                          f"{list(action.choices)}")
+    return float(value) if want is float else value
+
+
+def _apply_config(args, argv, parser):
     if not args.config:
         return
     try:
         with open(args.config) as fh:
             data = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file {args.config!r} does not exist")
     except json.JSONDecodeError as err:
         raise ConfigError(f"config file {args.config!r} is not valid "
                           f"JSON: {err}")
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
+    commands = next(a for a in parser._actions if a.dest == "command")
+    actions = {a.dest: a for a in commands.choices[args.command]._actions
+               if a.dest not in ("help", "config")}
     for key, value in data.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest) or dest in ("func", "command", "config"):
+        if dest not in actions:
             raise ConfigError(f"unknown config field {key!r}")
         flag = "--" + key.replace("_", "-")
         if flag in argv:
             continue                     # explicit flag wins
-        current = getattr(args, dest)
-        if current is not None and not isinstance(value, type(current)) \
-                and not (isinstance(current, float)
-                         and isinstance(value, int)) \
-                and not (isinstance(current, bool)
-                         and isinstance(value, bool)):
-            raise ConfigError(
-                f"field {key!r}: expected {type(current).__name__}, "
-                f"got {type(value).__name__}")
-        setattr(args, dest, float(value) if isinstance(current, float)
-                else value)
+        setattr(args, dest, _config_value(key, value, actions[dest]))
 
 
 def main(argv=None):
@@ -457,10 +455,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, argv)
+        _apply_config(args, argv, parser)
         return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except FileNotFoundError as err:
+        print(f"config error: input path {err.filename!r} does not exist",
+              file=sys.stderr)
         return 2
     except _NUMERICAL_ERRORS as err:
         print(f"numerical failure: {type(err).__name__}: {err}",

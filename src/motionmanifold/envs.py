@@ -19,8 +19,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .basis import BasisSet, CurveModel, TimedTrajectory, evaluate_batch
-from .density import (SampleFilter, gmm_fit, kde_build, min_loglik_threshold,
-                      rejection_sample)
+from .density import (SampleFilter, fit_density, gmm_fit,
+                      min_loglik_threshold, rejection_sample)
 from .errors import GenerationError
 from .replan import MovingDisk, constraint_from_script
 from .training import TrainConfig, train, flatten_params
@@ -231,13 +231,9 @@ def build_bundle(kind, env, demos, seed=0, n_bases=20, n_components=None,
     dim, n_b = model.dim, model.basis.size
     if n_components is None:
         n_components = default_components(env)
-    if kind == "vmp-gauss":
-        density = gmm_fit(w, 1, seed=seed)
-        return ModelBundle(kind=kind, density=density,
-                           decode_batch=lambda s: s.reshape(-1, dim, n_b),
-                           curve_model=model, threshold=-np.inf)
-    if kind == "vmp-gmm":
-        density = gmm_fit(w, n_components, seed=seed)
+    if kind in ("vmp-gauss", "vmp-gmm"):
+        density = gmm_fit(w, 1 if kind == "vmp-gauss" else n_components,
+                          seed=seed)
         return ModelBundle(kind=kind, density=density,
                            decode_batch=lambda s: s.reshape(-1, dim, n_b),
                            curve_model=model, threshold=-np.inf)
@@ -248,12 +244,7 @@ def build_bundle(kind, env, demos, seed=0, n_bases=20, n_components=None,
         cfg = replace(train_config, seed=seed, alpha=kind_alpha)
     manifold = train(fits, model, cfg)
     z = manifold.encode_many(fits)
-    if density_family == "gmm":
-        density = gmm_fit(z, n_components, seed=seed)
-    elif density_family == "kde":
-        density = kde_build(z)
-    else:
-        raise ValueError(f"unknown density family {density_family!r}")
+    density = fit_density(z, density_family, n_components, seed)
     threshold = min_loglik_threshold(density, z)
     return ModelBundle(kind=kind, density=density,
                        decode_batch=manifold.decode_many,

@@ -220,6 +220,43 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "does not exist" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, payload", [
+    (["sample"], {"from_params": 5}),
+    (["export-plot", "--model", "{model}"], {"env": 7}),
+    (["synth-demos", "--env", "continuum"], {"count": True}),
+    (["train", "--fits", "{fits}"], {"epochs": True}),
+    (["sample", "--model", "{model}"], {"density": "flow"}),
+], ids=["str-given-int", "env-given-int", "int-given-bool",
+        "epochs-given-bool", "not-a-choice"])
+def test_config_value_checked_like_its_flag(workspace, tmp_path, capsys,
+                                            argv, payload):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    argv = [arg.format(model=workspace["model"],
+                       fits=workspace["fits"] / "fits.json") for arg in argv]
+    assert run_cli(*argv, "--config", str(cfg),
+                   "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    (field,) = payload
+    assert err.startswith("config error: ") and f"'{field}'" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--model", "{missing}"],
+    ["train", "--fits", "{missing}"],
+    ["fit", "--demos", "{missing}", "--env", "{env}"],
+], ids=["sample-model", "train-fits", "fit-demos"])
+def test_missing_input_path_exits_2(workspace, tmp_path, capsys, argv):
+    missing = tmp_path / "nope"
+    argv = [arg.format(missing=missing,
+                       env=workspace["demos"] / "env.json") for arg in argv]
+    assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(missing) in err
+    assert "does not exist" in err and "Traceback" not in err
+
+
 def test_bad_hidden_spec_exits_2(workspace, tmp_path, capsys):
     code = run_cli("train", "--fits", str(workspace["fits"] / "fits.json"),
                    "--hidden", "a,b", "--out", str(tmp_path / "o"))

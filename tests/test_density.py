@@ -1,15 +1,36 @@
 import json
+import re
 
 import numpy as np
 import pytest
-from scipy.linalg import cholesky
+from scipy.linalg import cholesky, solve_triangular
 from scipy.special import logsumexp
 
-from motionmanifold.density import (GmmModel, KdeModel, SampleFilter,
-                                    _gauss_logpdf, gmm_fit, kde_build,
-                                    load_density, min_loglik_threshold,
-                                    rejection_sample, save_density)
+from motionmanifold.density import (GmmModel, SampleFilter, fit_density,
+                                    gmm_fit, kde_build, load_density,
+                                    min_loglik_threshold, rejection_sample,
+                                    save_density)
+from motionmanifold.envs import fit_demos, generate_env
 from motionmanifold.errors import DegenerateSupportError, SamplingStarvedError
+from motionmanifold.training import flatten_params
+
+
+def _gauss_logpdf(points, mean, cov_chol):
+    """Reference log N(x; mean, L L^T) at rows of `points`, one triangular
+    solve per component, for checking the stacked mixture evaluation."""
+    diff = np.atleast_2d(points) - mean
+    sol = solve_triangular(cov_chol, diff.T, lower=True)
+    maha = np.sum(sol ** 2, axis=0)
+    logdet = 2.0 * np.sum(np.log(np.diag(cov_chol)))
+    return -0.5 * (mean.size * np.log(2.0 * np.pi) + logdet + maha)
+
+
+def _gmm_parts(g, points):
+    """(Q, K) reference per-component log-densities plus log weights."""
+    return np.stack([_gauss_logpdf(points, g.means[k],
+                                   cholesky(g.covariances[k], lower=True))
+                     + np.log(g.weights[k])
+                     for k in range(g.n_components)], axis=1)
 
 
 def two_blobs(n_per=60, centers=((-1.0, 0.0), (1.0, 0.0)), scale=0.5,
@@ -48,7 +69,7 @@ def test_two_blob_recovery_and_responsibilities():
     assert np.abs(means[1] - [1, 0]).max() < 0.15
     assert np.abs(g.weights - 0.5).max() < 0.05
     # responsibilities: every point decisively owned by its blob
-    comp = g.component_logpdfs(pts) + np.log(g.weights)
+    comp = _gmm_parts(g, pts)
     resp = np.exp(comp - comp.max(axis=1, keepdims=True))
     resp /= resp.sum(axis=1, keepdims=True)
     assert resp.max(axis=1).min() > 0.999
@@ -92,6 +113,51 @@ def test_gmm_scalar_batch_consistency():
     batch = g.logpdf(pts[:5])
     for k in range(5):
         assert g.logpdf(pts[k]) == pytest.approx(batch[k])
+
+
+def env3_coefficient_fits():
+    """The 40-D flattened coefficients the env3 VMP baselines fit."""
+    env, demos = generate_env("env3", seed=0)
+    _, fits = fit_demos(env, demos, n_bases=20)
+    return np.stack([flatten_params(p) for p in fits])
+
+
+ENV3_COEFFS = env3_coefficient_fits()
+
+
+@pytest.mark.parametrize("points, n_components", [
+    (ENV3_COEFFS, 1),
+    (ENV3_COEFFS, 4),
+    (two_blobs(scale=0.6, seed=8), 3),
+], ids=["env3-coeffs-k1", "env3-coeffs-k4", "latents-2d-k3"])
+def test_gmm_logpdf_matches_per_component_reference(points, n_components):
+    # the 40-D fits have covariance condition numbers up to about 4e7
+    g = gmm_fit(points, n_components, seed=0)
+    queries = np.vstack([points, g.sample(np.random.default_rng(9), 300)])
+    want = logsumexp(_gmm_parts(g, queries), axis=1)
+    np.testing.assert_allclose(g.logpdf(queries), want, rtol=1e-11, atol=0.0)
+    assert g.logpdf(queries[0]) == pytest.approx(want[0], rel=1e-11)
+
+
+@pytest.mark.parametrize("points, n_components", [
+    (ENV3_COEFFS, 4),
+    (two_blobs(scale=0.3, seed=5), 2),
+], ids=["env3-coeffs-k4", "latents-2d-k2"])
+def test_gmm_sample_matches_per_draw_loop_bit_for_bit(points, n_components):
+    g = gmm_fit(points, n_components, seed=0)
+    chols = [cholesky(c, lower=True) for c in g.covariances]
+
+    def per_draw(rng, n):
+        comps = rng.choice(g.n_components, size=n, p=g.weights)
+        return np.array([g.means[k] + chols[k] @ rng.standard_normal(
+            g.means.shape[1]) for k in comps])
+
+    want = per_draw(np.random.default_rng(17), 300)
+    got = g.sample(np.random.default_rng(17), count=300)
+    assert np.array_equal(got, want)
+    one = g.sample(np.random.default_rng(18))
+    assert one.shape == g.means.shape[1:]
+    assert np.array_equal(one, per_draw(np.random.default_rng(18), 1)[0])
 
 
 def test_gmm_weights_validated():
@@ -211,8 +277,8 @@ def test_kde_sample_matches_per_draw_loop_bit_for_bit():
 
     def per_draw(rng, n):
         picks = rng.integers(0, len(k.points), size=n)
-        return np.array([k.points[i] + chols[i] @ rng.standard_normal(k.dim)
-                         for i in picks])
+        return np.array([k.points[i] + chols[i] @ rng.standard_normal(
+            k.points.shape[1]) for i in picks])
 
     want = per_draw(np.random.default_rng(17), 300)
     got = k.sample(np.random.default_rng(17), count=300)
@@ -279,3 +345,14 @@ def test_density_io_round_trips(tmp_path):
         assert np.allclose(clone.logpdf(pts), density.logpdf(pts))
     data = json.loads((tmp_path / "g.json").read_text())
     assert data["family"] == "gmm"
+
+
+@pytest.mark.parametrize("family", ["flow", ["gmm"], None])
+def test_unknown_density_family_is_named(tmp_path, family):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"family": family}))
+    named = re.escape(f"unknown density family {family!r}")
+    with pytest.raises(ValueError, match=named):
+        load_density(path)
+    with pytest.raises(ValueError, match=named):
+        fit_density(two_blobs(seed=23), family, 2, 0)

@@ -22,9 +22,10 @@ def test_public_api_resolves():
 
 def test_modules_have_no_unused_imports():
     unused = []
-    for path in sorted(pathlib.Path(motionmanifold.__file__).parent.glob(
-            "*.py")):
-        if path.name == "__init__.py":           # re-exports
+    package = pathlib.Path(motionmanifold.__file__).parent
+    tests = pathlib.Path(__file__).parent
+    for path in sorted([*package.glob("*.py"), *tests.glob("*.py")]):
+        if path == package / "__init__.py":      # re-exports
             continue
         tree = ast.parse(path.read_text())
         read = {node.id for node in ast.walk(tree)

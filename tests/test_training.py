@@ -10,7 +10,6 @@ from motionmanifold.geometry import curvegeom_euclidean
 from motionmanifold.training import (ManifoldModel, TrainConfig,
                                      flatten_params, mixup_sample, train,
                                      unflatten_params)
-from conftest import sine_family_fits
 
 
 def test_flatten_round_trip():

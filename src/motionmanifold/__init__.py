@@ -8,7 +8,7 @@ sampling-based online replanning against moving obstacles.
 """
 
 from .basis import (BasisSet, CurveModel, CurveParams, TimedTrajectory,
-                    evaluate_batch, load_trajectory_dataset,
+                    evaluate_batch, evaluate_rows, load_trajectory_dataset,
                     save_trajectory_dataset)
 from .density import (GmmModel, KdeModel, RejectionResult, SampleFilter,
                       fit_density, gmm_fit, kde_build, load_density,
@@ -48,7 +48,8 @@ __all__ = [
     "Se3Trajectory", "SingularFitError", "TimedTrajectory", "TrainConfig",
     "TrainingError", "adam_step", "build_bundle", "collision_check",
     "constraint_from_script", "curvegeom_euclidean", "eval_position_curve",
-    "eval_rotation_curve", "evaluate_batch", "evaluate_success", "exp_so3",
+    "eval_rotation_curve", "evaluate_batch", "evaluate_rows",
+    "evaluate_success", "exp_so3",
     "fit_demos", "fit_density", "fit_se3_params", "generate_continuum_demos",
     "generate_env", "gmm_fit", "hat", "kde_build",
     "load_density", "load_obstacle_script", "load_trajectory_dataset",

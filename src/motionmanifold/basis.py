@@ -3,6 +3,14 @@
 A curve is q(tau) = (1 - tau) q_start + tau q_end + w @ phi(tau) for tau in
 [0, 1], with w an (n, B) coefficient matrix.  The bases carry a
 tau*(1-tau) factor so the curve meets its endpoints exactly for every w.
+
+Curves are evaluated in two shapes, both linear maps from basis values to
+points:
+
+- all pairs, ``evaluate_batch``: every curve of an (N, n, B) stack at every
+  shared phase, (N, T, n), as one stacked matmul.  ``CurveModel.evaluate``
+  is its one-curve case.
+- row-wise, ``evaluate_rows``: curve k at its own phase tau_k, (K, n).
 """
 
 from __future__ import annotations
@@ -268,8 +276,8 @@ class CurveModel:
     def evaluate(self, params, tau):
         """q(tau; w); shape (n,) for scalar tau, (T, n) for arrays."""
         self._check_params(params)
-        phi = self.basis.evaluate(tau)
-        return self.elementary(tau) + phi @ params.coefficients.T
+        out = evaluate_batch(self, params.coefficients[None], tau)[0]
+        return out[0] if np.ndim(tau) == 0 else out
 
     def derivative_tau(self, params, tau):
         """Analytic d q / d tau."""
@@ -322,13 +330,41 @@ class CurveModel:
                    data["q_end"])
 
 
+def _coefficient_stack(model, coefficient_stack, rows="N"):
+    """The stack as a float (rows, n, B) array, or a ValueError naming it."""
+    stack = np.asarray(coefficient_stack, dtype=float)
+    if stack.ndim != 3 or stack.shape[1:] != (model.dim, model.basis.size):
+        raise ValueError(
+            f"coefficient stack has shape {stack.shape}; expected "
+            f"({rows}, {model.dim}, {model.basis.size})")
+    return stack
+
+
 def evaluate_batch(model, coefficient_stack, tau):
     """Evaluate many curves of one model at shared phases.
 
-    coefficient_stack has shape (N, n, B); returns (N, T, n).
+    coefficient_stack has shape (N, n, B); returns (N, T, n), which is
+    (0, T, n) for an empty stack.  The sum is one stacked matmul, a BLAS
+    gemm per curve into a C-contiguous result, so each curve's points are
+    bit for bit the single-curve product phi @ w.T.
     """
+    stack = _coefficient_stack(model, coefficient_stack)
     arr, _ = _as_tau_array(tau)
-    phi = model.basis.evaluate(arr)          # (T, B)
-    elem = model.elementary(arr)             # (T, n)
-    stack = np.asarray(coefficient_stack, dtype=float)
-    return elem[None] + np.einsum("ncb,tb->ntc", stack, phi)
+    return (model.elementary(arr)[None]
+            + model.basis.evaluate(arr) @ np.swapaxes(stack, 1, 2))
+
+
+def evaluate_rows(model, coefficient_stack, taus):
+    """Evaluate curve k of a (K, n, B) stack at its own phase taus[k].
+
+    Returns (K, n), the diagonal of the all-pairs evaluation without the
+    K x K work.  The sum stays an einsum, which at K = 100 rows is faster
+    than a stacked matmul.
+    """
+    stack = _coefficient_stack(model, coefficient_stack, rows="K")
+    arr, _ = _as_tau_array(taus)
+    if len(arr) != len(stack):
+        raise ValueError(f"{len(arr)} phases for {len(stack)} curves; "
+                         f"evaluate_rows needs one phase per curve")
+    return model.elementary(arr) + np.einsum(
+        "kcb,kb->kc", stack, model.basis.evaluate(arr))

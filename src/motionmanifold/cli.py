@@ -154,6 +154,9 @@ def cmd_train(args):
 
 
 def cmd_sample(args):
+    if not (args.from_params or args.model):
+        raise ConfigError("field 'model': sample needs --model or "
+                          "--from-params")
     out = _prepare_out(args)
     if args.from_params:
         model, fits, _ = load_fits(args.from_params)
@@ -179,12 +182,11 @@ def cmd_sample(args):
                               max_attempts=400 * args.count),
         rng, args.count)
     taus = np.linspace(0.0, 1.0, args.grid)
-    stacks = manifold.decode_many(result.samples)
-    trajs = []
-    for coeffs in stacks:
-        pts = manifold.curve_model.evaluate(CurveParams(coeffs), taus)
-        trajs.append(TimedTrajectory(times=taus, points=pts))
-    save_trajectory_dataset(trajs, os.path.join(out, "samples.json"))
+    curves = basis_mod.evaluate_batch(
+        manifold.curve_model, manifold.decode_many(result.samples), taus)
+    save_trajectory_dataset(
+        [TimedTrajectory(times=taus, points=pts) for pts in curves],
+        os.path.join(out, "samples.json"))
     save_density(os.path.join(out, "density.json"), density)
     _write_meta(out, "sample", args,
                 ["model", "density", "components", "count", "grid"])

@@ -251,6 +251,12 @@ def _pose_curves(taus, phi, index, p_start, p_end, w_pos, r_start, ell,
     start pose shared by all curves may be passed once and is broadcast.
     Returns p (S, 3) and R (S, 3, 3) with exp(c) and the right Jacobians
     of exp at a = tau ell and c = w_R phi, which the loss gradient reuses.
+
+    w_p phi and w_R phi are the row-wise curve evaluation of
+    basis.evaluate_rows, written here as two sdb,sb->sd einsums over the
+    gathered per-sample coefficients: the samples share a precomputed
+    phi, and a matmul in their place is slower and changes the bits of
+    make_pouring_demos.
     """
     if np.ndim(p_start) == 2:
         p_start = p_start[index]

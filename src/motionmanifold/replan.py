@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import evaluate_batch
+from .basis import evaluate_batch, evaluate_rows
 from .errors import ReplanInfeasibleError
 
 
@@ -208,9 +208,11 @@ def solve_replan(state, model, density, constraint, t_now, cfg, rng):
     Candidates are checked in ascending-objective order; the first one
     satisfying all four constraints wins, which equals the feasible
     arg-min with ties broken toward the lowest candidate index.  The
-    density and window checks run for every pair up front, one
+    density and window checks run for every pair up front, one all-pairs
     evaluate_batch and one constraint call per tau'; the eta path check
-    runs per pair in objective order until one passes.
+    runs per pair in objective order until one passes, with one row-wise
+    evaluate_rows call per path: path point j is the curve decoded from
+    z_path[j] at its own phase tau_path[j].
     """
     tau = state.tau
     tau_lo = max(tau - cfg.delta_back, 0.0)
@@ -234,7 +236,6 @@ def solve_replan(state, model, density, constraint, t_now, cfg, rng):
                                             axis=1)
 
     eta = np.linspace(0.0, 1.0, cfg.eta_points)
-    diag = np.arange(cfg.eta_points)
     n_tau = len(tau_grid)
     for rank in order:
         iz, it = divmod(int(rank), n_tau)
@@ -245,11 +246,9 @@ def solve_replan(state, model, density, constraint, t_now, cfg, rng):
         path_dens = np.atleast_1d(density.logpdf(z_path))
         if np.any(path_dens < cfg.threshold):
             continue
-        # path point j is decoded from z_path[j] and evaluated at its own
-        # phase, i.e. the diagonal of the all-pairs evaluation
         tau_path = eta * tau + (1.0 - eta) * tp
-        pts = evaluate_batch(model.curve_model, model.decode_many(z_path),
-                             tau_path)[diag, diag]
+        pts = evaluate_rows(model.curve_model, model.decode_many(z_path),
+                            tau_path)
         if not np.any(constraint(pts, t_now) > 0):
             return z_cands[iz].copy(), tp
     raise ReplanInfeasibleError(n_candidates=pair_obj.size,
@@ -336,7 +335,9 @@ def run_episode(model, density, constraint, cfg, seed=0, z0=None):
 
     Ticks run in blocks from one replan check to the next.  A block's
     (z, tau) updates follow the rule fixed at its check and run first;
-    its points are then decoded and evaluated together.
+    its points are then decoded and evaluated together: a tracking block
+    decodes one curve per tick and evaluates it row-wise at that tick's
+    phase, a nominal block evaluates its one curve at all its phases.
 
     A replan search that comes up empty is recorded (event code 2) and the
     previous goal, if any, keeps being tracked; the episode itself never
@@ -405,9 +406,8 @@ def run_episode(model, density, constraint, cfg, seed=0, z0=None):
             state.z = np.array(z)
             latents[block] = rows
             # one decoded curve per tick, each evaluated at its own phase
-            points[block] = curve.elementary(taus[block]) + np.einsum(
-                "kcb,kb->kc", model.decode_many(latents[block]),
-                curve.basis.evaluate(taus[block]))
+            points[block] = evaluate_rows(
+                curve, model.decode_many(latents[block]), taus[block])
         else:
             latents[block] = state.z
             points[block] = evaluate_batch(

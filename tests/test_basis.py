@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 
 from motionmanifold.basis import (BasisSet, CurveModel, CurveParams,
                                   TimedTrajectory, evaluate_batch,
-                                  load_trajectory_dataset,
+                                  evaluate_rows, load_trajectory_dataset,
                                   save_trajectory_dataset)
 from motionmanifold.errors import SingularFitError
 
@@ -148,7 +148,51 @@ def test_evaluate_batch_matches_loop():
     assert batch.shape == (4, 11, 2)
     for i in range(4):
         single = model.evaluate(CurveParams(stack[i]), taus)
-        assert np.allclose(batch[i], single)
+        assert np.array_equal(batch[i], single)
+        # the single-curve formula, written out
+        assert np.array_equal(batch[i], model.elementary(taus)
+                              + basis.evaluate(taus) @ stack[i].T)
+
+
+def test_evaluate_rows_is_the_all_pairs_diagonal():
+    rng = np.random.default_rng(8)
+    basis = BasisSet.uniform(9)
+    model = CurveModel.via_point(basis, rng.normal(size=3),
+                                 rng.normal(size=3))
+    stack = rng.normal(size=(12, 3, 9))
+    taus = rng.uniform(size=12)
+    rows = evaluate_rows(model, stack, taus)
+    assert rows.shape == (12, 3)
+    diag = evaluate_batch(model, stack, taus)[np.arange(12), np.arange(12)]
+    assert np.allclose(rows, diag, rtol=1e-12, atol=0.0)
+    assert np.array_equal(rows, model.elementary(taus) + np.einsum(
+        "kcb,kb->kc", stack, basis.evaluate(taus)))
+
+
+def test_evaluate_batch_of_no_curves_is_empty():
+    model = CurveModel.via_point(BasisSet.uniform(6), np.zeros(2),
+                                 np.ones(2))
+    out = evaluate_batch(model, np.zeros((0, 2, 6)), np.linspace(0, 1, 7))
+    assert out.shape == (0, 7, 2)
+
+
+@pytest.mark.parametrize("shape", [(2, 6), (3, 2, 5), (3, 1, 6),
+                                   (1, 3, 2, 6)])
+def test_wrong_coefficient_stack_is_rejected(shape):
+    model = CurveModel.via_point(BasisSet.uniform(6), np.zeros(2),
+                                 np.ones(2))
+    taus = np.linspace(0, 1, 3)
+    with pytest.raises(ValueError, match=r"expected \(N, 2, 6\)"):
+        evaluate_batch(model, np.zeros(shape), taus)
+    with pytest.raises(ValueError, match=r"expected \(K, 2, 6\)"):
+        evaluate_rows(model, np.zeros(shape), taus)
+
+
+def test_evaluate_rows_needs_one_phase_per_curve():
+    model = CurveModel.via_point(BasisSet.uniform(6), np.zeros(2),
+                                 np.ones(2))
+    with pytest.raises(ValueError, match="one phase per curve"):
+        evaluate_rows(model, np.zeros((3, 2, 6)), np.linspace(0, 1, 4))
 
 
 # -- fitting --------------------------------------------------------------

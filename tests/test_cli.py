@@ -8,8 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from motionmanifold.basis import load_trajectory_dataset
+from motionmanifold.basis import (TimedTrajectory, load_trajectory_dataset,
+                                  save_trajectory_dataset)
 from motionmanifold.cli import load_fits, main
+from motionmanifold.training import ManifoldModel
 
 
 def run_cli(*argv):
@@ -91,6 +93,31 @@ def test_sample_from_trained_model(workspace, tmp_path):
     for t in trajs:                    # via-point endpoints hold exactly
         assert np.allclose(t.points[0], [0.0, 0.0], atol=1e-9)
         assert np.allclose(t.points[-1], [1.0, 0.0], atol=1e-9)
+
+
+def test_sample_writes_each_curve_as_evaluated_alone(workspace, tmp_path,
+                                                    monkeypatch):
+    stacks = []
+    decode_many = ManifoldModel.decode_many
+
+    def recording(self, z):
+        stacks.append(decode_many(self, z))
+        return stacks[-1]
+
+    monkeypatch.setattr(ManifoldModel, "decode_many", recording)
+    out = tmp_path / "samples"
+    assert run_cli("sample", "--model", str(workspace["model"]),
+                   "--count", "6", "--grid", "33", "--out", str(out)) == 0
+    (stack,) = stacks
+    curve = ManifoldModel.load(str(workspace["model"])).curve_model
+    taus = np.linspace(0.0, 1.0, 33)
+    # the single-curve formula, one curve at a time
+    save_trajectory_dataset(
+        [TimedTrajectory(times=taus, points=curve.elementary(taus)
+                         + curve.basis.evaluate(taus) @ w.T)
+         for w in stack], tmp_path / "expected.json")
+    assert (out / "samples.json").read_bytes() \
+        == (tmp_path / "expected.json").read_bytes()
 
 
 def test_sample_reconstructs_stored_fit(workspace, tmp_path):
@@ -255,6 +282,20 @@ def test_missing_input_path_exits_2(workspace, tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(missing) in err
     assert "does not exist" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("payload", [None, {"model": None}],
+                         ids=["no-flag", "config-null"])
+def test_sample_without_model_or_params_exits_2(tmp_path, capsys, payload):
+    argv = ["sample", "--out", str(tmp_path / "o")]
+    if payload is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        argv += ["--config", str(cfg)]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "--from-params" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_hidden_spec_exits_2(workspace, tmp_path, capsys):

@@ -19,8 +19,8 @@ from .envs import (EvalReport, ModelBundle, PlanarEnv,
                    sample_curves, success_rate)
 from .errors import (BranchError, DegenerateSupportError,
                      DistortionUndefinedError, GenerationError,
-                     ReplanInfeasibleError, SamplingStarvedError,
-                     SingularFitError, TrainingError)
+                     NonFiniteError, ReplanInfeasibleError,
+                     SamplingStarvedError, SingularFitError, TrainingError)
 from .geometry import (CurveGeomMetric, PullbackMetric, curvegeom_euclidean,
                        pullback_metric, relaxed_distortion)
 from .lie import (Se3CurveParams, Se3ManifoldModel, Se3Trajectory,
@@ -42,10 +42,11 @@ __all__ = [
     "CurveParams", "DegenerateSupportError", "DistortionUndefinedError",
     "DynamicConstraint", "EpisodeTrace", "EvalReport", "GenerationError",
     "GmmModel", "KdeModel", "ManifoldModel", "Mlp", "ModelBundle",
-    "MovingDisk", "PlanarEnv", "PullbackMetric", "RejectionResult",
-    "ReplanConfig", "ReplanInfeasibleError", "ReplanState", "SampleFilter",
-    "SamplingStarvedError", "Se3CurveParams", "Se3ManifoldModel",
-    "Se3Trajectory", "SingularFitError", "TimedTrajectory", "TrainConfig",
+    "MovingDisk", "NonFiniteError", "PlanarEnv", "PullbackMetric",
+    "RejectionResult", "ReplanConfig", "ReplanInfeasibleError",
+    "ReplanState", "SampleFilter", "SamplingStarvedError", "Se3CurveParams",
+    "Se3ManifoldModel", "Se3Trajectory", "SingularFitError",
+    "TimedTrajectory", "TrainConfig",
     "TrainingError", "adam_step", "build_bundle", "collision_check",
     "constraint_from_script", "curvegeom_euclidean", "eval_position_curve",
     "eval_rotation_curve", "evaluate_batch", "evaluate_rows",

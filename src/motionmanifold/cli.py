@@ -25,8 +25,8 @@ from .envs import (PlanarEnv, build_bundle, evaluate_success, fit_demos,
                    generate_continuum_demos, generate_env, sample_curves)
 from .errors import (BranchError, DegenerateSupportError,
                      DistortionUndefinedError, GenerationError,
-                     ReplanInfeasibleError, SamplingStarvedError,
-                     SingularFitError, TrainingError)
+                     NonFiniteError, ReplanInfeasibleError,
+                     SamplingStarvedError, SingularFitError, TrainingError)
 from .render import render_latent_scatter, render_loss_curves, render_scene
 from .replan import (MovingDisk, ReplanConfig, constraint_from_script,
                      run_episode, save_obstacle_script)
@@ -35,8 +35,9 @@ from . import basis as basis_mod
 
 _NUMERICAL_ERRORS = (SingularFitError, DistortionUndefinedError,
                      TrainingError, BranchError, DegenerateSupportError,
-                     SamplingStarvedError, ReplanInfeasibleError,
-                     GenerationError, np.linalg.LinAlgError)
+                     NonFiniteError, SamplingStarvedError,
+                     ReplanInfeasibleError, GenerationError,
+                     np.linalg.LinAlgError)
 
 
 class ConfigError(Exception):

@@ -17,6 +17,10 @@ class BranchError(ValueError):
     """Rotation logarithm requested outside the principal branch."""
 
 
+class NonFiniteError(ValueError):
+    """A point or time given to a feasibility field is NaN or infinite."""
+
+
 class DegenerateSupportError(ValueError):
     """Density support points carry no usable spread."""
 

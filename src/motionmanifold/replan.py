@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import evaluate_batch, evaluate_rows
-from .errors import ReplanInfeasibleError
+from .errors import NonFiniteError, ReplanInfeasibleError
 
 
 @dataclass
@@ -78,13 +78,20 @@ class DynamicConstraint:
     The evaluator is batched: it takes points of shape (..., n) and times
     that broadcast against shape (...), and returns penetration depths of
     shape (...).  Calling with one point of shape (n,) returns a float.
+    A NaN or infinite point or time raises NonFiniteError: its depth would
+    be NaN, and NaN > 0 is False, so it would read as clear.
     """
 
     evaluator: callable
 
     def __call__(self, q, t):
         q = np.asarray(q, dtype=float)
-        depth = self.evaluator(q, np.asarray(t, dtype=float))
+        t = np.asarray(t, dtype=float)
+        for name, values in (("point", q), ("time", t)):
+            if not np.isfinite(values).all():
+                raise NonFiniteError(
+                    f"feasibility field got a non-finite {name}")
+        depth = self.evaluator(q, t)
         return float(depth) if q.ndim == 1 else np.asarray(depth,
                                                            dtype=float)
 
@@ -112,8 +119,13 @@ class MovingDisk:
 
     def center_at(self, t):
         """Center at times t of shape (...); returns shape (..., n)."""
-        return np.stack([np.interp(t, self.times, self.centers[:, d])
-                         for d in range(self.centers.shape[1])], axis=-1)
+        shape = np.shape(t) + self.centers[0].shape
+        if len(self.times) == 1:
+            return np.full(shape, self.centers[0])
+        center = np.empty(shape)
+        for d in range(shape[-1]):
+            center[..., d] = np.interp(t, self.times, self.centers[:, d])
+        return center
 
     def to_dict(self):
         return {"times": self.times.tolist(),
@@ -147,16 +159,29 @@ def constraint_from_script(disks):
     obstacles = list(disks)
 
     def evaluator(q, t):
+        shape = np.broadcast_shapes(q.shape[:-1], t.shape)
         if not obstacles:
-            return np.full(np.broadcast_shapes(q.shape[:-1], t.shape), -1.0)
-        worst = None
-        for disk in obstacles:
-            diff = (q - disk.center_at(t))[..., None, :]
-            # a row-times-column product per point: the same dot product,
-            # bit for bit, as np.linalg.norm of a single point
-            dist = np.sqrt((diff @ np.swapaxes(diff, -1, -2))[..., 0, 0])
-            depth = disk.radius - dist
-            worst = depth if worst is None else np.maximum(worst, depth)
+            return np.full(shape, -1.0)
+        worst, depth, term = (np.empty(shape) for _ in range(3))
+        for k, disk in enumerate(obstacles):
+            if disk.centers.shape[1] != q.shape[-1]:
+                raise ValueError(f"{q.shape[-1]}-D points against a "
+                                 f"{disk.centers.shape[1]}-D obstacle")
+            center = disk.center_at(t)
+            out = depth if k else worst
+            # radius - sqrt(sum_d (q_d - c_d)^2), in place, summed in
+            # coordinate order; every step is elementwise, so one point
+            # and a batch holding it get the same depth bit for bit
+            np.subtract(q[..., 0], center[..., 0], out=out)
+            np.multiply(out, out, out=out)
+            for d in range(1, q.shape[-1]):
+                np.subtract(q[..., d], center[..., d], out=term)
+                np.multiply(term, term, out=term)
+                out += term
+            np.sqrt(out, out=out)
+            np.subtract(disk.radius, out, out=out)
+            if k:
+                np.maximum(worst, depth, out=worst)
         return worst
 
     return DynamicConstraint(evaluator=evaluator)
@@ -208,11 +233,13 @@ def solve_replan(state, model, density, constraint, t_now, cfg, rng):
     Candidates are checked in ascending-objective order; the first one
     satisfying all four constraints wins, which equals the feasible
     arg-min with ties broken toward the lowest candidate index.  The
-    density and window checks run for every pair up front, one all-pairs
-    evaluate_batch and one constraint call per tau'; the eta path check
-    runs per pair in objective order until one passes, with one row-wise
-    evaluate_rows call per path: path point j is the curve decoded from
-    z_path[j] at its own phase tau_path[j].
+    density and window checks run for every pair up front: one all-pairs
+    evaluate_batch over the windows of every tau' and one constraint
+    call.  The eta path check then runs per pair in objective order until
+    one passes.  The path's latents depend on z' alone, so its density
+    check and its decoding run once per z'; each pair adds one row-wise
+    evaluate_rows call and one constraint call: path point j is the curve
+    decoded from z_path[j] at its own phase tau_path[j].
     """
     tau = state.tau
     tau_lo = max(tau - cfg.delta_back, 0.0)
@@ -227,28 +254,32 @@ def solve_replan(state, model, density, constraint, t_now, cfg, rng):
     order = np.argsort(pair_obj.ravel(), kind="stable")
 
     density_ok = log_dens >= cfg.threshold
+    grids = np.stack([_window(tp, cfg) for tp in tau_grid])   # (n_tau, R)
+    times = t_now + (grids - tau_grid[:, None]) * cfg.total_time
+    pts = evaluate_batch(model.curve_model, stacks[density_ok],
+                         grids.ravel())
+    pts = pts.reshape(pts.shape[0], *grids.shape, pts.shape[-1])
     window_ok = np.zeros(pair_obj.shape, dtype=bool)
-    for it, tp in enumerate(tau_grid):
-        grid = _window(tp, cfg)
-        pts = evaluate_batch(model.curve_model, stacks[density_ok], grid)
-        times = t_now + (grid - tp) * cfg.total_time
-        window_ok[density_ok, it] = ~np.any(constraint(pts, times) > 0,
-                                            axis=1)
+    window_ok[density_ok] = ~np.any(constraint(pts, times) > 0, axis=2)
 
     eta = np.linspace(0.0, 1.0, cfg.eta_points)
     n_tau = len(tau_grid)
+    paths = {}    # iz -> decoded eta path, None below the density floor
     for rank in order:
         iz, it = divmod(int(rank), n_tau)
         if not window_ok[iz, it]:
             continue
-        tp = float(tau_grid[it])
-        z_path = eta[:, None] * state.z + (1.0 - eta)[:, None] * z_cands[iz]
-        path_dens = np.atleast_1d(density.logpdf(z_path))
-        if np.any(path_dens < cfg.threshold):
+        if iz not in paths:
+            z_path = (eta[:, None] * state.z
+                      + (1.0 - eta)[:, None] * z_cands[iz])
+            path_dens = np.atleast_1d(density.logpdf(z_path))
+            paths[iz] = None if np.any(path_dens < cfg.threshold) \
+                else model.decode_many(z_path)
+        if paths[iz] is None:
             continue
+        tp = float(tau_grid[it])
         tau_path = eta * tau + (1.0 - eta) * tp
-        pts = evaluate_rows(model.curve_model, model.decode_many(z_path),
-                            tau_path)
+        pts = evaluate_rows(model.curve_model, paths[iz], tau_path)
         if not np.any(constraint(pts, t_now) > 0):
             return z_cands[iz].copy(), tp
     raise ReplanInfeasibleError(n_candidates=pair_obj.size,

@@ -1,5 +1,6 @@
 """End-to-end command-line workflows, exit codes, and artifact formats."""
 
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 from motionmanifold.basis import (TimedTrajectory, load_trajectory_dataset,
                                   save_trajectory_dataset)
+from motionmanifold import cli
 from motionmanifold.cli import load_fits, main
 from motionmanifold.training import ManifoldModel
 
@@ -320,6 +322,23 @@ def test_numerical_failure_exits_3(workspace, tmp_path, capsys):
                    "--count", "4", "--out", str(tmp_path / "o"))
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_non_finite_curves_exit_3(tmp_path, capsys, monkeypatch):
+    real_build = cli.build_bundle
+
+    def nan_decoder(*args, **kwargs):
+        bundle = real_build(*args, **kwargs)
+        return dataclasses.replace(bundle, decode_batch=lambda s: np.full_like(
+            bundle.decode_batch(s), np.nan))
+
+    monkeypatch.setattr(cli, "build_bundle", nan_decoder)
+    code = run_cli("eval", "--env", "env1", "--kind", "vmp-gauss",
+                   "--num-samples", "10", "--seeds", "1",
+                   "--out", str(tmp_path / "o"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "NonFiniteError" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,7 +12,7 @@ from motionmanifold.envs import (EvalReport, PlanarEnv, ModelBundle,
                                  default_components, evaluate_success,
                                  fit_demos, generate_continuum_demos,
                                  generate_env, sample_curves, success_rate)
-from motionmanifold.errors import GenerationError
+from motionmanifold.errors import GenerationError, NonFiniteError
 from motionmanifold.replan import MovingDisk
 from motionmanifold.training import TrainConfig
 
@@ -284,6 +284,14 @@ def test_success_rate_counts_collisions(env1_demos):
     bundle, _, _ = _fixed_decode_bundle(env1_demos, clear)
     rate, _ = success_rate(bundle, env, 30, np.random.default_rng(0))
     assert rate == 100.0
+
+
+def test_success_rate_rejects_non_finite_curves(env1_demos):
+    # NaN > 0 is False, so an unchecked NaN curve would count as clear
+    env, _ = env1_demos
+    bundle, _, _ = _fixed_decode_bundle(env1_demos, np.full((2, 20), np.nan))
+    with pytest.raises(NonFiniteError, match="non-finite point"):
+        success_rate(bundle, env, 30, np.random.default_rng(0))
 
 
 def test_evaluate_success_report(latent_bundle, env1_demos, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from motionmanifold import replan
 from motionmanifold.basis import BasisSet, CurveModel
 from motionmanifold.density import GmmModel, kde_build
-from motionmanifold.errors import ReplanInfeasibleError
+from motionmanifold.errors import NonFiniteError, ReplanInfeasibleError
 from motionmanifold.replan import (DynamicConstraint, EpisodeTrace,
                                    MovingDisk, ReplanConfig, ReplanState,
                                    constraint_from_script, initial_latent,
@@ -155,50 +155,95 @@ def test_moving_disk_center_at_takes_time_arrays():
         assert np.array_equal(centers[idx], disk.center_at(times[idx]))
 
 
-_coord = st.floats(-2.0, 2.0, allow_nan=False)
+_unit = st.floats(-0.5, 0.5)
 
 
 @st.composite
-def _moving_disks(draw):
-    n_way = draw(st.integers(1, 4))
-    gaps = draw(st.lists(st.floats(0.1, 2.0), min_size=n_way,
-                         max_size=n_way))
-    centers = draw(st.lists(st.tuples(_coord, _coord), min_size=n_way,
-                            max_size=n_way))
-    return MovingDisk(times=np.cumsum(gaps) - 0.5, centers=centers,
-                      radius=draw(st.floats(0.01, 1.0)))
+def _field_cases(draw):
+    """Disks, points and times of one dimension and broadcastable shapes."""
+    n = draw(st.sampled_from([2, 3]))
+
+    def disk(n_way):
+        gaps = draw(st.lists(st.floats(0.1, 2.0), min_size=n_way,
+                             max_size=n_way))
+        centers = draw(st.lists(st.lists(_unit, min_size=n, max_size=n),
+                                min_size=n_way, max_size=n_way))
+        return MovingDisk(times=np.cumsum(gaps) - 0.5, centers=centers,
+                          radius=draw(st.floats(0.01, 1.0)))
+
+    # one waypoint makes a static disk; no disk at all, the empty script
+    disks = [disk(n_way) for n_way in draw(
+        st.lists(st.integers(1, 3), max_size=3))]
+    k = draw(st.integers(1, 4))
+    lead = draw(st.sampled_from([(), (k,), (2, k)]))
+    t_shape = draw(st.sampled_from([(), lead]))
+    size = int(np.prod(lead + (n,)))
+    points = np.reshape(draw(st.lists(_unit, min_size=size, max_size=size)),
+                        lead + (n,))
+    times = np.reshape(draw(st.lists(
+        st.floats(-1.0, 6.0), min_size=int(np.prod(t_shape)),
+        max_size=int(np.prod(t_shape)))), t_shape)
+    return disks, points, times
 
 
-_statics = st.lists(st.tuples(st.tuples(_coord, _coord),
-                              st.floats(0.01, 1.0)), max_size=2)
-_samples = st.lists(st.tuples(_coord, _coord, st.floats(-1.0, 6.0)),
-                    min_size=1, max_size=8)
+def _interp_center(disk, t):
+    return np.stack([np.interp(t, disk.times, disk.centers[:, d])
+                     for d in range(disk.centers.shape[1])], axis=-1)
 
 
-@settings(max_examples=60, deadline=None)
-@given(disks=st.lists(_moving_disks(), max_size=3), statics=_statics,
-       samples=_samples)
-@example(disks=[], statics=[], samples=[(0.0, 0.0, 0.0), (1.0, 2.0, 3.0)])
-@example(disks=[], statics=[((0.5, 0.5), 0.3), ((-1.0, 0.0), 0.2)],
-         samples=[(0.5, 0.6, 0.0), (2.0, 2.0, 1.0)])
-def test_batched_constraint_matches_per_point_calls(disks, statics,
-                                                    samples):
-    c = constraint_from_script(disks + [
-        MovingDisk(times=[0.0], centers=[center], radius=radius)
-        for center, radius in statics])
-    points = np.array([s[:2] for s in samples])
-    times = np.array([s[2] for s in samples])
-    batched = c(points, times)
-    assert batched.shape == (len(samples),)
-    singles = [c(q, t) for q, t in zip(points, times)]
-    assert all(isinstance(v, float) for v in singles)
-    np.testing.assert_allclose(batched, singles, rtol=0.0, atol=1e-15)
-    if not disks and not statics:
-        assert np.all(batched == -1.0)
-    # any leading shape: points (2, k, n) with times (2, k)
-    grid = c(np.stack([points] * 2), np.stack([times] * 2))
-    assert grid.shape == (2, len(samples))
-    np.testing.assert_allclose(grid, [singles] * 2, rtol=0.0, atol=1e-15)
+@settings(max_examples=80, deadline=None)
+@given(case=_field_cases())
+@example(case=([], np.array([[0.0, 0.0], [0.5, -0.5]]), np.array([0.0, 3.0])))
+@example(case=([MovingDisk(times=[0.0], centers=[[0.5, 0.5]], radius=0.3),
+                MovingDisk(times=[0.0], centers=[[-0.5, 0.0]], radius=0.2)],
+               np.array([[0.5, 0.4], [-0.5, -0.5]]), np.array(1.0)))
+def test_batched_constraint_matches_per_point_calls(case):
+    disks, points, times = case
+    c = constraint_from_script(disks)
+    depths = c(points, times)
+    assert np.shape(depths) == np.broadcast_shapes(points.shape[:-1],
+                                                   times.shape)
+    far = c(4.0 * points, times)     # the same shapes at a +-2 scale
+    t_all = np.broadcast_to(times, np.shape(depths))
+    for idx in np.ndindex(np.shape(depths)):
+        q, t = points[idx], t_all[idx]
+        single = c(q, t)
+        assert isinstance(single, float)
+        # one point alone gets its batched depth bit for bit
+        assert single == np.asarray(depths)[idx]
+        assert c(4.0 * q, t) == np.asarray(far)[idx]
+        # coordinates within +-0.5 keep every distance below 2, where
+        # one last-bit step of the result is at most 2.2e-16
+        norm_form = max((d.radius - np.linalg.norm(q - _interp_center(d, t))
+                         for d in disks), default=-1.0)
+        assert abs(single - norm_form) <= 4e-16
+    for d in disks:
+        if len(d.times) == 1:
+            want = _interp_center(d, times)
+            assert want.shape == times.shape + (points.shape[-1],)
+            assert np.array_equal(d.center_at(times), want)
+
+
+@pytest.mark.parametrize("q, t, what", [
+    ([np.nan, 0.0], 0.0, "point"), ([np.inf, 0.0], 0.0, "point"),
+    ([0.0, 0.0], np.nan, "time"), ([0.0, 0.0], -np.inf, "time"),
+    ([[0.0, 0.0], [0.2, np.nan]], [0.0, 1.0], "point"),
+    ([[0.0, 0.0], [0.2, 0.0]], [0.0, np.inf], "time"),
+])
+@pytest.mark.parametrize("script", ["static", "moving", "empty"])
+def test_field_rejects_non_finite_points_and_times(q, t, what, script):
+    # a NaN depth would read as clear, since NaN > 0 is False
+    disks = {"static": [MovingDisk(times=[0.0], centers=[[0.5, 0.0]],
+                                   radius=0.3)],
+             "moving": [upper_blocker()], "empty": []}[script]
+    with pytest.raises(NonFiniteError, match=f"non-finite {what}"):
+        constraint_from_script(disks)(q, t)
+
+
+def test_field_rejects_points_of_another_dimension():
+    c = constraint_from_script([upper_blocker()])
+    with pytest.raises(ValueError, match="3-D points against a 2-D"):
+        c(np.zeros((4, 3)), 0.0)
 
 
 # -- violation prediction --------------------------------------------------
@@ -375,7 +420,8 @@ def _search_outcome(search, *args):
     return ("ok", z.tobytes(), tau)
 
 
-def test_batched_search_matches_sequential_reference():
+def _search_cases():
+    """Twenty (state, model, density, constraint, t_now, cfg) searches."""
     model = BumpModel()
     gmm = two_cluster_density()
     kde = kde_build(np.random.default_rng(0).normal(
@@ -385,7 +431,6 @@ def test_batched_search_matches_sequential_reference():
                          radius=0.15)
     scripts = [[upper_blocker()], [upper_blocker(), sweeper], [sweeper]]
     setup = np.random.default_rng(42)
-    kinds = set()
     for case in range(20):
         density = gmm if case % 2 == 0 else kde
         floor = density.logpdf(np.zeros(2)) + setup.choice([-1.0, -0.5, 0.5])
@@ -398,15 +443,67 @@ def test_batched_search_matches_sequential_reference():
                                setup.uniform(-0.3, 0.3)],
                             tau=setup.uniform(0.05, 0.35))
         t_now = setup.uniform(0.0, 1.0)
-        args = (model, density, constraint, t_now, cfg)
-        want = _search_outcome(reference_solve_replan, state, *args,
+        yield state, model, density, constraint, t_now, cfg
+
+
+def test_batched_search_matches_sequential_reference():
+    kinds = set()
+    for case, args in enumerate(_search_cases()):
+        state = args[0]
+        want = _search_outcome(reference_solve_replan, *args,
                                np.random.default_rng(case))
-        got = _search_outcome(solve_replan, state, *args,
+        got = _search_outcome(solve_replan, *args,
                               np.random.default_rng(case))
         assert got == want, case
         moved = want[0] == "ok" and want[1] != state.z.tobytes()
         kinds.add("moved" if moved else want[0])
     assert kinds >= {"moved", "infeasible"}
+
+
+class _CountingDensity:
+    """Density that records every logpdf query."""
+
+    def __init__(self, density):
+        self.density = density
+        self.queries = []
+
+    def sample(self, rng, count=1):
+        return self.density.sample(rng, count=count)
+
+    def logpdf(self, z):
+        self.queries.append(np.array(z))
+        return self.density.logpdf(z)
+
+
+def test_search_checks_windows_once_and_each_eta_path_once():
+    path_counts = []
+    for case, (state, model, density, constraint, t_now, cfg) in enumerate(
+            _search_cases()):
+        want = _search_outcome(reference_solve_replan, state, model, density,
+                               constraint, t_now, cfg,
+                               np.random.default_rng(case))
+        counting = _CountingDensity(density)
+        time_ndims = []
+
+        def field(q, t, evaluator=constraint.evaluator):
+            time_ndims.append(t.ndim)
+            return evaluator(q, t)
+
+        got = _search_outcome(solve_replan, state, model, counting,
+                              DynamicConstraint(field), t_now, cfg,
+                              np.random.default_rng(case))
+        assert got == want, case
+        # the eta path checks run at t_now; only the window check passes
+        # a time array, once for every tau' at the same time
+        assert sum(nd > 0 for nd in time_ndims) == 1, case
+        # the first query scores the candidates; each later one is an
+        # eta path, whose eta = 0 end is its z'
+        candidates = {z.tobytes() for z in counting.queries[0]}
+        ends = [path[0].tobytes() for path in counting.queries[1:]]
+        assert set(ends) <= candidates, case
+        assert len(ends) == len(set(ends)), case
+        path_counts.append(len(ends))
+    assert max(path_counts) > 1
 
 
 # -- initial draw ----------------------------------------------------------

@@ -19,10 +19,13 @@ import numpy as np
 
 from .basis import (CurveModel, CurveParams, TimedTrajectory,
                     load_trajectory_dataset, save_trajectory_dataset)
-from .density import (FAMILIES, SampleFilter, fit_density, kde_build,
-                      min_loglik_threshold, rejection_sample, save_density)
-from .envs import (PlanarEnv, build_bundle, evaluate_success, fit_demos,
-                   generate_continuum_demos, generate_env, sample_curves)
+from .density import (DEFAULT_FAMILY, FAMILIES, fit_density, kde_build,
+                      min_loglik_threshold, save_density)
+from .envs import (CONTINUUM_COUNT, ENV_IDS, EVAL_SAMPLES, EVAL_SEEDS,
+                   IMMP_ALPHA, KINDS, N_BASES, SCENE_BOUNDS, PlanarEnv,
+                   build_bundle, evaluate_success, fit_demos,
+                   generate_continuum_demos, generate_env, latent_bundle,
+                   sample_curves)
 from .errors import (BranchError, DegenerateSupportError,
                      DistortionUndefinedError, GenerationError,
                      NonFiniteError, ReplanInfeasibleError,
@@ -50,14 +53,11 @@ def _log(out_dir, message):
         fh.write(f"[{stamp}] {message}\n")
 
 
-def _write_meta(out_dir, command, args, fields):
-    options = {}
-    for name in fields:
-        value = getattr(args, name)
-        if isinstance(value, tuple):
-            value = list(value)
-        options[name] = value
-    meta = {"command": command, "seed": getattr(args, "seed", None),
+def _write_meta(out_dir, args):
+    """meta.json: the command, its seed, and every other parsed option."""
+    options = {name: value for name, value in vars(args).items()
+               if name not in ("command", "func", "out", "config", "seed")}
+    meta = {"command": args.command, "seed": getattr(args, "seed", None),
             "options": options}
     with open(os.path.join(out_dir, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
@@ -105,18 +105,16 @@ def cmd_synth_demos(args):
     out = _prepare_out(args)
     if args.env == "continuum":
         if args.count is None:
-            args.count = 30
+            args.count = CONTINUUM_COUNT
         env, demos = generate_continuum_demos(count=args.count,
                                               seed=args.seed)
     else:
         env, demos = generate_env(args.env, seed=args.seed)
     env.save(os.path.join(out, "env.json"))
     save_trajectory_dataset(demos, os.path.join(out, "demos.json"))
-    _write_meta(out, "synth-demos", args, ["env", "count"])
     _log(out, f"synth-demos env={args.env} seed={args.seed} "
               f"n={len(demos)}")
     print(f"wrote {len(demos)} demos to {out}")
-    return 0
 
 
 def cmd_fit(args):
@@ -127,11 +125,9 @@ def cmd_fit(args):
     objectives = [model.fit_objective(p, traj)
                   for p, traj in zip(fits, demos)]
     save_fits(os.path.join(out, "fits.json"), model, fits, objectives)
-    _write_meta(out, "fit", args, ["demos", "env", "bases"])
     _log(out, f"fit demos={args.demos} bases={args.bases}")
     print(f"fitted {len(fits)} curves, max residual "
           f"{max(objectives):.3e}")
-    return 0
 
 
 def cmd_train(args):
@@ -145,13 +141,9 @@ def cmd_train(args):
     z = manifold.encode_many(fits)
     with open(os.path.join(out, "latents.json"), "w") as fh:
         json.dump({"z": z.tolist()}, fh, indent=1)
-    _write_meta(out, "train", args,
-                ["fits", "alpha", "latent_dim", "epochs", "learning_rate",
-                 "hidden"])
     _log(out, f"train alpha={args.alpha} epochs={args.epochs}")
     print(f"final reconstruction loss "
           f"{manifold.history['recon'][-1]:.6e}")
-    return 0
 
 
 def cmd_sample(args):
@@ -168,41 +160,33 @@ def cmd_sample(args):
         pts = model.evaluate(fits[args.index], taus)
         traj = TimedTrajectory(times=taus, points=pts)
         save_trajectory_dataset([traj], os.path.join(out, "samples.json"))
-        _write_meta(out, "sample", args, ["from_params", "index", "grid"])
         _log(out, f"sample from_params index={args.index}")
         print(f"wrote reconstructed curve {args.index} to {out}")
-        return 0
+        return
     manifold = ManifoldModel.load(args.model)
     with open(os.path.join(args.model, "latents.json")) as fh:
         z = np.asarray(json.load(fh)["z"], dtype=float)
-    density = fit_density(z, args.density, args.components, args.seed)
-    threshold = min_loglik_threshold(density, z)
-    rng = np.random.default_rng(args.seed)
-    result = rejection_sample(
-        density, SampleFilter(threshold=threshold,
-                              max_attempts=400 * args.count),
-        rng, args.count)
+    kind = "immp++" if manifold.config.alpha > 0 else "mmp++"
+    bundle = latent_bundle(kind, manifold, z, args.density,
+                           args.components, args.seed)
+    stacks, result = sample_curves(bundle, args.count,
+                                   np.random.default_rng(args.seed))
     taus = np.linspace(0.0, 1.0, args.grid)
-    curves = basis_mod.evaluate_batch(
-        manifold.curve_model, manifold.decode_many(result.samples), taus)
+    curves = basis_mod.evaluate_batch(bundle.curve_model, stacks, taus)
     save_trajectory_dataset(
         [TimedTrajectory(times=taus, points=pts) for pts in curves],
         os.path.join(out, "samples.json"))
-    save_density(os.path.join(out, "density.json"), density)
-    _write_meta(out, "sample", args,
-                ["model", "density", "components", "count", "grid"])
+    save_density(os.path.join(out, "density.json"), bundle.density)
     _log(out, f"sample n={args.count} acceptance="
               f"{result.acceptance_rate:.3f}")
     print(f"accepted {args.count} of {result.attempts} draws "
           f"(rate {result.acceptance_rate:.3f})")
-    return 0
 
 
 def cmd_eval(args):
     out = _prepare_out(args)
     env, demos = generate_env(args.env, seed=args.seed)
-    cfg = TrainConfig(epochs=args.epochs, hidden=_parse_hidden(args.hidden),
-                      seed=args.seed)
+    cfg = TrainConfig(epochs=args.epochs, hidden=_parse_hidden(args.hidden))
     bundle = build_bundle(args.kind, env, demos, seed=args.seed,
                           n_bases=args.bases, alpha=args.alpha,
                           density_family=args.density, train_config=cfg)
@@ -215,14 +199,10 @@ def cmd_eval(args):
     grid = np.linspace(0.0, 1.0, 200)
     curves = basis_mod.evaluate_batch(bundle.curve_model, stacks, grid)
     render_scene(os.path.join(out, "scene.svg"), env, list(curves))
-    _write_meta(out, "eval", args,
-                ["env", "kind", "num_samples", "seeds", "epochs", "alpha",
-                 "density", "bases"])
     _log(out, f"eval env={args.env} kind={args.kind} "
               f"mean={report.mean:.2f}")
     print(f"{args.kind} on {args.env}: success "
           f"{report.mean:.2f} +/- {report.std:.2f} %")
-    return 0
 
 
 def default_obstacle_script():
@@ -237,9 +217,8 @@ def default_obstacle_script():
     return [top, low]
 
 
-def build_replan_fixture(seed=0, epochs=1500, count=30, hidden=(128, 128),
-                         with_obstacle=True, control_hz=1000.0,
-                         replan_hz=10.0, total_time=5.0, window=1.0):
+def build_replan_fixture(*, seed, epochs, count, hidden, with_obstacle,
+                         control_hz, replan_hz, total_time, window):
     """Continuum-demo manifold, adaptive-KDE density, scripted obstacle."""
     env, demos = generate_continuum_demos(count=count, seed=seed)
     model, fits = fit_demos(env, demos)
@@ -247,12 +226,11 @@ def build_replan_fixture(seed=0, epochs=1500, count=30, hidden=(128, 128),
     manifold = train(fits, model, cfg)
     z = manifold.encode_many(fits)
     density = kde_build(z)
-    threshold = min_loglik_threshold(density, z)
     script = default_obstacle_script() if with_obstacle else []
     constraint = constraint_from_script(script)
     rcfg = ReplanConfig(total_time=total_time, window=window,
                         control_hz=control_hz, replan_hz=replan_hz,
-                        threshold=threshold)
+                        threshold=min_loglik_threshold(density, z))
     return {"env": env, "demos": demos, "manifold": manifold,
             "density": density, "script": script, "constraint": constraint,
             "config": rcfg, "latents": z}
@@ -278,15 +256,11 @@ def cmd_replan(args):
                  [trace.points[::stride]], colors=["#1f77b4"],
                  moving_disks=fixture["script"],
                  snapshot_times=np.linspace(1.0, 3.0, 5))
-    _write_meta(out, "replan", args,
-                ["epochs", "count", "control_hz", "replan_hz", "total_time",
-                 "window", "no_obstacle"])
     _log(out, f"replan seed={args.seed} replans={trace.n_replans} "
               f"max_c={trace.max_constraint:.4f}")
     print(f"episode: reached_goal={trace.reached_goal} "
           f"replans={trace.n_replans} "
           f"max_constraint={trace.max_constraint:.5f}")
-    return 0
 
 
 def cmd_export_plot(args):
@@ -303,27 +277,23 @@ def cmd_export_plot(args):
         draws = np.atleast_2d(density.sample(rng, count=args.count))
         render_latent_scatter(os.path.join(out, "latent_scatter.svg"), z,
                               extra=draws)
-        grid = np.linspace(0.0, 1.0, 200)
-        stacks = manifold.decode_many(draws)
-        curves = basis_mod.evaluate_batch(manifold.curve_model, stacks,
-                                          grid)
+        curves = basis_mod.evaluate_batch(
+            manifold.curve_model, manifold.decode_many(draws),
+            np.linspace(0.0, 1.0, 200))
         env = PlanarEnv.load(args.env) if args.env else PlanarEnv(
             obstacles=[], q_start=manifold.curve_model.q_start,
-            q_goal=manifold.curve_model.q_end,
-            bounds=np.array([[-0.2, 1.2], [-0.8, 0.8]]))
+            q_goal=manifold.curve_model.q_end, bounds=SCENE_BOUNDS)
         render_scene(os.path.join(out, "trajectories.svg"), env,
                      list(curves))
-    _write_meta(out, "export-plot", args,
-                ["model", "density", "components", "count"])
     _log(out, "export-plot")
     print(f"wrote figures to {out}")
-    return 0
 
 
 # -- argument plumbing ----------------------------------------------------
 
-def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=0)
+def _add_common(sub, seeded=True):
+    if seeded:
+        sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", type=str, required=True)
     sub.add_argument("--config", type=str, default=None)
 
@@ -333,30 +303,33 @@ def build_parser():
         prog="motionmanifold",
         description="Motion-manifold movement primitives toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
+    hidden = ",".join(str(h) for h in TrainConfig.hidden)   # --hidden form
 
     p = subs.add_parser("synth-demos", help="generate an environment and "
                                            "demonstration set")
-    p.add_argument("--env", required=True,
-                   choices=["env1", "env2", "env3", "continuum"])
-    # None marks an unset count, which env1-env3 require (continuum: 30)
+    p.add_argument("--env", required=True, choices=[*ENV_IDS, "continuum"])
+    # None marks an unset count, which env1-env3 require; continuum then
+    # generates CONTINUUM_COUNT demos
     p.add_argument("--count", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_synth_demos)
 
+    # fit is deterministic, so it takes no --seed
     p = subs.add_parser("fit", help="fit curve coefficients to demos")
     p.add_argument("--demos", required=True)
     p.add_argument("--env", required=True)
-    p.add_argument("--bases", type=int, default=20)
-    _add_common(p)
+    p.add_argument("--bases", type=int, default=N_BASES)
+    _add_common(p, seeded=False)
     p.set_defaults(func=cmd_fit)
 
     p = subs.add_parser("train", help="train the latent manifold")
     p.add_argument("--fits", required=True)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--latent-dim", type=int, default=2)
-    p.add_argument("--epochs", type=int, default=5000)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--hidden", type=str, default="256,256,256")
+    p.add_argument("--alpha", type=float, default=TrainConfig.alpha)
+    p.add_argument("--latent-dim", type=int, default=TrainConfig.latent_dim)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--learning-rate", type=float,
+                   default=TrainConfig.learning_rate)
+    p.add_argument("--hidden", type=str, default=hidden)
     _add_common(p)
     p.set_defaults(func=cmd_train)
 
@@ -365,7 +338,7 @@ def build_parser():
     p.add_argument("--model", default=None)
     p.add_argument("--from-params", default=None)
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--density", default="gmm", choices=list(FAMILIES))
+    p.add_argument("--density", default=DEFAULT_FAMILY, choices=list(FAMILIES))
     p.add_argument("--components", type=int, default=2)
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--grid", type=int, default=101)
@@ -373,29 +346,29 @@ def build_parser():
     p.set_defaults(func=cmd_sample)
 
     p = subs.add_parser("eval", help="success-rate evaluation protocol")
-    p.add_argument("--env", required=True,
-                   choices=["env1", "env2", "env3"])
-    p.add_argument("--kind", required=True,
-                   choices=["vmp-gauss", "vmp-gmm", "mmp++", "immp++"])
-    p.add_argument("--num-samples", type=int, default=500)
-    p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=5000)
-    p.add_argument("--hidden", type=str, default="256,256,256")
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--density", default="gmm", choices=list(FAMILIES))
-    p.add_argument("--bases", type=int, default=20)
+    p.add_argument("--env", required=True, choices=ENV_IDS)
+    p.add_argument("--kind", required=True, choices=KINDS)
+    p.add_argument("--num-samples", type=int, default=EVAL_SAMPLES)
+    p.add_argument("--seeds", type=int, default=len(EVAL_SEEDS))
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--hidden", type=str, default=hidden)
+    p.add_argument("--alpha", type=float, default=IMMP_ALPHA)
+    p.add_argument("--density", default=DEFAULT_FAMILY, choices=list(FAMILIES))
+    p.add_argument("--bases", type=int, default=N_BASES)
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 
     p = subs.add_parser("replan", help="online replanning episode against "
                                        "a scripted moving obstacle")
     p.add_argument("--epochs", type=int, default=1500)
-    p.add_argument("--count", type=int, default=30)
+    p.add_argument("--count", type=int, default=CONTINUUM_COUNT)
     p.add_argument("--hidden", type=str, default="128,128")
-    p.add_argument("--control-hz", type=float, default=1000.0)
-    p.add_argument("--replan-hz", type=float, default=10.0)
-    p.add_argument("--total-time", type=float, default=5.0)
-    p.add_argument("--window", type=float, default=1.0)
+    p.add_argument("--control-hz", type=float,
+                   default=ReplanConfig.control_hz)
+    p.add_argument("--replan-hz", type=float, default=ReplanConfig.replan_hz)
+    p.add_argument("--total-time", type=float,
+                   default=ReplanConfig.total_time)
+    p.add_argument("--window", type=float, default=ReplanConfig.window)
     p.add_argument("--no-obstacle", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_replan)
@@ -404,7 +377,7 @@ def build_parser():
                                             "samples, and loss curves")
     p.add_argument("--model", required=True)
     p.add_argument("--env", default=None)
-    p.add_argument("--density", default="gmm", choices=list(FAMILIES))
+    p.add_argument("--density", default=DEFAULT_FAMILY, choices=list(FAMILIES))
     p.add_argument("--components", type=int, default=2)
     p.add_argument("--count", type=int, default=40)
     _add_common(p)
@@ -459,7 +432,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _apply_config(args, argv, parser)
-        return args.func(args)
+        args.func(args)
+        _write_meta(args.out, args)
+        return 0
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

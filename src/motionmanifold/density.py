@@ -341,6 +341,7 @@ FAMILIES = {
         points, n_components, seed=seed)),
     "kde": (KdeModel, lambda points, n_components, seed: kde_build(points)),
 }
+DEFAULT_FAMILY = "gmm"
 
 
 def _family(name):

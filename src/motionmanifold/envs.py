@@ -19,7 +19,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .basis import BasisSet, CurveModel, TimedTrajectory, evaluate_batch
-from .density import (SampleFilter, fit_density, gmm_fit,
+from .density import (DEFAULT_FAMILY, SampleFilter, fit_density, gmm_fit,
                       min_loglik_threshold, rejection_sample)
 from .errors import GenerationError
 from .replan import MovingDisk, constraint_from_script
@@ -78,36 +78,34 @@ def collision_check(q, env, t=0.0):
 
 @dataclass
 class DemoSpec:
-    classes: int
     per_class: int
     noise: float
-    peaks: tuple
+    peaks: tuple                 # one peak height per homotopy class
     samples: int = 80
     duration: float = 1.0
 
     def __post_init__(self):
         if self.per_class < 1:
             raise ValueError("need at least one demo per class")
-        if len(self.peaks) != self.classes:
-            raise ValueError("one peak template per class required")
-
-    @property
-    def total(self):
-        return self.classes * self.per_class
 
 
 _ENV_TABLE = {
     "env1": {"obstacles": [((0.5, 0.0), 0.15)],
-             "spec": DemoSpec(classes=2, per_class=5, noise=0.02,
-                              peaks=(0.35, -0.35))},
+             "spec": DemoSpec(per_class=5, noise=0.02, peaks=(0.35, -0.35))},
     "env2": {"obstacles": [((0.5, 0.22), 0.12), ((0.5, -0.22), 0.12)],
-             "spec": DemoSpec(classes=3, per_class=5, noise=0.02,
+             "spec": DemoSpec(per_class=5, noise=0.02,
                               peaks=(0.55, 0.0, -0.55))},
     "env3": {"obstacles": [((0.5, 0.3), 0.09), ((0.5, 0.0), 0.09),
                            ((0.5, -0.3), 0.09)],
-             "spec": DemoSpec(classes=4, per_class=5, noise=0.015,
+             "spec": DemoSpec(per_class=5, noise=0.015,
                               peaks=(0.55, 0.15, -0.15, -0.55))},
 }
+
+ENV_IDS = tuple(_ENV_TABLE)
+
+SCENE_BOUNDS = ((-0.2, 1.2), (-0.8, 0.8))   # (x, y) ranges of every scene
+CONTINUUM_COUNT = 30             # demos in the default continuum family
+N_BASES = 20                     # basis functions per curve coordinate
 
 _WAYPOINT_X = np.array([0.0, 0.2, 0.5, 0.8, 1.0])
 _WAYPOINT_SHAPE = np.array([0.0, 0.55, 1.0, 0.55, 0.0])
@@ -144,7 +142,7 @@ def generate_env(env_id, seed=0):
         obstacles=[MovingDisk(times=[0.0], centers=[c], radius=r)
                    for c, r in entry["obstacles"]],
         q_start=np.array([0.0, 0.0]), q_goal=np.array([1.0, 0.0]),
-        bounds=np.array([[-0.2, 1.2], [-0.8, 0.8]]))
+        bounds=SCENE_BOUNDS)
     rng = np.random.default_rng(seed)
     demos = []
     for peak in spec.peaks:
@@ -161,7 +159,8 @@ def generate_env(env_id, seed=0):
     return env, demos
 
 
-def generate_continuum_demos(count=30, seed=0, peak_range=(-0.5, 0.5)):
+def generate_continuum_demos(count=CONTINUUM_COUNT, seed=0,
+                             peak_range=(-0.5, 0.5)):
     """Obstacle-free demo family whose peak height sweeps a continuum.
 
     The resulting trajectories fill one connected sheet instead of
@@ -171,18 +170,14 @@ def generate_continuum_demos(count=30, seed=0, peak_range=(-0.5, 0.5)):
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
     env = PlanarEnv(obstacles=[], q_start=np.array([0.0, 0.0]),
-                    q_goal=np.array([1.0, 0.0]),
-                    bounds=np.array([[-0.2, 1.2], [-0.8, 0.8]]))
-    spec = DemoSpec(classes=1, per_class=count, noise=0.01, peaks=(0.0,))
+                    q_goal=np.array([1.0, 0.0]), bounds=SCENE_BOUNDS)
+    spec = DemoSpec(per_class=count, noise=0.01, peaks=(0.0,))
     rng = np.random.default_rng(seed)
-    lo, hi = peak_range
-    demos = []
-    for peak in np.linspace(lo, hi, count):
-        demos.append(_spline_demo(peak, spec.noise, rng, spec))
-    return env, demos
+    return env, [_spline_demo(peak, spec.noise, rng, spec)
+                 for peak in np.linspace(*peak_range, count)]
 
 
-def fit_demos(env, demos, n_bases=20):
+def fit_demos(env, demos, n_bases=N_BASES):
     """Via-point curve model with shared endpoints, plus per-demo fits."""
     basis = BasisSet.uniform(n_bases)
     model = CurveModel.via_point(basis, env.q_start, env.q_goal)
@@ -192,6 +187,7 @@ def fit_demos(env, demos, n_bases=20):
 # -- model kinds and the shared evaluation path ---------------------------
 
 KINDS = ("vmp-gauss", "vmp-gmm", "mmp++", "immp++")
+IMMP_ALPHA = 0.1                 # distortion weight of the immp++ kind
 
 
 @dataclass
@@ -207,8 +203,9 @@ class ModelBundle:
     latents: np.ndarray = None
 
 
-def build_bundle(kind, env, demos, seed=0, n_bases=20, n_components=None,
-                 density_family="gmm", train_config=None, alpha=0.1):
+def build_bundle(kind, env, demos, seed=0, n_bases=N_BASES,
+                 n_components=None, density_family=DEFAULT_FAMILY,
+                 train_config=None, alpha=IMMP_ALPHA):
     """Train/fit the artifacts behind one model kind.
 
     VMP kinds fit their density directly over flattened coefficients;
@@ -243,19 +240,23 @@ def build_bundle(kind, env, demos, seed=0, n_bases=20, n_components=None,
     else:
         cfg = replace(train_config, seed=seed, alpha=kind_alpha)
     manifold = train(fits, model, cfg)
-    z = manifold.encode_many(fits)
+    return latent_bundle(kind, manifold, manifold.encode_many(fits),
+                         density_family, n_components, seed)
+
+
+def latent_bundle(kind, manifold, z, density_family, n_components, seed):
+    """A trained manifold, a density on its latents z, and z's floor."""
     density = fit_density(z, density_family, n_components, seed)
-    threshold = min_loglik_threshold(density, z)
     return ModelBundle(kind=kind, density=density,
                        decode_batch=manifold.decode_many,
-                       curve_model=model, threshold=threshold,
+                       curve_model=manifold.curve_model,
+                       threshold=min_loglik_threshold(density, z),
                        manifold=manifold, latents=z)
 
 
 def default_components(env):
     """Mixture size matching the homotopy-class count of the layout."""
-    n_obs = len(env.obstacles)
-    return {0: 1, 1: 2, 2: 3, 3: 4}.get(n_obs, max(1, n_obs + 1))
+    return len(env.obstacles) + 1
 
 
 def sample_curves(bundle, count, rng, max_attempt_factor=400):
@@ -265,6 +266,10 @@ def sample_curves(bundle, count, rng, max_attempt_factor=400):
     result = rejection_sample(bundle.density, filt, rng, count)
     return bundle.decode_batch(np.atleast_2d(result.samples)), result
 
+
+# the success protocol: sampled curves per seed, and the sampling seeds
+EVAL_SAMPLES = 500
+EVAL_SEEDS = (0, 1, 2, 3, 4)
 
 # curves evaluated and collision-checked together: bounds the (N, T, ...)
 # field temporaries without changing any per-curve result
@@ -291,7 +296,7 @@ class EvalReport:
     seeds: list
     success_rates: list          # percent, one per seed
     acceptance_rates: list
-    num_samples: int = 500
+    num_samples: int
 
     @property
     def mean(self):
@@ -326,8 +331,8 @@ class EvalReport:
                    num_samples=int(rows[0]["num_samples"]))
 
 
-def evaluate_success(bundle, env, env_id="", num_samples=500,
-                     seeds=(0, 1, 2, 3, 4)):
+def evaluate_success(bundle, env, env_id="", num_samples=EVAL_SAMPLES,
+                     seeds=EVAL_SEEDS):
     """Success-rate protocol: fresh sampling per seed on fixed artifacts."""
     rates, accepts = [], []
     for s in seeds:

@@ -20,6 +20,11 @@ import numpy as np
 from .basis import evaluate_batch, evaluate_rows
 from .errors import NonFiniteError, ReplanInfeasibleError
 
+# phases sampled over one lookahead window, and latents sampled along the
+# straight eta path from the current z to a candidate z'
+WINDOW_RESOLUTION = 20
+ETA_POINTS = 11
+
 
 @dataclass
 class ReplanConfig:
@@ -31,28 +36,31 @@ class ReplanConfig:
     alpha_time: float = 100.0
     delta_back: float = 0.05
     threshold: float = -np.inf       # latent log-density floor
-    window_resolution: int = 20
     candidate_budget: int = 512
-    eta_points: int = 11
     tau_candidates: int = 5
     max_time: float = None           # virtual-time cap, default 3 * T
 
     def __post_init__(self):
-        if self.replan_hz >= self.control_hz:
-            raise ValueError("replan_hz must be below control_hz")
-        if self.window <= 0:
+        if not 0 < self.replan_hz < self.control_hz:
+            raise ValueError("replan_hz must be positive and below "
+                             "control_hz")
+        if not self.window > 0:            # NaN fails every comparison
             raise ValueError("window must be positive")
-        if self.total_time <= 0:
+        if not self.total_time > 0:
             raise ValueError("total_time must be positive")
         if not 0 < self.gain <= 1:
             raise ValueError("gain must be in (0, 1]")
-        if self.delta_back < 0:
+        if not self.alpha_time >= 0:
+            raise ValueError("alpha_time must be nonnegative")
+        if not self.delta_back >= 0:
             raise ValueError("delta_back must be nonnegative")
         if self.candidate_budget < 1:
             raise ValueError("candidate_budget must be at least 1")
+        if self.tau_candidates < 1:
+            raise ValueError("tau_candidates must be at least 1")
         if self.max_time is None:
             self.max_time = 3.0 * self.total_time
-        if self.max_time <= 0:
+        if not self.max_time > 0:
             raise ValueError("max_time must be positive")
 
 
@@ -110,6 +118,10 @@ class MovingDisk:
     def __post_init__(self):
         self.times = np.atleast_1d(np.asarray(self.times, dtype=float))
         self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
+        # a NaN would give NaN depths, and NaN > 0 reads as clear
+        for name in ("times", "centers", "radius"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"MovingDisk {name} must be finite")
         if len(self.times) != len(self.centers):
             raise ValueError("one center waypoint per time stamp required")
         if np.any(np.diff(self.times) <= 0):
@@ -190,7 +202,7 @@ def constraint_from_script(disks):
 def _window(tau, cfg):
     """Phase grid over the lookahead window that starts at tau."""
     hi = min(tau + cfg.window / cfg.total_time, 1.0)
-    return np.linspace(tau, hi, cfg.window_resolution)
+    return np.linspace(tau, hi, WINDOW_RESOLUTION)
 
 
 def predict_violation(state, model, constraint, t_now, cfg):
@@ -206,7 +218,7 @@ def predict_violation(state, model, constraint, t_now, cfg):
 
 
 def _candidate_latents(state, density, cfg, rng):
-    n_z = max(1, cfg.candidate_budget // max(cfg.tau_candidates, 1))
+    n_z = max(1, cfg.candidate_budget // cfg.tau_candidates)
     n_density = (n_z - 1) // 2
     n_perturb = n_z - 1 - n_density
     cands = [state.z[None, :]]
@@ -243,8 +255,7 @@ def solve_replan(state, model, density, constraint, t_now, cfg, rng):
     """
     tau = state.tau
     tau_lo = max(tau - cfg.delta_back, 0.0)
-    tau_grid = np.linspace(tau, tau_lo, cfg.tau_candidates) \
-        if cfg.tau_candidates > 1 else np.array([tau])
+    tau_grid = np.linspace(tau, tau_lo, cfg.tau_candidates)
     z_cands = _candidate_latents(state, density, cfg, rng)
     log_dens = np.atleast_1d(density.logpdf(z_cands))
     stacks = model.decode_many(z_cands)          # (n_z, n, B)
@@ -262,7 +273,7 @@ def solve_replan(state, model, density, constraint, t_now, cfg, rng):
     window_ok = np.zeros(pair_obj.shape, dtype=bool)
     window_ok[density_ok] = ~np.any(constraint(pts, times) > 0, axis=2)
 
-    eta = np.linspace(0.0, 1.0, cfg.eta_points)
+    eta = np.linspace(0.0, 1.0, ETA_POINTS)
     n_tau = len(tau_grid)
     paths = {}    # iz -> decoded eta path, None below the density floor
     for rank in order:

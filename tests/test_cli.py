@@ -20,6 +20,23 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def assert_meta_records_options(out, *argv):
+    """meta.json holds every option the command parsed, as parsed.
+
+    argv is the command line without --out; the seed sits at the top
+    level, and --out and --config are not options of the run.
+    """
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command")
+    dests = {a.dest for a in commands.choices[argv[0]]._actions} \
+        - {"help", "out", "config", "seed"}
+    parsed = vars(parser.parse_args([*argv, "--out", str(out)]))
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["command"] == argv[0]
+    assert meta["seed"] == parsed.get("seed")
+    assert meta["options"] == {name: parsed[name] for name in dests}
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """synth-demos -> fit -> train chain shared by the read-only tests."""
@@ -27,16 +44,19 @@ def workspace(tmp_path_factory):
     demos_dir = root / "demos"
     fits_dir = root / "fits"
     model_dir = root / "model"
-    assert run_cli("synth-demos", "--env", "continuum", "--count", "12",
-                   "--seed", "3", "--out", str(demos_dir)) == 0
-    assert run_cli("fit", "--demos", str(demos_dir / "demos.json"),
-                   "--env", str(demos_dir / "env.json"),
-                   "--out", str(fits_dir)) == 0
-    assert run_cli("train", "--fits", str(fits_dir / "fits.json"),
-                   "--epochs", "150", "--hidden", "32,32",
-                   "--out", str(model_dir)) == 0
+    argv = {
+        "demos": ("synth-demos", "--env", "continuum", "--count", "12",
+                  "--seed", "3"),
+        "fits": ("fit", "--demos", str(demos_dir / "demos.json"),
+                 "--env", str(demos_dir / "env.json")),
+        "model": ("train", "--fits", str(fits_dir / "fits.json"),
+                  "--epochs", "150", "--hidden", "32,32"),
+    }
+    for name, out in (("demos", demos_dir), ("fits", fits_dir),
+                      ("model", model_dir)):
+        assert run_cli(*argv[name], "--out", str(out)) == 0
     return {"root": root, "demos": demos_dir, "fits": fits_dir,
-            "model": model_dir}
+            "model": model_dir, "argv": argv}
 
 
 # -- individual commands ---------------------------------------------------
@@ -54,6 +74,7 @@ def test_synth_demos_writes_documented_artifacts(workspace):
     assert meta["options"]["count"] == 12
     demos = load_trajectory_dataset(out / "demos.json")
     assert len(demos) == 12
+    assert_meta_records_options(out, *workspace["argv"]["demos"])
 
 
 def test_synth_demos_is_reproducible(tmp_path):
@@ -71,6 +92,26 @@ def test_fit_records_objectives(workspace):
     assert model.basis.size == 20
     assert all(obj >= 0.0 for obj in objectives)
     assert max(objectives) < 1e-2                # demos are low-noise
+    assert_meta_records_options(workspace["fits"],
+                                *workspace["argv"]["fits"])
+    meta = json.loads((workspace["fits"] / "meta.json").read_text())
+    assert meta["seed"] is None                  # fit takes no seed
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_fit_rejects_seed(workspace, tmp_path, capsys, source):
+    # fit is deterministic: a seed would be recorded and do nothing
+    argv = [*workspace["argv"]["fits"], "--out", str(tmp_path / "o")]
+    if source == "flag":
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv, "--seed", "1")
+        assert exit_info.value.code == 2
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1}))
+        assert run_cli(*argv, "--config", str(cfg)) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_writes_model_and_latents(workspace):
@@ -81,13 +122,15 @@ def test_train_writes_model_and_latents(workspace):
         assert (out / name).exists(), name
     z = np.asarray(json.loads((out / "latents.json").read_text())["z"])
     assert z.shape == (12, 2)
+    assert_meta_records_options(out, *workspace["argv"]["model"])
 
 
 def test_sample_from_trained_model(workspace, tmp_path):
     out = tmp_path / "samples"
-    assert run_cli("sample", "--model", str(workspace["model"]),
-                   "--density", "kde", "--count", "8", "--grid", "40",
-                   "--out", str(out)) == 0
+    argv = ("sample", "--model", str(workspace["model"]), "--density", "kde",
+            "--count", "8", "--grid", "40")
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert_meta_records_options(out, *argv)
     trajs = load_trajectory_dataset(out / "samples.json")
     assert len(trajs) == 8
     assert all(t.points.shape == (40, 2) for t in trajs)
@@ -124,9 +167,10 @@ def test_sample_writes_each_curve_as_evaluated_alone(workspace, tmp_path,
 
 def test_sample_reconstructs_stored_fit(workspace, tmp_path):
     out = tmp_path / "recon"
-    assert run_cli("sample", "--from-params",
-                   str(workspace["fits"] / "fits.json"), "--index", "4",
-                   "--grid", "80", "--out", str(out)) == 0
+    argv = ("sample", "--from-params", str(workspace["fits"] / "fits.json"),
+            "--index", "4", "--grid", "80")
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert_meta_records_options(out, *argv)
     rec = load_trajectory_dataset(out / "samples.json")[0]
     demo = load_trajectory_dataset(workspace["demos"] / "demos.json")[4]
     assert rec.points.shape == demo.points.shape
@@ -147,19 +191,20 @@ def test_eval_baseline_writes_report_and_scene(tmp_path):
 
 def test_eval_latent_kind_end_to_end(tmp_path):
     out = tmp_path / "eval_latent"
-    assert run_cli("eval", "--env", "env1", "--kind", "mmp++",
-                   "--num-samples", "15", "--seeds", "2", "--epochs", "60",
-                   "--hidden", "16,16", "--out", str(out)) == 0
+    argv = ("eval", "--env", "env1", "--kind", "mmp++", "--num-samples",
+            "15", "--seeds", "2", "--epochs", "60", "--hidden", "16,16")
+    assert run_cli(*argv, "--out", str(out)) == 0
     assert (out / "report.csv").exists()
+    assert_meta_records_options(out, *argv)
 
 
 def test_replan_episode_without_obstacle(tmp_path):
     out = tmp_path / "replan"
-    assert run_cli("replan", "--epochs", "150", "--count", "12",
-                   "--hidden", "32,32", "--control-hz", "200",
-                   "--replan-hz", "10", "--total-time", "2.0",
-                   "--window", "0.5", "--no-obstacle",
-                   "--out", str(out)) == 0
+    argv = ("replan", "--epochs", "150", "--count", "12", "--hidden",
+            "32,32", "--control-hz", "200", "--replan-hz", "10",
+            "--total-time", "2.0", "--window", "0.5", "--no-obstacle")
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert_meta_records_options(out, *argv)
     trace = (out / "trace.csv").read_text().strip().splitlines()
     assert trace[0].split(",")[:2] == ["t", "tau"]
     assert len(trace) > 100
@@ -169,13 +214,25 @@ def test_replan_episode_without_obstacle(tmp_path):
 
 def test_export_plot_renders_figures(workspace, tmp_path):
     out = tmp_path / "figs"
-    assert run_cli("export-plot", "--model", str(workspace["model"]),
-                   "--density", "kde", "--count", "6",
-                   "--out", str(out)) == 0
+    argv = ("export-plot", "--model", str(workspace["model"]),
+            "--density", "kde", "--count", "6")
+    assert run_cli(*argv, "--out", str(out)) == 0
     for name in ("loss_curves.svg", "latent_scatter.svg",
                  "trajectories.svg"):
         svg = (out / name).read_text()
         assert svg.lstrip().startswith("<svg"), name
+    assert_meta_records_options(out, *argv)
+
+
+def test_export_plot_with_nan_radius_exits_2(workspace, tmp_path, capsys):
+    env = json.loads((workspace["demos"] / "env.json").read_text())
+    env["obstacles"] = [{"center": [0.5, 0.0], "radius": float("nan")}]
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(env))             # writes the NaN literal
+    assert run_cli("export-plot", "--model", str(workspace["model"]),
+                   "--env", str(path), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "radius" in err
 
 
 # -- configuration handling ------------------------------------------------

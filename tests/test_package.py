@@ -43,8 +43,14 @@ def test_modules_have_no_unused_imports():
 
 
 def test_curve_kernel_is_bound_by_name():
-    # perfbench's span tracer wraps evaluate_batch at every binding site,
-    # so these modules must hold the basis function itself
-    from motionmanifold import basis, envs, replan, training
-    for module in (envs, replan, training):
-        assert module.evaluate_batch is basis.evaluate_batch, module.__name__
+    # perfbench's span tracer wraps a function at every module that binds
+    # it, and requires these binding sites: each module must hold the
+    # library function itself under its own name
+    from motionmanifold import basis, cli, density, envs, replan, training
+    required = [(envs, training.train), (envs, basis.evaluate_batch),
+                (envs, density.gmm_fit), (replan, basis.evaluate_batch),
+                (training, basis.evaluate_batch), (cli, training.train),
+                (cli, envs.fit_demos), (cli, density.kde_build)]
+    for module, function in required:
+        assert getattr(module, function.__name__, None) is function, \
+            f"{module.__name__}.{function.__name__}"

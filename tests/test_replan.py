@@ -74,6 +74,15 @@ def test_config_defaults_and_derived_cap():
     dict(delta_back=-0.1),
     dict(candidate_budget=0),
     dict(max_time=0.0),
+    dict(tau_candidates=0),                 # was read as 1
+    dict(tau_candidates=-3),
+    dict(replan_hz=0.0),                    # was a ZeroDivisionError
+    dict(replan_hz=-5.0),                   # was a replan every tick
+    dict(control_hz=-1000.0, replan_hz=-2000.0),
+    dict(alpha_time=-1.0),
+    dict(window=np.nan),
+    dict(total_time=np.nan),
+    dict(alpha_time=np.nan),
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
@@ -111,6 +120,25 @@ def test_moving_disk_validation():
     with pytest.raises(ValueError, match="radius"):
         MovingDisk(times=[0.0, 1.0], centers=[[0.0, 0.0], [1.0, 1.0]],
                    radius=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("radius", np.nan),
+    ("radius", np.inf),
+    ("centers", [[0.0, 0.0], [np.nan, 0.0]]),
+    ("times", [0.0, np.nan]),
+    ("times", [0.0, np.inf]),
+])
+@pytest.mark.parametrize("build", ["direct", "from_dict"])
+def test_moving_disk_rejects_non_finite(field, value, build):
+    # a NaN depth reads as clear, since NaN > 0 is False
+    data = {"times": [0.0, 1.0], "centers": [[0.0, 0.0], [1.0, 0.0]],
+            "radius": 0.1, field: value}
+    with pytest.raises(ValueError, match=field):
+        if build == "direct":
+            MovingDisk(**data)
+        else:
+            MovingDisk.from_dict(data)
 
 
 def test_obstacle_script_round_trip(tmp_path):
@@ -371,7 +399,7 @@ def reference_solve_replan(state, model, density, constraint, t_now, cfg,
             pair_obj.append((obj, iz, it))
     order = sorted(range(len(pair_obj)), key=lambda i: (pair_obj[i][0], i))
 
-    eta = np.linspace(0.0, 1.0, cfg.eta_points)
+    eta = np.linspace(0.0, 1.0, replan.ETA_POINTS)
     n_density_ok = int(np.sum(log_dens >= cfg.threshold))
     n_window_ok = 0
     window_cache = {}
@@ -383,7 +411,7 @@ def reference_solve_replan(state, model, density, constraint, t_now, cfg,
         key = (iz, it)
         if key not in window_cache:
             hi = min(tp + cfg.window / cfg.total_time, 1.0)
-            grid = np.linspace(tp, hi, cfg.window_resolution)
+            grid = np.linspace(tp, hi, replan.WINDOW_RESOLUTION)
             pts = evaluate_batch(model.curve_model, stacks[iz:iz + 1],
                                  grid)[0]
             window_cache[key] = _reference_window_feasible(
@@ -398,7 +426,7 @@ def reference_solve_replan(state, model, density, constraint, t_now, cfg,
             continue
         path_stacks = model.decode_many(z_path)
         ok = True
-        for j in range(cfg.eta_points):
+        for j in range(replan.ETA_POINTS):
             q = evaluate_batch(model.curve_model, path_stacks[j:j + 1],
                                np.array([tau_path[j]]))[0, 0]
             if constraint(q, t_now) > 0:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .basis import (CurveModel, CurveParams, TimedTrajectory,
                     load_trajectory_dataset, save_trajectory_dataset)
-from .density import (DEFAULT_FAMILY, FAMILIES, fit_density, kde_build,
+from .density import (DEFAULT_FAMILY, FAMILIES, kde_build,
                       min_loglik_threshold, save_density)
 from .envs import (CONTINUUM_COUNT, ENV_IDS, EVAL_SAMPLES, EVAL_SEEDS,
                    IMMP_ALPHA, KINDS, N_BASES, SCENE_BOUNDS, PlanarEnv,
@@ -146,6 +146,22 @@ def cmd_train(args):
           f"{manifold.history['recon'][-1]:.6e}")
 
 
+def _sample_model(manifold, args):
+    """--count draws above the floor of a density on the model's latents.
+
+    Returns the bundle, the drawn coefficient stacks and the rejection
+    result; args supplies --model, --density, --components and --seed.
+    """
+    with open(os.path.join(args.model, "latents.json")) as fh:
+        z = np.asarray(json.load(fh)["z"], dtype=float)
+    kind = "immp++" if manifold.config.alpha > 0 else "mmp++"
+    bundle = latent_bundle(kind, manifold, z, args.density,
+                           args.components, args.seed)
+    stacks, result = sample_curves(bundle, args.count,
+                                   np.random.default_rng(args.seed))
+    return bundle, stacks, result
+
+
 def cmd_sample(args):
     if not (args.from_params or args.model):
         raise ConfigError("field 'model': sample needs --model or "
@@ -163,14 +179,8 @@ def cmd_sample(args):
         _log(out, f"sample from_params index={args.index}")
         print(f"wrote reconstructed curve {args.index} to {out}")
         return
-    manifold = ManifoldModel.load(args.model)
-    with open(os.path.join(args.model, "latents.json")) as fh:
-        z = np.asarray(json.load(fh)["z"], dtype=float)
-    kind = "immp++" if manifold.config.alpha > 0 else "mmp++"
-    bundle = latent_bundle(kind, manifold, z, args.density,
-                           args.components, args.seed)
-    stacks, result = sample_curves(bundle, args.count,
-                                   np.random.default_rng(args.seed))
+    bundle, stacks, result = _sample_model(ManifoldModel.load(args.model),
+                                           args)
     taus = np.linspace(0.0, 1.0, args.grid)
     curves = basis_mod.evaluate_batch(bundle.curve_model, stacks, taus)
     save_trajectory_dataset(
@@ -268,18 +278,12 @@ def cmd_export_plot(args):
     manifold = ManifoldModel.load(args.model)
     render_loss_curves(os.path.join(out, "loss_curves.svg"),
                        manifold.history)
-    latents_path = os.path.join(args.model, "latents.json")
-    if os.path.exists(latents_path):
-        with open(latents_path) as fh:
-            z = np.asarray(json.load(fh)["z"], dtype=float)
-        density = fit_density(z, args.density, args.components, args.seed)
-        rng = np.random.default_rng(args.seed)
-        draws = np.atleast_2d(density.sample(rng, count=args.count))
-        render_latent_scatter(os.path.join(out, "latent_scatter.svg"), z,
-                              extra=draws)
-        curves = basis_mod.evaluate_batch(
-            manifold.curve_model, manifold.decode_many(draws),
-            np.linspace(0.0, 1.0, 200))
+    if os.path.exists(os.path.join(args.model, "latents.json")):
+        bundle, stacks, result = _sample_model(manifold, args)
+        render_latent_scatter(os.path.join(out, "latent_scatter.svg"),
+                              bundle.latents, extra=result.samples)
+        curves = basis_mod.evaluate_batch(bundle.curve_model, stacks,
+                                          np.linspace(0.0, 1.0, 200))
         env = PlanarEnv.load(args.env) if args.env else PlanarEnv(
             obstacles=[], q_start=manifold.curve_model.q_start,
             q_goal=manifold.curve_model.q_end, bounds=SCENE_BOUNDS)

@@ -21,7 +21,8 @@ from .errors import DegenerateSupportError, SamplingStarvedError
 # -- Gaussian-mixture core ------------------------------------------------
 
 # Cap on the (components, queries, m) whitened-difference block that one
-# evaluation holds at once, in float64 elements (2 MB).
+# evaluation holds at once, and on the (draws, m, m) factor stack that one
+# sampling step gathers, in float64 elements (2 MB).
 _BLOCK_ELEMENTS = 1 << 18
 
 
@@ -67,8 +68,12 @@ def _mixture_logpdf(z, means, inv_chols_t, log_norms, offset=0.0):
 def _draw(means, chols, picks, rng, count):
     """means[picks] + chols[picks] @ N(0, I); one point if count is None."""
     eps = rng.standard_normal((len(picks), means.shape[1]))
-    # matmul per draw, not einsum: this matches chol @ eps bit for bit
-    out = means[picks] + (chols[picks] @ eps[:, :, None])[:, :, 0]
+    out = means[picks]
+    block = max(1, _BLOCK_ELEMENTS // chols[0].size)
+    for lo in range(0, len(picks), block):
+        rows = slice(lo, lo + block)
+        # matmul per draw, not einsum: this matches chol @ eps bit for bit
+        out[rows] += (chols[picks[rows]] @ eps[rows, :, None])[:, :, 0]
     return out[0] if count is None else out
 
 

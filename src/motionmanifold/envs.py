@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .basis import BasisSet, CurveModel, TimedTrajectory, evaluate_batch
 from .density import (DEFAULT_FAMILY, SampleFilter, fit_density, gmm_fit,
@@ -111,14 +110,49 @@ _WAYPOINT_X = np.array([0.0, 0.2, 0.5, 0.8, 1.0])
 _WAYPOINT_SHAPE = np.array([0.0, 0.55, 1.0, 0.55, 0.0])
 
 
+def _natural_spline(ys, x):
+    """Natural cubic spline through (_WAYPOINT_X, ys), evaluated at x.
+
+    Bit for bit scipy's CubicSpline(_WAYPOINT_X, ys, bc_type="natural"):
+    the slope system is built as CubicSpline builds it and solved as LAPACK
+    dgtsv solves it, which never pivots on these knots, and the Hermite
+    pieces are summed in PPoly's order.  Two terms that are always zero,
+    CubicSpline's natural-end term and dgtsv's eliminated sub-diagonal, are
+    left out: they can only flip the sign of an intermediate zero, and
+    PPoly's sum, which starts from 0.0, gives the result the same bits
+    either way.
+    """
+    dx = np.diff(_WAYPOINT_X)
+    slope = np.diff(ys) / dx
+    # tridiagonal rows: sub-, main and super-diagonal, right-hand side
+    lower = np.append(dx[1:], dx[-1])
+    diag = 2 * np.concatenate([dx[:1], dx[:-1] + dx[1:], dx[-1:]])
+    upper = np.append(dx[0], dx[:-1])
+    rhs = 3 * np.concatenate([ys[1:2] - ys[:1],
+                              dx[1:] * slope[:-1] + dx[:-1] * slope[1:],
+                              ys[-1:] - ys[-2:-1]])
+    for i in range(len(ys) - 1):
+        fact = lower[i] / diag[i]
+        diag[i + 1] -= fact * upper[i]
+        rhs[i + 1] -= fact * rhs[i]
+    s = rhs / diag                       # the last slope is final
+    for i in range(len(ys) - 2, -1, -1):
+        s[i] = (rhs[i] - upper[i] * s[i + 1]) / diag[i]
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c0, c1, c2, c3 = ys[:-1], s[:-1], (slope - s[:-1]) / dx - t, t / dx
+    k = np.clip(np.searchsorted(_WAYPOINT_X, x, side="right") - 1,
+                0, len(dx) - 1)
+    u = x - _WAYPOINT_X[k]
+    return (0.0 + c0[k]) + c1[k] * u + c2[k] * (u * u) + c3[k] * (u * u * u)
+
+
 def _spline_demo(peak, noise, rng, spec):
     ys = peak * _WAYPOINT_SHAPE.copy()
     ys[1:-1] += noise * rng.standard_normal(3)
-    spline = CubicSpline(_WAYPOINT_X, ys, bc_type="natural")
     t = np.linspace(0.0, spec.duration, spec.samples)
     x = t / spec.duration
     return TimedTrajectory(times=t,
-                           points=np.column_stack([x, spline(x)]))
+                           points=np.column_stack([x, _natural_spline(ys, x)]))
 
 
 def _demo_clear(traj, env, margin=0.02, grid_points=500):

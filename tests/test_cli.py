@@ -9,10 +9,12 @@ import sys
 import numpy as np
 import pytest
 
-from motionmanifold.basis import (TimedTrajectory, load_trajectory_dataset,
+from motionmanifold.basis import (TimedTrajectory, evaluate_batch,
+                                  load_trajectory_dataset,
                                   save_trajectory_dataset)
 from motionmanifold import cli
 from motionmanifold.cli import load_fits, main
+from motionmanifold.density import fit_density, min_loglik_threshold
 from motionmanifold.training import ManifoldModel
 
 
@@ -222,6 +224,29 @@ def test_export_plot_renders_figures(workspace, tmp_path):
         svg = (out / name).read_text()
         assert svg.lstrip().startswith("<svg"), name
     assert_meta_records_options(out, *argv)
+
+
+@pytest.mark.parametrize("family", ["kde", "gmm"])
+def test_export_plot_draws_clear_the_density_floor(workspace, tmp_path,
+                                                   monkeypatch, family):
+    # export-plot shows only curves that sample and eval would return
+    seen = {}
+    monkeypatch.setattr(cli, "render_latent_scatter",
+                        lambda path, z, extra: seen.update(z=z, draws=extra))
+    monkeypatch.setattr(cli, "render_scene",
+                        lambda path, env, curves: seen.update(curves=curves))
+    assert run_cli("export-plot", "--model", str(workspace["model"]),
+                   "--density", family, "--count", "40",
+                   "--out", str(tmp_path)) == 0
+    density = fit_density(seen["z"], family, 2, 0)
+    floor = min_loglik_threshold(density, seen["z"])
+    assert len(seen["draws"]) == 40
+    assert np.all(density.logpdf(seen["draws"]) >= floor)
+    manifold = ManifoldModel.load(workspace["model"])
+    want = evaluate_batch(manifold.curve_model,
+                          manifold.decode_many(seen["draws"]),
+                          np.linspace(0.0, 1.0, 200))
+    assert np.array_equal(np.array(seen["curves"]), want)
 
 
 def test_export_plot_with_nan_radius_exits_2(workspace, tmp_path, capsys):

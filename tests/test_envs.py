@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from motionmanifold import envs
 from motionmanifold.density import gmm_fit
@@ -119,6 +122,49 @@ def test_continuum_demos_sweep_one_family():
     # peak parameter sweeps low to high across the family
     assert mids[0] < -0.3 and mids[-1] > 0.3
     assert np.all(np.diff(mids) > 0)
+
+
+def _scipy_spline(ys, x):
+    return CubicSpline(envs._WAYPOINT_X, ys, bc_type="natural")(x)
+
+
+def _demo_waypoints(peak, noise):
+    ys = peak * envs._WAYPOINT_SHAPE.copy()      # as _spline_demo builds them
+    ys[1:-1] += noise
+    return ys
+
+
+_waypoints = st.one_of(
+    st.builds(_demo_waypoints, st.floats(-1.0, 1.0),
+              st.lists(st.floats(-0.1, 0.1), min_size=3, max_size=3)),
+    st.lists(st.floats(-1e3, 1e3), min_size=5, max_size=5).map(np.array))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_waypoints)
+@example(np.zeros(5))
+@example(_demo_waypoints(-0.5, [0.08, 0.02, 0.05]))   # scipy gives +0.0 at 0
+def test_natural_spline_is_scipys_bit_for_bit(ys):
+    x = np.linspace(0.0, 1.0, 80)        # the demo phases
+    assert envs._natural_spline(ys, x).tobytes() == \
+        _scipy_spline(ys, x).tobytes()
+
+
+@pytest.mark.parametrize("env_id", [*sorted(_EXPECTED), "continuum"])
+def test_demos_match_a_scipy_spline_generator(env_id, monkeypatch):
+    def demos(seed):
+        if env_id == "continuum":
+            return generate_continuum_demos(seed=seed)[1]
+        return generate_env(env_id, seed=seed)[1]
+
+    ours = [demos(seed) for seed in range(5)]
+    monkeypatch.setattr(envs, "_natural_spline", _scipy_spline)
+    for seed, got in enumerate(ours):
+        want = demos(seed)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.times.tobytes() == b.times.tobytes()
+            assert a.points.tobytes() == b.points.tobytes()
 
 
 # -- collision geometry ----------------------------------------------------

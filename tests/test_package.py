@@ -2,7 +2,11 @@
 
 import ast
 import inspect
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import motionmanifold
 
@@ -54,3 +58,21 @@ def test_curve_kernel_is_bound_by_name():
     for module, function in required:
         assert getattr(module, function.__name__, None) is function, \
             f"{module.__name__}.{function.__name__}"
+
+
+def test_import_loads_only_scipy_linalg():
+    # every CLI step and benchmark run is a fresh process that pays for
+    # each scipy subpackage the import pulls in
+    probe = ("import json, sys\n"
+             "import motionmanifold, motionmanifold.cli\n"
+             "print(json.dumps(sorted(\n"
+             "    name for name, mod in sys.modules.items()\n"
+             "    if name.count('.') == 1 and name.startswith('scipy.')\n"
+             "    and not name.startswith('scipy._')\n"
+             "    and hasattr(mod, '__path__'))))\n")
+    src = str(pathlib.Path(motionmanifold.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": path})
+    assert json.loads(result.stdout) == ["scipy.linalg"]

@@ -23,6 +23,7 @@ from .training import fit_autoencoder
 
 _BRANCH_MARGIN = 1e-6
 _SMALL_ANGLE = 1e-8
+_EYE = np.eye(3)
 
 
 # -- so(3) maps over stacks: vectors (..., 3), matrices (..., 3, 3) --------
@@ -73,32 +74,56 @@ def _skew(v):
 
 def _skew_poly(k, k2, c1, c2):
     """I + c1 K + c2 K^2 with one coefficient pair per matrix."""
-    c1 = np.asarray(c1)[..., None, None]
-    return np.eye(3) + c1 * k + c2[..., None, None] * k2
+    out = np.asarray(c1)[..., None, None] * k
+    out += _EYE
+    out += c2[..., None, None] * k2
+    return out
+
+
+# The coefficients of exp(K) = I + a K + b K^2 and J_r = I - b K + c K^2
+# at angle theta, each switching to its series where `small` holds.
+
+def _sin_ratio(theta, small):
+    """a = sin(theta) / theta."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(small, 1.0 - theta ** 2 / 6.0, np.sin(theta) / theta)
+
+
+def _cos_ratio(theta, small):
+    """b = (1 - cos(theta)) / theta^2."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(small, 0.5 - theta ** 2 / 24.0,
+                        (1.0 - np.cos(theta)) / theta ** 2)
+
+
+def _sin_gap_ratio(theta, small):
+    """c = (theta - sin(theta)) / theta^3."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(small, 1.0 / 6.0 - theta ** 2 / 120.0,
+                        (theta - np.sin(theta)) / theta ** 3)
 
 
 def _exp_and_jacobian(v):
-    """exp(hat(v)) and J_r(v), sharing K, K^2, the angle, sin and cos."""
+    """exp(hat(v)) and J_r(v), sharing K, K^2, the angle and b."""
     k, theta, small = _skew(v)
     k2 = k @ k
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sin_t = np.sin(theta)
-        a = np.where(small, 1.0 - theta ** 2 / 6.0, sin_t / theta)
-        b = np.where(small, 0.5 - theta ** 2 / 24.0,
-                     (1.0 - np.cos(theta)) / theta ** 2)
-        c = np.where(small, 1.0 / 6.0 - theta ** 2 / 120.0,
-                     (theta - sin_t) / theta ** 3)
-    return _skew_poly(k, k2, a, b), _skew_poly(k, k2, -b, c)
+    b = _cos_ratio(theta, small)
+    return (_skew_poly(k, k2, _sin_ratio(theta, small), b),
+            _skew_poly(k, k2, -b, _sin_gap_ratio(theta, small)))
 
 
 def exp_so3(v):
     """Rodrigues formula, series-stabilized near zero."""
-    return _exp_and_jacobian(v)[0]
+    k, theta, small = _skew(v)
+    return _skew_poly(k, k @ k, _sin_ratio(theta, small),
+                      _cos_ratio(theta, small))
 
 
 def so3_jacobian_right(v):
     """J_r with exp(v + dv) = exp(v) exp(hat(J_r(v) dv)) to first order."""
-    return _exp_and_jacobian(v)[1]
+    k, theta, small = _skew(v)
+    return _skew_poly(k, k @ k, -_cos_ratio(theta, small),
+                      _sin_gap_ratio(theta, small))
 
 
 def so3_jacobian_right_inv(v):
@@ -115,20 +140,24 @@ def log_so3(r):
     return _log(check_rotation(r, tol=1e-8))
 
 
+# vee(R - R^T) as two gathers: rows (2, 0, 1) at columns (1, 2, 0)
+_VEE_ROWS = np.array([2, 0, 1])
+_VEE_COLS = np.array([1, 2, 0])
+
+
 def _log(r):
     """log_so3 without the rotation check, for matrices built here."""
-    cos_t = np.clip((np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0,
-                    -1.0, 1.0)
+    cos_t = np.minimum(np.maximum(
+        (r[..., 0, 0] + r[..., 1, 1] + r[..., 2, 2] - 1.0) / 2.0, -1.0), 1.0)
     theta = np.arccos(cos_t)
-    if np.any(theta >= np.pi - _BRANCH_MARGIN):
+    if (theta >= np.pi - _BRANCH_MARGIN).any():
         raise BranchError(f"rotation angle {float(theta.max()):.8f} is too "
                           "close to pi for the principal branch")
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.where(theta < _SMALL_ANGLE, 0.5 * (1.0 + theta ** 2 / 6.0),
                      theta / (2.0 * np.sin(theta)))
-    d = r - np.swapaxes(r, -1, -2)
-    return s[..., None] * np.stack(
-        [d[..., 2, 1], d[..., 0, 2], d[..., 1, 0]], axis=-1)
+    return s[..., None] * (r[..., _VEE_ROWS, _VEE_COLS]
+                           - r[..., _VEE_COLS, _VEE_ROWS])
 
 
 # -- pose trajectories and curve parameters -------------------------------
@@ -206,86 +235,89 @@ class Se3CurveParams:
 
 @dataclass
 class Se3Samples:
-    """Every sample of a demonstration set in one stack.
+    """Every sample of a demonstration set on one (N, K) grid.
 
-    Sample s belongs to demonstration d = index[s] and has weight
-    1 / (N K_d), where K_d is the sample count of demo d among N demos;
-    a weighted sum over samples is then the mean over each demo's samples
-    averaged over the demos.  pool[d, s] holds weight[s] where
-    index[s] == d and 0 elsewhere, so pool @ rows sums each demo's
-    weighted sample rows.
+    Row d holds demonstration d's K_d samples, padded to K = max K_d by
+    repeating its last sample with weight 0.  A real sample of demo d has
+    weight 1 / (N K_d), so a weighted sum over the grid is the mean over
+    each demo's samples averaged over the demos.
     """
-    taus: np.ndarray             # (S,)
-    phi: np.ndarray              # (S, B)
-    index: np.ndarray            # (S,)
-    positions: np.ndarray        # (S, 3)
-    rotations: np.ndarray        # (S, 3, 3)
-    weight: np.ndarray           # (S,)
-    pool: np.ndarray             # (N, S)
+    taus: np.ndarray             # (N, K)
+    phi: np.ndarray              # (N, K, B)
+    positions: np.ndarray        # (N, K, 3)
+    rotations: np.ndarray        # (N, K, 3, 3)
+    weight: np.ndarray           # (N, K)
 
     @classmethod
     def from_dataset(cls, dataset, basis):
-        counts = np.array([len(traj.times) for traj in dataset])
-        index = np.repeat(np.arange(len(dataset)), counts)
-        taus = np.concatenate([traj.taus for traj in dataset])
-        weight = 1.0 / (len(dataset) * counts[index])
-        pool = np.zeros((len(dataset), len(index)))
-        pool[index, np.arange(len(index))] = weight
-        return cls(taus=taus, phi=basis.evaluate(taus), index=index,
-                   positions=np.concatenate(
-                       [traj.positions for traj in dataset]),
-                   rotations=np.concatenate(
-                       [traj.rotations for traj in dataset]),
-                   weight=weight, pool=pool)
+        if not dataset:
+            raise ValueError("a pose sample set needs at least 1 "
+                             "demonstration, got 0")
+        counts = np.array([len(traj.times) for traj in dataset])[:, None]
+        k = np.arange(counts.max())
+        rows = np.minimum(k, counts - 1)
+
+        def grid(name):
+            return np.stack([getattr(traj, name)[row]
+                             for traj, row in zip(dataset, rows)])
+
+        taus = grid("taus")
+        return cls(taus=taus,
+                   phi=basis.evaluate(taus.ravel()).reshape(*taus.shape, -1),
+                   positions=grid("positions"), rotations=grid("rotations"),
+                   weight=np.where(k < counts,
+                                   1.0 / (len(dataset) * counts), 0.0))
 
 
-def _pose_curves(taus, phi, index, p_start, p_end, w_pos, r_start, ell,
-                 w_rot):
-    """p(tau) and R(tau) of N via-point pose curves at concatenated phases.
+def _pose_curves(taus, p_start, p_end, r_start, shape, exp_a, exp_c):
+    """p(tau) and R(tau) of N via-point pose curves on an (N, K) phase grid.
 
     p(tau) = (1 - tau) p_i + tau p_f + w_p phi(tau) and
-    R(tau) = R_i exp(tau ell) exp([w_R phi(tau)]).  Sample s lies on
-    curve index[s] at phase taus[s], with basis row phi[s].  Per-curve
-    arrays have N rows: p_start and p_end (N, 3), w_pos and w_rot
-    (N, 3, B), r_start (N, 3, 3), and ell = log(R_i^T R_f) (N, 3); a
-    start pose shared by all curves may be passed once and is broadcast.
-    Returns p (S, 3) and R (S, 3, 3) with exp(c) and the right Jacobians
-    of exp at a = tau ell and c = w_R phi, which the loss gradient reuses.
-
-    w_p phi and w_R phi are the row-wise curve evaluation of
-    basis.evaluate_rows, written here as two sdb,sb->sd einsums over the
-    gathered per-sample coefficients: the samples share a precomputed
-    phi, and a matmul in their place is slower and changes the bits of
-    make_pouring_demos.
+    R(tau) = R_i exp(tau ell) exp([w_R phi(tau)]).  shape (N, K, 6) holds
+    w_p phi and w_R phi (see _shape_rows); exp_a and exp_c (N, K, 3, 3)
+    are exp(tau ell) and exp([w_R phi]), which the loss takes from the
+    fused exp/J_r pass and the evaluators from exp_so3.  p_end is (N, 3);
+    the start pose is one per curve, (N, 3) and (N, 3, 3), or one shared
+    by all curves.
     """
-    if np.ndim(p_start) == 2:
-        p_start = p_start[index]
-    if np.ndim(r_start) == 3:
-        r_start = r_start[index]
-    t = taus[:, None]
-    p = (1.0 - t) * p_start + t * p_end[index] \
-        + np.einsum("sdb,sb->sd", w_pos[index], phi)
-    exp_a, jac_a = _exp_and_jacobian(t * ell[index])
-    exp_c, jac_c = _exp_and_jacobian(
-        np.einsum("sdb,sb->sd", w_rot[index], phi))
-    return p, r_start @ exp_a @ exp_c, exp_c, jac_a, jac_c
+    t = taus[..., None]
+    p = (1.0 - t) * p_start[..., None, :] + t * p_end[:, None] \
+        + shape[..., :3]
+    return p, r_start[..., None, :, :] @ exp_a @ exp_c
 
 
-def _stack_curves(params_list):
-    """The per-curve arguments of _pose_curves for a list of parameters."""
-    curves = {name: np.stack([getattr(p, name) for p in params_list])
-              for name in ("p_start", "p_end", "w_pos", "r_start", "w_rot")}
-    r_end = np.stack([p.r_end for p in params_list])
-    curves["ell"] = log_so3(np.swapaxes(curves["r_start"], -1, -2) @ r_end)
-    return curves
+def _shape_rows(phi, w):
+    """w phi(tau), (N, K, 6), for each curve's (6, B) coefficients w.
+
+    An einsum, not a matmul: it sums over the bases in the same order as
+    evaluating each sample against its own copy of the coefficients, so
+    the demonstrations of make_pouring_demos and every curve evaluation
+    keep their bits; BLAS rounds differently.
+    """
+    return np.einsum("ndb,nkb->ndk", w, phi).swapaxes(-1, -2)
+
+
+def _eval_curves(params_list, taus, phi):
+    """p(tau) and R(tau) of each curve at its row of an (N, K) phase grid.
+
+    phi (N, K, B) holds the basis rows at taus.
+    """
+    def stack(name):
+        return np.stack([getattr(p, name) for p in params_list])
+
+    r_start = stack("r_start")
+    ell = log_so3(np.swapaxes(r_start, -1, -2) @ stack("r_end"))
+    shape = _shape_rows(phi, np.concatenate([stack("w_pos"),
+                                             stack("w_rot")], axis=1))
+    return _pose_curves(taus, stack("p_start"), stack("p_end"), r_start,
+                        shape, exp_so3(taus[..., None] * ell[:, None]),
+                        exp_so3(shape[..., 3:]))
 
 
 def _eval_curve(params, basis, tau):
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    p, r = _pose_curves(taus, basis.evaluate(taus),
-                        np.zeros(len(taus), dtype=int),
-                        **_stack_curves([params]))[:2]
-    return (p[0], r[0]) if np.ndim(tau) == 0 else (p, r)
+    p, r = _eval_curves([params], taus[None], basis.evaluate(taus)[None])
+    return (p[0, 0], r[0, 0]) if np.ndim(tau) == 0 else (p[0], r[0])
 
 
 def eval_rotation_curve(params, basis, tau):
@@ -323,9 +355,9 @@ def _blended_error(samples, p_hat, r_hat, beta):
     """
     e_pos = p_hat - samples.positions
     err = _log(np.swapaxes(samples.rotations, -1, -2) @ r_hat)
-    per_sample = np.sum(e_pos ** 2, axis=1) \
-        + 2.0 * beta * np.sum(err ** 2, axis=1)
-    return float(samples.weight @ per_sample), e_pos, err
+    per_sample = np.sum(e_pos ** 2, axis=-1) \
+        + 2.0 * beta * np.sum(err ** 2, axis=-1)
+    return float(samples.weight.ravel() @ per_sample.ravel()), e_pos, err
 
 
 def se3_recon_loss(dataset, params_list, basis, beta=1.0):
@@ -336,9 +368,11 @@ def se3_recon_loss(dataset, params_list, basis, beta=1.0):
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
+    if len(params_list) != len(dataset):
+        raise ValueError(f"{len(params_list)} curve parameters for "
+                         f"{len(dataset)} demonstrations; need one each")
     samples = Se3Samples.from_dataset(dataset, basis)
-    p_hat, r_hat = _pose_curves(samples.taus, samples.phi, samples.index,
-                                **_stack_curves(params_list))[:2]
+    p_hat, r_hat = _eval_curves(params_list, samples.taus, samples.phi)
     return _blended_error(samples, p_hat, r_hat, beta)[0]
 
 
@@ -371,39 +405,52 @@ def se3_loss_and_grads(outputs, samples, p_start, r_start, n_bases, beta=1.0):
     """Loss and d loss / d decoder-outputs for a batch of demonstrations.
 
     outputs: (N, 6B+6) raw decoder rows, row d for demonstration d of the
-    Se3Samples.  All samples are evaluated in one pass, and one pooling
-    matmul sums each sample's weighted gradient into its demonstration's
-    row.  Gradient of the rotation terms flows through both the shape
-    rotation and the decoded final rotation via right-Jacobian chain
-    rules.
+    Se3Samples.  Two fused exp/J_r passes cover every rotation vector:
+    one for the final rotations w_f and all samples' w_R phi, and one for
+    tau ell, which needs ell = log(R_i^T exp(w_f)) first.  The loss value
+    has the same bits as evaluating each sample on its own.  The gradient
+    applies each J^T to its sample's row vector, weights the rows, and
+    sums each demonstration's rows against [phi, tau] in one batched
+    matmul.
     """
     n, b = len(outputs), n_bases
-    if n != len(samples.pool):
-        raise ValueError(f"{n} output rows for {len(samples.pool)} "
+    if np.ndim(outputs) != 2 or np.shape(outputs)[1] != 6 * b + 6:
+        raise ValueError(f"decoder outputs must be (N, 6B + 6) = (N, "
+                         f"{6 * b + 6}) for {b} bases, got "
+                         f"{np.shape(outputs)}")
+    if n != len(samples.taus):
+        raise ValueError(f"{n} output rows for {len(samples.taus)} "
                          "demonstrations")
-    exp_f, jac_f = _exp_and_jacobian(outputs[:, 6 * b + 3:])
-    ell = _log(r_start.T @ exp_f)
-    p_hat, r_hat, exp_c, jac_a, jac_c = _pose_curves(
-        samples.taus, samples.phi, samples.index, p_start,
-        outputs[:, 6 * b:6 * b + 3], outputs[:, :3 * b].reshape(n, 3, b),
-        r_start, ell, outputs[:, 3 * b:6 * b].reshape(n, 3, b))
+    t = samples.taus[..., None]
+    shape = _shape_rows(samples.phi, outputs[:, :6 * b].reshape(n, 6, b))
+    exp_v, jac_v = _exp_and_jacobian(np.concatenate(
+        [outputs[:, 6 * b + 3:], shape[..., 3:].reshape(-1, 3)]))
+    exp_c, jac_c = (m[n:].reshape(shape.shape[:2] + (3, 3))
+                    for m in (exp_v, jac_v))
+    ell = _log(r_start.T @ exp_v[:n])
+    exp_a, jac_a = (m.reshape(exp_c.shape) for m in _exp_and_jacobian(
+        (t * ell[:, None]).reshape(-1, 3)))
+    p_hat, r_hat = _pose_curves(samples.taus, p_start,
+                                outputs[:, 6 * b:6 * b + 3], r_start, shape,
+                                exp_a, exp_c)
     total, e_pos, err = _blended_error(samples, p_hat, r_hat, beta)
 
-    # each sample's J^T g as the row-vector product g^T J, one batched matmul
-    g_eps = (4.0 * beta * err)[:, None, :]
-    g_c = (g_eps @ jac_c)[:, 0]
-    g_a = (g_eps @ np.swapaxes(exp_c, -1, -2) @ jac_a)[:, 0]
-    taus, phi = samples.taus[:, None], samples.phi[:, None, :]
-    rows = np.concatenate([
-        (2.0 * e_pos[:, :, None] * phi).reshape(len(taus), -1),
-        (g_c[:, :, None] * phi).reshape(len(taus), -1),
-        2.0 * taus * e_pos,
-        taus * g_a], axis=1)
-    grads = samples.pool @ rows
-    # the last block holds d loss / d ell; ell = log(R_i^T exp(w_f))
-    grads[:, 6 * b + 3:] = (grads[:, None, 6 * b + 3:]
-                            @ so3_jacobian_right_inv(ell) @ jac_f)[:, 0]
-    return total, grads
+    # each J^T applied to its sample's weighted g = d loss / d err
+    w = samples.weight[..., None]
+    g = (4.0 * beta) * w * err
+    rows = np.concatenate(
+        [(2.0 * w) * e_pos, np.einsum("...ji,...j->...i", jac_c, g),
+         np.einsum("...ji,...j->...i", jac_a,
+                   np.einsum("...ij,...j->...i", exp_c, g))], axis=-1)
+    # (N, 9, B + 1): rows against phi give the shape coefficients, against
+    # tau the final position and d loss / d ell
+    sums = np.swapaxes(rows, -1, -2) @ np.concatenate([samples.phi, t],
+                                                      axis=-1)
+    # ell = log(R_i^T exp(w_f))
+    g_wf = (sums[:, None, 6:, b] @ so3_jacobian_right_inv(ell)
+            @ jac_v[:n])[:, 0]
+    return total, np.concatenate([sums[:, :6, :b].reshape(n, 6 * b),
+                                  sums[:, :3, b], g_wf], axis=1)
 
 
 @dataclass
@@ -435,6 +482,7 @@ def train_se3(dataset, basis, config, beta=1.0):
     if config.alpha != 0:
         raise ValueError("pose-curve training does not support the "
                          "distortion penalty; set alpha to 0")
+    samples = Se3Samples.from_dataset(dataset, basis)
     p_start = dataset[0].positions[0]
     r_start = dataset[0].rotations[0]
     for traj in dataset[1:]:
@@ -443,7 +491,6 @@ def train_se3(dataset, basis, config, beta=1.0):
             raise ValueError("demonstrations must share the initial pose")
     fitted = [fit_se3_params(traj, basis) for traj in dataset]
     x = np.stack([pack_se3_features(p) for p in fitted])
-    samples = Se3Samples.from_dataset(dataset, basis)
     n_b = basis.size
     encoder, decoder, history = fit_autoencoder(
         x, 6 * n_b + 6, config,
@@ -463,6 +510,9 @@ def make_pouring_demos(count=8, seed=0, n_samples=60, basis=None):
     noise keeps the family near, not on, a one-dimensional manifold.
     """
     from .basis import BasisSet
+    if count < 1:
+        raise ValueError(f"count must be at least 1 demonstration, got "
+                         f"{count}")
     if basis is None:
         basis = BasisSet.uniform(10)
     rng = np.random.default_rng(seed)
@@ -491,11 +541,8 @@ def make_pouring_demos(count=8, seed=0, n_samples=60, basis=None):
         params.append(Se3CurveParams(w_pos=w_pos, w_rot=w_rot,
                                      p_start=p_start, p_end=p_end,
                                      r_start=r_start, r_end=r_end))
-    p, r = _pose_curves(np.tile(taus, count),
-                        np.tile(basis.evaluate(taus), (count, 1)),
-                        np.repeat(np.arange(count), n_samples),
-                        **_stack_curves(params))[:2]
+    p, r = _eval_curves(params, np.tile(taus, (count, 1)),
+                        np.tile(basis.evaluate(taus), (count, 1, 1)))
     demos = [Se3Trajectory(times=taus.copy(), positions=pos, rotations=rot)
-             for pos, rot in zip(p.reshape(count, n_samples, 3),
-                                 r.reshape(count, n_samples, 3, 3))]
+             for pos, rot in zip(p, r)]
     return demos, basis

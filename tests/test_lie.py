@@ -90,6 +90,23 @@ def test_fused_exp_and_jacobian_match_the_separate_maps(case, stacked):
     assert np.array_equal(jac_v, _separate_jr(v))
 
 
+def test_stacked_exp_and_jacobian_rows_match_per_part_calls():
+    # the loss passes the final rotations and every sample's shape
+    # rotation through one call; each row must be what its own call gives
+    rng = np.random.default_rng(31)
+    parts = [np.stack(list(_FUSED_INPUTS.values())),
+             rng.normal(size=(7, 3)),
+             0.1 * lie._SMALL_ANGLE * rng.normal(size=(3, 3)),
+             rng.normal(scale=2.0, size=(1, 3))]
+    stacked = lie._exp_and_jacobian(np.concatenate(parts))
+    start = 0
+    for part in parts:
+        rows = slice(start, start + len(part))
+        for got, want in zip(stacked, lie._exp_and_jacobian(part)):
+            assert np.array_equal(got[rows], want)
+        start += len(part)
+
+
 def test_exp_of_zero_is_identity():
     assert np.allclose(lie.exp_so3(np.zeros(3)), np.eye(3))
 
@@ -348,6 +365,40 @@ def test_loss_needs_one_output_row_per_demo(rows):
                                demos[0].rotations[0], basis.size)
 
 
+def _bad_pose_input(case):
+    """A call with a wrong count or width, and the error it must raise."""
+    demos, basis = lie.make_pouring_demos(count=3, seed=17, n_samples=12)
+    params = [lie.fit_se3_params(t, basis) for t in demos]
+    samples = lie.Se3Samples.from_dataset(demos, basis)
+    b = basis.size
+    return {
+        "no-demos": (lambda: lie.train_se3(
+            [], basis, TrainConfig(latent_dim=1, epochs=1, hidden=(4,))),
+            "at least 1 demonstration, got 0"),
+        "extra-params": (lambda: lie.se3_recon_loss(
+            demos, params + params[:1], basis),
+            "4 curve parameters for 3 demonstrations"),
+        "missing-params": (lambda: lie.se3_recon_loss(
+            demos, params[:2], basis),
+            "2 curve parameters for 3 demonstrations"),
+        "output-width": (lambda: lie.se3_loss_and_grads(
+            np.zeros((3, 6 * b + 5)), samples, demos[0].positions[0],
+            demos[0].rotations[0], b),
+            r"\(N, 66\) for 10 bases, got \(3, 65\)"),
+        "zero-count": (lambda: lie.make_pouring_demos(count=0),
+                       "at least 1 demonstration, got 0"),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["no-demos", "extra-params",
+                                  "missing-params", "output-width",
+                                  "zero-count"])
+def test_bad_pose_inputs_raise_named_errors(case):
+    call, message = _bad_pose_input(case)
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # -- the per-demo loss as it stood before the batched one, as reference ---
 
 
@@ -504,10 +555,11 @@ def _rel_err(got, want):
     return np.abs(np.asarray(got) - want).max() / np.abs(want).max()
 
 
-@pytest.mark.parametrize("case", ["identity", "rotated", "unequal"])
+@pytest.mark.parametrize("case", ["identity", "rotated", "unequal",
+                                  "degenerate"])
 def test_batched_loss_matches_per_demo_reference(case):
     sets, basis = _loss_fixtures()
-    demos = sets[case]
+    demos = sets["identity" if case == "degenerate" else case]
     assert case != "unequal" or len({len(t.times) for t in demos}) == 4
     samples = lie.Se3Samples.from_dataset(demos, basis)
     grids = [_RefDemoGrid(t, basis) for t in demos]
@@ -517,6 +569,17 @@ def test_batched_loss_matches_per_demo_reference(case):
     for _ in range(20):
         outputs = rng.normal(scale=rng.choice([0.05, 0.3, 1.0]),
                              size=(len(demos), 6 * B + 6))
+        if case == "degenerate":
+            # demo 0 ends at its start rotation, so ell = 0 and its
+            # geodesic has zero length; every shape rotation of demo 1
+            # falls inside the small-angle series branch
+            outputs[0, 6 * B + 3:] = lie.log_so3(r0)
+            outputs[1, 3 * B:6 * B] *= 1e-9
+            assert np.array_equal(
+                lie.log_so3(r0.T @ lie.exp_so3(outputs[0, 6 * B + 3:])),
+                np.zeros(3))
+            shape = grids[1].phi @ outputs[1, 3 * B:6 * B].reshape(3, B).T
+            assert np.linalg.norm(shape, axis=1).max() < lie._SMALL_ANGLE
         beta = rng.uniform(0.2, 2.0)
         loss, grads = lie.se3_loss_and_grads(outputs, samples, p0, r0, B,
                                              beta=beta)
@@ -526,21 +589,25 @@ def test_batched_loss_matches_per_demo_reference(case):
         assert _rel_err(grads, ref_grads) <= 1e-12
 
 
-def test_pool_sums_each_demos_weighted_samples():
+def test_sample_grid_pads_each_demo_with_zero_weight():
     sets, basis = _loss_fixtures()
     demos = sets["unequal"]
     samples = lie.Se3Samples.from_dataset(demos, basis)
-    n, s = len(demos), len(samples.index)
-    assert samples.pool.shape == (n, s)
-    for d in range(n):
-        for k in range(s):
-            want = samples.weight[k] if samples.index[k] == d else 0.0
-            assert samples.pool[d, k] == want
-        assert samples.pool[d].sum() == pytest.approx(1.0 / n, rel=1e-14)
-    rows = np.random.default_rng(22).normal(size=(s, 4))
-    want = np.zeros((n, 4))
-    np.add.at(want, samples.index, samples.weight[:, None] * rows)
-    assert np.allclose(samples.pool @ rows, want, rtol=1e-14, atol=0.0)
+    n, k = len(demos), max(len(t.times) for t in demos)
+    assert samples.taus.shape == samples.weight.shape == (n, k)
+    assert samples.phi.shape == (n, k, basis.size)
+    assert samples.rotations.shape == (n, k, 3, 3)
+    for d, traj in enumerate(demos):
+        count = len(traj.times)
+        assert np.array_equal(samples.weight[d, :count],
+                              np.full(count, 1.0 / (n * count)))
+        assert np.array_equal(samples.weight[d, count:], np.zeros(k - count))
+        last = np.minimum(np.arange(k), count - 1)
+        assert np.array_equal(samples.taus[d], traj.taus[last])
+        assert np.array_equal(samples.phi[d], basis.evaluate(traj.taus)[last])
+        assert np.array_equal(samples.positions[d], traj.positions[last])
+        assert np.array_equal(samples.rotations[d], traj.rotations[last])
+    assert samples.weight.sum() == pytest.approx(1.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("case", ["identity", "rotated", "unequal"])

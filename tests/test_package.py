@@ -60,6 +60,26 @@ def test_curve_kernel_is_bound_by_name():
             f"{module.__name__}.{function.__name__}"
 
 
+def test_pose_loss_is_looked_up_at_each_call(monkeypatch):
+    # the tracer swaps lie.se3_loss_and_grads on the module; a train_se3
+    # that inlined the loss or bound it early would record no calls, and
+    # the traced pose-train run would fail its span coverage
+    from motionmanifold import lie
+    from motionmanifold.training import TrainConfig
+    calls = []
+    loss = lie.se3_loss_and_grads
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return loss(*args, **kwargs)
+
+    monkeypatch.setattr(lie, "se3_loss_and_grads", counted)
+    demos, basis = lie.make_pouring_demos(count=2, seed=0, n_samples=20)
+    lie.train_se3(demos, basis,
+                  TrainConfig(latent_dim=1, epochs=2, hidden=(4,)))
+    assert calls == [(2, 6 * basis.size + 6)] * 2
+
+
 def test_import_loads_only_scipy_linalg():
     # every CLI step and benchmark run is a fresh process that pays for
     # each scipy subpackage the import pulls in

@@ -29,6 +29,9 @@ QUAD_GRID_POINTS = 201
 # The only curve kind and basis mode; serialized dicts name it.
 VIA_POINT = "via-point"
 
+# Largest normal-matrix condition number a least-squares fit accepts.
+COND_LIMIT = 1e12
+
 
 def _as_tau_array(tau):
     """Validate tau values and return (array, was_scalar)."""
@@ -50,16 +53,17 @@ def _check_via_point(data, field):
                          f"{data[field]!r}; only {VIA_POINT!r} is supported")
 
 
-def lstsq_coefficients(phi, targets, cond_limit=1e12):
+def lstsq_coefficients(phi, targets):
     """W (d, B) minimizing sum_k ||W phi_k - targets_k||^2.
 
     phi (L, B) holds the basis values at the samples and targets (L, d)
-    the values to match.  The normal matrix is checked for conditioning
-    and solved through its Cholesky factorization.
+    the values to match.  The normal matrix must be positive definite with
+    a condition number of at most COND_LIMIT; it is solved through its
+    Cholesky factorization.
     """
     normal = phi.T @ phi
     eigs = np.linalg.eigvalsh(normal)
-    if eigs[0] <= 0 or eigs[-1] / eigs[0] > cond_limit:
+    if eigs[0] <= 0 or eigs[-1] / eigs[0] > COND_LIMIT:
         raise SingularFitError(
             f"normal matrix is numerically singular: smallest singular "
             f"value {max(eigs[0], 0.0):.3e}")
@@ -256,10 +260,6 @@ class CurveModel:
             raise ValueError("endpoints must be vectors of one shape")
         self.dim = self.q_start.size
 
-    @classmethod
-    def via_point(cls, basis, q_start, q_end):
-        return cls(basis, q_start, q_end)
-
     def elementary(self, tau):
         """Straight segment between the endpoints; (n,) or (T, n)."""
         arr, scalar = _as_tau_array(tau)
@@ -297,7 +297,7 @@ class CurveModel:
         t = trajectory.times - trajectory.times[0]
         return t / t[-1]
 
-    def fit(self, trajectory, cond_limit=1e12):
+    def fit(self, trajectory):
         """Least-squares coefficients for one demonstration.
 
         Solves w = Delta Phi^T (Phi Phi^T)^{-1} at the trajectory's phases
@@ -310,7 +310,7 @@ class CurveModel:
                              f"({self.basis.size}) to fit")
         delta = trajectory.points - self.elementary(tau)  # (L, n)
         return CurveParams(lstsq_coefficients(self.basis.evaluate(tau),
-                                              delta, cond_limit))
+                                              delta))
 
     def fit_objective(self, params, trajectory):
         """Sum of squared residuals of the fitting problem, for diagnostics."""

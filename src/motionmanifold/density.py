@@ -25,6 +25,14 @@ from .errors import DegenerateSupportError, SamplingStarvedError
 # sampling step gathers, in float64 elements (2 MB).
 _BLOCK_ELEMENTS = 1 << 18
 
+# EM stops once a step gains less than GMM_TOL in total log-likelihood or
+# after GMM_MAX_ITER steps; the ridges are added to covariance diagonals
+GMM_TOL = 1e-8
+GMM_MAX_ITER = 500
+GMM_RIDGE = 1e-6
+KDE_RIDGE = 1e-9
+REJECTION_BATCH = 256            # draws per sample call of rejection_sample
+
 
 def _factors(covariances):
     """Stacked lower Cholesky factors L_k, transposed inverses L_k^-T, and
@@ -157,9 +165,15 @@ def _kmeans(points, centers, iters=10):
     return centers, np.argmin(d2, axis=1)
 
 
-def gmm_fit(points, n_components, seed=0, tol=1e-8, max_iter=500,
-            ridge=1e-6):
+def _check_components(n_components):
+    if n_components < 1:
+        raise ValueError(f"n_components must be at least 1, got "
+                         f"{n_components}")
+
+
+def gmm_fit(points, n_components, seed=0):
     """EM fit with k-means++ start; records total log-likelihood per step."""
+    _check_components(n_components)
     x = np.atleast_2d(np.asarray(points, dtype=float))
     n, m = x.shape
     if n_components > n:
@@ -181,12 +195,12 @@ def gmm_fit(points, n_components, seed=0, tol=1e-8, max_iter=500,
         weights[k] = max(mask.sum(), 1) / n
         means[k] = x[mask].mean(axis=0)
         diff = x[mask] - means[k]
-        covs[k] = diff.T @ diff / max(mask.sum(), 1) + ridge * eye
+        covs[k] = diff.T @ diff / max(mask.sum(), 1) + GMM_RIDGE * eye
     weights /= weights.sum()
 
     history = []
     prev_ll = -np.inf
-    for _ in range(max_iter):
+    for _ in range(GMM_MAX_ITER):
         # E-step; the M-step needs every (K, n) part, so x is one block
         _, inv_chols_t, log_norms = _factors(covs)
         parts = _component_logpdfs(x, means, inv_chols_t,
@@ -201,8 +215,9 @@ def gmm_fit(points, n_components, seed=0, tol=1e-8, max_iter=500,
         means = (resp.T @ x) / nk[:, None]
         for k in range(n_components):
             diff = x - means[k]
-            covs[k] = (resp[:, k, None] * diff).T @ diff / nk[k] + ridge * eye
-        if ll - prev_ll < tol and np.isfinite(prev_ll):
+            covs[k] = (resp[:, k, None] * diff).T @ diff / nk[k] \
+                + GMM_RIDGE * eye
+        if ll - prev_ll < GMM_TOL and np.isfinite(prev_ll):
             break
         prev_ll = ll
     weights = weights / weights.sum()
@@ -246,11 +261,11 @@ class KdeModel:
                    kernel_width=float(data["kernel_width"]))
 
 
-def kde_build(points, kernel_width=None, ridge=1e-9):
-    """Per-point bandwidth H_i = (weighted scatter)^2 + ridge I.
+def kde_build(points):
+    """Per-point bandwidth H_i = (weighted scatter)^2 + KDE_RIDGE I.
 
-    Kernel weights K(z_i, z_k) = exp(-||z_i - z_k||^2 / h); the default h
-    is the median squared pairwise distance.
+    Kernel weights K(z_i, z_k) = exp(-||z_i - z_k||^2 / h), with h the
+    median squared pairwise distance.
     """
     x = np.atleast_2d(np.asarray(points, dtype=float))
     n, m = x.shape
@@ -267,8 +282,7 @@ def kde_build(points, kernel_width=None, ridge=1e-9):
         raise DegenerateSupportError(
             f"KDE support points span {rank} of {m} dimensions "
             f"(collinear or otherwise rank-deficient)")
-    h = float(np.median(off_diag)) if kernel_width is None else float(
-        kernel_width)
+    h = float(np.median(off_diag))
     if h <= 0:
         raise DegenerateSupportError(f"kernel width {h} must be positive")
     weights = np.exp(-d2 / h)
@@ -277,7 +291,7 @@ def kde_build(points, kernel_width=None, ridge=1e-9):
     for i in range(n):
         scatter = np.einsum("k,ka,kb->ab", weights[i], diffs[i], diffs[i])
         scatter /= weights[i].sum()
-        bands[i] = scatter @ scatter + ridge * eye
+        bands[i] = scatter @ scatter + KDE_RIDGE * eye
     return KdeModel(points=x, bandwidths=bands, kernel_width=h)
 
 
@@ -310,7 +324,7 @@ class RejectionResult:
         return self.accepted / self.attempts if self.attempts else 0.0
 
 
-def rejection_sample(density, sample_filter, rng, count, batch=256):
+def rejection_sample(density, sample_filter, rng, count):
     """Draw `count` samples whose log-density clears the filter threshold."""
     kept = []
     attempts = 0
@@ -318,7 +332,7 @@ def rejection_sample(density, sample_filter, rng, count, batch=256):
     while accepted < count:
         if attempts >= sample_filter.max_attempts:
             raise SamplingStarvedError(attempts=attempts, accepted=accepted)
-        take = min(batch, sample_filter.max_attempts - attempts)
+        take = min(REJECTION_BATCH, sample_filter.max_attempts - attempts)
         draws = density.sample(rng, count=take)
         attempts += take
         ok = density.logpdf(draws) >= sample_filter.threshold
@@ -358,6 +372,7 @@ def _family(name):
 
 def fit_density(points, family, n_components, seed):
     """Fit the named family to points; the KDE ignores n_components/seed."""
+    _check_components(n_components)
     return _family(family)[1](points, n_components, seed)
 
 

@@ -75,36 +75,29 @@ def collision_check(q, env, t=0.0):
     return constraint_from_script(env.obstacles)(q, t)
 
 
-@dataclass
-class DemoSpec:
-    per_class: int
-    noise: float
-    peaks: tuple                 # one peak height per homotopy class
-    samples: int = 80
-    duration: float = 1.0
-
-    def __post_init__(self):
-        if self.per_class < 1:
-            raise ValueError("need at least one demo per class")
-
-
+# obstacle disks, waypoint jitter, and one peak height per homotopy class
 _ENV_TABLE = {
-    "env1": {"obstacles": [((0.5, 0.0), 0.15)],
-             "spec": DemoSpec(per_class=5, noise=0.02, peaks=(0.35, -0.35))},
+    "env1": {"obstacles": [((0.5, 0.0), 0.15)], "noise": 0.02,
+             "peaks": (0.35, -0.35)},
     "env2": {"obstacles": [((0.5, 0.22), 0.12), ((0.5, -0.22), 0.12)],
-             "spec": DemoSpec(per_class=5, noise=0.02,
-                              peaks=(0.55, 0.0, -0.55))},
+             "noise": 0.02, "peaks": (0.55, 0.0, -0.55)},
     "env3": {"obstacles": [((0.5, 0.3), 0.09), ((0.5, 0.0), 0.09),
                            ((0.5, -0.3), 0.09)],
-             "spec": DemoSpec(per_class=5, noise=0.015,
-                              peaks=(0.55, 0.15, -0.15, -0.55))},
+             "noise": 0.015, "peaks": (0.55, 0.15, -0.15, -0.55)},
 }
 
 ENV_IDS = tuple(_ENV_TABLE)
 
 SCENE_BOUNDS = ((-0.2, 1.2), (-0.8, 0.8))   # (x, y) ranges of every scene
 CONTINUUM_COUNT = 30             # demos in the default continuum family
+CONTINUUM_PEAKS = (-0.5, 0.5)    # peak heights the continuum family spans
+CONTINUUM_NOISE = 0.01           # waypoint jitter of the continuum family
+DEMOS_PER_CLASS = 5              # demos per homotopy class of env1-env3
+DEMO_SAMPLES = 80                # samples per demo, evenly spaced in time
+DEMO_DURATION = 1.0              # seconds each demo lasts
 N_BASES = 20                     # basis functions per curve coordinate
+MAX_ATTEMPT_FACTOR = 400         # draws sample_curves may try per curve
+CHECK_GRID_POINTS = 500          # phases at which success_rate checks a curve
 
 _WAYPOINT_X = np.array([0.0, 0.2, 0.5, 0.8, 1.0])
 _WAYPOINT_SHAPE = np.array([0.0, 0.55, 1.0, 0.55, 0.0])
@@ -146,11 +139,11 @@ def _natural_spline(ys, x):
     return (0.0 + c0[k]) + c1[k] * u + c2[k] * (u * u) + c3[k] * (u * u * u)
 
 
-def _spline_demo(peak, noise, rng, spec):
+def _spline_demo(peak, noise, rng):
     ys = peak * _WAYPOINT_SHAPE.copy()
     ys[1:-1] += noise * rng.standard_normal(3)
-    t = np.linspace(0.0, spec.duration, spec.samples)
-    x = t / spec.duration
+    t = np.linspace(0.0, DEMO_DURATION, DEMO_SAMPLES)
+    x = t / DEMO_DURATION
     return TimedTrajectory(times=t,
                            points=np.column_stack([x, _natural_spline(ys, x)]))
 
@@ -171,7 +164,6 @@ def generate_env(env_id, seed=0):
         raise ValueError(f"unknown environment {env_id!r}; "
                          f"expected one of {sorted(_ENV_TABLE)}")
     entry = _ENV_TABLE[key]
-    spec = entry["spec"]
     env = PlanarEnv(
         obstacles=[MovingDisk(times=[0.0], centers=[c], radius=r)
                    for c, r in entry["obstacles"]],
@@ -179,10 +171,10 @@ def generate_env(env_id, seed=0):
         bounds=SCENE_BOUNDS)
     rng = np.random.default_rng(seed)
     demos = []
-    for peak in spec.peaks:
-        for _ in range(spec.per_class):
+    for peak in entry["peaks"]:
+        for _ in range(DEMOS_PER_CLASS):
             for attempt in range(100):
-                traj = _spline_demo(peak, spec.noise, rng, spec)
+                traj = _spline_demo(peak, entry["noise"], rng)
                 if _demo_clear(traj, env):
                     demos.append(traj)
                     break
@@ -193,9 +185,8 @@ def generate_env(env_id, seed=0):
     return env, demos
 
 
-def generate_continuum_demos(count=CONTINUUM_COUNT, seed=0,
-                             peak_range=(-0.5, 0.5)):
-    """Obstacle-free demo family whose peak height sweeps a continuum.
+def generate_continuum_demos(count=CONTINUUM_COUNT, seed=0):
+    """Obstacle-free demo family whose peak height sweeps CONTINUUM_PEAKS.
 
     The resulting trajectories fill one connected sheet instead of
     separated clusters, which is the regime where the adaptive kernel
@@ -205,16 +196,15 @@ def generate_continuum_demos(count=CONTINUUM_COUNT, seed=0,
         raise ValueError(f"count must be a positive integer, got {count!r}")
     env = PlanarEnv(obstacles=[], q_start=np.array([0.0, 0.0]),
                     q_goal=np.array([1.0, 0.0]), bounds=SCENE_BOUNDS)
-    spec = DemoSpec(per_class=count, noise=0.01, peaks=(0.0,))
     rng = np.random.default_rng(seed)
-    return env, [_spline_demo(peak, spec.noise, rng, spec)
-                 for peak in np.linspace(*peak_range, count)]
+    return env, [_spline_demo(peak, CONTINUUM_NOISE, rng)
+                 for peak in np.linspace(*CONTINUUM_PEAKS, count)]
 
 
 def fit_demos(env, demos, n_bases=N_BASES):
     """Via-point curve model with shared endpoints, plus per-demo fits."""
     basis = BasisSet.uniform(n_bases)
-    model = CurveModel.via_point(basis, env.q_start, env.q_goal)
+    model = CurveModel(basis, env.q_start, env.q_goal)
     return model, [model.fit(traj) for traj in demos]
 
 
@@ -238,13 +228,14 @@ class ModelBundle:
 
 
 def build_bundle(kind, env, demos, seed=0, n_bases=N_BASES,
-                 n_components=None, density_family=DEFAULT_FAMILY,
-                 train_config=None, alpha=IMMP_ALPHA):
+                 density_family=DEFAULT_FAMILY, train_config=None,
+                 alpha=IMMP_ALPHA):
     """Train/fit the artifacts behind one model kind.
 
     VMP kinds fit their density directly over flattened coefficients;
     the latent kinds train an autoencoder first (alpha = 0 for the plain
-    variant, alpha > 0 for the distortion-regularized one).
+    variant, alpha > 0 for the distortion-regularized one).  Mixtures get
+    default_components(env) components; vmp-gauss gets one.
 
     The minimum-training-log-density rejection threshold is applied for
     the latent kinds only.  With fewer demos than coefficient
@@ -260,8 +251,7 @@ def build_bundle(kind, env, demos, seed=0, n_bases=N_BASES,
     model, fits = fit_demos(env, demos, n_bases=n_bases)
     w = np.stack([flatten_params(p) for p in fits])
     dim, n_b = model.dim, model.basis.size
-    if n_components is None:
-        n_components = default_components(env)
+    n_components = default_components(env)
     if kind in ("vmp-gauss", "vmp-gmm"):
         density = gmm_fit(w, 1 if kind == "vmp-gauss" else n_components,
                           seed=seed)
@@ -293,10 +283,12 @@ def default_components(env):
     return len(env.obstacles) + 1
 
 
-def sample_curves(bundle, count, rng, max_attempt_factor=400):
+def sample_curves(bundle, count, rng):
     """Rejection-filtered draws decoded to coefficient stacks."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     filt = SampleFilter(threshold=bundle.threshold,
-                        max_attempts=max_attempt_factor * count)
+                        max_attempts=MAX_ATTEMPT_FACTOR * count)
     result = rejection_sample(bundle.density, filt, rng, count)
     return bundle.decode_batch(np.atleast_2d(result.samples)), result
 
@@ -310,10 +302,10 @@ EVAL_SEEDS = (0, 1, 2, 3, 4)
 _CHECK_CHUNK = 50
 
 
-def success_rate(bundle, env, num_samples, rng, grid_points=500):
-    """Fraction of sampled trajectories that never touch an obstacle."""
+def success_rate(bundle, env, num_samples, rng):
+    """Percent of sampled trajectories that never touch an obstacle."""
     stacks, result = sample_curves(bundle, num_samples, rng)
-    grid = np.linspace(0.0, 1.0, grid_points)
+    grid = np.linspace(0.0, 1.0, CHECK_GRID_POINTS)
     collided = np.concatenate([
         np.any(collision_check(evaluate_batch(
             bundle.curve_model, stacks[i:i + _CHECK_CHUNK], grid), env) > 0,
@@ -368,6 +360,10 @@ class EvalReport:
 def evaluate_success(bundle, env, env_id="", num_samples=EVAL_SAMPLES,
                      seeds=EVAL_SEEDS):
     """Success-rate protocol: fresh sampling per seed on fixed artifacts."""
+    if num_samples < 1:
+        raise ValueError(f"num_samples must be at least 1, got {num_samples}")
+    if len(seeds) == 0:
+        raise ValueError("seeds must name at least one sampling seed")
     rates, accepts = [], []
     for s in seeds:
         rng = np.random.default_rng(1000 + s)

@@ -16,22 +16,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import QUAD_GRID_POINTS
 from .errors import DistortionUndefinedError
 from . import nets
 
 
 class CurveGeomMetric:
-    """Metric on coefficient space: the basis Gram matrix per coordinate.
-
-    ``use_count`` tracks evaluations so training can prove it bypassed the
-    metric entirely when no regularization was requested.
-    """
+    """Metric on coefficient space: the basis Gram matrix per coordinate."""
 
     def __init__(self, gram):
         self.gram = gram
         self.n_bases = gram.shape[0]
-        self.use_count = 0
 
     def apply(self, vec):
         """Contract the metric with coefficients.
@@ -39,7 +33,6 @@ class CurveGeomMetric:
         Accepts flat (..., n*B) stacks or (..., n, B) matrices and returns
         the same shape.
         """
-        self.use_count += 1
         vec = np.asarray(vec, dtype=float)
         total = vec.shape[-1]
         if total % self.n_bases != 0:
@@ -49,9 +42,9 @@ class CurveGeomMetric:
         return (shaped @ self.gram).reshape(vec.shape)
 
 
-def curvegeom_euclidean(basis, grid_points=QUAD_GRID_POINTS):
+def curvegeom_euclidean(basis):
     """Constant metric for a Euclidean configuration space."""
-    return CurveGeomMetric(basis.gram(grid_points))
+    return CurveGeomMetric(basis.gram())
 
 
 @dataclass

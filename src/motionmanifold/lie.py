@@ -24,6 +24,7 @@ from .training import fit_autoencoder
 _BRANCH_MARGIN = 1e-6
 _SMALL_ANGLE = 1e-8
 _EYE = np.eye(3)
+ROTATION_WEIGHT = 1.0            # beta of the blended pose loss
 
 
 # -- so(3) maps over stacks: vectors (..., 3), matrices (..., 3, 3) --------
@@ -348,7 +349,7 @@ def fit_se3_params(traj, basis):
                           p_end=p[-1], r_start=r[0], r_end=r[-1])
 
 
-def _blended_error(samples, p_hat, r_hat, beta):
+def _blended_error(samples, p_hat, r_hat):
     """Weighted pose error and its position and rotation residuals.
 
     The rotation residual log(R^T R_hat) is the right tangent at R_hat.
@@ -356,24 +357,22 @@ def _blended_error(samples, p_hat, r_hat, beta):
     e_pos = p_hat - samples.positions
     err = _log(np.swapaxes(samples.rotations, -1, -2) @ r_hat)
     per_sample = np.sum(e_pos ** 2, axis=-1) \
-        + 2.0 * beta * np.sum(err ** 2, axis=-1)
+        + 2.0 * ROTATION_WEIGHT * np.sum(err ** 2, axis=-1)
     return float(samples.weight.ravel() @ per_sample.ravel()), e_pos, err
 
 
-def se3_recon_loss(dataset, params_list, basis, beta=1.0):
+def se3_recon_loss(dataset, params_list, basis):
     """Blended pose error, discrete-summed on each trajectory's own samples.
 
-    Per sample: ||p_hat - p||^2 + beta ||log(R^T R_hat)||_F^2, averaged
-    over samples then over trajectories.
+    Per sample: ||p_hat - p||^2 + beta ||log(R^T R_hat)||_F^2 with beta =
+    ROTATION_WEIGHT, averaged over samples then over trajectories.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
     if len(params_list) != len(dataset):
         raise ValueError(f"{len(params_list)} curve parameters for "
                          f"{len(dataset)} demonstrations; need one each")
     samples = Se3Samples.from_dataset(dataset, basis)
     p_hat, r_hat = _eval_curves(params_list, samples.taus, samples.phi)
-    return _blended_error(samples, p_hat, r_hat, beta)[0]
+    return _blended_error(samples, p_hat, r_hat)[0]
 
 
 # -- autoencoder features and the training loss ---------------------------
@@ -401,7 +400,7 @@ def unpack_se3_output(vec, p_start, r_start, n_bases):
                           r_end=exp_so3(w_f))
 
 
-def se3_loss_and_grads(outputs, samples, p_start, r_start, n_bases, beta=1.0):
+def se3_loss_and_grads(outputs, samples, p_start, r_start, n_bases):
     """Loss and d loss / d decoder-outputs for a batch of demonstrations.
 
     outputs: (N, 6B+6) raw decoder rows, row d for demonstration d of the
@@ -433,11 +432,11 @@ def se3_loss_and_grads(outputs, samples, p_start, r_start, n_bases, beta=1.0):
     p_hat, r_hat = _pose_curves(samples.taus, p_start,
                                 outputs[:, 6 * b:6 * b + 3], r_start, shape,
                                 exp_a, exp_c)
-    total, e_pos, err = _blended_error(samples, p_hat, r_hat, beta)
+    total, e_pos, err = _blended_error(samples, p_hat, r_hat)
 
     # each J^T applied to its sample's weighted g = d loss / d err
     w = samples.weight[..., None]
-    g = (4.0 * beta) * w * err
+    g = (4.0 * ROTATION_WEIGHT) * w * err
     rows = np.concatenate(
         [(2.0 * w) * e_pos, np.einsum("...ji,...j->...i", jac_c, g),
          np.einsum("...ji,...j->...i", jac_a,
@@ -472,7 +471,7 @@ class Se3ManifoldModel:
                                  self.basis.size)
 
 
-def train_se3(dataset, basis, config, beta=1.0):
+def train_se3(dataset, basis, config):
     """Latent pose-curve model trained with the blended reconstruction loss.
 
     Demonstrations must share their initial pose; only the final pose
@@ -495,7 +494,7 @@ def train_se3(dataset, basis, config, beta=1.0):
     encoder, decoder, history = fit_autoencoder(
         x, 6 * n_b + 6, config,
         lambda outputs: se3_loss_and_grads(outputs, samples, p_start,
-                                           r_start, n_b, beta=beta))
+                                           r_start, n_b))
     return Se3ManifoldModel(encoder=encoder, decoder=decoder, basis=basis,
                             p_start=p_start, r_start=r_start, config=config,
                             history=history)

@@ -249,15 +249,18 @@ class Mlp:
             return cls.from_dict(json.load(f))
 
 
+# b1, b2 and eps of adam_step: Adam's moment decay rates and denominator
+# floor as Kingma & Ba (2015) set them
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamState:
     """Adaptive-moment accumulators for one network's parameter vector."""
 
-    def __init__(self, net, learning_rate=1e-3, beta1=0.9, beta2=0.999,
-                 eps=1e-8):
+    def __init__(self, net, learning_rate=1e-3):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = np.zeros(net.params.size)
         self.v = np.zeros(net.params.size)
@@ -285,19 +288,19 @@ def adam_step(state, net, grad):
                 raise TrainingError(f"non-finite gradient in layer {i} bias")
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     m, v = state.m, state.v
-    step = np.multiply(1.0 - state.beta1, g)
-    m *= state.beta1
+    step = np.multiply(1.0 - ADAM_BETA1, g)
+    m *= ADAM_BETA1
     m += step
-    v *= state.beta2
-    np.multiply(1.0 - state.beta2, g, out=step)
+    v *= ADAM_BETA2
+    np.multiply(1.0 - ADAM_BETA2, g, out=step)
     step *= g
     v += step
     denom = np.divide(v, c2)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += ADAM_EPS
     np.divide(m, c1, out=step)
     step *= state.learning_rate
     step /= denom

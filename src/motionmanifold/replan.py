@@ -24,20 +24,24 @@ from .errors import NonFiniteError, ReplanInfeasibleError
 # straight eta path from the current z to a candidate z'
 WINDOW_RESOLUTION = 20
 ETA_POINTS = 11
+# the search pairs CANDIDATE_BUDGET // TAU_CANDIDATES latents z' with
+# TAU_CANDIDATES phases tau' from tau back to tau - DELTA_BACK, and ranks
+# the pairs by |z' - z|^2 + ALPHA_TIME (tau - tau')^2
+CANDIDATE_BUDGET = 512
+TAU_CANDIDATES = 5
+DELTA_BACK = 0.05
+ALPHA_TIME = 100.0
+TRACKING_GAIN = 0.05             # per-tick gain toward a replanned goal
+INITIAL_ATTEMPTS = 10000         # density draws initial_latent may try
 
 
 @dataclass
 class ReplanConfig:
     total_time: float = 5.0          # seconds for tau to traverse [0, 1]
     window: float = 1.0              # lookahead seconds
-    gain: float = 0.05
     control_hz: float = 1000.0
     replan_hz: float = 10.0
-    alpha_time: float = 100.0
-    delta_back: float = 0.05
     threshold: float = -np.inf       # latent log-density floor
-    candidate_budget: int = 512
-    tau_candidates: int = 5
     max_time: float = None           # virtual-time cap, default 3 * T
 
     def __post_init__(self):
@@ -46,22 +50,12 @@ class ReplanConfig:
                              "control_hz")
         if not self.window > 0:            # NaN fails every comparison
             raise ValueError("window must be positive")
-        if not self.total_time > 0:
-            raise ValueError("total_time must be positive")
-        if not 0 < self.gain <= 1:
-            raise ValueError("gain must be in (0, 1]")
-        if not self.alpha_time >= 0:
-            raise ValueError("alpha_time must be nonnegative")
-        if not self.delta_back >= 0:
-            raise ValueError("delta_back must be nonnegative")
-        if self.candidate_budget < 1:
-            raise ValueError("candidate_budget must be at least 1")
-        if self.tau_candidates < 1:
-            raise ValueError("tau_candidates must be at least 1")
+        if not 0 < self.total_time < np.inf:
+            raise ValueError("total_time must be finite and positive")
         if self.max_time is None:
             self.max_time = 3.0 * self.total_time
-        if not self.max_time > 0:
-            raise ValueError("max_time must be positive")
+        if not 0 < self.max_time < np.inf:
+            raise ValueError("max_time must be finite and positive")
 
 
 @dataclass
@@ -217,25 +211,18 @@ def predict_violation(state, model, constraint, t_now, cfg):
     return bool(np.any(constraint(points, times) > 0))
 
 
-def _candidate_latents(state, density, cfg, rng):
-    n_z = max(1, cfg.candidate_budget // cfg.tau_candidates)
+def _candidate_latents(state, density, rng):
+    n_z = CANDIDATE_BUDGET // TAU_CANDIDATES
     n_density = (n_z - 1) // 2
     n_perturb = n_z - 1 - n_density
-    cands = [state.z[None, :]]
-    if n_density > 0:
-        cands.append(np.atleast_2d(density.sample(rng, count=n_density)))
-    if n_perturb > 0:
-        spread = np.std(np.atleast_2d(density.sample(rng, count=64)),
-                        axis=0)
-        scales = np.array([0.1, 0.3, 1.0])
-        per = [n_perturb // 3] * 3
-        per[0] += n_perturb - 3 * (n_perturb // 3)
-        noise = []
-        for s, cnt in zip(scales, per):
-            if cnt > 0:
-                noise.append(state.z + s * spread
-                             * rng.standard_normal((cnt, state.z.size)))
-        cands.append(np.concatenate(noise, axis=0))
+    cands = [state.z[None, :],
+             np.atleast_2d(density.sample(rng, count=n_density))]
+    spread = np.std(np.atleast_2d(density.sample(rng, count=64)), axis=0)
+    per = [n_perturb // 3] * 3
+    per[0] += n_perturb - 3 * (n_perturb // 3)
+    for s, cnt in zip((0.1, 0.3, 1.0), per):
+        cands.append(state.z + s * spread
+                     * rng.standard_normal((cnt, state.z.size)))
     return np.concatenate(cands, axis=0)
 
 
@@ -254,14 +241,14 @@ def solve_replan(state, model, density, constraint, t_now, cfg, rng):
     decoded from z_path[j] at its own phase tau_path[j].
     """
     tau = state.tau
-    tau_lo = max(tau - cfg.delta_back, 0.0)
-    tau_grid = np.linspace(tau, tau_lo, cfg.tau_candidates)
-    z_cands = _candidate_latents(state, density, cfg, rng)
+    tau_lo = max(tau - DELTA_BACK, 0.0)
+    tau_grid = np.linspace(tau, tau_lo, TAU_CANDIDATES)
+    z_cands = _candidate_latents(state, density, rng)
     log_dens = np.atleast_1d(density.logpdf(z_cands))
     stacks = model.decode_many(z_cands)          # (n_z, n, B)
 
     dz2 = np.sum((z_cands - state.z) ** 2, axis=1)
-    pair_obj = dz2[:, None] + cfg.alpha_time * (tau - tau_grid) ** 2
+    pair_obj = dz2[:, None] + ALPHA_TIME * (tau - tau_grid) ** 2
     order = np.argsort(pair_obj.ravel(), kind="stable")
 
     density_ok = log_dens >= cfg.threshold
@@ -360,16 +347,16 @@ class EpisodeTrace:
                    reached_goal=reached, timed_out=not reached)
 
 
-def initial_latent(density, cfg, rng, max_attempts=10000):
+def initial_latent(density, cfg, rng):
     """Density draw honoring the episode's own log-density floor."""
     if not np.isfinite(cfg.threshold):
         return np.asarray(density.sample(rng), dtype=float)
-    for _ in range(max_attempts):
+    for _ in range(INITIAL_ATTEMPTS):
         z = np.asarray(density.sample(rng), dtype=float)
         if density.logpdf(z) >= cfg.threshold:
             return z
-    raise ReplanInfeasibleError(n_candidates=max_attempts, n_density_ok=0,
-                                n_window_ok=0)
+    raise ReplanInfeasibleError(n_candidates=INITIAL_ATTEMPTS,
+                                n_density_ok=0, n_window_ok=0)
 
 
 def run_episode(model, density, constraint, cfg, seed=0, z0=None):
@@ -431,8 +418,9 @@ def run_episode(model, density, constraint, cfg, seed=0, z0=None):
         rows = []
         for tick in range(start, min(start + ticks_per_replan, max_ticks)):
             if state.violated:
-                z = [zc + cfg.gain * (gc - zc) for zc, gc in zip(z, goal_z)]
-                tau = tau + cfg.gain * (goal_tau - tau)
+                z = [zc + TRACKING_GAIN * (gc - zc)
+                     for zc, gc in zip(z, goal_z)]
+                tau = tau + TRACKING_GAIN * (goal_tau - tau)
                 rows.append(z)
             else:
                 tau = min(tau + dtau, 1.0)

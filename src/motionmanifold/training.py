@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -35,16 +35,22 @@ def unflatten_params(vec, dim, n_bases):
     return CurveParams(coefficients=vec.reshape(dim, n_bases))
 
 
-def mixup_sample(z, rng, count, extension=0.2):
-    """count points on extended segments between random pairs of rows of z.
+# the distortion penalty's latent mixup: points per epoch, and how far past
+# either end each segment between two encoded demonstrations extends
+MIX_BATCH = 16
+MIX_EXTENSION = 0.2
+
+
+def mixup_sample(z, rng):
+    """MIX_BATCH points on extended segments between pairs of rows of z.
 
     Each point is delta z[a] + (1 - delta) z[b] with a, b drawn uniformly
-    from the rows of z (N, m) and delta uniform on [-extension,
-    1 + extension]; returns (count, m).
+    from the rows of z (N, m) and delta uniform on [-MIX_EXTENSION,
+    1 + MIX_EXTENSION]; returns (MIX_BATCH, m).
     """
-    ia = rng.integers(0, len(z), size=count)
-    ib = rng.integers(0, len(z), size=count)
-    delta = rng.uniform(-extension, 1.0 + extension, size=count)
+    ia = rng.integers(0, len(z), size=MIX_BATCH)
+    ib = rng.integers(0, len(z), size=MIX_BATCH)
+    delta = rng.uniform(-MIX_EXTENSION, 1.0 + MIX_EXTENSION, size=MIX_BATCH)
     return delta[:, None] * z[ia] + (1.0 - delta)[:, None] * z[ib]
 
 
@@ -52,8 +58,6 @@ def mixup_sample(z, rng, count, extension=0.2):
 class TrainConfig:
     latent_dim: int = 2
     alpha: float = 0.0
-    mix_extension: float = 0.2
-    mix_batch: int = 16
     epochs: int = 5000
     learning_rate: float = 1e-3
     hidden: tuple = (256, 256, 256)
@@ -62,11 +66,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.latent_dim < 1:
             raise ValueError("latent_dim must be at least 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        if not 0 <= self.alpha < np.inf:     # NaN fails every comparison
+            raise ValueError("alpha must be finite and nonnegative")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and positive")
         self.hidden = tuple(int(h) for h in self.hidden)
+        if not all(h >= 1 for h in self.hidden):
+            raise ValueError("hidden sizes must each be at least 1")
 
     def to_dict(self):
         d = asdict(self)
@@ -75,9 +83,10 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data):
-        # configs saved with the removed "trace_mode" field were all
-        # trained with the exact distortion gradient
-        return cls(**{k: v for k, v in data.items() if k != "trace_mode"})
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown TrainConfig field {unknown[0]!r}")
+        return cls(**data)
 
 
 @dataclass
@@ -89,7 +98,6 @@ class ManifoldModel:
     curve_model: CurveModel
     config: TrainConfig
     history: dict = field(default_factory=dict)
-    metric_use_count: int = 0
 
     @property
     def latent_dim(self):
@@ -125,8 +133,7 @@ class ManifoldModel:
         self.decoder.save(os.path.join(directory, "decoder.json"))
         with open(os.path.join(directory, "curve_model.json"), "w") as fh:
             json.dump(self.curve_model.to_dict(), fh, indent=1)
-        meta = {"config": self.config.to_dict(),
-                "metric_use_count": self.metric_use_count}
+        meta = {"config": self.config.to_dict()}
         with open(os.path.join(directory, "train_meta.json"), "w") as fh:
             json.dump(meta, fh, indent=1)
         write_history_csv(os.path.join(directory, "history.csv"),
@@ -143,8 +150,7 @@ class ManifoldModel:
         config = TrainConfig.from_dict(meta["config"])
         history = read_history_csv(os.path.join(directory, "history.csv"))
         return cls(encoder=encoder, decoder=decoder, curve_model=curve_model,
-                   config=config, history=history,
-                   metric_use_count=meta.get("metric_use_count", 0))
+                   config=config, history=history)
 
 
 def write_history_csv(path, history):
@@ -220,18 +226,17 @@ def fit_autoencoder(x, n_out, config, reconstruction, penalty=None):
     return encoder, decoder, history
 
 
-def train(dataset, model, config=None, metric=None):
+def train(dataset, model, config=None):
     """Fit the latent manifold to fitted curve coefficients.
 
     dataset: sequence of CurveParams (or (n, B) arrays) for one CurveModel.
-    When ``config.alpha`` is zero the metric object is never touched; the
-    returned model records its use count as proof.
+    When ``config.alpha`` is positive, the distortion penalty measures the
+    decoder under the curve model's Euclidean curve metric on MIX_BATCH
+    mixup points per epoch; at zero no metric is built.
     """
     if config is None:
         config = TrainConfig()
     x = _dataset_matrix(dataset, model)
-    if metric is None:
-        metric = curvegeom_euclidean(model.basis)
 
     def reconstruction(outputs):
         resid = outputs - x
@@ -241,14 +246,13 @@ def train(dataset, model, config=None, metric=None):
     penalty = None
     if config.alpha > 0:
         rng = np.random.default_rng(config.seed + 2)
+        metric = curvegeom_euclidean(model.basis)
 
         def penalty(decoder, z):
-            z_mix = mixup_sample(z, rng, config.mix_batch,
-                                 config.mix_extension)
-            return nets.grad_of_distortion(decoder, z_mix, metric)
+            return nets.grad_of_distortion(decoder, mixup_sample(z, rng),
+                                           metric)
 
     encoder, decoder, history = fit_autoencoder(
         x, x.shape[1], config, reconstruction, penalty)
     return ManifoldModel(encoder=encoder, decoder=decoder, curve_model=model,
-                         config=config, history=history,
-                         metric_use_count=metric.use_count)
+                         config=config, history=history)

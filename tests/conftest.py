@@ -21,8 +21,8 @@ def pytest_terminal_summary(terminalreporter):
 def sine_family_fits(n_curves=12, n_bases=8, n_samples=50, seed=0):
     """Small family of arc curves between fixed endpoints, already fitted."""
     basis = BasisSet.uniform(n_bases)
-    model = CurveModel.via_point(basis, np.array([0.0, 0.0]),
-                                 np.array([1.0, 0.0]))
+    model = CurveModel(basis, np.array([0.0, 0.0]),
+                       np.array([1.0, 0.0]))
     ts = np.linspace(0.0, 1.0, n_samples)
     rng = np.random.default_rng(seed)
     fits = []

@@ -89,8 +89,8 @@ def test_fit_matches_iterative_least_squares_oracle():
         n_dim = int(rng.integers(1, 4))
         n_samples = int(rng.integers(n_bases + 5, 80))
         basis = BasisSet.uniform(n_bases)
-        model = CurveModel.via_point(basis, rng.normal(size=n_dim),
-                                     rng.normal(size=n_dim))
+        model = CurveModel(basis, rng.normal(size=n_dim),
+                           rng.normal(size=n_dim))
         start = rng.uniform(-3, 3)
         duration = rng.uniform(0.5, 4.0)
         times = start + np.sort(rng.uniform(0, duration, size=n_samples))
@@ -235,7 +235,7 @@ def test_via_point_endpoints_are_exact():
         q0 = rng.normal(size=n_dim) * 10.0 ** rng.uniform(-3, 3)
         q1 = rng.normal(size=n_dim) * 10.0 ** rng.uniform(-3, 3)
         w = rng.normal(size=(n_dim, n_bases)) * 10.0 ** rng.uniform(-3, 3)
-        model = CurveModel.via_point(basis, q0, q1)
+        model = CurveModel(basis, q0, q1)
         pts = model.evaluate(CurveParams(w), np.array([0.0, 1.0]))
         scale = max(1.0, np.abs(q0).max(), np.abs(q1).max(),
                     np.abs(w).max())

@@ -20,7 +20,7 @@ def random_fixture(rng, n_bases=None, n_dim=None, n_samples=None):
     basis = BasisSet.uniform(int(n_bases))
     q0 = rng.normal(size=n_dim)
     q1 = rng.normal(size=n_dim)
-    model = CurveModel.via_point(basis, q0, q1)
+    model = CurveModel(basis, q0, q1)
     t0 = rng.uniform(-3, 3)
     duration = rng.uniform(0.5, 4.0)
     times = t0 + np.sort(rng.uniform(0, duration, size=n_samples))
@@ -91,7 +91,7 @@ def test_via_point_endpoints_exact(seed):
     n_dim = int(rng.integers(1, 5))
     basis = BasisSet.uniform(int(rng.integers(4, 12)))
     q0, q1 = rng.normal(size=(2, n_dim)) * 10
-    model = CurveModel.via_point(basis, q0, q1)
+    model = CurveModel(basis, q0, q1)
     w = CurveParams(rng.normal(size=(n_dim, basis.size)) * 5)
     ends = model.evaluate(w, np.array([0.0, 1.0]))
     scale = max(1.0, np.abs(w.coefficients).max(),
@@ -103,7 +103,7 @@ def test_via_point_endpoints_exact(seed):
 def test_scalar_and_array_tau_agree():
     rng = np.random.default_rng(3)
     basis = BasisSet.uniform(6)
-    model = CurveModel.via_point(basis, np.zeros(2), np.ones(2))
+    model = CurveModel(basis, np.zeros(2), np.ones(2))
     w = CurveParams(rng.normal(size=(2, 6)))
     taus = np.linspace(0, 1, 9)
     arr = model.evaluate(w, taus)
@@ -117,7 +117,7 @@ def test_scalar_and_array_tau_agree():
     (-0.1, r"\[0, 1\]")])
 def test_bad_tau_is_rejected(tau, message):
     basis = BasisSet.uniform(6)
-    model = CurveModel.via_point(basis, np.zeros(2), np.ones(2))
+    model = CurveModel(basis, np.zeros(2), np.ones(2))
     stack = np.zeros((1, 2, 6))
     for call in (basis.evaluate, basis.derivative, model.elementary,
                  lambda t: evaluate_batch(model, stack, t)):
@@ -128,8 +128,8 @@ def test_bad_tau_is_rejected(tau, message):
 def test_derivative_tau_matches_finite_differences():
     rng = np.random.default_rng(4)
     basis = BasisSet.uniform(7)
-    model = CurveModel.via_point(basis, rng.normal(size=3),
-                                 rng.normal(size=3))
+    model = CurveModel(basis, rng.normal(size=3),
+                       rng.normal(size=3))
     w = CurveParams(rng.normal(size=(3, 7)))
     eps = 1e-6
     for tau in (0.12, 0.5, 0.88):
@@ -141,7 +141,7 @@ def test_derivative_tau_matches_finite_differences():
 def test_evaluate_batch_matches_loop():
     rng = np.random.default_rng(5)
     basis = BasisSet.uniform(6)
-    model = CurveModel.via_point(basis, np.zeros(2), np.ones(2))
+    model = CurveModel(basis, np.zeros(2), np.ones(2))
     stack = rng.normal(size=(4, 2, 6))
     taus = np.linspace(0, 1, 11)
     batch = evaluate_batch(model, stack, taus)
@@ -157,8 +157,8 @@ def test_evaluate_batch_matches_loop():
 def test_evaluate_rows_is_the_all_pairs_diagonal():
     rng = np.random.default_rng(8)
     basis = BasisSet.uniform(9)
-    model = CurveModel.via_point(basis, rng.normal(size=3),
-                                 rng.normal(size=3))
+    model = CurveModel(basis, rng.normal(size=3),
+                       rng.normal(size=3))
     stack = rng.normal(size=(12, 3, 9))
     taus = rng.uniform(size=12)
     rows = evaluate_rows(model, stack, taus)
@@ -170,8 +170,8 @@ def test_evaluate_rows_is_the_all_pairs_diagonal():
 
 
 def test_evaluate_batch_of_no_curves_is_empty():
-    model = CurveModel.via_point(BasisSet.uniform(6), np.zeros(2),
-                                 np.ones(2))
+    model = CurveModel(BasisSet.uniform(6), np.zeros(2),
+                       np.ones(2))
     out = evaluate_batch(model, np.zeros((0, 2, 6)), np.linspace(0, 1, 7))
     assert out.shape == (0, 7, 2)
 
@@ -179,8 +179,8 @@ def test_evaluate_batch_of_no_curves_is_empty():
 @pytest.mark.parametrize("shape", [(2, 6), (3, 2, 5), (3, 1, 6),
                                    (1, 3, 2, 6)])
 def test_wrong_coefficient_stack_is_rejected(shape):
-    model = CurveModel.via_point(BasisSet.uniform(6), np.zeros(2),
-                                 np.ones(2))
+    model = CurveModel(BasisSet.uniform(6), np.zeros(2),
+                       np.ones(2))
     taus = np.linspace(0, 1, 3)
     with pytest.raises(ValueError, match=r"expected \(N, 2, 6\)"):
         evaluate_batch(model, np.zeros(shape), taus)
@@ -189,8 +189,8 @@ def test_wrong_coefficient_stack_is_rejected(shape):
 
 
 def test_evaluate_rows_needs_one_phase_per_curve():
-    model = CurveModel.via_point(BasisSet.uniform(6), np.zeros(2),
-                                 np.ones(2))
+    model = CurveModel(BasisSet.uniform(6), np.zeros(2),
+                       np.ones(2))
     with pytest.raises(ValueError, match="one phase per curve"):
         evaluate_rows(model, np.zeros((3, 2, 6)), np.linspace(0, 1, 4))
 
@@ -201,8 +201,8 @@ def test_evaluate_rows_needs_one_phase_per_curve():
 def test_fit_recovers_known_coefficients():
     rng = np.random.default_rng(6)
     basis = BasisSet.uniform(8)
-    model = CurveModel.via_point(basis, rng.normal(size=2),
-                                 rng.normal(size=2))
+    model = CurveModel(basis, rng.normal(size=2),
+                       rng.normal(size=2))
     true = CurveParams(rng.normal(size=(2, 8)))
     taus = np.linspace(0, 1, 60)
     traj = TimedTrajectory(times=taus, points=model.evaluate(true, taus))
@@ -245,7 +245,7 @@ def test_fit_objective_matches_iterative_minimizer():
 
 def test_fit_needs_more_samples_than_bases():
     basis = BasisSet.uniform(10)
-    model = CurveModel.via_point(basis, np.zeros(1), np.ones(1))
+    model = CurveModel(basis, np.zeros(1), np.ones(1))
     times = np.linspace(0, 1, 10)
     traj = TimedTrajectory(times=times, points=np.zeros((10, 1)))
     with pytest.raises(ValueError, match="more samples"):
@@ -255,7 +255,7 @@ def test_fit_needs_more_samples_than_bases():
 def test_indistinguishable_bases_raise_singular_fit():
     # huge width makes every basis column nearly identical
     basis = BasisSet.uniform(12, width=1e4)
-    model = CurveModel.via_point(basis, np.zeros(1), np.ones(1))
+    model = CurveModel(basis, np.zeros(1), np.ones(1))
     times = np.linspace(0, 1, 30)
     traj = TimedTrajectory(times=times, points=np.zeros((30, 1)))
     with pytest.raises(SingularFitError, match="singular"):
@@ -264,7 +264,7 @@ def test_indistinguishable_bases_raise_singular_fit():
 
 def test_fit_and_objective_reject_wrong_dimension():
     basis = BasisSet.uniform(5)
-    model = CurveModel.via_point(basis, np.zeros(2), np.ones(2))
+    model = CurveModel(basis, np.zeros(2), np.ones(2))
     traj = TimedTrajectory(times=np.linspace(0, 1, 20), points=np.zeros(20))
     with pytest.raises(ValueError, match="trajectory dim 1 != curve dim 2"):
         model.fit(traj)
@@ -275,7 +275,7 @@ def test_fit_and_objective_reject_wrong_dimension():
 def test_fit_invariant_to_time_shift_and_scale():
     rng = np.random.default_rng(9)
     basis = BasisSet.uniform(7)
-    model = CurveModel.via_point(basis, np.zeros(2), np.ones(2))
+    model = CurveModel(basis, np.zeros(2), np.ones(2))
     taus = np.linspace(0, 1, 40)
     pts = rng.normal(size=(40, 2))
     a = model.fit(TimedTrajectory(times=taus, points=pts))
@@ -288,8 +288,8 @@ def test_fit_invariant_to_time_shift_and_scale():
 
 def test_curve_model_round_trip(tmp_path):
     basis = BasisSet.uniform(5)
-    model = CurveModel.via_point(basis, np.array([0.1, -0.2]),
-                                 np.array([0.9, 0.3]))
+    model = CurveModel(basis, np.array([0.1, -0.2]),
+                       np.array([0.9, 0.3]))
     clone = CurveModel.from_dict(model.to_dict())
     w = CurveParams(np.random.default_rng(0).normal(size=(2, 5)))
     taus = np.linspace(0, 1, 13)
@@ -297,8 +297,8 @@ def test_curve_model_round_trip(tmp_path):
 
 
 def test_loaders_reject_non_via_point():
-    data = CurveModel.via_point(BasisSet.uniform(5), np.zeros(2),
-                                np.ones(2)).to_dict()
+    data = CurveModel(BasisSet.uniform(5), np.zeros(2),
+                      np.ones(2)).to_dict()
     data["kind"] = "affine"
     with pytest.raises(ValueError, match="field 'kind'.*'affine'"):
         CurveModel.from_dict(data)

@@ -443,6 +443,42 @@ def test_rejected_option_value_exits_2(workspace, tmp_path, capsys, argv):
     assert err.startswith("config error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["train", "--fits", "{fits}", "--learning-rate", "-1"],
+     "learning_rate"),
+    (["train", "--fits", "{fits}", "--hidden", "0"], "hidden"),
+    (["sample", "--model", "{model}", "--components", "0"], "n_components"),
+    (["sample", "--model", "{model}", "--count", "0"], "count"),
+    (["eval", "--env", "env1", "--kind", "vmp-gauss", "--seeds", "0"],
+     "seeds"),
+    (["eval", "--env", "env1", "--kind", "vmp-gauss", "--num-samples", "0"],
+     "num_samples"),
+], ids=["train-learning-rate", "train-hidden", "sample-components",
+        "sample-count", "eval-seeds", "eval-num-samples"])
+def test_bad_value_exits_2_naming_its_field(workspace, tmp_path, capsys,
+                                            argv, field):
+    paths = {"fits": workspace["fits"] / "fits.json",
+             "model": workspace["model"]}
+    argv = [arg.format(**paths) for arg in argv]
+    assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
+    assert not (tmp_path / "o" / "report.csv").exists()
+
+
+def test_unknown_train_meta_key_exits_2(workspace, tmp_path, capsys):
+    model = tmp_path / "model"
+    shutil.copytree(workspace["model"], model)
+    meta = json.loads((model / "train_meta.json").read_text())
+    meta["config"]["mix_extension"] = 0.2
+    (model / "train_meta.json").write_text(json.dumps(meta))
+    code = run_cli("sample", "--model", str(model), "--count", "4",
+                   "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "mix_extension" in err and "Traceback" not in err
+
+
 def test_identical_latents_exit_3(workspace, tmp_path, capsys):
     model = tmp_path / "model"
     shutil.copytree(workspace["model"], model)

@@ -189,18 +189,24 @@ def test_kde_adapts_to_local_direction():
     assert eigs[0] / eigs[-1] < 1e-3
 
 
-def test_kde_wide_kernel_limit_matches_unweighted_scatter():
-    # every kernel weight -> 1, so each local scatter becomes the plain
-    # average of outer products of offsets from that point
+def test_kde_bandwidth_is_squared_weighted_scatter_at_median_width():
+    # each bandwidth is the square of the kernel-weighted average of outer
+    # products of offsets from its point, plus the 1e-9 ridge
     rng = np.random.default_rng(10)
     pts = rng.normal(size=(30, 2))
-    k = kde_build(pts, kernel_width=1e8)
+    k = kde_build(pts)
+    d2 = [[float(np.sum((a - b) ** 2)) for b in pts] for a in pts]
+    h = float(np.median([d2[i][j] for i in range(30) for j in range(30)
+                         if i != j]))
+    assert k.kernel_width == h
     for i, H in enumerate(k.bandwidths):
         diffs = pts - pts[i]
-        sigma = np.einsum("ka,kb->ab", diffs, diffs) / len(pts)
+        weights = np.exp(-np.array(d2[i]) / h)
+        sigma = np.einsum("k,ka,kb->ab", weights, diffs, diffs) \
+            / weights.sum()
         want = sigma @ sigma + 1e-9 * np.eye(2)
         rel = np.abs(H - want).max() / np.abs(want).max()
-        assert rel < 1e-4
+        assert rel < 1e-12
 
 
 def test_kde_normalizes_to_one():

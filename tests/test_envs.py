@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from motionmanifold import envs
-from motionmanifold.density import gmm_fit
+from motionmanifold.density import fit_density, gmm_fit
 from motionmanifold.envs import (EvalReport, PlanarEnv, ModelBundle,
                                  build_bundle, collision_check,
                                  default_components, evaluate_success,
@@ -367,3 +367,26 @@ def test_empty_report_file_is_rejected(tmp_path):
     path.write_text("kind,env,seed,num_samples,success_rate,acceptance_rate\n")
     with pytest.raises(ValueError, match="empty"):
         EvalReport.load_csv(path)
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda b, env, pts: gmm_fit(pts, 0), "n_components"),
+    (lambda b, env, pts: gmm_fit(pts, -2), "n_components"),
+    (lambda b, env, pts: fit_density(pts, "gmm", 0, 0), "n_components"),
+    (lambda b, env, pts: fit_density(pts, "kde", 0, 0), "n_components"),
+    (lambda b, env, pts: evaluate_success(b, env, seeds=()), "seeds"),
+    (lambda b, env, pts: evaluate_success(b, env, num_samples=0),
+     "num_samples"),
+    (lambda b, env, pts: sample_curves(b, 0, np.random.default_rng(0)),
+     "count"),
+    (lambda b, env, pts: sample_curves(b, -1, np.random.default_rng(0)),
+     "count"),
+], ids=["gmm_fit-0", "gmm_fit-negative", "fit_density-gmm",
+        "fit_density-kde", "evaluate-no-seeds", "evaluate-no-samples",
+        "sample-0", "sample-negative"])
+def test_counts_below_one_raise_naming_the_field(env1_demos, call, field):
+    env, _ = env1_demos
+    bundle, _, _ = _fixed_decode_bundle(env1_demos, np.zeros((2, 20)))
+    points = np.random.default_rng(1).normal(size=(12, 2))
+    with pytest.raises(ValueError, match=field):
+        call(bundle, env, points)

@@ -37,15 +37,13 @@ def test_metric_matrix_is_block_kron():
                        (flat @ mat).reshape(5, 3, 4))
 
 
-def test_metric_apply_scaled_and_use_count():
+def test_metric_apply_scaled():
     basis = BasisSet.uniform(4)
     metric = curvegeom_euclidean(basis)
     u = np.random.default_rng(3).normal(size=(2, 4))
-    before = metric.use_count
     ku = metric.apply(u)
     doubled = CurveGeomMetric(2.0 * metric.gram).apply(u)
     assert np.allclose(doubled, 2.0 * ku)
-    assert metric.use_count == before + 1
 
 
 def test_pullback_matches_finite_difference_jacobian():

@@ -1,6 +1,7 @@
 """The package namespace: what `from motionmanifold import *` exposes."""
 
 import ast
+import dataclasses
 import inspect
 import json
 import os
@@ -44,6 +45,28 @@ def test_modules_have_no_unused_imports():
                 if name not in read:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_every_config_field_has_a_cli_option():
+    # a field that no command sets is a tuning value with no caller; it
+    # belongs in a module constant beside the code that reads it
+    from motionmanifold import cli
+    from motionmanifold.replan import ReplanConfig
+    from motionmanifold.training import TrainConfig
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command")
+
+    def dests(command):
+        return {a.dest for a in commands.choices[command]._actions}
+
+    # threshold is computed from each fixture's latents, and max_time caps
+    # every episode at 3 * total_time; they are the only inputs that reach
+    # the density floor and the timeout path of run_episode
+    computed = {"threshold", "max_time"}
+    for config, command, exempt in ((TrainConfig, "train", set()),
+                                    (ReplanConfig, "replan", computed)):
+        names = {f.name for f in dataclasses.fields(config)}
+        assert sorted(names - exempt - dests(command)) == [], config.__name__
 
 
 def test_curve_kernel_is_bound_by_name():

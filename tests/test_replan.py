@@ -27,7 +27,7 @@ class BumpModel:
 
     def __init__(self, n_bases=8):
         basis = BasisSet.uniform(n_bases)
-        self.curve_model = CurveModel.via_point(
+        self.curve_model = CurveModel(
             basis, np.zeros(2), np.array([1.0, 0.0]))
         self.pattern = np.vstack([np.zeros(n_bases), np.ones(n_bases)])
 
@@ -69,20 +69,20 @@ def test_config_defaults_and_derived_cap():
     dict(replan_hz=2000.0),
     dict(window=0.0),
     dict(total_time=-1.0),
-    dict(gain=0.0),
-    dict(gain=1.5),
-    dict(delta_back=-0.1),
-    dict(candidate_budget=0),
+    dict(total_time=0.0),
+    dict(total_time=np.inf),                # was an OverflowError per episode
+    dict(window=-0.5),
+    dict(max_time=-1.0),
     dict(max_time=0.0),
-    dict(tau_candidates=0),                 # was read as 1
-    dict(tau_candidates=-3),
+    dict(max_time=np.nan),
+    dict(max_time=np.inf),
     dict(replan_hz=0.0),                    # was a ZeroDivisionError
     dict(replan_hz=-5.0),                   # was a replan every tick
     dict(control_hz=-1000.0, replan_hz=-2000.0),
-    dict(alpha_time=-1.0),
+    dict(replan_hz=np.nan),
     dict(window=np.nan),
     dict(total_time=np.nan),
-    dict(alpha_time=np.nan),
+    dict(control_hz=np.nan),
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
@@ -331,7 +331,7 @@ def test_replan_finds_feasible_plan_around_blocker():
     assert predict_violation(state, model, constraint, 0.0, cfg)
     z_new, tau_new = solve_replan(state, model, density, constraint, 0.0,
                                   cfg, np.random.default_rng(1))
-    assert state.tau - cfg.delta_back - 1e-12 <= tau_new <= state.tau
+    assert state.tau - replan.DELTA_BACK - 1e-12 <= tau_new <= state.tau
     assert z_new[0] < 0.3                        # dropped below the blocker
     assert density.logpdf(z_new) >= threshold
     after = ReplanState(z=z_new, tau=tau_new)
@@ -341,17 +341,18 @@ def test_replan_finds_feasible_plan_around_blocker():
 def test_replan_infeasible_reports_filter_counts():
     model = BumpModel()
     density = two_cluster_density()
-    constraint = constraint_from_script([upper_blocker()])
+    # a disk over the whole scene blocks every window of every candidate
+    constraint = constraint_from_script([MovingDisk(
+        times=[0.0], centers=[[0.5, 0.0]], radius=100.0)])
     state = ReplanState(z=np.array([1.0, 0.0]), tau=0.15)
-    # sole candidate is the current plan, which is exactly what failed
     cfg = ReplanConfig(total_time=2.0, window=0.6, control_hz=200.0,
-                       replan_hz=10.0, threshold=-np.inf,
-                       candidate_budget=1, tau_candidates=1)
+                       replan_hz=10.0, threshold=-np.inf)
     with pytest.raises(ReplanInfeasibleError) as err:
         solve_replan(state, model, density, constraint, 0.0, cfg,
                      np.random.default_rng(2))
-    assert err.value.n_candidates == 1
-    assert err.value.n_density_ok == 1
+    n_z = replan.CANDIDATE_BUDGET // replan.TAU_CANDIDATES
+    assert err.value.n_candidates == n_z * replan.TAU_CANDIDATES
+    assert err.value.n_density_ok == n_z
     assert err.value.n_window_ok == 0
 
 
@@ -383,10 +384,9 @@ def reference_solve_replan(state, model, density, constraint, t_now, cfg,
                            rng):
     """The sequential per-pair, per-point search the batched one replaces."""
     tau = state.tau
-    tau_lo = max(tau - cfg.delta_back, 0.0)
-    tau_grid = np.linspace(tau, tau_lo, cfg.tau_candidates) \
-        if cfg.tau_candidates > 1 else np.array([tau])
-    z_cands = replan._candidate_latents(state, density, cfg, rng)
+    tau_lo = max(tau - replan.DELTA_BACK, 0.0)
+    tau_grid = np.linspace(tau, tau_lo, replan.TAU_CANDIDATES)
+    z_cands = replan._candidate_latents(state, density, rng)
     n_z = len(z_cands)
     log_dens = np.atleast_1d(density.logpdf(z_cands))
     stacks = model.decode_many(z_cands)
@@ -395,7 +395,7 @@ def reference_solve_replan(state, model, density, constraint, t_now, cfg,
     for iz in range(n_z):
         dz2 = float(np.sum((z_cands[iz] - state.z) ** 2))
         for it, tp in enumerate(tau_grid):
-            obj = dz2 + cfg.alpha_time * (tau - tp) ** 2
+            obj = dz2 + replan.ALPHA_TIME * (tau - tp) ** 2
             pair_obj.append((obj, iz, it))
     order = sorted(range(len(pair_obj)), key=lambda i: (pair_obj[i][0], i))
 
@@ -463,7 +463,7 @@ def _search_cases():
         density = gmm if case % 2 == 0 else kde
         floor = density.logpdf(np.zeros(2)) + setup.choice([-1.0, -0.5, 0.5])
         cfg = ReplanConfig(total_time=2.0, window=0.6, control_hz=200.0,
-                           replan_hz=10.0, candidate_budget=120,
+                           replan_hz=10.0,
                            threshold=floor if case % 5 else -np.inf)
         constraint = constraint_from_script(scripts[case % 3])
         # upper-arc plans heading into the blockers
@@ -548,9 +548,10 @@ def test_initial_latent_honors_density_floor():
     free = ReplanConfig(threshold=-np.inf)
     z = initial_latent(density, free, np.random.default_rng(5))
     assert z.shape == (2,)
-    with pytest.raises(ReplanInfeasibleError):
+    with pytest.raises(ReplanInfeasibleError) as err:
         initial_latent(density, ReplanConfig(threshold=1e9),
-                       np.random.default_rng(6), max_attempts=50)
+                       np.random.default_rng(6))
+    assert err.value.n_candidates == replan.INITIAL_ATTEMPTS
 
 
 # -- the control loop ------------------------------------------------------
@@ -580,7 +581,7 @@ def test_episode_replans_around_scripted_blocker():
     density = two_cluster_density()
     threshold = density.logpdf(np.zeros(2)) - 0.5
     cfg = ReplanConfig(total_time=2.0, window=0.6, control_hz=200.0,
-                       replan_hz=10.0, threshold=threshold, delta_back=0.0)
+                       replan_hz=10.0, threshold=threshold)
     constraint = constraint_from_script([upper_blocker()])
     trace = run_episode(model, density, constraint, cfg, seed=1,
                         z0=np.array([1.0, 0.0]))
@@ -681,8 +682,9 @@ def reference_run_episode(model, density, constraint, cfg, seed=0, z0=None):
             else:
                 state.violated = False
         if state.violated:
-            state.z = state.z + cfg.gain * (state.goal_z - state.z)
-            state.tau = state.tau + cfg.gain * (state.goal_tau - state.tau)
+            gain = replan.TRACKING_GAIN
+            state.z = state.z + gain * (state.goal_z - state.z)
+            state.tau = state.tau + gain * (state.goal_tau - state.tau)
         else:
             state.tau = min(state.tau + dtau, 1.0)
         times.append(t_now)
@@ -721,7 +723,7 @@ def test_blocked_episode_matches_per_tick_reference(case):
                               replan_hz=10.0), free, 0, [1.0, 0.0]),
         "tracking": (ReplanConfig(total_time=2.0, window=0.6,
                                   control_hz=200.0, replan_hz=10.0,
-                                  threshold=floor, delta_back=0.0),
+                                  threshold=floor),
                      blocker, 1, [1.0, 0.0]),
         "infeasible": (ReplanConfig(total_time=1.0, window=0.4,
                                     control_hz=100.0, replan_hz=10.0,

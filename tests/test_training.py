@@ -6,7 +6,7 @@ import pytest
 from motionmanifold import lie, nets
 from motionmanifold.basis import CurveParams
 from motionmanifold.errors import TrainingError
-from motionmanifold.geometry import curvegeom_euclidean
+from motionmanifold.geometry import CurveGeomMetric, curvegeom_euclidean
 from motionmanifold.training import (ManifoldModel, TrainConfig,
                                      flatten_params, mixup_sample, train,
                                      unflatten_params)
@@ -27,17 +27,11 @@ def test_mixup_extends_past_both_endpoints():
     # with latents 0 and 1 every draw is the mixing coefficient, its
     # complement, or an endpoint
     rng = np.random.default_rng(1)
-    draws = mixup_sample(np.array([[1.0], [0.0]]), rng, 20000)[:, 0]
+    z = np.array([[1.0], [0.0]])
+    draws = np.concatenate([mixup_sample(z, rng) for _ in range(1250)])[:, 0]
     assert draws.min() >= -0.2 and draws.max() <= 1.2
     assert draws.min() < -0.15 and draws.max() > 1.15   # reaches extensions
     assert abs(draws.mean() - 0.5) < 0.01
-
-
-def test_mixup_respects_extension_argument():
-    rng = np.random.default_rng(2)
-    draws = mixup_sample(np.array([[1.0], [0.0]]), rng, 2000, extension=0.0)
-    assert draws.shape == (2000, 1)
-    assert draws.min() >= 0.0 and draws.max() <= 1.0
 
 
 def test_config_validation():
@@ -47,6 +41,22 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError, match="latent"):
         TrainConfig(latent_dim=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", -1.0),           # was gradient ascent
+    ("learning_rate", 0.0),
+    ("learning_rate", np.nan),
+    ("learning_rate", np.inf),
+    ("alpha", np.nan),                 # was a TrainingError at epoch 0
+    ("alpha", np.inf),
+    ("hidden", (0,)),                  # was an OverflowError in Mlp.create
+    ("hidden", (16, -1)),
+], ids=["lr-negative", "lr-zero", "lr-nan", "lr-inf", "alpha-nan",
+        "alpha-inf", "hidden-zero", "hidden-negative"])
+def test_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
 
 
 def test_config_round_trip():
@@ -76,23 +86,35 @@ def test_training_is_seed_reproducible(arc_family):
         assert np.array_equal(wa, wb)
 
 
-def test_alpha_zero_never_touches_metric(arc_family):
+@pytest.fixture
+def metric_calls(monkeypatch):
+    """Counts every CurveGeomMetric.apply call while a test runs."""
+    calls = []
+    apply = CurveGeomMetric.apply
+
+    def counted(self, vec):
+        calls.append(np.shape(vec))
+        return apply(self, vec)
+
+    monkeypatch.setattr(CurveGeomMetric, "apply", counted)
+    return calls
+
+
+def test_alpha_zero_never_touches_metric(arc_family, metric_calls):
     model, fits = arc_family
-    metric = curvegeom_euclidean(model.basis)
     cfg = TrainConfig(latent_dim=2, epochs=20, hidden=(8, 8), seed=0,
                       alpha=0.0)
-    m = train(fits, model, cfg, metric=metric)
-    assert metric.use_count == 0
-    assert m.metric_use_count == 0
+    train(fits, model, cfg)
+    assert metric_calls == []
 
 
-def test_alpha_positive_regularizes(arc_family):
+def test_alpha_positive_regularizes(arc_family, metric_calls):
     model, fits = arc_family
-    metric = curvegeom_euclidean(model.basis)
     cfg = TrainConfig(latent_dim=2, epochs=60, hidden=(16, 16), seed=0,
                       alpha=0.1)
-    m = train(fits, model, cfg, metric=metric)
-    assert metric.use_count > 0
+    m = train(fits, model, cfg)
+    # one penalty per epoch, on the mixup batch of 16 latent points
+    assert metric_calls == [(16, 2, model.dim * model.basis.size)] * 60
     dist = np.array(m.history["distortion"])
     assert np.all(dist > 0)
     tot = np.array(m.history["total"])
@@ -132,18 +154,25 @@ def test_model_save_load_round_trip(tmp_path, small_manifold):
     assert clone.history["recon"] == pytest.approx(m.history["recon"])
 
 
-def test_load_reads_configs_saved_with_trace_mode(tmp_path, small_manifold):
-    # train_meta.json as written before the trace_mode field was removed;
-    # every such model was trained with the exact distortion gradient
+def test_saved_meta_holds_only_the_config(tmp_path, small_manifold):
+    m, model, fits = small_manifold
+    m.save(tmp_path)
+    meta = json.loads((tmp_path / "train_meta.json").read_text())
+    assert meta == {"config": m.config.to_dict()}
+    assert sorted(meta["config"]) == ["alpha", "epochs", "hidden",
+                                      "latent_dim", "learning_rate", "seed"]
+
+
+@pytest.mark.parametrize("key", ["trace_mode", "mix_batch"])
+def test_load_rejects_unknown_config_key(tmp_path, small_manifold, key):
     m, model, fits = small_manifold
     m.save(tmp_path)
     meta_path = tmp_path / "train_meta.json"
     meta = json.loads(meta_path.read_text())
-    meta["config"]["trace_mode"] = "exact"
+    meta["config"][key] = 16
     meta_path.write_text(json.dumps(meta, indent=1))
-    clone = ManifoldModel.load(tmp_path)
-    assert clone.config == m.config
-    assert np.array_equal(clone.encode_many(fits), m.encode_many(fits))
+    with pytest.raises(ValueError, match=key):
+        ManifoldModel.load(tmp_path)
 
 
 def test_encode_decode_shapes(small_manifold):
@@ -200,11 +229,9 @@ def _reference_train_loop(x, config, metric):
         _, enc_grad = encoder.backward(enc_acts, dz)
         dist_value = 0.0
         if config.alpha > 0:
-            ia = rng.integers(0, n_data, size=config.mix_batch)
-            ib = rng.integers(0, n_data, size=config.mix_batch)
-            delta = rng.uniform(-config.mix_extension,
-                                1.0 + config.mix_extension,
-                                size=config.mix_batch)
+            ia = rng.integers(0, n_data, size=16)
+            ib = rng.integers(0, n_data, size=16)
+            delta = rng.uniform(-0.2, 1.2, size=16)
             z_mix = delta[:, None] * z[ia] + (1.0 - delta)[:, None] * z[ib]
             dist_value, dist_grad = nets.grad_of_distortion(
                 decoder, z_mix, metric)
@@ -218,8 +245,7 @@ def _reference_train_loop(x, config, metric):
     return encoder, decoder, history
 
 
-def _reference_se3_loop(x, samples, p_start, r_start, n_b, config,
-                        beta):
+def _reference_se3_loop(x, samples, p_start, r_start, n_b, config):
     """The pose-curve training loop as it stood before the shared engine."""
     m = config.latent_dim
     encoder = nets.Mlp.create([x.shape[1], *config.hidden, m],
@@ -233,7 +259,7 @@ def _reference_se3_loop(x, samples, p_start, r_start, n_b, config,
         enc_acts = encoder.forward_cache(x)
         dec_acts = decoder.forward_cache(enc_acts[-1])
         loss, g_out = lie.se3_loss_and_grads(dec_acts[-1], samples,
-                                             p_start, r_start, n_b, beta=beta)
+                                             p_start, r_start, n_b)
         dz, dec_grad = decoder.backward(dec_acts, g_out)
         _, enc_grad = encoder.backward(enc_acts, dz)
         nets.adam_step(opt_enc, encoder, enc_grad)
@@ -254,8 +280,7 @@ def test_train_matches_reference_loop(arc_family, alpha):
     model, fits = arc_family
     cfg = TrainConfig(latent_dim=2, epochs=40, hidden=(16, 16), seed=4,
                       alpha=alpha)
-    metric = curvegeom_euclidean(model.basis)
-    got = train(fits, model, cfg, metric=metric)
+    got = train(fits, model, cfg)
     x = np.stack([flatten_params(f) for f in fits])
     encoder, decoder, history = _reference_train_loop(
         x, cfg, curvegeom_euclidean(model.basis))
@@ -266,13 +291,13 @@ def test_train_matches_reference_loop(arc_family, alpha):
 def test_train_se3_matches_reference_loop():
     demos, basis = lie.make_pouring_demos(count=4, seed=1, n_samples=20)
     cfg = TrainConfig(latent_dim=2, epochs=25, hidden=(16, 16), seed=2)
-    got = lie.train_se3(demos, basis, cfg, beta=0.7)
+    got = lie.train_se3(demos, basis, cfg)
     fitted = [lie.fit_se3_params(traj, basis) for traj in demos]
     x = np.stack([lie.pack_se3_features(p) for p in fitted])
     samples = lie.Se3Samples.from_dataset(demos, basis)
     encoder, decoder, history = _reference_se3_loop(
         x, samples, demos[0].positions[0], demos[0].rotations[0], basis.size,
-        cfg, beta=0.7)
+        cfg)
     assert got.history["recon"] == history["recon"]
     assert got.history["total"] == history["recon"]
     assert got.history["distortion"] == [0.0] * cfg.epochs

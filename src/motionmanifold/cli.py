@@ -154,6 +154,8 @@ def _sample_model(manifold, args):
     """
     with open(os.path.join(args.model, "latents.json")) as fh:
         z = np.asarray(json.load(fh)["z"], dtype=float)
+    if not np.isfinite(z).all():
+        raise ValueError(f"{fh.name}: latents are not finite")
     kind = "immp++" if manifold.config.alpha > 0 else "mmp++"
     bundle = latent_bundle(kind, manifold, z, args.density,
                            args.components, args.seed)

@@ -326,6 +326,8 @@ class RejectionResult:
 
 def rejection_sample(density, sample_filter, rng, count):
     """Draw `count` samples whose log-density clears the filter threshold."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     kept = []
     attempts = 0
     accepted = 0

@@ -20,7 +20,7 @@ import numpy as np
 from .basis import BasisSet, CurveModel, TimedTrajectory, evaluate_batch
 from .density import (DEFAULT_FAMILY, SampleFilter, fit_density, gmm_fit,
                       min_loglik_threshold, rejection_sample)
-from .errors import GenerationError
+from .errors import GenerationError, NonFiniteError
 from .replan import MovingDisk, constraint_from_script
 from .training import TrainConfig, train, flatten_params
 
@@ -62,8 +62,11 @@ class PlanarEnv:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path) as fh:
+                return cls.from_dict(json.load(fh))
+        except KeyError as err:
+            raise ValueError(f"{path}: missing key {err}") from None
 
 
 def collision_check(q, env, t=0.0):
@@ -290,7 +293,10 @@ def sample_curves(bundle, count, rng):
     filt = SampleFilter(threshold=bundle.threshold,
                         max_attempts=MAX_ATTEMPT_FACTOR * count)
     result = rejection_sample(bundle.density, filt, rng, count)
-    return bundle.decode_batch(np.atleast_2d(result.samples)), result
+    stacks = bundle.decode_batch(np.atleast_2d(result.samples))
+    if not np.isfinite(stacks).all():
+        raise NonFiniteError("a draw decoded to a non-finite point")
+    return stacks, result
 
 
 # the success protocol: sampled curves per seed, and the sampling seeds

@@ -18,7 +18,7 @@ class BranchError(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """A point or time given to a feasibility field is NaN or infinite."""
+    """A value that must be finite, such as a field query, is not."""
 
 
 class DegenerateSupportError(ValueError):

@@ -12,7 +12,7 @@ right Jacobians of the exponential map.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,24 +23,30 @@ from .training import fit_autoencoder
 
 _BRANCH_MARGIN = 1e-6
 _SMALL_ANGLE = 1e-8
-_EYE = np.eye(3)
 ROTATION_WEIGHT = 1.0            # beta of the blended pose loss
 
 
-# -- so(3) maps over stacks: vectors (..., 3), matrices (..., 3, 3) --------
+# -- so(3) maps ------------------------------------------------------------
+# The public maps take (..., 3) vectors and (..., 3, 3) matrices; their
+# kernels are component-major, (3, ...) and (3, 3, ...), along the samples.
 
-def hat(v):
+_HAT = np.array([[0, 6, 2], [3, 0, 4], [5, 1, 0]])  # hat(v) from [0, v, -v]
+# einsum subscripts of A B and of M^T g, broadcast on the trailing axes
+_MATMUL, _MATVEC_T = "ij...,jk...->ik...", "ji...,j...->i..."
+_VEE_ROWS, _VEE_COLS = np.array([[2, 0, 1], [1, 2, 0]])  # vee: S[rows, cols]
+
+
+def _per_vector(kernel, v):
+    """A component-major matrix kernel applied to (..., 3) vectors."""
     v = np.asarray(v, dtype=float)
     if v.shape[-1:] != (3,):
         raise ValueError(f"rotation vectors must be (..., 3), got {v.shape}")
-    out = np.zeros(v.shape[:-1] + (3, 3))
-    out[..., 0, 1] = -v[..., 2]
-    out[..., 0, 2] = v[..., 1]
-    out[..., 1, 0] = v[..., 2]
-    out[..., 1, 2] = -v[..., 0]
-    out[..., 2, 0] = -v[..., 1]
-    out[..., 2, 1] = v[..., 0]
-    return out
+    m = kernel(v.reshape(-1, 3).T)
+    return np.moveaxis(m, -1, 0).reshape(v.shape[:-1] + (3, 3))
+
+
+def hat(v):
+    return _per_vector(lambda u: _skew(u)[0], v)
 
 
 def vee(s):
@@ -49,7 +55,7 @@ def vee(s):
         raise ValueError(f"skew matrices must be (..., 3, 3), got {s.shape}")
     if not np.all(np.abs(s + np.swapaxes(s, -1, -2)) <= 1e-9):
         raise ValueError("matrix is not skew-symmetric")
-    return np.stack([s[..., 2, 1], s[..., 0, 2], s[..., 1, 0]], axis=-1)
+    return s[..., _VEE_ROWS, _VEE_COLS]
 
 
 def check_rotation(r, tol=1e-9):
@@ -64,101 +70,94 @@ def check_rotation(r, tol=1e-9):
 
 
 def _skew(v):
-    """hat(v), the angle |v| and where the series forms apply."""
-    k = hat(v)
-    # a row-times-column product per vector: the same dot product, bit
-    # for bit, as np.linalg.norm of a single vector
-    v = np.asarray(v, dtype=float)[..., None, :]
-    theta = np.sqrt((v @ np.swapaxes(v, -1, -2))[..., 0, 0])
-    return k, theta, theta < _SMALL_ANGLE
+    """K = hat(v), K^2 = v v^T - |v|^2 I, the angle |v| and its square."""
+    sq = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+    k2 = v[:, None] * v[None]
+    np.einsum("ii...->i...", k2)[...] -= sq      # a view of the diagonal
+    k = np.concatenate([np.zeros_like(v[:1]), v, -v])[_HAT]
+    return k, k2, np.sqrt(sq), sq
 
 
-def _skew_poly(k, k2, c1, c2):
-    """I + c1 K + c2 K^2 with one coefficient pair per matrix."""
-    out = np.asarray(c1)[..., None, None] * k
-    out += _EYE
-    out += c2[..., None, None] * k2
+def _poly(k, k2, c1, c2):
+    """I + c1 K + c2 K^2, each coefficient spread over the trailing axes."""
+    out = c1 * k
+    out += c2 * k2
+    np.einsum("ii...->i...", out)[...] += 1.0
     return out
 
 
-# The coefficients of exp(K) = I + a K + b K^2 and J_r = I - b K + c K^2
-# at angle theta, each switching to its series where `small` holds.
+def _coefficients(theta, sq):
+    """a, b, c of exp(K) = I + a K + b K^2 and J_r = I - b K + c K^2.
 
-def _sin_ratio(theta, small):
-    """a = sin(theta) / theta."""
+    a = sin(t) / t, b = (1 - cos(t)) / t^2, c = (t - sin(t)) / t^3 at t =
+    theta, exact; any entries below _SMALL_ANGLE then take the series.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(small, 1.0 - theta ** 2 / 6.0, np.sin(theta) / theta)
-
-
-def _cos_ratio(theta, small):
-    """b = (1 - cos(theta)) / theta^2."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(small, 0.5 - theta ** 2 / 24.0,
-                        (1.0 - np.cos(theta)) / theta ** 2)
-
-
-def _sin_gap_ratio(theta, small):
-    """c = (theta - sin(theta)) / theta^3."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(small, 1.0 / 6.0 - theta ** 2 / 120.0,
-                        (theta - np.sin(theta)) / theta ** 3)
+        sin = np.sin(theta)
+        a = sin / theta
+        b = (1.0 - np.cos(theta)) / sq
+        c = (theta - sin) / (sq * theta)
+    small = theta < _SMALL_ANGLE
+    if small.any():
+        sq = sq[small]
+        a[small] = 1.0 - sq / 6.0
+        b[small] = 0.5 - sq / 24.0
+        c[small] = 1.0 / 6.0 - sq / 120.0
+    return a, b, c
 
 
 def _exp_and_jacobian(v):
-    """exp(hat(v)) and J_r(v), sharing K, K^2, the angle and b."""
-    k, theta, small = _skew(v)
-    k2 = k @ k
-    b = _cos_ratio(theta, small)
-    return (_skew_poly(k, k2, _sin_ratio(theta, small), b),
-            _skew_poly(k, k2, -b, _sin_gap_ratio(theta, small)))
+    """exp(hat(v)) and J_r(v) of component-major v, sharing K, K^2, a, b, c."""
+    k, k2, theta, sq = _skew(v)
+    a, b, c = _coefficients(theta, sq)
+    return _poly(k, k2, a, b), _poly(k, k2, -b, c)
+
+
+def _jacobian_inv(k, k2, theta, sq):
+    """J_r(v)^-1 = I + K / 2 + e K^2 from the _skew of component-major v."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = 1.0 / sq - (1.0 + np.cos(theta)) / (2.0 * theta * np.sin(theta))
+    small = theta < _SMALL_ANGLE
+    if small.any():
+        e[small] = 1.0 / 12.0 + sq[small] / 720.0
+    return _poly(k, k2, 0.5, e)
 
 
 def exp_so3(v):
     """Rodrigues formula, series-stabilized near zero."""
-    k, theta, small = _skew(v)
-    return _skew_poly(k, k @ k, _sin_ratio(theta, small),
-                      _cos_ratio(theta, small))
+    return _per_vector(lambda u: _exp_and_jacobian(u)[0], v)
 
 
 def so3_jacobian_right(v):
     """J_r with exp(v + dv) = exp(v) exp(hat(J_r(v) dv)) to first order."""
-    k, theta, small = _skew(v)
-    return _skew_poly(k, k @ k, -_cos_ratio(theta, small),
-                      _sin_gap_ratio(theta, small))
+    return _per_vector(lambda u: _exp_and_jacobian(u)[1], v)
 
 
 def so3_jacobian_right_inv(v):
-    k, theta, small = _skew(v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.where(small, 1.0 / 12.0 + theta ** 2 / 720.0,
-                     1.0 / theta ** 2 - (1.0 + np.cos(theta)) / (
-                         2.0 * theta * np.sin(theta)))
-    return _skew_poly(k, k @ k, 0.5, e)
+    return _per_vector(lambda u: _jacobian_inv(*_skew(u)), v)
 
 
 def log_so3(r):
     """Principal-branch rotation log; angles at or past pi are rejected."""
-    return _log(check_rotation(r, tol=1e-8))
-
-
-# vee(R - R^T) as two gathers: rows (2, 0, 1) at columns (1, 2, 0)
-_VEE_ROWS = np.array([2, 0, 1])
-_VEE_COLS = np.array([1, 2, 0])
+    r = check_rotation(r, tol=1e-8)
+    return _log(np.moveaxis(r.reshape(-1, 3, 3), 0, -1)).T.reshape(
+        r.shape[:-1])
 
 
 def _log(r):
-    """log_so3 without the rotation check, for matrices built here."""
-    cos_t = np.minimum(np.maximum(
-        (r[..., 0, 0] + r[..., 1, 1] + r[..., 2, 2] - 1.0) / 2.0, -1.0), 1.0)
-    theta = np.arccos(cos_t)
+    """log of component-major rotations (3, 3, ...), without the check.
+
+    theta = atan2(|u|, tr R - 1) for u = vee(R - R^T) = 2 sin(theta) n,
+    and the log is (theta / |u|) u.  Near pi its error grows as 1 / (pi -
+    theta), not as the 1 / (pi - theta)^2 of an arccos of the trace.
+    """
+    u = r[_VEE_ROWS, _VEE_COLS] - r[_VEE_COLS, _VEE_ROWS]
+    norm = np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
+    theta = np.arctan2(norm, r[0, 0] + r[1, 1] + r[2, 2] - 1.0)
     if (theta >= np.pi - _BRANCH_MARGIN).any():
         raise BranchError(f"rotation angle {float(theta.max()):.8f} is too "
                           "close to pi for the principal branch")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(theta < _SMALL_ANGLE, 0.5 * (1.0 + theta ** 2 / 6.0),
-                     theta / (2.0 * np.sin(theta)))
-    return s[..., None] * (r[..., _VEE_ROWS, _VEE_COLS]
-                           - r[..., _VEE_COLS, _VEE_ROWS])
+    return theta / np.maximum(norm, np.finfo(float).tiny) * u
 
 
 # -- pose trajectories and curve parameters -------------------------------
@@ -241,13 +240,15 @@ class Se3Samples:
     Row d holds demonstration d's K_d samples, padded to K = max K_d by
     repeating its last sample with weight 0.  A real sample of demo d has
     weight 1 / (N K_d), so a weighted sum over the grid is the mean over
-    each demo's samples averaged over the demos.
+    each demo's samples averaged over the demos (*_cm: component-major).
     """
     taus: np.ndarray             # (N, K)
     phi: np.ndarray              # (N, K, B)
     positions: np.ndarray        # (N, K, 3)
     rotations: np.ndarray        # (N, K, 3, 3)
     weight: np.ndarray           # (N, K)
+    positions_cm: np.ndarray     # (3, N, K)
+    rotations_cm: np.ndarray     # (3, 3, N, K)
 
     @classmethod
     def from_dataset(cls, dataset, basis):
@@ -262,63 +263,61 @@ class Se3Samples:
             return np.stack([getattr(traj, name)[row]
                              for traj, row in zip(dataset, rows)])
 
-        taus = grid("taus")
+        taus, pos, rot = map(grid, ("taus", "positions", "rotations"))
         return cls(taus=taus,
                    phi=basis.evaluate(taus.ravel()).reshape(*taus.shape, -1),
-                   positions=grid("positions"), rotations=grid("rotations"),
+                   positions=pos, rotations=rot,
                    weight=np.where(k < counts,
-                                   1.0 / (len(dataset) * counts), 0.0))
+                                   1.0 / (len(dataset) * counts), 0.0),
+                   positions_cm=np.moveaxis(pos, -1, 0).copy(),
+                   rotations_cm=np.moveaxis(rot, (2, 3), (0, 1)).copy())
 
 
-def _pose_curves(taus, p_start, p_end, r_start, shape, exp_a, exp_c):
-    """p(tau) and R(tau) of N via-point pose curves on an (N, K) phase grid.
+def _pose_curves(taus, p_start, p_end, r_start, skew, shape, exp_c):
+    """p(tau) (3, N, K) and R(tau) (3, 3, N, K) of N via-point pose curves.
 
-    p(tau) = (1 - tau) p_i + tau p_f + w_p phi(tau) and
-    R(tau) = R_i exp(tau ell) exp([w_R phi(tau)]).  shape (N, K, 6) holds
-    w_p phi and w_R phi (see _shape_rows); exp_a and exp_c (N, K, 3, 3)
-    are exp(tau ell) and exp([w_R phi]), which the loss takes from the
-    fused exp/J_r pass and the evaluators from exp_so3.  p_end is (N, 3);
-    the start pose is one per curve, (N, 3) and (N, 3, 3), or one shared
-    by all curves.
+    p = (1 - tau) p_i + tau p_f + w_p phi and R = R_i exp(tau ell)
+    exp([w_R phi]) on an (N, K) phase grid, from shape = w phi (6, N, K),
+    exp_c = exp([w_R phi]), p_end (3, N) and skew = _skew(ell).  The start
+    pose is (3, N) and (3, 3, N), or (3, 1) and (3, 3, 1) when shared.
+    The geodesic is per demo: with K = hat(ell) and a, b, c at tau |ell|,
+    R_i exp(tau ell) = R_i + tau a R_i K + tau^2 b R_i K^2.  tau b and
+    tau^2 c give the loss J_r(tau ell)^T = I + tau b K + tau^2 c K^2.
     """
-    t = taus[..., None]
-    p = (1.0 - t) * p_start[..., None, :] + t * p_end[:, None] \
-        + shape[..., :3]
-    return p, r_start[..., None, :, :] @ exp_a @ exp_c
+    k, k2, theta, _ = skew
+    angle = taus * theta[:, None]
+    a, b, c = _coefficients(angle, angle * angle)
+    t2 = taus * taus
+    rk, rk2 = (np.einsum(_MATMUL, r_start, m)[..., None] for m in (k, k2))
+    geodesic = r_start[..., None] + (taus * a) * rk + (t2 * b) * rk2
+    p = (1.0 - taus) * p_start[..., None] + taus * p_end[..., None] \
+        + shape[:3]
+    return p, np.einsum(_MATMUL, geodesic, exp_c), taus * b, t2 * c
 
 
 def _shape_rows(phi, w):
-    """w phi(tau), (N, K, 6), for each curve's (6, B) coefficients w.
-
-    An einsum, not a matmul: it sums over the bases in the same order as
-    evaluating each sample against its own copy of the coefficients, so
-    the demonstrations of make_pouring_demos and every curve evaluation
-    keep their bits; BLAS rounds differently.
-    """
-    return np.einsum("ndb,nkb->ndk", w, phi).swapaxes(-1, -2)
+    """w_p phi and w_R phi, (6, N, K), from phi (N, K, B) and w (N, 6, B)."""
+    return np.ascontiguousarray(
+        (w @ np.swapaxes(phi, -1, -2)).transpose(1, 0, 2))
 
 
 def _eval_curves(params_list, taus, phi):
-    """p(tau) and R(tau) of each curve at its row of an (N, K) phase grid.
-
-    phi (N, K, B) holds the basis rows at taus.
-    """
-    def stack(name):
-        return np.stack([getattr(p, name) for p in params_list])
-
-    r_start = stack("r_start")
-    ell = log_so3(np.swapaxes(r_start, -1, -2) @ stack("r_end"))
-    shape = _shape_rows(phi, np.concatenate([stack("w_pos"),
-                                             stack("w_rot")], axis=1))
-    return _pose_curves(taus, stack("p_start"), stack("p_end"), r_start,
-                        shape, exp_so3(taus[..., None] * ell[:, None]),
-                        exp_so3(shape[..., 3:]))
+    """_pose_curves of each curve at its row of taus (N, K); phi (N, K, B)."""
+    p_start, p_end, r_start, r_end = (
+        np.moveaxis(np.stack([getattr(p, name) for p in params_list]), 0, -1)
+        for name in ("p_start", "p_end", "r_start", "r_end"))
+    ell = _log(np.einsum("ji...,jk...->ik...", r_start, r_end))
+    shape = _shape_rows(phi, np.stack([np.concatenate([p.w_pos, p.w_rot])
+                                       for p in params_list]))
+    return _pose_curves(taus, p_start, p_end, r_start, _skew(ell), shape,
+                        _exp_and_jacobian(shape[3:])[0])[:2]
 
 
 def _eval_curve(params, basis, tau):
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     p, r = _eval_curves([params], taus[None], basis.evaluate(taus)[None])
-    return (p[0, 0], r[0, 0]) if np.ndim(tau) == 0 else (p[0], r[0])
+    p, r = p[:, 0].T, np.moveaxis(r[:, :, 0], -1, 0)
+    return (p[0], r[0]) if np.ndim(tau) == 0 else (p, r)
 
 
 def eval_rotation_curve(params, basis, tau):
@@ -343,21 +342,17 @@ def fit_se3_params(traj, basis):
                               p_end=p[-1], r_start=r[0], r_end=r[-1])
     p_geo, r_geo = _eval_curve(geodesic, basis, traj.taus)
     phi = basis.evaluate(traj.taus)
-    w_pos = lstsq_coefficients(phi, p - p_geo)
-    w_rot = lstsq_coefficients(phi, _log(np.swapaxes(r_geo, -1, -2) @ r))
-    return Se3CurveParams(w_pos=w_pos, w_rot=w_rot, p_start=p[0],
-                          p_end=p[-1], r_start=r[0], r_end=r[-1])
+    rel = _log(np.einsum("lji,ljk->ikl", r_geo, r)).T
+    return replace(geodesic, w_pos=lstsq_coefficients(phi, p - p_geo),
+                   w_rot=lstsq_coefficients(phi, rel))
 
 
 def _blended_error(samples, p_hat, r_hat):
-    """Weighted pose error and its position and rotation residuals.
-
-    The rotation residual log(R^T R_hat) is the right tangent at R_hat.
-    """
-    e_pos = p_hat - samples.positions
-    err = _log(np.swapaxes(samples.rotations, -1, -2) @ r_hat)
-    per_sample = np.sum(e_pos ** 2, axis=-1) \
-        + 2.0 * ROTATION_WEIGHT * np.sum(err ** 2, axis=-1)
+    """Weighted pose error, residuals p_hat - p and log(R^T R_hat) at R_hat."""
+    e_pos = p_hat - samples.positions_cm
+    err = _log(np.einsum("ji...,jk...->ik...", samples.rotations_cm, r_hat))
+    per_sample = np.einsum("i...,i...->...", e_pos, e_pos) \
+        + 2.0 * ROTATION_WEIGHT * np.einsum("i...,i...->...", err, err)
     return float(samples.weight.ravel() @ per_sample.ravel()), e_pos, err
 
 
@@ -391,26 +386,22 @@ def unpack_se3_output(vec, p_start, r_start, n_bases):
     b = n_bases
     if vec.size != 6 * b + 6:
         raise ValueError(f"output length {vec.size} != {6 * b + 6}")
-    w_pos = vec[:3 * b].reshape(3, b)
-    w_rot = vec[3 * b:6 * b].reshape(3, b)
-    p_end = vec[6 * b:6 * b + 3]
-    w_f = vec[6 * b + 3:]
-    return Se3CurveParams(w_pos=w_pos, w_rot=w_rot, p_start=p_start,
-                          p_end=p_end, r_start=r_start,
-                          r_end=exp_so3(w_f))
+    return Se3CurveParams(w_pos=vec[:3 * b].reshape(3, b),
+                          w_rot=vec[3 * b:6 * b].reshape(3, b),
+                          p_start=p_start, p_end=vec[6 * b:6 * b + 3],
+                          r_start=r_start, r_end=exp_so3(vec[6 * b + 3:]))
 
 
 def se3_loss_and_grads(outputs, samples, p_start, r_start, n_bases):
     """Loss and d loss / d decoder-outputs for a batch of demonstrations.
 
     outputs: (N, 6B+6) raw decoder rows, row d for demonstration d of the
-    Se3Samples.  Two fused exp/J_r passes cover every rotation vector:
-    one for the final rotations w_f and all samples' w_R phi, and one for
-    tau ell, which needs ell = log(R_i^T exp(w_f)) first.  The loss value
-    has the same bits as evaluating each sample on its own.  The gradient
-    applies each J^T to its sample's row vector, weights the rows, and
-    sums each demonstration's rows against [phi, tau] in one batched
-    matmul.
+    Se3Samples.  Every step runs on component-major (3, N, K) vectors and
+    (3, 3, N, K) matrices.  One fused exp/J_r pass covers the final
+    rotations w_f and all samples' w_R phi; exp(tau ell) and J_r(tau ell)
+    come from each demo's geodesic (see _pose_curves).  The gradient
+    applies each J^T to its sample's vector, weights the rows, and sums
+    each demonstration's rows against [phi, tau] in one batched matmul.
     """
     n, b = len(outputs), n_bases
     if np.ndim(outputs) != 2 or np.shape(outputs)[1] != 6 * b + 6:
@@ -420,36 +411,37 @@ def se3_loss_and_grads(outputs, samples, p_start, r_start, n_bases):
     if n != len(samples.taus):
         raise ValueError(f"{n} output rows for {len(samples.taus)} "
                          "demonstrations")
-    t = samples.taus[..., None]
+    taus = samples.taus
     shape = _shape_rows(samples.phi, outputs[:, :6 * b].reshape(n, 6, b))
     exp_v, jac_v = _exp_and_jacobian(np.concatenate(
-        [outputs[:, 6 * b + 3:], shape[..., 3:].reshape(-1, 3)]))
-    exp_c, jac_c = (m[n:].reshape(shape.shape[:2] + (3, 3))
+        [outputs[:, 6 * b + 3:].T, shape[3:].reshape(3, -1)], axis=1))
+    exp_c, jac_c = (m[:, :, n:].reshape(3, 3, *taus.shape)
                     for m in (exp_v, jac_v))
-    ell = _log(r_start.T @ exp_v[:n])
-    exp_a, jac_a = (m.reshape(exp_c.shape) for m in _exp_and_jacobian(
-        (t * ell[:, None]).reshape(-1, 3)))
-    p_hat, r_hat = _pose_curves(samples.taus, p_start,
-                                outputs[:, 6 * b:6 * b + 3], r_start, shape,
-                                exp_a, exp_c)
+    r_i = r_start[..., None]
+    skew = _skew(_log(np.einsum("ji...,jk...->ik...", r_i, exp_v[:, :, :n])))
+    p_hat, r_hat, tb, t2c = _pose_curves(
+        taus, p_start[:, None], outputs[:, 6 * b:6 * b + 3].T, r_i, skew,
+        shape, exp_c)
     total, e_pos, err = _blended_error(samples, p_hat, r_hat)
 
-    # each J^T applied to its sample's weighted g = d loss / d err
-    w = samples.weight[..., None]
+    # each J^T applied to its sample's weighted g = d loss / d err; for
+    # tau ell, J_r^T h = h + tau b K h + tau^2 c K^2 h with h = exp_c g
+    w = samples.weight
     g = (4.0 * ROTATION_WEIGHT) * w * err
-    rows = np.concatenate(
-        [(2.0 * w) * e_pos, np.einsum("...ji,...j->...i", jac_c, g),
-         np.einsum("...ji,...j->...i", jac_a,
-                   np.einsum("...ij,...j->...i", exp_c, g))], axis=-1)
+    h = np.einsum("ij...,j...->i...", exp_c, g)
+    g_a = h + tb * np.einsum("ijn,jnk->ink", skew[0], h) \
+        + t2c * np.einsum("ijn,jnk->ink", skew[1], h)
+    rows = np.concatenate([(2.0 * w) * e_pos,
+                           np.einsum(_MATVEC_T, jac_c, g), g_a])
     # (N, 9, B + 1): rows against phi give the shape coefficients, against
     # tau the final position and d loss / d ell
-    sums = np.swapaxes(rows, -1, -2) @ np.concatenate([samples.phi, t],
-                                                      axis=-1)
-    # ell = log(R_i^T exp(w_f))
-    g_wf = (sums[:, None, 6:, b] @ so3_jacobian_right_inv(ell)
-            @ jac_v[:n])[:, 0]
+    sums = rows.transpose(1, 0, 2) @ np.concatenate(
+        [samples.phi, taus[..., None]], axis=-1)
+    # ell = log(R_i^T exp(w_f)), so d ell = J_r(ell)^-1 J_r(w_f) d w_f
+    g_wf = np.einsum(_MATVEC_T, jac_v[:, :, :n], np.einsum(
+        _MATVEC_T, _jacobian_inv(*skew), sums[:, 6:, b].T))
     return total, np.concatenate([sums[:, :6, :b].reshape(n, 6 * b),
-                                  sums[:, :3, b], g_wf], axis=1)
+                                  sums[:, :3, b], g_wf.T], axis=1)
 
 
 @dataclass
@@ -482,12 +474,10 @@ def train_se3(dataset, basis, config):
         raise ValueError("pose-curve training does not support the "
                          "distortion penalty; set alpha to 0")
     samples = Se3Samples.from_dataset(dataset, basis)
-    p_start = dataset[0].positions[0]
-    r_start = dataset[0].rotations[0]
-    for traj in dataset[1:]:
-        if np.abs(traj.positions[0] - p_start).max() > 1e-6 or \
-                np.abs(traj.rotations[0] - r_start).max() > 1e-6:
-            raise ValueError("demonstrations must share the initial pose")
+    p_start, r_start = samples.positions[0, 0], samples.rotations[0, 0]
+    if np.abs(samples.positions[:, 0] - p_start).max() > 1e-6 or \
+            np.abs(samples.rotations[:, 0] - r_start).max() > 1e-6:
+        raise ValueError("demonstrations must share the initial pose")
     fitted = [fit_se3_params(traj, basis) for traj in dataset]
     x = np.stack([pack_se3_features(p) for p in fitted])
     n_b = basis.size
@@ -525,23 +515,20 @@ def make_pouring_demos(count=8, seed=0, n_samples=60, basis=None):
         swing = 0.3 * (u - 0.5)
         axis = np.array([np.cos(swing), np.sin(swing), 0.0])
         r_end = exp_so3(axis * (1.8 + 0.4 * u))
-        centers = basis.centers
-        lift = 0.18 + 0.05 * u
-        w_pos = np.vstack([
-            0.05 * np.sin(np.pi * centers) * (u - 0.5),
-            -0.04 * np.sin(np.pi * centers),
-            lift * np.sin(np.pi * centers),
-        ]) + 0.002 * rng.standard_normal((3, basis.size))
-        w_rot = np.vstack([
-            0.25 * np.sin(np.pi * centers) * (0.5 - u),
-            0.3 * np.sin(2.0 * np.pi * centers),
-            0.1 * np.cos(np.pi * centers) * u,
-        ]) + 0.005 * rng.standard_normal((3, basis.size))
+        arc = np.sin(np.pi * basis.centers)
+        w_pos = np.vstack([0.05 * arc * (u - 0.5), -0.04 * arc,
+                           (0.18 + 0.05 * u) * arc]) \
+            + 0.002 * rng.standard_normal((3, basis.size))
+        w_rot = np.vstack([0.25 * arc * (0.5 - u),
+                           0.3 * np.sin(2.0 * np.pi * basis.centers),
+                           0.1 * np.cos(np.pi * basis.centers) * u]) \
+            + 0.005 * rng.standard_normal((3, basis.size))
         params.append(Se3CurveParams(w_pos=w_pos, w_rot=w_rot,
                                      p_start=p_start, p_end=p_end,
                                      r_start=r_start, r_end=r_end))
     p, r = _eval_curves(params, np.tile(taus, (count, 1)),
                         np.tile(basis.evaluate(taus), (count, 1, 1)))
-    demos = [Se3Trajectory(times=taus.copy(), positions=pos, rotations=rot)
-             for pos, rot in zip(p, r)]
+    demos = [Se3Trajectory(times=taus.copy(), positions=p[:, d].T,
+                           rotations=np.moveaxis(r[:, :, d], -1, 0))
+             for d in range(count)]
     return demos, basis

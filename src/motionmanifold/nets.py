@@ -46,6 +46,8 @@ class Mlp:
             if np.shape(b) != self.biases[i].shape:
                 raise ValueError(f"layer {i} bias shape {np.shape(b)} does "
                                  f"not match sizes {self.sizes}")
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ValueError(f"layer {i} has a non-finite weight or bias")
             self.weights[i][...] = w
             self.biases[i][...] = b
 

@@ -506,6 +506,90 @@ def test_collinear_latents_kde_exit_3(workspace, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _corrupt_model(workspace, tmp_path, name, change):
+    """A copy of the trained model whose JSON file `name` went through
+    change(data)."""
+    model = tmp_path / "model"
+    shutil.copytree(workspace["model"], model)
+    data = json.loads((model / name).read_text())
+    change(data)
+    (model / name).write_text(json.dumps(data))   # writes NaN as a literal
+    return model
+
+
+def test_nan_decoder_weight_exits_2(workspace, tmp_path, capsys):
+    def nan_weight(data):
+        data["weights"][1][0][0] = float("nan")
+
+    model = _corrupt_model(workspace, tmp_path, "decoder.json", nan_weight)
+    code = run_cli("sample", "--model", str(model), "--count", "4",
+                   "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "layer 1" in err
+    assert not (tmp_path / "o" / "samples.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_decoder_exits_3(workspace, tmp_path, capsys):
+    # finite weights whose output overflows: the decoded coefficients are
+    # not finite, and no samples.json is written
+    def huge_output_layer(data):
+        data["weights"][-1] = np.full(np.shape(data["weights"][-1]),
+                                      1e308).tolist()
+
+    model = _corrupt_model(workspace, tmp_path, "decoder.json",
+                           huge_output_layer)
+    code = run_cli("sample", "--model", str(model), "--count", "4",
+                   "--out", str(tmp_path / "o"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "NonFiniteError" in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "samples.json").exists()
+
+
+def test_nan_latent_exits_2_naming_the_file(workspace, tmp_path, capsys):
+    def nan_latent(data):
+        data["z"][0][0] = float("nan")
+
+    model = _corrupt_model(workspace, tmp_path, "latents.json", nan_latent)
+    code = run_cli("sample", "--model", str(model), "--count", "4",
+                   "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "latents.json" in err
+
+
+@pytest.mark.parametrize("command, env_file, key", [
+    ("fit", "no-q_goal", "q_goal"),
+    ("fit", "no-obstacles", "obstacles"),
+    ("fit", "no-radius", "radius"),
+    ("fit", "demos", "obstacles"),
+    ("export-plot", "no-q_start", "q_start"),
+    ("export-plot", "demos", "obstacles"),
+])
+def test_env_file_missing_a_key_exits_2(workspace, tmp_path, capsys,
+                                        command, env_file, key):
+    if env_file == "demos":
+        path = workspace["demos"] / "demos.json"
+    else:
+        env = json.loads((workspace["demos"] / "env.json").read_text())
+        if env_file == "no-radius":
+            env["obstacles"] = [{"center": [0.5, 3.0]}]
+        else:
+            del env[env_file[3:]]
+        path = tmp_path / "env.json"
+        path.write_text(json.dumps(env))
+    inputs = {"fit": ["--demos", str(workspace["demos"] / "demos.json")],
+              "export-plot": ["--model", str(workspace["model"])]}[command]
+    code = run_cli(command, *inputs, "--env", str(path),
+                   "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) in err
+    assert repr(key) in err
+
+
 def test_console_script_is_installed(tmp_path):
     out = tmp_path / "via_script"
     proc = subprocess.run(

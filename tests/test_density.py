@@ -336,6 +336,15 @@ def test_rejection_starves_above_max_density():
     assert err.value.accepted == 0
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_rejection_needs_a_positive_count(count):
+    g = gmm_fit(two_blobs(seed=16), 2, seed=0)
+    with pytest.raises(ValueError, match=f"count must be at least 1, got "
+                                         f"{count}"):
+        rejection_sample(g, SampleFilter(threshold=-np.inf),
+                         np.random.default_rng(17), count)
+
+
 # -- serialization --------------------------------------------------------
 
 

@@ -46,25 +46,12 @@ def test_vee_rejects_wrong_shape(shape):
         lie.vee(np.zeros(shape))
 
 
-# exp and J_r as separate maps, each from its own hat matrix and K^2: the
-# bits the fused helper must reproduce
-def _separate_exp(v):
-    k, theta, small = lie._skew(v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(small, 1.0 - theta ** 2 / 6.0, np.sin(theta) / theta)
-        b = np.where(small, 0.5 - theta ** 2 / 24.0,
-                     (1.0 - np.cos(theta)) / theta ** 2)
-    return np.eye(3) + a[..., None, None] * k + b[..., None, None] * (k @ k)
-
-
-def _separate_jr(v):
-    k, theta, small = lie._skew(v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b = np.where(small, 0.5 - theta ** 2 / 24.0,
-                     (1.0 - np.cos(theta)) / theta ** 2)
-        c = np.where(small, 1.0 / 6.0 - theta ** 2 / 120.0,
-                     (theta - np.sin(theta)) / theta ** 3)
-    return np.eye(3) + (-b)[..., None, None] * k + c[..., None, None] * (k @ k)
+# the fused kernel works component-major, (3, M) vectors and (3, 3, M)
+# matrices; exp_so3 and so3_jacobian_right are its two halves, bit for bit
+def _fused(v):
+    lead = v.shape[:-1]
+    return tuple(np.moveaxis(m, -1, 0).reshape(lead + (3, 3))
+                 for m in lie._exp_and_jacobian(v.reshape(-1, 3).T))
 
 
 _AXIS = np.array([0.6, -0.48, 0.64])            # unit length
@@ -82,28 +69,30 @@ def test_fused_exp_and_jacobian_match_the_separate_maps(case, stacked):
     v = _FUSED_INPUTS[case]
     if stacked:
         v = np.stack([v, *_FUSED_INPUTS.values(), v])
-    exp_v, jac_v = lie._exp_and_jacobian(v)
+    exp_v, jac_v = _fused(v)
     assert exp_v.shape == jac_v.shape == v.shape[:-1] + (3, 3)
     assert np.array_equal(exp_v, lie.exp_so3(v))
     assert np.array_equal(jac_v, lie.so3_jacobian_right(v))
-    assert np.array_equal(exp_v, _separate_exp(v))
-    assert np.array_equal(jac_v, _separate_jr(v))
+    # K^2 = v v^T - |v|^2 I rounds differently from the per-matrix K @ K
+    assert np.abs(exp_v - _ref_exp(v)).max() <= 4 * np.finfo(float).eps
+    assert np.abs(jac_v - _ref_jr(v)).max() <= 4 * np.finfo(float).eps
 
 
 def test_stacked_exp_and_jacobian_rows_match_per_part_calls():
     # the loss passes the final rotations and every sample's shape
-    # rotation through one call; each row must be what its own call gives
+    # rotation through one call; each column must be what its own call
+    # gives
     rng = np.random.default_rng(31)
     parts = [np.stack(list(_FUSED_INPUTS.values())),
              rng.normal(size=(7, 3)),
              0.1 * lie._SMALL_ANGLE * rng.normal(size=(3, 3)),
              rng.normal(scale=2.0, size=(1, 3))]
-    stacked = lie._exp_and_jacobian(np.concatenate(parts))
+    stacked = lie._exp_and_jacobian(np.concatenate(parts).T)
     start = 0
     for part in parts:
-        rows = slice(start, start + len(part))
-        for got, want in zip(stacked, lie._exp_and_jacobian(part)):
-            assert np.array_equal(got[rows], want)
+        cols = slice(start, start + len(part))
+        for got, want in zip(stacked, lie._exp_and_jacobian(part.T)):
+            assert np.array_equal(got[..., cols], want)
         start += len(part)
 
 
@@ -147,6 +136,18 @@ def test_log_near_pi_raises_branch_error():
     R = lie.exp_so3(np.array([np.pi - 1e-9, 0.0, 0.0]))
     with pytest.raises(BranchError):
         lie.log_so3(R)
+
+
+@pytest.mark.parametrize("gap", [1e-2, 1e-3, 1e-4, 1e-5])
+def test_log_exp_round_trip_near_pi(gap):
+    # the atan2 angle loses accuracy as 1 / gap; over 200 axes per gap the
+    # worst error measured about eps / gap, where an arccos angle read
+    # 1100 eps / gap at gap 1e-2 and 1e6 eps / gap at gap 1e-5
+    rng = np.random.default_rng(40)
+    axes = rng.normal(size=(200, 3))
+    v = (np.pi - gap) * axes / np.linalg.norm(axes, axis=1, keepdims=True)
+    worst = np.abs(lie.log_so3(lie.exp_so3(v)) - v).max()
+    assert worst <= 4 * np.finfo(float).eps / gap
 
 
 def test_log_rejects_non_rotation():
@@ -426,15 +427,15 @@ def _ref_exp(v):
 
 
 def _ref_log(r):
-    trace = np.trace(r, axis1=-2, axis2=-1)
-    theta = np.arccos(np.clip((trace - 1.0) / 2.0, -1.0, 1.0))
-    small = theta < 1e-8
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(small, 0.5 * (1.0 + theta ** 2 / 6.0),
-                     theta / (2.0 * np.sin(theta)))
-    d = r - np.swapaxes(r, -1, -2)
-    return s[..., None] * np.stack(
-        [d[..., 2, 1], d[..., 0, 2], d[..., 1, 0]], axis=-1)
+    """log of each matrix on its own, with the angle from atan2."""
+    out = []
+    for m in np.reshape(r, (-1, 3, 3)):
+        u = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
+        norm = np.linalg.norm(u)
+        theta = np.arctan2(norm, np.trace(m) - 1.0)
+        s = 0.5 * (1.0 + theta ** 2 / 6.0) if theta < 1e-8 else theta / norm
+        out.append(s * u)
+    return np.reshape(out, np.shape(r)[:-1])
 
 
 def _ref_jr(v):
@@ -590,6 +591,38 @@ def test_batched_loss_matches_per_demo_reference(case):
                                                       B)
         assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
         assert _rel_err(grads, ref_grads) <= 1e-12
+
+
+def test_loss_near_pi_matches_per_demo_reference():
+    # one sample per demo moved so that its residual rotation R^T R_hat
+    # lies 1e-3 from pi; measured over these draws the library reads at
+    # most 1.3e-16 (loss) and 8.8e-15 (gradients) from the reference,
+    # where an arccos angle read 1.0e-11 and 1.8e-11 at best
+    demos, basis = se3_fixture(seed=12, n=20, n_bases=6)
+    p0, r0 = demos[0].positions[0], demos[0].rotations[0]
+    B = basis.size
+    rng = np.random.default_rng(22)
+    for _ in range(5):
+        outputs = rng.normal(scale=0.3, size=(len(demos), 6 * B + 6))
+        moved = []
+        for traj, row in zip(demos, outputs):
+            r_hat = _ref_eval_curve(lie.unpack_se3_output(row, p0, r0, B),
+                                    basis, traj.taus)[1]
+            rots = traj.rotations.copy()
+            k = int(rng.integers(1, len(rots) - 1))
+            axis = rng.normal(size=3)
+            rots[k] = r_hat[k] @ _ref_exp(-(np.pi - 1e-3) * axis
+                                          / np.linalg.norm(axis))
+            moved.append(lie.Se3Trajectory(times=traj.times,
+                                           positions=traj.positions,
+                                           rotations=rots))
+        samples = lie.Se3Samples.from_dataset(moved, basis)
+        grids = [_RefDemoGrid(t, basis) for t in moved]
+        loss, grads = lie.se3_loss_and_grads(outputs, samples, p0, r0, B)
+        ref_loss, ref_grads = _ref_se3_loss_and_grads(outputs, grids, p0, r0,
+                                                      B)
+        assert abs(loss - ref_loss) <= 1e-13 * abs(ref_loss)
+        assert _rel_err(grads, ref_grads) <= 1e-13
 
 
 def test_sample_grid_pads_each_demo_with_zero_weight():

@@ -8,8 +8,8 @@ Curves are evaluated in two shapes, both linear maps from basis values to
 points:
 
 - all pairs, ``evaluate_batch``: every curve of an (N, n, B) stack at every
-  shared phase, (N, T, n), as one stacked matmul.  ``CurveModel.evaluate``
-  is its one-curve case.
+  shared phase, (N, T, n), as one BLAS gemm per block of curves.
+  ``CurveModel.evaluate`` is its one-curve case.
 - row-wise, ``evaluate_rows``: curve k at its own phase tau_k, (K, n).
 """
 
@@ -31,6 +31,12 @@ VIA_POINT = "via-point"
 
 # Largest normal-matrix condition number a least-squares fit accepts.
 COND_LIMIT = 1e12
+
+# Most output columns of one evaluate_batch gemm.  On OpenBLAS 0.3.31 a
+# wider gemm rounds tail curves unlike the one-curve product (N = 97..103
+# at n = 2), as does a T = 1 gemm over several curves; these blocks matched
+# it bit for bit over B in {6, 9, 20}, n in {2, 3, 7}, N <= 512, T <= 500.
+_GEMM_COLUMNS = 192
 
 
 def _as_tau_array(tau):
@@ -109,10 +115,13 @@ class BasisSet:
     def evaluate(self, tau):
         """phi(tau); shape (B,) for scalar tau, (T, B) for a tau array."""
         arr, scalar = _as_tau_array(tau)
+        return self._rows(arr)[0] if scalar else self._rows(arr)
+
+    def _rows(self, arr):
+        """phi at phases arr (T,) that _as_tau_array checked; (T, B)."""
         b = np.exp(-((arr[:, None] - self.centers[None, :]) ** 2)
                    / (2.0 * self.width))
-        phi = b / b.sum(axis=1, keepdims=True) * (arr * (1.0 - arr))[:, None]
-        return phi[0] if scalar else phi
+        return b / b.sum(axis=1, keepdims=True) * (arr * (1.0 - arr))[:, None]
 
     def derivative(self, tau):
         """Analytic d phi / d tau, same shape convention as evaluate()."""
@@ -263,9 +272,12 @@ class CurveModel:
     def elementary(self, tau):
         """Straight segment between the endpoints; (n,) or (T, n)."""
         arr, scalar = _as_tau_array(tau)
-        out = (1.0 - arr)[:, None] * self.q_start[None, :] \
+        return self._segment(arr)[0] if scalar else self._segment(arr)
+
+    def _segment(self, arr):
+        """elementary() at phases arr (T,) that _as_tau_array checked."""
+        return (1.0 - arr)[:, None] * self.q_start[None, :] \
             + arr[:, None] * self.q_end[None, :]
-        return out[0] if scalar else out
 
     def _check_params(self, params):
         if params.coefficients.shape != (self.dim, self.basis.size):
@@ -344,14 +356,25 @@ def evaluate_batch(model, coefficient_stack, tau):
     """Evaluate many curves of one model at shared phases.
 
     coefficient_stack has shape (N, n, B); returns (N, T, n), which is
-    (0, T, n) for an empty stack.  The sum is one stacked matmul, a BLAS
-    gemm per curve into a C-contiguous result, so each curve's points are
-    bit for bit the single-curve product phi @ w.T.
+    (0, T, n) for an empty stack, as a view of a coordinate-major
+    (T, n, N) buffer.  Each block of curves is one BLAS gemm, phi (T, B) @
+    the block's coefficient rows (B, n * N_block), of at most _GEMM_COLUMNS
+    columns and one curve when T = 1, so every curve keeps the bits of the
+    one-curve product elementary(tau) + phi @ w.T (swept in test_basis).
     """
     stack = _coefficient_stack(model, coefficient_stack)
     arr, _ = _as_tau_array(tau)
-    return (model.elementary(arr)[None]
-            + model.basis.evaluate(arr) @ np.swapaxes(stack, 1, 2))
+    phi, (n_curves, dim, n_bases) = model.basis._rows(arr), stack.shape
+    out = np.empty((len(arr), dim, n_curves))
+    step = 1 if len(arr) == 1 else max(_GEMM_COLUMNS // dim, 1)
+    for i in range(0, n_curves, step):
+        rows = stack[i:i + step].transpose(1, 0, 2).reshape(-1, n_bases).T
+        if n_curves <= step:      # one block: the gemm writes the buffer
+            np.matmul(phi, rows, out=out.reshape(len(arr), -1))
+        else:
+            out[:, :, i:i + step] = (phi @ rows).reshape(len(arr), dim, -1)
+    out += model._segment(arr)[:, :, None]
+    return out.transpose(2, 0, 1)
 
 
 def evaluate_rows(model, coefficient_stack, taus):
@@ -366,5 +389,5 @@ def evaluate_rows(model, coefficient_stack, taus):
     if len(arr) != len(stack):
         raise ValueError(f"{len(arr)} phases for {len(stack)} curves; "
                          f"evaluate_rows needs one phase per curve")
-    return model.elementary(arr) + np.einsum(
-        "kcb,kb->kc", stack, model.basis.evaluate(arr))
+    return model._segment(arr) + np.einsum(
+        "kcb,kb->kc", stack, model.basis._rows(arr))

@@ -20,7 +20,7 @@ import numpy as np
 from .basis import BasisSet, CurveModel, TimedTrajectory, evaluate_batch
 from .density import (DEFAULT_FAMILY, SampleFilter, fit_density, gmm_fit,
                       min_loglik_threshold, rejection_sample)
-from .errors import GenerationError, NonFiniteError
+from .errors import GenerationError, NonFiniteError, record_field
 from .replan import MovingDisk, constraint_from_script
 from .training import TrainConfig, train, flatten_params
 
@@ -47,26 +47,23 @@ class PlanarEnv:
                 "q_goal": self.q_goal.tolist(),
                 "bounds": self.bounds.tolist()}
 
-    @classmethod
-    def from_dict(cls, data):
-        obstacles = [MovingDisk(times=[0.0], centers=[o["center"]],
-                                radius=o["radius"])
-                     for o in data["obstacles"]]
-        return cls(obstacles=obstacles, q_start=np.array(data["q_start"]),
-                   q_goal=np.array(data["q_goal"]),
-                   bounds=np.array(data["bounds"]))
-
     def save(self, path):
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=1)
 
     @classmethod
     def load(cls, path):
-        try:
-            with open(path) as fh:
-                return cls.from_dict(json.load(fh))
-        except KeyError as err:
-            raise ValueError(f"{path}: missing key {err}") from None
+        with open(path) as fh:
+            data = json.load(fh)
+
+        def field(record, key, convert=lambda v: np.asarray(v, dtype=float)):
+            return record_field(path, record, key, convert)
+
+        obstacles = [MovingDisk(times=[0.0], centers=[field(o, "center")],
+                                radius=field(o, "radius", float))
+                     for o in field(data, "obstacles", list)]
+        return cls(obstacles=obstacles, q_start=field(data, "q_start"),
+                   q_goal=field(data, "q_goal"), bounds=field(data, "bounds"))
 
 
 def collision_check(q, env, t=0.0):

@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types and the input-file field checker shared by the library."""
 
 
 class SingularFitError(ValueError):
@@ -54,3 +54,13 @@ class ReplanInfeasibleError(RuntimeError):
 
 class GenerationError(RuntimeError):
     """Synthetic demonstration generation could not satisfy its guards."""
+
+
+def record_field(source, record, key, convert):
+    """convert(record[key]), or a ValueError naming the file source and key."""
+    if not isinstance(record, dict) or key not in record:
+        raise ValueError(f"{source}: missing field {key!r}")
+    try:
+        return convert(record[key])
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{source}: field {key!r}: {err}") from None

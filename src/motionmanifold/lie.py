@@ -46,7 +46,7 @@ def _per_vector(kernel, v):
 
 
 def hat(v):
-    return _per_vector(lambda u: _skew(u)[0], v)
+    return _per_vector(_hat, v)
 
 
 def vee(s):
@@ -69,13 +69,16 @@ def check_rotation(r, tol=1e-9):
     return r
 
 
+def _hat(v):
+    return np.concatenate([np.zeros_like(v[:1]), v, -v])[_HAT]
+
+
 def _skew(v):
     """K = hat(v), K^2 = v v^T - |v|^2 I, the angle |v| and its square."""
     sq = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
     k2 = v[:, None] * v[None]
     np.einsum("ii...->i...", k2)[...] -= sq      # a view of the diagonal
-    k = np.concatenate([np.zeros_like(v[:1]), v, -v])[_HAT]
-    return k, k2, np.sqrt(sq), sq
+    return _hat(v), k2, np.sqrt(sq), sq
 
 
 def _poly(k, k2, c1, c2):

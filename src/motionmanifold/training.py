@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from .basis import CurveModel, CurveParams, evaluate_batch
-from .errors import TrainingError
+from .errors import TrainingError, record_field
 from .geometry import curvegeom_euclidean
 from . import nets
 
@@ -165,14 +165,10 @@ def write_history_csv(path, history):
 
 
 def read_history_csv(path):
-    history = {"recon": [], "distortion": [], "total": []}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            history["recon"].append(float(row["recon"]))
-            history["distortion"].append(float(row["distortion"]))
-            history["total"].append(float(row["total"]))
-    return history
+        rows = list(csv.DictReader(fh))
+    return {column: [record_field(path, row, column, float) for row in rows]
+            for column in ("recon", "distortion", "total")}
 
 
 def _dataset_matrix(dataset, model):

@@ -119,8 +119,13 @@ def test_bad_tau_is_rejected(tau, message):
     basis = BasisSet.uniform(6)
     model = CurveModel(basis, np.zeros(2), np.ones(2))
     stack = np.zeros((1, 2, 6))
+    params = CurveParams(stack[0])
+    # the public entry points check tau once and then share unchecked
+    # helpers, so each must still raise its own named error
     for call in (basis.evaluate, basis.derivative, model.elementary,
-                 lambda t: evaluate_batch(model, stack, t)):
+                 lambda t: model.evaluate(params, t),
+                 lambda t: evaluate_batch(model, stack, t),
+                 lambda t: evaluate_rows(model, stack, t)):
         with pytest.raises(ValueError, match=message):
             call(tau)
 
@@ -152,6 +157,26 @@ def test_evaluate_batch_matches_loop():
         # the single-curve formula, written out
         assert np.array_equal(batch[i], model.elementary(taus)
                               + basis.evaluate(taus) @ stack[i].T)
+
+
+@pytest.mark.parametrize("dim, n_bases", [(2, 6), (2, 20), (3, 6), (3, 20)])
+def test_evaluate_batch_is_the_single_curve_product_at_every_size(dim,
+                                                                  n_bases):
+    # N straddles the gemm block boundary of 192 // dim curves, and T = 1
+    # takes one curve per block; every row must keep the one-curve bits
+    rng = np.random.default_rng(dim * n_bases)
+    model = CurveModel(BasisSet.uniform(n_bases), rng.normal(size=dim),
+                       rng.normal(size=dim))
+    for n_taus in (1, 2, 100, 500):
+        taus = rng.uniform(size=n_taus)
+        segment, phi = model.elementary(taus), model.basis.evaluate(taus)
+        for n_curves in (1, 2, 50, 96, 97, 102, 200, 500):
+            stack = rng.normal(size=(n_curves, dim, n_bases))
+            batch = evaluate_batch(model, stack, taus)
+            assert batch.shape == (n_curves, n_taus, dim)
+            for k in range(n_curves):
+                assert np.array_equal(batch[k], segment + phi @ stack[k].T), \
+                    (n_taus, n_curves, k)
 
 
 def test_evaluate_rows_is_the_all_pairs_diagonal():

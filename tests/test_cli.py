@@ -590,6 +590,45 @@ def test_env_file_missing_a_key_exits_2(workspace, tmp_path, capsys,
     assert repr(key) in err
 
 
+def _drop_last_column(text):
+    return "".join(line.rsplit(",", 1)[0] + "\n"
+                   for line in text.splitlines())
+
+
+def _text_in_first_recon_cell(text):
+    header, first, *rest = text.splitlines()
+    cells = first.split(",")
+    cells[header.split(",").index("recon")] = "abc"
+    return "".join(line + "\n" for line in (header, ",".join(cells), *rest))
+
+
+@pytest.mark.parametrize("name, corrupt, key", [
+    ("env.json", lambda text: json.dumps([json.loads(text)]), "obstacles"),
+    ("env.json", lambda text: json.dumps({**json.loads(text),
+                                          "q_goal": "abc"}), "q_goal"),
+    ("history.csv", _drop_last_column, "total"),
+    ("history.csv", _text_in_first_recon_cell, "recon"),
+], ids=["env-as-list", "env-text-q_goal", "history-without-total",
+        "history-text-recon"])
+def test_ill_typed_input_file_exits_2_naming_file_and_field(
+        workspace, tmp_path, capsys, name, corrupt, key):
+    if name == "env.json":
+        path = tmp_path / name
+        path.write_text(corrupt((workspace["demos"] / name).read_text()))
+        argv = ["fit", "--demos", str(workspace["demos"] / "demos.json"),
+                "--env", str(path)]
+    else:
+        model = tmp_path / "model"
+        shutil.copytree(workspace["model"], model)
+        path = model / name
+        path.write_text(corrupt(path.read_text()))
+        argv = ["sample", "--model", str(model), "--count", "4"]
+    assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) in err
+    assert repr(key) in err and "Traceback" not in err
+
+
 def test_console_script_is_installed(tmp_path):
     out = tmp_path / "via_script"
     proc = subprocess.run(

@@ -11,8 +11,8 @@ from .basis import (BasisSet, CurveModel, CurveParams, TimedTrajectory,
                     evaluate_batch, evaluate_rows, load_trajectory_dataset,
                     save_trajectory_dataset)
 from .density import (GmmModel, KdeModel, RejectionResult, SampleFilter,
-                      fit_density, gmm_fit, kde_build, load_density,
-                      min_loglik_threshold, rejection_sample, save_density)
+                      fit_density, gmm_fit, kde_build, min_loglik_threshold,
+                      rejection_sample, save_density)
 from .envs import (EvalReport, ModelBundle, PlanarEnv,
                    build_bundle, collision_check, evaluate_success,
                    fit_demos, generate_continuum_demos, generate_env,
@@ -22,7 +22,7 @@ from .errors import (BranchError, DegenerateSupportError,
                      NonFiniteError, ReplanInfeasibleError,
                      SamplingStarvedError, SingularFitError, TrainingError)
 from .geometry import (CurveGeomMetric, PullbackMetric, curvegeom_euclidean,
-                       pullback_metric, relaxed_distortion)
+                       pullback_metric)
 from .lie import (Se3CurveParams, Se3ManifoldModel, Se3Trajectory,
                   eval_position_curve, eval_rotation_curve, exp_so3,
                   fit_se3_params, hat, log_so3, make_pouring_demos,
@@ -31,8 +31,8 @@ from .lie import (Se3CurveParams, Se3ManifoldModel, Se3Trajectory,
 from .nets import AdamState, Mlp, adam_step
 from .replan import (DynamicConstraint, EpisodeTrace, MovingDisk,
                      ReplanConfig, ReplanState, constraint_from_script,
-                     load_obstacle_script, predict_violation, run_episode,
-                     save_obstacle_script, solve_replan)
+                     predict_violation, run_episode, save_obstacle_script,
+                     solve_replan)
 from .training import ManifoldModel, TrainConfig, train
 
 __version__ = "0.1.0"
@@ -52,12 +52,11 @@ __all__ = [
     "eval_rotation_curve", "evaluate_batch", "evaluate_rows",
     "evaluate_success", "exp_so3",
     "fit_demos", "fit_density", "fit_se3_params", "generate_continuum_demos",
-    "generate_env", "gmm_fit", "hat", "kde_build",
-    "load_density", "load_obstacle_script", "load_trajectory_dataset",
+    "generate_env", "gmm_fit", "hat", "kde_build", "load_trajectory_dataset",
     "log_so3", "make_pouring_demos", "min_loglik_threshold",
-    "predict_violation", "pullback_metric", "rejection_sample",
-    "relaxed_distortion", "run_episode", "sample_curves", "save_density",
-    "save_obstacle_script", "save_trajectory_dataset", "se3_recon_loss",
+    "predict_violation", "pullback_metric", "rejection_sample", "run_episode",
+    "sample_curves", "save_density", "save_obstacle_script",
+    "save_trajectory_dataset", "se3_recon_loss",
     "so3_jacobian_right", "so3_jacobian_right_inv", "solve_replan",
     "success_rate", "train", "train_se3", "vee",
 ]

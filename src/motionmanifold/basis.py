@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import SingularFitError
+from .errors import SingularFitError, read_json
 
 # Uniform trapezoid grid used for every integral over [0, 1].
 QUAD_GRID_POINTS = 201
@@ -183,21 +183,6 @@ class CurveParams:
     def n_bases(self):
         return self.coefficients.shape[1]
 
-    def save(self, path):
-        payload = {"shape": list(self.coefficients.shape),
-                   "coefficients": self.coefficients.tolist()}
-        with open(path, "w") as f:
-            json.dump(payload, f)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as f:
-            payload = json.load(f)
-        arr = np.asarray(payload["coefficients"], dtype=float)
-        if list(arr.shape) != payload["shape"]:
-            raise ValueError("coefficient matrix does not match its shape header")
-        return cls(arr)
-
 
 @dataclass
 class TimedTrajectory:
@@ -243,14 +228,16 @@ def save_trajectory_dataset(trajectories, path):
 
 
 def load_trajectory_dataset(path):
-    with open(path) as f:
-        payload = json.load(f)
-    trajs = [TimedTrajectory.from_dict(d) for d in payload["trajectories"]]
-    for t in trajs:
-        if t.dim != payload["dim"]:
-            raise ValueError(f"trajectory dim {t.dim} does not match "
-                             f"declared dim {payload['dim']}")
-    return trajs
+    def parse(payload):
+        trajs = [TimedTrajectory.from_dict(d)
+                 for d in payload["trajectories"]]
+        for t in trajs:
+            if t.dim != payload["dim"]:
+                raise ValueError(f"trajectory dim {t.dim} does not match "
+                                 f"declared dim {payload['dim']}")
+        return trajs
+
+    return read_json(path, parse)
 
 
 class CurveModel:

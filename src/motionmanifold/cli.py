@@ -29,7 +29,8 @@ from .envs import (CONTINUUM_COUNT, ENV_IDS, EVAL_SAMPLES, EVAL_SEEDS,
 from .errors import (BranchError, DegenerateSupportError,
                      DistortionUndefinedError, GenerationError,
                      NonFiniteError, ReplanInfeasibleError,
-                     SamplingStarvedError, SingularFitError, TrainingError)
+                     SamplingStarvedError, SingularFitError, TrainingError,
+                     read_json, record_field)
 from .render import render_latent_scatter, render_loss_curves, render_scene
 from .replan import (MovingDisk, ReplanConfig, constraint_from_script,
                      run_episode, save_obstacle_script)
@@ -88,12 +89,13 @@ def save_fits(path, model, fits, objectives):
 
 
 def load_fits(path):
-    with open(path) as fh:
-        data = json.load(fh)
-    model = CurveModel.from_dict(data["model"])
-    fits = [CurveParams(np.asarray(c, dtype=float))
-            for c in data["coefficients"]]
-    return model, fits, data.get("objectives", [])
+    def parse(data):
+        model = CurveModel.from_dict(data["model"])
+        fits = [CurveParams(np.asarray(c, dtype=float))
+                for c in data["coefficients"]]
+        return model, fits, data.get("objectives", [])
+
+    return read_json(path, parse)
 
 
 # -- commands -------------------------------------------------------------
@@ -152,10 +154,12 @@ def _sample_model(manifold, args):
     Returns the bundle, the drawn coefficient stacks and the rejection
     result; args supplies --model, --density, --components and --seed.
     """
-    with open(os.path.join(args.model, "latents.json")) as fh:
-        z = np.asarray(json.load(fh)["z"], dtype=float)
+    path = os.path.join(args.model, "latents.json")
+    with open(path) as fh:
+        z = record_field(path, json.load(fh), "z",
+                         lambda v: np.asarray(v, dtype=float))
     if not np.isfinite(z).all():
-        raise ValueError(f"{fh.name}: latents are not finite")
+        raise ValueError(f"{path}: latents are not finite")
     kind = "immp++" if manifold.config.alpha > 0 else "mmp++"
     bundle = latent_bundle(kind, manifold, z, args.density,
                            args.components, args.seed)
@@ -168,6 +172,9 @@ def cmd_sample(args):
     if not (args.from_params or args.model):
         raise ConfigError("field 'model': sample needs --model or "
                           "--from-params")
+    if args.grid < 2:
+        raise ConfigError(f"field 'grid': a curve needs at least 2 phases, "
+                          f"got {args.grid}")
     out = _prepare_out(args)
     if args.from_params:
         model, fits, _ = load_fits(args.from_params)
@@ -196,6 +203,17 @@ def cmd_sample(args):
 
 
 def cmd_eval(args):
+    if args.alpha is not None and args.kind != "immp++":
+        raise ConfigError(f"field 'alpha': {args.kind} has no distortion "
+                          f"penalty; alpha applies only to --kind immp++")
+    if args.density is not None and args.kind in ("vmp-gauss", "vmp-gmm"):
+        raise ConfigError(f"field 'density': {args.kind} fits its own "
+                          f"Gaussian density over the coefficients; density "
+                          f"applies only to mmp++ and immp++")
+    if args.kind == "immp++" and args.alpha is None:
+        args.alpha = IMMP_ALPHA
+    if args.kind in ("mmp++", "immp++") and args.density is None:
+        args.density = DEFAULT_FAMILY
     out = _prepare_out(args)
     env, demos = generate_env(args.env, seed=args.seed)
     cfg = TrainConfig(epochs=args.epochs, hidden=_parse_hidden(args.hidden))
@@ -358,8 +376,11 @@ def build_parser():
     p.add_argument("--seeds", type=int, default=len(EVAL_SEEDS))
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--hidden", type=str, default=hidden)
-    p.add_argument("--alpha", type=float, default=IMMP_ALPHA)
-    p.add_argument("--density", default=DEFAULT_FAMILY, choices=list(FAMILIES))
+    # None marks an unset alpha or density, which the kinds that do not
+    # use them require; cmd_eval gives the others IMMP_ALPHA and
+    # DEFAULT_FAMILY
+    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--density", default=None, choices=list(FAMILIES))
     p.add_argument("--bases", type=int, default=N_BASES)
     _add_common(p)
     p.set_defaults(func=cmd_eval)

@@ -126,13 +126,6 @@ class GmmModel:
                 "log_likelihood_history": list(
                     self.log_likelihood_history)}
 
-    @classmethod
-    def from_dict(cls, data):
-        return cls(weights=data["weights"], means=data["means"],
-                   covariances=data["covariances"],
-                   log_likelihood_history=data.get(
-                       "log_likelihood_history", []))
-
 
 def _kmeans_pp_seeds(points, n_clusters, rng):
     n = len(points)
@@ -255,11 +248,6 @@ class KdeModel:
                 "bandwidths": self.bandwidths.tolist(),
                 "kernel_width": self.kernel_width}
 
-    @classmethod
-    def from_dict(cls, data):
-        return cls(points=data["points"], bandwidths=data["bandwidths"],
-                   kernel_width=float(data["kernel_width"]))
-
 
 def kde_build(points):
     """Per-point bandwidth H_i = (weighted scatter)^2 + KDE_RIDGE I.
@@ -354,31 +342,21 @@ def save_density(path, model):
         json.dump(model.to_dict(), fh, indent=1)
 
 
-# Family name -> (model class, fit(points, n_components, seed)).  The fits
-# look gmm_fit and kde_build up when called, so perfbench's tracer, which
-# rebinds module names, sees every fit.
+# Family name -> fit(points, n_components, seed).  The fits look gmm_fit
+# and kde_build up when called, so perfbench's tracer, which rebinds module
+# names, sees every fit.
 FAMILIES = {
-    "gmm": (GmmModel, lambda points, n_components, seed: gmm_fit(
-        points, n_components, seed=seed)),
-    "kde": (KdeModel, lambda points, n_components, seed: kde_build(points)),
+    "gmm": lambda points, n_components, seed: gmm_fit(
+        points, n_components, seed=seed),
+    "kde": lambda points, n_components, seed: kde_build(points),
 }
 DEFAULT_FAMILY = "gmm"
-
-
-def _family(name):
-    if not (isinstance(name, str) and name in FAMILIES):
-        raise ValueError(f"unknown density family {name!r}; expected one "
-                         f"of {list(FAMILIES)}")
-    return FAMILIES[name]
 
 
 def fit_density(points, family, n_components, seed):
     """Fit the named family to points; the KDE ignores n_components/seed."""
     _check_components(n_components)
-    return _family(family)[1](points, n_components, seed)
-
-
-def load_density(path):
-    with open(path) as fh:
-        data = json.load(fh)
-    return _family(data.get("family"))[0].from_dict(data)
+    if not (isinstance(family, str) and family in FAMILIES):
+        raise ValueError(f"unknown density family {family!r}; expected one "
+                         f"of {list(FAMILIES)}")
+    return FAMILIES[family](points, n_components, seed)

@@ -346,19 +346,6 @@ class EvalReport:
                                  self.num_samples, f"{rate:.4f}",
                                  f"{acc:.6f}"])
 
-    @classmethod
-    def load_csv(cls, path):
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        if not rows:
-            raise ValueError(f"empty evaluation report {path}")
-        return cls(kind=rows[0]["kind"], env_id=rows[0]["env"],
-                   seeds=[int(r["seed"]) for r in rows],
-                   success_rates=[float(r["success_rate"]) for r in rows],
-                   acceptance_rates=[float(r["acceptance_rate"])
-                                     for r in rows],
-                   num_samples=int(rows[0]["num_samples"]))
-
 
 def evaluate_success(bundle, env, env_id="", num_samples=EVAL_SAMPLES,
                      seeds=EVAL_SEEDS):

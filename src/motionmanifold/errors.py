@@ -1,4 +1,6 @@
-"""Exception types and the input-file field checker shared by the library."""
+"""Exception types and the input-file field checkers shared by the library."""
+
+import json
 
 
 class SingularFitError(ValueError):
@@ -64,3 +66,19 @@ def record_field(source, record, key, convert):
         return convert(record[key])
     except (TypeError, ValueError) as err:
         raise ValueError(f"{source}: field {key!r}: {err}") from None
+
+
+def read_json(path, parse):
+    """parse(the JSON value in the file path).
+
+    A key that parse finds missing raises a ValueError naming the file and
+    the key; a value of a type that parse cannot use, one naming the file.
+    """
+    with open(path) as fh:
+        data = json.load(fh)
+    try:
+        return parse(data)
+    except KeyError as err:
+        raise ValueError(f"{path}: missing field {err.args[0]!r}") from None
+    except TypeError as err:
+        raise ValueError(f"{path}: {err}") from None

@@ -16,9 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DistortionUndefinedError
-from . import nets
-
 
 class CurveGeomMetric:
     """Metric on coefficient space: the basis Gram matrix per coordinate."""
@@ -74,21 +71,3 @@ def pullback_metric(decoder, z, metric):
     ku = metric.apply(jac.T)                     # (m, nB)
     mat = jac.T @ ku.T
     return PullbackMetric(matrix=0.5 * (mat + mat.T), latent=z)
-
-
-def relaxed_distortion(decoder, z_batch, metric):
-    """Distortion of the decoder over a latent batch.
-
-    The scalar E[Tr(Hbar^2)] / E[Tr(Hbar)]^2 is minimized (value 1/m) when
-    the pullback metric has equal eigenvalues everywhere on the batch,
-    i.e. the decoder is a scaled isometry there.
-    """
-    z = np.atleast_2d(np.asarray(z_batch, dtype=float))
-    if z.shape[0] == 0:
-        raise ValueError("empty latent batch")
-    _, _, _, _, tr, tr_sq = nets.distortion_terms(decoder, z, metric)
-    denom = tr.mean()
-    if denom < 1e-12:
-        raise DistortionUndefinedError(
-            f"mean pullback trace {denom:.3e} is too small")
-    return float(tr_sq.mean() / denom ** 2)

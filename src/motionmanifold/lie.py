@@ -11,7 +11,6 @@ right Jacobians of the exponential map.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -194,27 +193,6 @@ class Se3Trajectory:
         t = self.times
         return (t - t[0]) / (t[-1] - t[0])
 
-    def to_dict(self):
-        return {"t": self.times.tolist(),
-                "p": self.positions.tolist(),
-                "R": [r.reshape(9).tolist() for r in self.rotations]}
-
-    @classmethod
-    def from_dict(cls, data):
-        rots = np.array([np.reshape(r, (3, 3)) for r in data["R"]])
-        return cls(times=np.array(data["t"], dtype=float),
-                   positions=np.array(data["p"], dtype=float),
-                   rotations=rots)
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
 
 @dataclass
 class Se3CurveParams:
@@ -247,8 +225,6 @@ class Se3Samples:
     """
     taus: np.ndarray             # (N, K)
     phi: np.ndarray              # (N, K, B)
-    positions: np.ndarray        # (N, K, 3)
-    rotations: np.ndarray        # (N, K, 3, 3)
     weight: np.ndarray           # (N, K)
     positions_cm: np.ndarray     # (3, N, K)
     rotations_cm: np.ndarray     # (3, 3, N, K)
@@ -269,7 +245,6 @@ class Se3Samples:
         taus, pos, rot = map(grid, ("taus", "positions", "rotations"))
         return cls(taus=taus,
                    phi=basis.evaluate(taus.ravel()).reshape(*taus.shape, -1),
-                   positions=pos, rotations=rot,
                    weight=np.where(k < counts,
                                    1.0 / (len(dataset) * counts), 0.0),
                    positions_cm=np.moveaxis(pos, -1, 0).copy(),
@@ -477,9 +452,10 @@ def train_se3(dataset, basis, config):
         raise ValueError("pose-curve training does not support the "
                          "distortion penalty; set alpha to 0")
     samples = Se3Samples.from_dataset(dataset, basis)
-    p_start, r_start = samples.positions[0, 0], samples.rotations[0, 0]
-    if np.abs(samples.positions[:, 0] - p_start).max() > 1e-6 or \
-            np.abs(samples.rotations[:, 0] - r_start).max() > 1e-6:
+    pos, rot = samples.positions_cm[..., 0], samples.rotations_cm[..., 0]
+    p_start, r_start = pos[..., 0].copy(), rot[..., 0].copy()
+    if np.abs(pos - p_start[..., None]).max() > 1e-6 or \
+            np.abs(rot - r_start[..., None]).max() > 1e-6:
         raise ValueError("demonstrations must share the initial pose")
     fitted = [fit_se3_params(traj, basis) for traj in dataset]
     x = np.stack([pack_se3_features(p) for p in fitted])

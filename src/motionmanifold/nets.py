@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .errors import DistortionUndefinedError, TrainingError
+from .errors import DistortionUndefinedError, TrainingError, read_json
 
 
 class Mlp:
@@ -247,8 +247,7 @@ class Mlp:
 
     @classmethod
     def load(cls, path):
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        return read_json(path, cls.from_dict)
 
 
 # b1, b2 and eps of adam_step: Adam's moment decay rates and denominator
@@ -332,7 +331,9 @@ def distortion_terms(decoder, z_batch, metric):
 def grad_of_distortion(decoder, z_batch, metric):
     """Exact-mode distortion value and its flat decoder-parameter gradient.
 
-    The scalar is E[Tr(Hbar^2)] / E[Tr(Hbar)]^2 over the batch; the
+    The scalar is E[Tr(Hbar^2)] / E[Tr(Hbar)]^2 over the batch, minimized
+    (value 1/m) when the pullback metric has equal eigenvalues everywhere
+    on the batch, i.e. the decoder is a scaled isometry there; the
     gradient flows through every directional-derivative evaluation
     (reverse over forward).  Latent points are treated as constants.
     """

@@ -138,21 +138,10 @@ class MovingDisk:
                 "centers": self.centers.tolist(),
                 "radius": self.radius}
 
-    @classmethod
-    def from_dict(cls, data):
-        return cls(times=np.array(data["times"], dtype=float),
-                   centers=np.array(data["centers"], dtype=float),
-                   radius=float(data["radius"]))
-
 
 def save_obstacle_script(path, disks):
     with open(path, "w") as fh:
         json.dump([d.to_dict() for d in disks], fh, indent=1)
-
-
-def load_obstacle_script(path):
-    with open(path) as fh:
-        return [MovingDisk.from_dict(d) for d in json.load(fh)]
 
 
 def constraint_from_script(disks):
@@ -320,31 +309,6 @@ class EpisodeTrace:
                         int(self.violation_flags[i]),
                         int(self.replan_events[i])]
                 writer.writerow(row)
-
-    @classmethod
-    def load_csv(cls, path):
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            m = sum(1 for h in header if h.startswith("z"))
-            n = sum(1 for h in header if h.startswith("q"))
-            rows = [row for row in reader]
-        times = np.array([float(r[0]) for r in rows])
-        taus = np.array([float(r[1]) for r in rows])
-        latents = np.array([[float(v) for v in r[2:2 + m]] for r in rows])
-        points = np.array([[float(v) for v in r[2 + m:2 + m + n]]
-                           for r in rows])
-        cons = np.array([float(r[2 + m + n]) for r in rows])
-        cv = np.array([int(r[3 + m + n]) for r in rows])
-        events = np.array([int(r[4 + m + n]) for r in rows])
-        # run_episode stops early only at tau = 1 with no active replan
-        reached = bool(taus[-1] >= 1.0 - 1e-9 and cv[-1] == 0)
-        return cls(times=times, taus=taus, latents=latents, points=points,
-                   constraint_values=cons, violation_flags=cv,
-                   replan_events=events,
-                   n_replans=int(np.sum(events == 1)),
-                   n_infeasible=int(np.sum(events == 2)),
-                   reached_goal=reached, timed_out=not reached)
 
 
 def initial_latent(density, cfg, rng):

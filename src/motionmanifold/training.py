@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from .basis import CurveModel, CurveParams, evaluate_batch
-from .errors import TrainingError, record_field
+from .errors import TrainingError, read_json, record_field
 from .geometry import curvegeom_euclidean
 from . import nets
 
@@ -26,13 +26,6 @@ def flatten_params(params):
     """Coefficient matrix (n, B) -> vector of length n*B, row-major."""
     coeffs = params.coefficients if isinstance(params, CurveParams) else params
     return np.asarray(coeffs, dtype=float).reshape(-1)
-
-
-def unflatten_params(vec, dim, n_bases):
-    vec = np.asarray(vec, dtype=float)
-    if vec.size != dim * n_bases:
-        raise ValueError(f"vector length {vec.size} != {dim} * {n_bases}")
-    return CurveParams(coefficients=vec.reshape(dim, n_bases))
 
 
 # the distortion penalty's latent mixup: points per epoch, and how far past
@@ -103,18 +96,9 @@ class ManifoldModel:
     def latent_dim(self):
         return self.encoder.out_dim
 
-    def encode(self, params):
-        vec = flatten_params(params)
-        return self.encoder.forward(vec)
-
     def encode_many(self, dataset):
         x = np.stack([flatten_params(p) for p in dataset])
         return self.encoder.forward(x)
-
-    def decode(self, z):
-        vec = self.decoder.forward(np.asarray(z, dtype=float))
-        return unflatten_params(vec, self.curve_model.dim,
-                                self.curve_model.basis.size)
 
     def decode_many(self, z_batch):
         z = np.atleast_2d(np.asarray(z_batch, dtype=float))
@@ -143,11 +127,10 @@ class ManifoldModel:
     def load(cls, directory):
         encoder = nets.Mlp.load(os.path.join(directory, "encoder.json"))
         decoder = nets.Mlp.load(os.path.join(directory, "decoder.json"))
-        with open(os.path.join(directory, "curve_model.json")) as fh:
-            curve_model = CurveModel.from_dict(json.load(fh))
-        with open(os.path.join(directory, "train_meta.json")) as fh:
-            meta = json.load(fh)
-        config = TrainConfig.from_dict(meta["config"])
+        curve_model = read_json(os.path.join(directory, "curve_model.json"),
+                                CurveModel.from_dict)
+        config = read_json(os.path.join(directory, "train_meta.json"),
+                           lambda meta: TrainConfig.from_dict(meta["config"]))
         history = read_history_csv(os.path.join(directory, "history.csv"))
         return cls(encoder=encoder, decoder=decoder, curve_model=curve_model,
                    config=config, history=history)

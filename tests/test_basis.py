@@ -332,14 +332,6 @@ def test_loaders_reject_non_via_point():
         BasisSet.from_dict(data["basis"])
 
 
-def test_params_save_load(tmp_path):
-    w = CurveParams(np.random.default_rng(1).normal(size=(3, 4)))
-    path = tmp_path / "w.json"
-    w.save(path)
-    clone = CurveParams.load(path)
-    assert np.array_equal(clone.coefficients, w.coefficients)
-
-
 def test_trajectory_dataset_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     trajs = [TimedTrajectory(times=np.linspace(0, 1, 20),

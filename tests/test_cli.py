@@ -22,11 +22,12 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def assert_meta_records_options(out, *argv):
+def assert_meta_records_options(out, *argv, **resolved):
     """meta.json holds every option the command parsed, as parsed.
 
     argv is the command line without --out; the seed sits at the top
-    level, and --out and --config are not options of the run.
+    level, and --out and --config are not options of the run.  resolved
+    names the value the command gave each option left unset.
     """
     parser = cli.build_parser()
     commands = next(a for a in parser._actions if a.dest == "command")
@@ -36,7 +37,8 @@ def assert_meta_records_options(out, *argv):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["command"] == argv[0]
     assert meta["seed"] == parsed.get("seed")
-    assert meta["options"] == {name: parsed[name] for name in dests}
+    assert meta["options"] == {name: parsed[name] for name in dests} \
+        | resolved
 
 
 @pytest.fixture(scope="module")
@@ -197,7 +199,7 @@ def test_eval_latent_kind_end_to_end(tmp_path):
             "15", "--seeds", "2", "--epochs", "60", "--hidden", "16,16")
     assert run_cli(*argv, "--out", str(out)) == 0
     assert (out / "report.csv").exists()
-    assert_meta_records_options(out, *argv)
+    assert_meta_records_options(out, *argv, density="gmm")
 
 
 def test_replan_episode_without_obstacle(tmp_path):
@@ -309,6 +311,32 @@ def test_count_for_fixed_environment_exits_2(tmp_path, capsys, source):
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "'count'" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind, option, value", [
+    ("vmp-gauss", "alpha", 0.1),
+    ("vmp-gmm", "alpha", 0.1),
+    ("mmp++", "alpha", 0.0),
+    ("vmp-gauss", "density", "gmm"),
+    ("vmp-gmm", "density", "kde"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_eval_option_the_kind_does_not_use_exits_2(tmp_path, capsys, source,
+                                                   kind, option, value):
+    # only immp++ has a distortion weight, and the vmp kinds fit their own
+    # density, so the option would be recorded and do nothing
+    argv = ["eval", "--env", "env1", "--kind", kind,
+            "--out", str(tmp_path / "o")]
+    if source == "flag":
+        argv += [f"--{option}", str(value)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({option: value}))
+        argv += ["--config", str(cfg)]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"'{option}'" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -427,12 +455,11 @@ def test_non_finite_curves_exit_3(tmp_path, capsys, monkeypatch):
     ["synth-demos", "--env", "continuum", "--count", "0"],
     ["train", "--fits", "{fits}", "--epochs", "0"],
     ["train", "--fits", "{fits}", "--alpha", "-1"],
-    ["sample", "--from-params", "{fits}", "--grid", "0"],
     ["fit", "--demos", "{demos}", "--env", "{env}", "--bases", "1"],
     ["replan", "--replan-hz", "2000", "--epochs", "2", "--count", "6",
      "--hidden", "4"],
-], ids=["synth-count", "train-epochs", "train-alpha", "sample-grid",
-        "fit-bases", "replan-hz"])
+], ids=["synth-count", "train-epochs", "train-alpha", "fit-bases",
+        "replan-hz"])
 def test_rejected_option_value_exits_2(workspace, tmp_path, capsys, argv):
     paths = {"fits": workspace["fits"] / "fits.json",
              "demos": workspace["demos"] / "demos.json",
@@ -453,8 +480,12 @@ def test_rejected_option_value_exits_2(workspace, tmp_path, capsys, argv):
      "seeds"),
     (["eval", "--env", "env1", "--kind", "vmp-gauss", "--num-samples", "0"],
      "num_samples"),
+    (["sample", "--from-params", "{fits}", "--grid", "0"], "'grid'"),
+    (["sample", "--from-params", "{fits}", "--grid", "1"], "'grid'"),
+    (["sample", "--model", "{model}", "--grid", "-1"], "'grid'"),
 ], ids=["train-learning-rate", "train-hidden", "sample-components",
-        "sample-count", "eval-seeds", "eval-num-samples"])
+        "sample-count", "eval-seeds", "eval-num-samples", "sample-grid-0",
+        "sample-grid-1", "sample-grid-minus-1"])
 def test_bad_value_exits_2_naming_its_field(workspace, tmp_path, capsys,
                                             argv, field):
     paths = {"fits": workspace["fits"] / "fits.json",
@@ -602,31 +633,74 @@ def _text_in_first_recon_cell(text):
     return "".join(line + "\n" for line in (header, ",".join(cells), *rest))
 
 
+def _json_without(*keys):
+    """Corrupt JSON text by deleting the key reached through keys."""
+    def corrupt(text):
+        data = json.loads(text)
+        parent = data
+        for key in keys[:-1]:
+            parent = parent[key]
+        del parent[keys[-1]]
+        return json.dumps(data)
+    return corrupt
+
+
+def _command_reading(workspace, tmp_path, name, corrupt):
+    """A copy of the workspace whose file `name` went through corrupt(text),
+    and the command line that reads it; returns (path, argv)."""
+    root = shutil.copytree(workspace["root"], tmp_path / "workspace")
+    path = next(root.glob(f"*/{name}"))
+    path.write_text(corrupt(path.read_text()))
+    demos = root / "demos"
+    fit = ["fit", "--demos", str(demos / "demos.json"),
+           "--env", str(demos / "env.json")]
+    argv = {"env.json": fit, "demos.json": fit,
+            "fits.json": ["train", "--fits", str(root / "fits" / "fits.json"),
+                          "--epochs", "2"]}.get(
+        name, ["sample", "--model", str(root / "model"), "--count", "4"])
+    return path, argv
+
+
 @pytest.mark.parametrize("name, corrupt, key", [
     ("env.json", lambda text: json.dumps([json.loads(text)]), "obstacles"),
     ("env.json", lambda text: json.dumps({**json.loads(text),
                                           "q_goal": "abc"}), "q_goal"),
     ("history.csv", _drop_last_column, "total"),
     ("history.csv", _text_in_first_recon_cell, "recon"),
+    ("latents.json", _json_without("z"), "z"),
+    ("latents.json", lambda text: json.dumps(json.loads(text)["z"]), "z"),
+    ("train_meta.json", _json_without("config"), "config"),
+    ("decoder.json", _json_without("weights"), "weights"),
+    ("curve_model.json", _json_without("basis", "width"), "width"),
+    ("fits.json", _json_without("coefficients"), "coefficients"),
+    ("demos.json", _json_without("trajectories", 0, "q"), "q"),
 ], ids=["env-as-list", "env-text-q_goal", "history-without-total",
-        "history-text-recon"])
+        "history-text-recon", "latents-without-z", "latents-as-list",
+        "train_meta-without-config", "decoder-without-weights",
+        "curve_model-basis-without-width", "fits-without-coefficients",
+        "demos-trajectory-without-q"])
 def test_ill_typed_input_file_exits_2_naming_file_and_field(
         workspace, tmp_path, capsys, name, corrupt, key):
-    if name == "env.json":
-        path = tmp_path / name
-        path.write_text(corrupt((workspace["demos"] / name).read_text()))
-        argv = ["fit", "--demos", str(workspace["demos"] / "demos.json"),
-                "--env", str(path)]
-    else:
-        model = tmp_path / "model"
-        shutil.copytree(workspace["model"], model)
-        path = model / name
-        path.write_text(corrupt(path.read_text()))
-        argv = ["sample", "--model", str(model), "--count", "4"]
+    path, argv = _command_reading(workspace, tmp_path, name, corrupt)
     assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(path) in err
     assert repr(key) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("fits.json", lambda text: json.dumps([json.loads(text)])),
+    ("curve_model.json", lambda text: json.dumps(
+        {**json.loads(text), "basis": {**json.loads(text)["basis"],
+                                       "width": "abc"}})),
+], ids=["fits-as-list", "curve_model-text-width"])
+def test_ill_typed_json_value_exits_2_naming_the_file(workspace, tmp_path,
+                                                     capsys, name, corrupt):
+    path, argv = _command_reading(workspace, tmp_path, name, corrupt)
+    assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) in err
+    assert "Traceback" not in err
 
 
 def test_console_script_is_installed(tmp_path):

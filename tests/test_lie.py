@@ -632,7 +632,8 @@ def test_sample_grid_pads_each_demo_with_zero_weight():
     n, k = len(demos), max(len(t.times) for t in demos)
     assert samples.taus.shape == samples.weight.shape == (n, k)
     assert samples.phi.shape == (n, k, basis.size)
-    assert samples.rotations.shape == (n, k, 3, 3)
+    assert samples.positions_cm.shape == (3, n, k)
+    assert samples.rotations_cm.shape == (3, 3, n, k)
     for d, traj in enumerate(demos):
         count = len(traj.times)
         assert np.array_equal(samples.weight[d, :count],
@@ -641,8 +642,10 @@ def test_sample_grid_pads_each_demo_with_zero_weight():
         last = np.minimum(np.arange(k), count - 1)
         assert np.array_equal(samples.taus[d], traj.taus[last])
         assert np.array_equal(samples.phi[d], basis.evaluate(traj.taus)[last])
-        assert np.array_equal(samples.positions[d], traj.positions[last])
-        assert np.array_equal(samples.rotations[d], traj.rotations[last])
+        assert np.array_equal(samples.positions_cm[:, d],
+                              traj.positions[last].T)
+        assert np.array_equal(samples.rotations_cm[:, :, d],
+                              np.moveaxis(traj.rotations[last], 0, -1))
     assert samples.weight.sum() == pytest.approx(1.0, rel=1e-14)
 
 
@@ -691,16 +694,6 @@ def test_pouring_demos_share_initial_pose():
         finals.append(t.positions[-1])
     spread = np.ptp(np.stack(finals), axis=0)
     assert spread.max() > 0.05                  # final poses genuinely vary
-
-
-def test_trajectory_io_round_trip(tmp_path):
-    demos, _ = lie.make_pouring_demos(count=2, seed=15, n_samples=10)
-    path = tmp_path / "traj.json"
-    demos[0].save(path)
-    clone = lie.Se3Trajectory.load(path)
-    assert np.allclose(clone.times, demos[0].times)
-    assert np.allclose(clone.positions, demos[0].positions)
-    assert np.allclose(clone.rotations, demos[0].rotations)
 
 
 @pytest.mark.parametrize("count", [0, 1])

@@ -8,8 +8,7 @@ from motionmanifold.basis import CurveParams
 from motionmanifold.errors import TrainingError
 from motionmanifold.geometry import CurveGeomMetric, curvegeom_euclidean
 from motionmanifold.training import (ManifoldModel, TrainConfig,
-                                     flatten_params, mixup_sample, train,
-                                     unflatten_params)
+                                     flatten_params, mixup_sample, train)
 
 
 def test_flatten_round_trip():
@@ -17,8 +16,7 @@ def test_flatten_round_trip():
     w = CurveParams(rng.normal(size=(3, 5)))
     flat = flatten_params(w)
     assert flat.shape == (15,)
-    back = unflatten_params(flat, 3, 5)
-    assert np.array_equal(back.coefficients, w.coefficients)
+    assert np.array_equal(flat.reshape(3, 5), w.coefficients)
     # row-major: coordinate i occupies the i-th block of length B
     assert np.array_equal(flat[:5], w.coefficients[0])
 
@@ -177,18 +175,15 @@ def test_load_rejects_unknown_config_key(tmp_path, small_manifold, key):
 
 def test_encode_decode_shapes(small_manifold):
     m, model, fits = small_manifold
-    z = m.encode(fits[0])
-    assert z.shape == (2,)
-    w = m.decode(z)
-    assert w.coefficients.shape == (model.dim, model.basis.size)
     zs = m.encode_many(fits)
+    assert zs.shape == (len(fits), 2)
     stack = m.decode_many(zs)
     assert stack.shape == (len(fits), model.dim, model.basis.size)
 
 
 def test_curve_points_interpolates_endpoints(small_manifold):
     m, model, fits = small_manifold
-    z = m.encode(fits[3])
+    z = m.encode_many(fits[3:4])[0]
     pts = m.curve_points(z, np.array([0.0, 1.0]))
     assert np.allclose(pts[0], model.q_start, atol=1e-12)
     assert np.allclose(pts[1], model.q_end, atol=1e-12)

@@ -21,13 +21,10 @@ from .errors import (BranchError, DegenerateSupportError,
                      DistortionUndefinedError, GenerationError,
                      NonFiniteError, ReplanInfeasibleError,
                      SamplingStarvedError, SingularFitError, TrainingError)
-from .geometry import (CurveGeomMetric, PullbackMetric, curvegeom_euclidean,
-                       pullback_metric)
+from .geometry import CurveGeomMetric
 from .lie import (Se3CurveParams, Se3ManifoldModel, Se3Trajectory,
-                  eval_position_curve, eval_rotation_curve, exp_so3,
-                  fit_se3_params, hat, log_so3, make_pouring_demos,
-                  se3_recon_loss, so3_jacobian_right,
-                  so3_jacobian_right_inv, train_se3, vee)
+                  eval_rotation_curve, exp_so3, fit_se3_params, log_so3,
+                  make_pouring_demos, se3_recon_loss, train_se3)
 from .nets import AdamState, Mlp, adam_step
 from .replan import (DynamicConstraint, EpisodeTrace, MovingDisk,
                      ReplanConfig, ReplanState, constraint_from_script,
@@ -42,21 +39,20 @@ __all__ = [
     "CurveParams", "DegenerateSupportError", "DistortionUndefinedError",
     "DynamicConstraint", "EpisodeTrace", "EvalReport", "GenerationError",
     "GmmModel", "KdeModel", "ManifoldModel", "Mlp", "ModelBundle",
-    "MovingDisk", "NonFiniteError", "PlanarEnv", "PullbackMetric",
+    "MovingDisk", "NonFiniteError", "PlanarEnv",
     "RejectionResult", "ReplanConfig", "ReplanInfeasibleError",
     "ReplanState", "SampleFilter", "SamplingStarvedError", "Se3CurveParams",
     "Se3ManifoldModel", "Se3Trajectory", "SingularFitError",
     "TimedTrajectory", "TrainConfig",
     "TrainingError", "adam_step", "build_bundle", "collision_check",
-    "constraint_from_script", "curvegeom_euclidean", "eval_position_curve",
+    "constraint_from_script",
     "eval_rotation_curve", "evaluate_batch", "evaluate_rows",
     "evaluate_success", "exp_so3",
     "fit_demos", "fit_density", "fit_se3_params", "generate_continuum_demos",
-    "generate_env", "gmm_fit", "hat", "kde_build", "load_trajectory_dataset",
+    "generate_env", "gmm_fit", "kde_build", "load_trajectory_dataset",
     "log_so3", "make_pouring_demos", "min_loglik_threshold",
-    "predict_violation", "pullback_metric", "rejection_sample", "run_episode",
+    "predict_violation", "rejection_sample", "run_episode",
     "sample_curves", "save_density", "save_obstacle_script",
     "save_trajectory_dataset", "se3_recon_loss",
-    "so3_jacobian_right", "so3_jacobian_right_inv", "solve_replan",
-    "success_rate", "train", "train_se3", "vee",
+    "solve_replan", "success_rate", "train", "train_se3",
 ]

@@ -123,8 +123,12 @@ class BasisSet:
                    / (2.0 * self.width))
         return b / b.sum(axis=1, keepdims=True) * (arr * (1.0 - arr))[:, None]
 
-    def derivative(self, tau):
-        """Analytic d phi / d tau, same shape convention as evaluate()."""
+    def _derivative(self, tau):
+        """Analytic d phi / d tau, same shape convention as evaluate().
+
+        Private until a caller needs it: a bound on the curve speed, for
+        checking moving obstacles between window samples, would.
+        """
         arr, scalar = _as_tau_array(tau)
         diff = arr[:, None] - self.centers[None, :]
         b = np.exp(-(diff ** 2) / (2.0 * self.width))
@@ -277,12 +281,6 @@ class CurveModel:
         self._check_params(params)
         out = evaluate_batch(self, params.coefficients[None], tau)[0]
         return out[0] if np.ndim(tau) == 0 else out
-
-    def derivative_tau(self, params, tau):
-        """Analytic d q / d tau."""
-        self._check_params(params)
-        dphi = self.basis.derivative(tau)
-        return (self.q_end - self.q_start) + dphi @ params.coefficients.T
 
     def _phases(self, trajectory):
         """Check the trajectory's dimension and map its times to phase.

@@ -160,6 +160,10 @@ def _sample_model(manifold, args):
                          lambda v: np.asarray(v, dtype=float))
     if not np.isfinite(z).all():
         raise ValueError(f"{path}: latents are not finite")
+    if args.density == "gmm" and args.components > len(z):
+        raise ConfigError(f"field 'components': {args.components} mixture "
+                          f"components need as many latents; {path} holds "
+                          f"{len(z)}")
     kind = "immp++" if manifold.config.alpha > 0 else "mmp++"
     bundle = latent_bundle(kind, manifold, z, args.density,
                            args.components, args.seed)
@@ -267,6 +271,12 @@ def build_replan_fixture(*, seed, epochs, count, hidden, with_obstacle,
 
 
 def cmd_replan(args):
+    # the KDE on the demos' latents needs them to span the latent space
+    least = TrainConfig.latent_dim + 1
+    if args.count < least:
+        raise ConfigError(f"field 'count': a KDE on {least - 1}-dimensional "
+                          f"latents needs at least {least} demos, got "
+                          f"{args.count}")
     out = _prepare_out(args)
     fixture = build_replan_fixture(
         seed=args.seed, epochs=args.epochs, count=args.count,

@@ -1,4 +1,4 @@
-"""Riemannian structure on curve-parameter space and the decoder pullback.
+"""The curve-space metric on curve-parameter space.
 
 The squared length of a coefficient perturbation dw is the squared L2 norm
 of the curve perturbation it induces,
@@ -7,12 +7,11 @@ of the curve perturbation it induces,
     G_jl = int_0^1 phi_j(tau) phi_l(tau) dtau,
 
 so the metric is the basis Gram matrix G applied to each coordinate row
-dw_i and does not depend on w.
+dw_i and does not depend on w.  The latent metric that the decoder pulls
+back from it is built in one place, nets.distortion_terms.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,36 +37,3 @@ class CurveGeomMetric:
         shaped = vec.reshape(vec.shape[:-1] + (-1, self.n_bases))
         return (shaped @ self.gram).reshape(vec.shape)
 
-
-def curvegeom_euclidean(basis):
-    """Constant metric for a Euclidean configuration space."""
-    return CurveGeomMetric(basis.gram())
-
-
-@dataclass
-class PullbackMetric:
-    """Latent metric J^T K J at one latent point."""
-
-    matrix: np.ndarray
-    latent: np.ndarray = field(default=None)
-
-    def eigenvalues(self):
-        return np.linalg.eigvalsh(self.matrix)
-
-    def condition_number(self):
-        eigs = self.eigenvalues()
-        if eigs[0] <= 0:
-            return np.inf
-        return float(eigs[-1] / eigs[0])
-
-    def trace(self):
-        return float(np.trace(self.matrix))
-
-
-def pullback_metric(decoder, z, metric):
-    """Assemble the latent metric from decoder directional derivatives."""
-    z = np.asarray(z, dtype=float)
-    jac = decoder.jacobian(z)                    # (nB, m)
-    ku = metric.apply(jac.T)                     # (m, nB)
-    mat = jac.T @ ku.T
-    return PullbackMetric(matrix=0.5 * (mat + mat.T), latent=z)

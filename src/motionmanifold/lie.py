@@ -35,28 +35,6 @@ _MATMUL, _MATVEC_T = "ij...,jk...->ik...", "ji...,j...->i..."
 _VEE_ROWS, _VEE_COLS = np.array([[2, 0, 1], [1, 2, 0]])  # vee: S[rows, cols]
 
 
-def _per_vector(kernel, v):
-    """A component-major matrix kernel applied to (..., 3) vectors."""
-    v = np.asarray(v, dtype=float)
-    if v.shape[-1:] != (3,):
-        raise ValueError(f"rotation vectors must be (..., 3), got {v.shape}")
-    m = kernel(v.reshape(-1, 3).T)
-    return np.moveaxis(m, -1, 0).reshape(v.shape[:-1] + (3, 3))
-
-
-def hat(v):
-    return _per_vector(_hat, v)
-
-
-def vee(s):
-    s = np.asarray(s, dtype=float)
-    if s.shape[-2:] != (3, 3):
-        raise ValueError(f"skew matrices must be (..., 3, 3), got {s.shape}")
-    if not np.all(np.abs(s + np.swapaxes(s, -1, -2)) <= 1e-9):
-        raise ValueError("matrix is not skew-symmetric")
-    return s[..., _VEE_ROWS, _VEE_COLS]
-
-
 def check_rotation(r, tol=1e-9):
     r = np.asarray(r, dtype=float)
     if r.shape[-2:] != (3, 3):
@@ -126,17 +104,12 @@ def _jacobian_inv(k, k2, theta, sq):
 
 
 def exp_so3(v):
-    """Rodrigues formula, series-stabilized near zero."""
-    return _per_vector(lambda u: _exp_and_jacobian(u)[0], v)
-
-
-def so3_jacobian_right(v):
-    """J_r with exp(v + dv) = exp(v) exp(hat(J_r(v) dv)) to first order."""
-    return _per_vector(lambda u: _exp_and_jacobian(u)[1], v)
-
-
-def so3_jacobian_right_inv(v):
-    return _per_vector(lambda u: _jacobian_inv(*_skew(u)), v)
+    """Rodrigues formula, series-stabilized near zero, of (..., 3) vectors."""
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (3,):
+        raise ValueError(f"rotation vectors must be (..., 3), got {v.shape}")
+    r = _exp_and_jacobian(v.reshape(-1, 3).T)[0]
+    return np.moveaxis(r, -1, 0).reshape(v.shape[:-1] + (3, 3))
 
 
 def log_so3(r):
@@ -301,10 +274,6 @@ def _eval_curve(params, basis, tau):
 def eval_rotation_curve(params, basis, tau):
     """R(tau) = R_i exp(tau ell) exp([w_R phi(tau)])."""
     return _eval_curve(params, basis, tau)[1]
-
-
-def eval_position_curve(params, basis, tau):
-    return _eval_curve(params, basis, tau)[0]
 
 
 def fit_se3_params(traj, basis):

@@ -16,7 +16,8 @@ import json
 
 import numpy as np
 
-from .errors import DistortionUndefinedError, TrainingError, read_json
+from .errors import (DistortionUndefinedError, TrainingError, read_json,
+                     record_field)
 
 
 class Mlp:
@@ -178,14 +179,6 @@ class Mlp:
             cache.append((t, d_out))
         return acts, cache
 
-    def jacobian(self, x):
-        """Full Jacobian at a single input, shape (out, in), via jvp columns."""
-        x = self._check_input(np.asarray(x, dtype=float))
-        acts = self.forward_cache(x)
-        eye = np.eye(self.in_dim)
-        _, cache = self._push_tangents(acts, eye)
-        return cache[-1][1].T  # (in, out) -> transpose
-
     def backward_through_jvp(self, acts, tangent_cache, cotangents):
         """Reverse-mode through the forward-mode pass.
 
@@ -236,10 +229,24 @@ class Mlp:
         }
 
     @classmethod
-    def from_dict(cls, data):
-        weights = [np.asarray(w, dtype=float) for w in data["weights"]]
-        biases = [np.asarray(b, dtype=float) for b in data["biases"]]
-        return cls(data["sizes"], weights, biases, seed=data.get("seed"))
+    def from_dict(cls, data, source="network"):
+        """The network that to_dict described.
+
+        Each field goes through record_field, so a non-finite weights or
+        biases entry, and sizes that do not fit them, raise a ValueError
+        naming source and the field.
+        """
+        def layers(rows):
+            arrays = [np.asarray(r, dtype=float) for r in rows]
+            for i, a in enumerate(arrays):
+                if not np.isfinite(a).all():
+                    raise ValueError(f"layer {i} is not finite")
+            return arrays
+
+        weights = record_field(source, data, "weights", layers)
+        biases = record_field(source, data, "biases", layers)
+        return record_field(source, data, "sizes", lambda sizes: cls(
+            sizes, weights, biases, seed=data.get("seed")))
 
     def save(self, path):
         with open(path, "w") as f:
@@ -247,7 +254,7 @@ class Mlp:
 
     @classmethod
     def load(cls, path):
-        return read_json(path, cls.from_dict)
+        return read_json(path, lambda data: cls.from_dict(data, path))
 
 
 # b1, b2 and eps of adam_step: Adam's moment decay rates and denominator
@@ -271,34 +278,43 @@ def adam_step(state, net, grad):
     """One adaptive-moment update, in place on net.params.
 
     grad is a flat vector laid out like params.  Every element goes through
-    m*b1 + (1-b1)*g, v*b2 + ((1-b2)*g)*g and lr*(m/c1) / (sqrt(v/c2)+eps)
+    v*b2 + ((1-b2)*g)*g, m*b1 + (1-b1)*g and lr*(m/c1) / (sqrt(v/c2)+eps)
     in that order, in place apart from two parameter-sized temporaries.
     They live for one step, not in the state, so the allocator can reuse
     their memory between steps.
+
+    A gradient that is not finite, or one so large that the second
+    moment overflows, raises TrainingError naming the layer.  v then holds
+    the non-finite moment; params, m and the step count are untouched.
     """
     g = np.asarray(grad, dtype=float)
     if g.shape != state.m.shape:
         raise ValueError(f"gradient shape {g.shape} != parameter shape "
                          f"{state.m.shape}")
-    if not np.isfinite(g).all():
-        for i, (dw, db) in enumerate(zip(*net.layer_views(g))):
-            if not np.isfinite(dw).all():
-                raise TrainingError(f"non-finite gradient in layer {i} "
-                                    f"weights")
-            if not np.isfinite(db).all():
-                raise TrainingError(f"non-finite gradient in layer {i} bias")
+    m, v = state.m, state.v
+    step = np.multiply(1.0 - ADAM_BETA2, g)
+    step *= g
+    v *= ADAM_BETA2
+    v += step
+    # a non-finite g makes v non-finite too, so one check covers both
+    if not np.isfinite(v).all():
+        views = zip(*net.layer_views(g), *net.layer_views(v))
+        for i, (dw, db, vw, vb) in enumerate(views):
+            for part, gp, vp in (("weights", dw, vw), ("bias", db, vb)):
+                if not np.isfinite(gp).all():
+                    raise TrainingError(f"non-finite gradient in layer {i} "
+                                        f"{part}")
+                if not np.isfinite(vp).all():
+                    raise TrainingError(
+                        f"second moment overflows in layer {i} {part}: "
+                        f"gradient entries reach {np.abs(gp).max():.3g}")
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
-    m, v = state.m, state.v
-    step = np.multiply(1.0 - ADAM_BETA1, g)
+    np.multiply(1.0 - ADAM_BETA1, g, out=step)
     m *= ADAM_BETA1
     m += step
-    v *= ADAM_BETA2
-    np.multiply(1.0 - ADAM_BETA2, g, out=step)
-    step *= g
-    v += step
     denom = np.divide(v, c2)
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS

@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis import CurveModel, CurveParams, evaluate_batch
 from .errors import TrainingError, read_json, record_field
-from .geometry import curvegeom_euclidean
+from .geometry import CurveGeomMetric
 from . import nets
 
 
@@ -225,7 +225,7 @@ def train(dataset, model, config=None):
     penalty = None
     if config.alpha > 0:
         rng = np.random.default_rng(config.seed + 2)
-        metric = curvegeom_euclidean(model.basis)
+        metric = CurveGeomMetric(model.basis.gram())
 
         def penalty(decoder, z):
             return nets.grad_of_distortion(decoder, mixup_sample(z, rng),

@@ -22,7 +22,7 @@ from motionmanifold.density import (SampleFilter, gmm_fit, kde_build,
                                     min_loglik_threshold, rejection_sample)
 from motionmanifold.envs import (KINDS, build_bundle, evaluate_success,
                                  fit_demos, generate_env)
-from motionmanifold.geometry import curvegeom_euclidean, pullback_metric
+from motionmanifold.geometry import CurveGeomMetric
 from motionmanifold.replan import constraint_from_script, run_episode
 from motionmanifold.training import TrainConfig, train
 
@@ -161,7 +161,7 @@ def test_gradients_match_finite_differences():
 
     # distortion objective: gradient through the second-order pipeline
     basis = BasisSet.uniform(4)
-    metric = curvegeom_euclidean(basis)
+    metric = CurveGeomMetric(basis.gram())
     rel_dist = 0.0
     for trial in range(10):
         dec = nets.Mlp.create([2, 6, 8], seed=300 + trial)
@@ -197,15 +197,18 @@ def test_distortion_penalty_flattens_latent_metric():
     env, demos = generate_env("env1", seed=0)
     model, fits = fit_demos(env, demos)
     labels = np.repeat([0, 1], 5)
-    metric = curvegeom_euclidean(model.basis)
+    metric = CurveGeomMetric(model.basis.gram())
 
     def study(alpha):
         cfg = TrainConfig(latent_dim=2, alpha=alpha, epochs=2000,
                           hidden=(128, 128), seed=0)
         manifold = train(fits, model, cfg)
         z = manifold.encode_many(fits)
-        conds = [pullback_metric(manifold.decoder, zi,
-                                 metric).condition_number() for zi in z]
+        # eigenvalues of the pullback metric at each latent; a singular
+        # metric reads as an infinite condition number
+        eigs = np.linalg.eigvalsh(
+            nets.distortion_terms(manifold.decoder, z, metric)[3])
+        conds = eigs[:, -1] / np.maximum(eigs[:, 0], 0.0)
         dist = np.linalg.norm(z[:, None, :] - z[None, :, :], axis=2)
         inter = dist[labels[:, None] != labels[None, :]].min()
         iu = np.triu_indices(len(z), k=1)

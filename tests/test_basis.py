@@ -63,7 +63,7 @@ def test_basis_derivative_matches_finite_differences():
     taus = np.linspace(0.05, 0.95, 19)
     eps = 1e-6
     fd = (basis.evaluate(taus + eps) - basis.evaluate(taus - eps)) / (2 * eps)
-    assert np.abs(basis.derivative(taus) - fd).max() < 1e-6
+    assert np.abs(basis._derivative(taus) - fd).max() < 1e-6
 
 
 def test_gram_matches_refined_quadrature():
@@ -122,25 +122,12 @@ def test_bad_tau_is_rejected(tau, message):
     params = CurveParams(stack[0])
     # the public entry points check tau once and then share unchecked
     # helpers, so each must still raise its own named error
-    for call in (basis.evaluate, basis.derivative, model.elementary,
+    for call in (basis.evaluate, basis._derivative, model.elementary,
                  lambda t: model.evaluate(params, t),
                  lambda t: evaluate_batch(model, stack, t),
                  lambda t: evaluate_rows(model, stack, t)):
         with pytest.raises(ValueError, match=message):
             call(tau)
-
-
-def test_derivative_tau_matches_finite_differences():
-    rng = np.random.default_rng(4)
-    basis = BasisSet.uniform(7)
-    model = CurveModel(basis, rng.normal(size=3),
-                       rng.normal(size=3))
-    w = CurveParams(rng.normal(size=(3, 7)))
-    eps = 1e-6
-    for tau in (0.12, 0.5, 0.88):
-        fd = (model.evaluate(w, tau + eps) - model.evaluate(w, tau - eps)) \
-            / (2 * eps)
-        assert np.abs(model.derivative_tau(w, tau) - fd).max() < 1e-6
 
 
 def test_evaluate_batch_matches_loop():

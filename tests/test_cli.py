@@ -425,13 +425,18 @@ def test_sample_index_out_of_range_exits_2(workspace, tmp_path, capsys):
     assert "index" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_numerical_failure_exits_3(workspace, tmp_path, capsys):
-    # more mixture components than latent points cannot be fitted
-    code = run_cli("sample", "--model", str(workspace["model"]),
-                   "--density", "gmm", "--components", "50",
-                   "--count", "4", "--out", str(tmp_path / "o"))
+    # a finite alpha so large that Adam's second moment overflows in the
+    # decoder, whose parameters would otherwise stop moving
+    code = run_cli("train", "--fits", str(workspace["fits"] / "fits.json"),
+                   "--alpha", "1e300", "--epochs", "5", "--hidden", "8",
+                   "--out", str(tmp_path / "o"))
     assert code == 3
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: TrainingError: second moment "
+                          "overflows in layer ")
+    assert not (tmp_path / "o" / "decoder.json").exists()
 
 
 def test_non_finite_curves_exit_3(tmp_path, capsys, monkeypatch):
@@ -483,9 +488,22 @@ def test_rejected_option_value_exits_2(workspace, tmp_path, capsys, argv):
     (["sample", "--from-params", "{fits}", "--grid", "0"], "'grid'"),
     (["sample", "--from-params", "{fits}", "--grid", "1"], "'grid'"),
     (["sample", "--model", "{model}", "--grid", "-1"], "'grid'"),
+    # the workspace model holds 12 latents, and a 2-dimensional latent
+    # space needs 3 demos to span it
+    (["sample", "--model", "{model}", "--density", "gmm", "--components",
+      "13"], "'components'"),
+    (["export-plot", "--model", "{model}", "--density", "gmm",
+      "--components", "13"], "'components'"),
+    (["replan", "--count", "1", "--epochs", "2", "--hidden", "4"],
+     "'count'"),
+    (["replan", "--count", "2", "--epochs", "2", "--hidden", "4"],
+     "'count'"),
 ], ids=["train-learning-rate", "train-hidden", "sample-components",
         "sample-count", "eval-seeds", "eval-num-samples", "sample-grid-0",
-        "sample-grid-1", "sample-grid-minus-1"])
+        "sample-grid-1", "sample-grid-minus-1",
+        "sample-components-above-latents",
+        "export-plot-components-above-latents", "replan-count-1",
+        "replan-count-2"])
 def test_bad_value_exits_2_naming_its_field(workspace, tmp_path, capsys,
                                             argv, field):
     paths = {"fits": workspace["fits"] / "fits.json",
@@ -671,12 +689,15 @@ def _command_reading(workspace, tmp_path, name, corrupt):
     ("latents.json", lambda text: json.dumps(json.loads(text)["z"]), "z"),
     ("train_meta.json", _json_without("config"), "config"),
     ("decoder.json", _json_without("weights"), "weights"),
+    ("decoder.json", lambda text: json.dumps({**json.loads(text),
+                                              "sizes": [2, 7]}), "sizes"),
     ("curve_model.json", _json_without("basis", "width"), "width"),
     ("fits.json", _json_without("coefficients"), "coefficients"),
     ("demos.json", _json_without("trajectories", 0, "q"), "q"),
 ], ids=["env-as-list", "env-text-q_goal", "history-without-total",
         "history-text-recon", "latents-without-z", "latents-as-list",
         "train_meta-without-config", "decoder-without-weights",
+        "decoder-sizes-unlike-weights",
         "curve_model-basis-without-width", "fits-without-coefficients",
         "demos-trajectory-without-q"])
 def test_ill_typed_input_file_exits_2_naming_file_and_field(

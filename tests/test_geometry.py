@@ -4,14 +4,13 @@ import pytest
 from motionmanifold import nets
 from motionmanifold.basis import BasisSet
 from motionmanifold.errors import DistortionUndefinedError
-from motionmanifold.geometry import (CurveGeomMetric, curvegeom_euclidean,
-                                     pullback_metric)
+from motionmanifold.geometry import CurveGeomMetric
 
 
 def test_euclidean_metric_quadratic_matches_curve_integral():
     # <u, u>_W should equal the integral of |dq(tau)|^2 along the curve
     basis = BasisSet.uniform(6)
-    metric = curvegeom_euclidean(basis)
+    metric = CurveGeomMetric(basis.gram())
     rng = np.random.default_rng(0)
     u = rng.normal(size=(2, 6))
     taus = np.linspace(0, 1, 20001)
@@ -22,14 +21,14 @@ def test_euclidean_metric_quadratic_matches_curve_integral():
 
 def test_euclidean_gram_matches_refined_quadrature():
     basis = BasisSet.uniform(7)
-    coarse = curvegeom_euclidean(basis).gram
+    coarse = CurveGeomMetric(basis.gram()).gram
     fine = basis.gram(grid_points=2001)
     assert np.abs(coarse - fine).max() < 1e-7
 
 
 def test_metric_matrix_is_block_kron():
     basis = BasisSet.uniform(4)
-    metric = curvegeom_euclidean(basis)
+    metric = CurveGeomMetric(basis.gram())
     flat = np.random.default_rng(0).normal(size=(5, 12))
     mat = np.kron(np.eye(3), basis.gram())
     assert np.allclose(metric.apply(flat), flat @ mat)
@@ -39,7 +38,7 @@ def test_metric_matrix_is_block_kron():
 
 def test_metric_apply_scaled():
     basis = BasisSet.uniform(4)
-    metric = curvegeom_euclidean(basis)
+    metric = CurveGeomMetric(basis.gram())
     u = np.random.default_rng(3).normal(size=(2, 4))
     ku = metric.apply(u)
     doubled = CurveGeomMetric(2.0 * metric.gram).apply(u)
@@ -47,38 +46,32 @@ def test_metric_apply_scaled():
 
 
 def test_pullback_matches_finite_difference_jacobian():
+    # every q[p] of one distortion_terms call is J(z_p)^T K J(z_p) for the
+    # Jacobian J(z_p) that central differences of the decoder give
     basis = BasisSet.uniform(5)
-    metric = curvegeom_euclidean(basis)
+    metric = CurveGeomMetric(basis.gram())
     dec = nets.Mlp.create([2, 16, 10], seed=4)
-    z = np.random.default_rng(5).normal(size=2)
-    H = pullback_metric(dec, z, metric)
-    assert H.matrix.shape == (2, 2)
+    z = np.random.default_rng(5).normal(size=(4, 2))
+    q = nets.distortion_terms(dec, z, metric)[3]
+    assert q.shape == (4, 2, 2)
 
     eps = 1e-5
-    jac = np.zeros((10, 2))
-    for i in range(2):
-        up = z.copy(); up[i] += eps
-        dn = z.copy(); dn[i] -= eps
-        jac[:, i] = (dec.forward(up) - dec.forward(dn)) / (2 * eps)
     K = np.kron(np.eye(2), metric.gram)
-    ref = jac.T @ K @ jac
-    rel = np.linalg.norm(H.matrix - ref) / np.linalg.norm(ref)
-    assert rel < 1e-4
-
-
-def test_pullback_metric_summaries():
-    from motionmanifold.geometry import PullbackMetric
-    H = PullbackMetric(matrix=np.diag([4.0, 1.0]), latent=np.zeros(2))
-    assert H.condition_number() == pytest.approx(4.0)
-    assert H.trace() == pytest.approx(5.0)
-    assert np.allclose(H.eigenvalues(), [1.0, 4.0])
+    for zp, qp in zip(z, q):
+        jac = np.zeros((10, 2))
+        for i in range(2):
+            up = zp.copy(); up[i] += eps
+            dn = zp.copy(); dn[i] -= eps
+            jac[:, i] = (dec.forward(up) - dec.forward(dn)) / (2 * eps)
+        ref = jac.T @ K @ jac
+        assert np.linalg.norm(qp - ref) / np.linalg.norm(ref) < 1e-4
 
 
 def test_relaxed_distortion_floor_attained_by_scaled_isometry():
     # a linear decoder with K-orthonormal columns has H = c I everywhere,
     # which attains the theoretical floor 1/m exactly
     basis = BasisSet.uniform(4)
-    metric = curvegeom_euclidean(basis)
+    metric = CurveGeomMetric(basis.gram())
     K = metric.gram                              # one coordinate
     evals, evecs = np.linalg.eigh(K)
     cols = evecs[:, -2:] / np.sqrt(evals[-2:])   # J^T K J = I
@@ -92,7 +85,7 @@ def test_relaxed_distortion_floor_attained_by_scaled_isometry():
 
 def test_relaxed_distortion_scale_invariance():
     basis = BasisSet.uniform(5)
-    metric = curvegeom_euclidean(basis)
+    metric = CurveGeomMetric(basis.gram())
     dec = nets.Mlp.create([2, 12, 10], seed=7)
     z = np.random.default_rng(8).normal(size=(9, 2))
     scaled_metric = CurveGeomMetric(7.3 * metric.gram)
@@ -105,7 +98,7 @@ def test_relaxed_distortion_scale_invariance():
 
 def test_constant_decoder_distortion_undefined():
     basis = BasisSet.uniform(4)
-    metric = curvegeom_euclidean(basis)
+    metric = CurveGeomMetric(basis.gram())
     dec = nets.Mlp.create([2, 4], seed=0)
     dec.weights[0][:] = 0.0                      # jacobian vanishes
     z = np.random.default_rng(12).normal(size=(5, 2))

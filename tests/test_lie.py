@@ -17,37 +17,30 @@ def random_rotvec(rng, max_angle=np.pi - 0.1):
 
 
 def test_hat_vee_round_trip():
+    # the component-major kernels: _hat builds K = hat(v) from (3, M)
+    # vectors, and the vee index that _log reads takes K back to v
     v = np.array([0.3, -1.2, 2.0])
-    m = lie.hat(v)
-    assert np.allclose(m, -m.T)
-    assert np.allclose(lie.vee(m), v)
-    with pytest.raises(ValueError, match="skew-symmetric"):
-        lie.vee(np.eye(3))
-    with pytest.raises(ValueError, match="skew-symmetric"):
-        lie.vee(np.full((3, 3), np.nan))
+    k = lie._hat(v[:, None])
+    assert np.array_equal(k, -k.transpose(1, 0, 2))
+    assert np.array_equal(k[lie._VEE_ROWS, lie._VEE_COLS][:, 0], v)
+    u = np.array([1.0, 0.5, -2.0])
+    assert np.allclose(k[..., 0] @ u, np.cross(v, u), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("count", [1, 3, 5])
 def test_vee_takes_stacks(count):
     rng = np.random.default_rng(30 + count)
-    v = rng.normal(size=(count, 3))
-    assert np.array_equal(lie.vee(lie.hat(v)), v)
-    assert np.array_equal(lie.vee(lie.hat(v).reshape(1, count, 3, 3)),
-                          v.reshape(1, count, 3))
-    bad = lie.hat(v)
-    bad[-1, 0, 1] += 1.0
-    with pytest.raises(ValueError, match="skew-symmetric"):
-        lie.vee(bad)
-
-
-@pytest.mark.parametrize("shape", [(3,), (9,), (3, 4), (2, 4, 3)])
-def test_vee_rejects_wrong_shape(shape):
-    with pytest.raises(ValueError, match=r"\(\.\.\., 3, 3\)"):
-        lie.vee(np.zeros(shape))
+    v = rng.normal(size=(3, count))
+    assert np.array_equal(lie._hat(v)[lie._VEE_ROWS, lie._VEE_COLS], v)
+    # an (N, K) grid of vectors, as the pose loss passes them
+    grid = v.reshape(3, 1, count)
+    k = lie._hat(grid)
+    assert k.shape == (3, 3, 1, count)
+    assert np.array_equal(k[lie._VEE_ROWS, lie._VEE_COLS], grid)
 
 
 # the fused kernel works component-major, (3, M) vectors and (3, 3, M)
-# matrices; exp_so3 and so3_jacobian_right are its two halves, bit for bit
+# matrices; exp_so3 is its first half, bit for bit
 def _fused(v):
     lead = v.shape[:-1]
     return tuple(np.moveaxis(m, -1, 0).reshape(lead + (3, 3))
@@ -72,7 +65,6 @@ def test_fused_exp_and_jacobian_match_the_separate_maps(case, stacked):
     exp_v, jac_v = _fused(v)
     assert exp_v.shape == jac_v.shape == v.shape[:-1] + (3, 3)
     assert np.array_equal(exp_v, lie.exp_so3(v))
-    assert np.array_equal(jac_v, lie.so3_jacobian_right(v))
     # K^2 = v v^T - |v|^2 I rounds differently from the per-matrix K @ K
     assert np.abs(exp_v - _ref_exp(v)).max() <= 4 * np.finfo(float).eps
     assert np.abs(jac_v - _ref_jr(v)).max() <= 4 * np.finfo(float).eps
@@ -155,6 +147,16 @@ def test_log_rejects_non_rotation():
         lie.log_so3(np.eye(3) * 1.1)
 
 
+def _jr(v):
+    """J_r(v) of one vector through the component-major kernel."""
+    return lie._exp_and_jacobian(np.reshape(v, (3, 1)))[1][..., 0]
+
+
+def _jr_inv(v):
+    """J_r(v)^-1 of one vector through the component-major kernel."""
+    return lie._jacobian_inv(*lie._skew(np.reshape(v, (3, 1))))[..., 0]
+
+
 def test_right_jacobian_finite_differences():
     # exp(v + e d) ~ exp(v) exp(Jr(v) d e)
     rng = np.random.default_rng(3)
@@ -163,22 +165,22 @@ def test_right_jacobian_finite_differences():
         d = rng.normal(size=3)
         eps = 1e-6
         lhs = lie.log_so3(lie.exp_so3(v).T @ lie.exp_so3(v + eps * d)) / eps
-        assert np.abs(lhs - lie.so3_jacobian_right(v) @ d).max() < 1e-5
+        assert np.abs(lhs - _jr(v) @ d).max() < 1e-5
 
 
 def test_right_jacobian_inverse_identity():
     rng = np.random.default_rng(4)
     for _ in range(20):
         v = random_rotvec(rng, max_angle=2.5)
-        J = lie.so3_jacobian_right(v)
-        Ji = lie.so3_jacobian_right_inv(v)
+        J = _jr(v)
+        Ji = _jr_inv(v)
         assert np.abs(J @ Ji - np.eye(3)).max() < 1e-10
 
 
 def test_right_jacobian_small_angle_continuity():
-    J_small = lie.so3_jacobian_right(np.array([1e-10, 0, 0]))
+    J_small = _jr(np.array([1e-10, 0, 0]))
     assert np.abs(J_small - np.eye(3)).max() < 1e-9
-    Ji_small = lie.so3_jacobian_right_inv(np.array([0, 1e-10, 0]))
+    Ji_small = _jr_inv(np.array([0, 1e-10, 0]))
     assert np.abs(Ji_small - np.eye(3)).max() < 1e-9
 
 
@@ -186,14 +188,11 @@ def test_so3_maps_take_single_vectors_and_stacks():
     rng = np.random.default_rng(5)
     vs = np.stack([random_rotvec(rng) for _ in range(6)]).reshape(2, 3, 3)
     vs[0, 0] = [1e-10, 0.0, 0.0]               # series branch inside a stack
-    for f in (lie.hat, lie.exp_so3, lie.so3_jacobian_right,
-              lie.so3_jacobian_right_inv):
-        stacked = f(vs)
-        assert stacked.shape == (2, 3, 3, 3)
-        for idx in np.ndindex(2, 3):
-            assert f(vs[idx]).shape == (3, 3)
-            assert np.abs(stacked[idx] - f(vs[idx])).max() <= 1e-15
     rs = lie.exp_so3(vs)
+    assert rs.shape == (2, 3, 3, 3)
+    for idx in np.ndindex(2, 3):
+        assert lie.exp_so3(vs[idx]).shape == (3, 3)
+        assert np.abs(rs[idx] - lie.exp_so3(vs[idx])).max() <= 1e-15
     assert lie.check_rotation(rs) is not None
     logs = lie.log_so3(rs)
     assert logs.shape == (2, 3, 3)
@@ -266,9 +265,9 @@ def test_position_curve_endpoints():
         w_pos=rng.normal(size=(3, 5)), w_rot=np.zeros((3, 5)),
         p_start=np.array([1.0, 2.0, 3.0]), p_end=np.array([-1.0, 0.0, 5.0]),
         r_start=np.eye(3), r_end=np.eye(3))
-    assert np.allclose(lie.eval_position_curve(params, basis, 0.0),
+    assert np.allclose(lie._eval_curve(params, basis, 0.0)[0],
                        params.p_start, atol=1e-12)
-    assert np.allclose(lie.eval_position_curve(params, basis, 1.0),
+    assert np.allclose(lie._eval_curve(params, basis, 1.0)[0],
                        params.p_end, atol=1e-12)
 
 
@@ -278,7 +277,7 @@ def test_fit_recovers_generating_curve():
         params = lie.fit_se3_params(traj, basis)
         taus = traj.taus
         for k in (0, len(taus) // 2, len(taus) - 1):
-            p = lie.eval_position_curve(params, basis, taus[k])
+            p = lie._eval_curve(params, basis, taus[k])[0]
             R = lie.eval_rotation_curve(params, basis, taus[k])
             assert np.abs(p - traj.positions[k]).max() < 1e-8
             assert np.abs(R - traj.rotations[k]).max() < 1e-7
@@ -667,12 +666,12 @@ def test_recon_loss_and_curves_match_per_demo_reference(case):
     taus = np.linspace(0.0, 1.0, 23)
     for p in params:
         want_pos, want_rot = _ref_eval_curve(p, basis, taus)
-        assert _rel_err(lie.eval_position_curve(p, basis, taus),
+        assert _rel_err(lie._eval_curve(p, basis, taus)[0],
                         want_pos) <= 1e-12
         assert _rel_err(lie.eval_rotation_curve(p, basis, taus),
                         want_rot) <= 1e-12
         want_pos, want_rot = _ref_eval_curve(p, basis, np.array([0.4]))
-        assert _rel_err(lie.eval_position_curve(p, basis, 0.4),
+        assert _rel_err(lie._eval_curve(p, basis, 0.4)[0],
                         want_pos[0]) <= 1e-12
         assert _rel_err(lie.eval_rotation_curve(p, basis, 0.4),
                         want_rot[0]) <= 1e-12

@@ -4,7 +4,7 @@ import pytest
 from motionmanifold import nets
 from motionmanifold.basis import BasisSet
 from motionmanifold.errors import TrainingError
-from motionmanifold.geometry import curvegeom_euclidean
+from motionmanifold.geometry import CurveGeomMetric
 
 
 def fd_grad(f, x, eps=1e-6):
@@ -93,18 +93,23 @@ def test_transpose_identity():
 
 
 def test_jacobian_consistent_with_jvp_and_vjp():
+    # distortion_terms pushes the latent basis through the decoder: its
+    # rows u[p, a] = J(z_p) e_a are the Jacobian columns that jvp and vjp
+    # give one direction at a time
     rng = np.random.default_rng(8)
     net = nets.Mlp.create([4, 9, 3], seed=9)
-    x = rng.normal(size=4)
-    jac = net.jacobian(x)
-    assert jac.shape == (3, 4)
-    for i in range(4):
-        e = np.zeros(4); e[i] = 1.0
-        assert np.allclose(jac[:, i], net.jvp(x, e), atol=1e-12)
-    for o in range(3):
-        e = np.zeros(3); e[o] = 1.0
-        gx, _ = net.vjp(x, e)
-        assert np.allclose(jac[o], gx, atol=1e-12)
+    xs = rng.normal(size=(2, 4))
+    _, cache, *_ = nets.distortion_terms(net, xs, CurveGeomMetric(np.eye(3)))
+    for x, u in zip(xs, cache[-1][1]):
+        jac = u.T
+        assert jac.shape == (3, 4)
+        for i in range(4):
+            e = np.zeros(4); e[i] = 1.0
+            assert np.allclose(jac[:, i], net.jvp(x, e), atol=1e-12)
+        for o in range(3):
+            e = np.zeros(3); e[o] = 1.0
+            gx, _ = net.vjp(x, e)
+            assert np.allclose(jac[o], gx, atol=1e-12)
 
 
 def test_batched_backward_sums_gradients():
@@ -183,6 +188,22 @@ def test_adam_step_names_non_finite_layer(layer, part):
     assert state.step_count == 0
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_adam_step_names_an_overflowing_second_moment():
+    # a finite gradient whose square overflows would leave v at inf, and
+    # the parameter would then stop moving without a word
+    net = nets.Mlp.create([2, 4, 1], seed=0)
+    state = nets.AdamState(net)
+    before = net.params.copy()
+    grad = np.zeros_like(net.params)
+    net.layer_views(grad)[0][1][0, 2] = -1e300
+    with pytest.raises(TrainingError, match="second moment overflows in "
+                       "layer 1 weights: gradient entries reach 1e\\+300$"):
+        nets.adam_step(state, net, grad)
+    assert np.array_equal(net.params, before)
+    assert state.step_count == 0
+
+
 def test_adam_step_rejects_wrong_gradient_size():
     net = nets.Mlp.create([2, 4, 1], seed=0)
     with pytest.raises(ValueError, match="gradient shape"):
@@ -201,7 +222,7 @@ def test_serialization_round_trip(tmp_path):
 
 def test_distortion_terms_shapes():
     basis = BasisSet.uniform(5)
-    metric = curvegeom_euclidean(basis)
+    metric = CurveGeomMetric(basis.gram())
     dec = nets.Mlp.create([2, 8, 10], seed=0)
     z = np.random.default_rng(1).normal(size=(6, 2))
     acts, cache, ku, q, tr, tr_sq = nets.distortion_terms(dec, z, metric)
@@ -212,7 +233,7 @@ def test_distortion_terms_shapes():
 
 def test_grad_of_distortion_matches_finite_differences():
     basis = BasisSet.uniform(4)
-    metric = curvegeom_euclidean(basis)
+    metric = CurveGeomMetric(basis.gram())
     rng = np.random.default_rng(14)
     worst = 0.0
     for trial in range(20):
@@ -240,7 +261,7 @@ def test_grad_of_distortion_matches_finite_differences():
 def test_distortion_value_floor():
     # ratio E[S^2]/E[S]^2 >= 1/N by Cauchy-Schwarz; equality when S constant
     basis = BasisSet.uniform(4)
-    metric = curvegeom_euclidean(basis)
+    metric = CurveGeomMetric(basis.gram())
     dec = nets.Mlp.create([2, 6, 4], seed=2)
     z = np.random.default_rng(3).normal(size=(8, 2))
     value, _ = nets.grad_of_distortion(dec, z, metric)

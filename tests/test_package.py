@@ -47,6 +47,40 @@ def test_modules_have_no_unused_imports():
     assert unused == []
 
 
+def test_public_names_have_a_caller_outside_the_unit_tests():
+    # a public function, class or method that only unit tests call is API
+    # kept for its tests; a caller is the library itself (not the
+    # re-exports of __init__), the benchmark, or the acceptance tests
+    package = pathlib.Path(motionmanifold.__file__).parent
+    tests = pathlib.Path(__file__).parent
+    modules = [p for p in sorted(package.glob("*.py"))
+               if p.name != "__init__.py"]
+    callers = [*modules, *sorted((tests.parent / "perfbench").glob("*.py")),
+               tests / "test_acceptance.py"]
+    referenced = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name.split(".")[-1])
+    uncalled = []
+    for path in modules:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            names = [node.name] + [
+                f"{node.name}.{item.name}" for item in node.body
+                if isinstance(node, ast.ClassDef)
+                and isinstance(item, ast.FunctionDef)]
+            uncalled += [f"{path.stem}.{name}" for name in names
+                         if not name.split(".")[-1].startswith("_")
+                         and name.split(".")[-1] not in referenced]
+    assert uncalled == []
+
+
 def test_every_config_field_has_a_cli_option():
     # a field that no command sets is a tuning value with no caller; it
     # belongs in a module constant beside the code that reads it

@@ -6,7 +6,7 @@ import pytest
 from motionmanifold import lie, nets
 from motionmanifold.basis import CurveParams
 from motionmanifold.errors import TrainingError
-from motionmanifold.geometry import CurveGeomMetric, curvegeom_euclidean
+from motionmanifold.geometry import CurveGeomMetric
 from motionmanifold.training import (ManifoldModel, TrainConfig,
                                      flatten_params, mixup_sample, train)
 
@@ -278,7 +278,7 @@ def test_train_matches_reference_loop(arc_family, alpha):
     got = train(fits, model, cfg)
     x = np.stack([flatten_params(f) for f in fits])
     encoder, decoder, history = _reference_train_loop(
-        x, cfg, curvegeom_euclidean(model.basis))
+        x, cfg, CurveGeomMetric(model.basis.gram()))
     assert got.history == history
     _assert_same_nets((got.encoder, got.decoder), (encoder, decoder))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import SingularFitError, read_json
+from .errors import SingularFitError, read_json, record_field
 
 # Uniform trapezoid grid used for every integral over [0, 1].
 QUAD_GRID_POINTS = 201
@@ -52,11 +52,16 @@ def _as_tau_array(tau):
     return np.clip(arr, 0.0, 1.0), np.ndim(tau) == 0
 
 
-def _check_via_point(data, field):
+def _check_via_point(source, data, field):
     """Reject a serialized curve or basis of any kind but via-point."""
-    if data[field] != VIA_POINT:
-        raise ValueError(f"field {field!r}: unsupported value "
-                         f"{data[field]!r}; only {VIA_POINT!r} is supported")
+    kind = record_field(source, data, field, lambda value: value)
+    if kind != VIA_POINT:
+        raise ValueError(f"{source}: field {field!r}: unsupported value "
+                         f"{kind!r}; only {VIA_POINT!r} is supported")
+
+
+def _floats(value):
+    return np.asarray(value, dtype=float)
 
 
 def lstsq_coefficients(phi, targets):
@@ -156,9 +161,12 @@ class BasisSet:
                 "mode": VIA_POINT}
 
     @classmethod
-    def from_dict(cls, data):
-        _check_via_point(data, "mode")
-        return cls(np.asarray(data["centers"], dtype=float), data["width"])
+    def from_dict(cls, data, source="basis"):
+        """Each field goes through record_field, so a missing or ill-typed
+        value raises a ValueError naming source and the key."""
+        _check_via_point(source, data, "mode")
+        return cls(record_field(source, data, "centers", _floats),
+                   record_field(source, data, "width", float))
 
     def __eq__(self, other):
         return (isinstance(other, BasisSet) and self.width == other.width
@@ -321,10 +329,13 @@ class CurveModel:
                 "q_start": self.q_start.tolist(), "q_end": self.q_end.tolist()}
 
     @classmethod
-    def from_dict(cls, data):
-        _check_via_point(data, "kind")
-        return cls(BasisSet.from_dict(data["basis"]), data["q_start"],
-                   data["q_end"])
+    def from_dict(cls, data, source="curve model"):
+        """Each field goes through record_field, as in BasisSet.from_dict."""
+        _check_via_point(source, data, "kind")
+        basis = record_field(source, data, "basis", dict)
+        return cls(BasisSet.from_dict(basis, source),
+                   record_field(source, data, "q_start", _floats),
+                   record_field(source, data, "q_end", _floats))
 
 
 def _coefficient_stack(model, coefficient_stack, rows="N"):

@@ -48,6 +48,11 @@ class ConfigError(Exception):
     pass
 
 
+# mixture size of sample and export-plot under --density gmm when
+# --components is unset
+GMM_COMPONENTS = 2
+
+
 def _log(out_dir, message):
     stamp = time.strftime("%Y-%m-%d %H:%M:%S")
     with open(os.path.join(out_dir, "run.log"), "a") as fh:
@@ -90,7 +95,7 @@ def save_fits(path, model, fits, objectives):
 
 def load_fits(path):
     def parse(data):
-        model = CurveModel.from_dict(data["model"])
+        model = CurveModel.from_dict(data["model"], path)
         fits = [CurveParams(np.asarray(c, dtype=float))
                 for c in data["coefficients"]]
         return model, fits, data.get("objectives", [])
@@ -153,20 +158,29 @@ def _sample_model(manifold, args):
 
     Returns the bundle, the drawn coefficient stacks and the rejection
     result; args supplies --model, --density, --components and --seed.
+    --components applies to gmm only; unset, it becomes GMM_COMPONENTS.
     """
+    gmm = args.density == "gmm"
+    if not gmm and args.components is not None:
+        raise ConfigError(f"field 'components': a {args.density} density "
+                          f"has no mixture components; components applies "
+                          f"only to --density gmm")
+    if gmm and args.components is None:
+        args.components = GMM_COMPONENTS
     path = os.path.join(args.model, "latents.json")
     with open(path) as fh:
         z = record_field(path, json.load(fh), "z",
                          lambda v: np.asarray(v, dtype=float))
     if not np.isfinite(z).all():
         raise ValueError(f"{path}: latents are not finite")
-    if args.density == "gmm" and args.components > len(z):
+    if gmm and args.components > len(z):
         raise ConfigError(f"field 'components': {args.components} mixture "
                           f"components need as many latents; {path} holds "
                           f"{len(z)}")
     kind = "immp++" if manifold.config.alpha > 0 else "mmp++"
+    # fit_density checks a component count the KDE then ignores
     bundle = latent_bundle(kind, manifold, z, args.density,
-                           args.components, args.seed)
+                           args.components if gmm else 1, args.seed)
     stacks, result = sample_curves(bundle, args.count,
                                    np.random.default_rng(args.seed))
     return bundle, stacks, result
@@ -202,7 +216,8 @@ def cmd_sample(args):
     save_density(os.path.join(out, "density.json"), bundle.density)
     _log(out, f"sample n={args.count} acceptance="
               f"{result.acceptance_rate:.3f}")
-    print(f"accepted {args.count} of {result.attempts} draws "
+    print(f"kept {args.count} curves; {result.accepted} of "
+          f"{result.attempts} draws cleared the density floor "
           f"(rate {result.acceptance_rate:.3f})")
 
 
@@ -373,7 +388,9 @@ def build_parser():
     p.add_argument("--from-params", default=None)
     p.add_argument("--index", type=int, default=0)
     p.add_argument("--density", default=DEFAULT_FAMILY, choices=list(FAMILIES))
-    p.add_argument("--components", type=int, default=2)
+    # None marks an unset count, which the kde density requires;
+    # _sample_model gives gmm GMM_COMPONENTS
+    p.add_argument("--components", type=int, default=None)
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--grid", type=int, default=101)
     _add_common(p)
@@ -415,7 +432,7 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--env", default=None)
     p.add_argument("--density", default=DEFAULT_FAMILY, choices=list(FAMILIES))
-    p.add_argument("--components", type=int, default=2)
+    p.add_argument("--components", type=int, default=None)  # as for sample
     p.add_argument("--count", type=int, default=40)
     _add_common(p)
     p.set_defaults(func=cmd_export_plot)

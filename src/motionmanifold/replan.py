@@ -144,12 +144,34 @@ def save_obstacle_script(path, disks):
         json.dump([d.to_dict() for d in disks], fh, indent=1)
 
 
+def _squared_distance(planes, center, out, term):
+    """sum_c (planes[c] - center[..., c])^2 into out, summed in coordinate
+    order; planes[c] holds coordinate c of every point, term is scratch.
+
+    Every step is elementwise and in place, so one point and a batch
+    holding it get the same distance bit for bit.
+    """
+    if center.shape[-1] != len(planes):
+        raise ValueError(f"{len(planes)}-D points against a "
+                         f"{center.shape[-1]}-D obstacle")
+    np.subtract(planes[0], center[..., 0], out=out)
+    np.multiply(out, out, out=out)
+    for c in range(1, len(planes)):
+        np.subtract(planes[c], center[..., c], out=term)
+        np.multiply(term, term, out=term)
+        out += term
+    return out
+
+
 def constraint_from_script(disks):
     """Penetration depth of the worst obstacle; positive means collision.
 
     The field is batched over points (..., n) and times (...) and returns
     depths (...); with no obstacle at all every depth is -1.  A static
-    obstacle is a one-waypoint MovingDisk.
+    obstacle is a one-waypoint MovingDisk.  A depth is radius - sqrt(d)
+    for the squared distance d of _squared_distance, so it is positive
+    exactly when d < t for the smallest double t whose square root rounds
+    to at least the radius (the threshold success_rate tests).
     """
     obstacles = list(disks)
 
@@ -157,22 +179,11 @@ def constraint_from_script(disks):
         shape = np.broadcast_shapes(q.shape[:-1], t.shape)
         if not obstacles:
             return np.full(shape, -1.0)
+        planes = [q[..., c] for c in range(q.shape[-1])]
         worst, depth, term = (np.empty(shape) for _ in range(3))
         for k, disk in enumerate(obstacles):
-            if disk.centers.shape[1] != q.shape[-1]:
-                raise ValueError(f"{q.shape[-1]}-D points against a "
-                                 f"{disk.centers.shape[1]}-D obstacle")
-            center = disk.center_at(t)
-            out = depth if k else worst
-            # radius - sqrt(sum_d (q_d - c_d)^2), in place, summed in
-            # coordinate order; every step is elementwise, so one point
-            # and a batch holding it get the same depth bit for bit
-            np.subtract(q[..., 0], center[..., 0], out=out)
-            np.multiply(out, out, out=out)
-            for d in range(1, q.shape[-1]):
-                np.subtract(q[..., d], center[..., d], out=term)
-                np.multiply(term, term, out=term)
-                out += term
+            out = _squared_distance(planes, disk.center_at(t),
+                                    depth if k else worst, term)
             np.sqrt(out, out=out)
             np.subtract(disk.radius, out, out=out)
             if k:

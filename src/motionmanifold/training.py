@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import os
 from dataclasses import dataclass, field, fields, asdict
 
@@ -75,11 +76,28 @@ class TrainConfig:
         return d
 
     @classmethod
-    def from_dict(cls, data):
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    def from_dict(cls, data, source="config"):
+        """Each field goes through record_field, so a missing or ill-typed
+        value raises a ValueError naming source and the key."""
+        values = {f.name: record_field(source, data, f.name,
+                                       _FIELD_TYPES[f.name])
+                  for f in fields(cls)}
+        unknown = sorted(set(data) - set(values))
         if unknown:
-            raise ValueError(f"unknown TrainConfig field {unknown[0]!r}")
-        return cls(**data)
+            raise ValueError(f"{source}: unknown TrainConfig field "
+                             f"{unknown[0]!r}")
+        try:
+            return cls(**values)
+        except ValueError as err:
+            raise ValueError(f"{source}: {err}") from None
+
+
+# how TrainConfig.from_dict reads each field; operator.index takes ints
+# only, so 2.5 or "2" is not read as a count
+_FIELD_TYPES = {"latent_dim": operator.index, "alpha": float,
+                "epochs": operator.index, "learning_rate": float,
+                "hidden": lambda sizes: tuple(map(operator.index, sizes)),
+                "seed": operator.index}
 
 
 @dataclass
@@ -127,10 +145,12 @@ class ManifoldModel:
     def load(cls, directory):
         encoder = nets.Mlp.load(os.path.join(directory, "encoder.json"))
         decoder = nets.Mlp.load(os.path.join(directory, "decoder.json"))
-        curve_model = read_json(os.path.join(directory, "curve_model.json"),
-                                CurveModel.from_dict)
-        config = read_json(os.path.join(directory, "train_meta.json"),
-                           lambda meta: TrainConfig.from_dict(meta["config"]))
+        path = os.path.join(directory, "curve_model.json")
+        curve_model = read_json(path,
+                                lambda data: CurveModel.from_dict(data, path))
+        meta_path = os.path.join(directory, "train_meta.json")
+        config = read_json(meta_path, lambda meta: TrainConfig.from_dict(
+            record_field(meta_path, meta, "config", dict), meta_path))
         history = read_history_csv(os.path.join(directory, "history.csv"))
         return cls(encoder=encoder, decoder=decoder, curve_model=curve_model,
                    config=config, history=history)

@@ -15,6 +15,7 @@ from motionmanifold.basis import (TimedTrajectory, evaluate_batch,
 from motionmanifold import cli
 from motionmanifold.cli import load_fits, main
 from motionmanifold.density import fit_density, min_loglik_threshold
+from motionmanifold.envs import sample_curves
 from motionmanifold.training import ManifoldModel
 
 
@@ -142,6 +143,32 @@ def test_sample_from_trained_model(workspace, tmp_path):
     for t in trajs:                    # via-point endpoints hold exactly
         assert np.allclose(t.points[0], [0.0, 0.0], atol=1e-9)
         assert np.allclose(t.points[-1], [1.0, 0.0], atol=1e-9)
+
+
+@pytest.mark.parametrize("density, components", [("kde", None),
+                                                 ("gmm", 2)])
+def test_sample_summary_counts_kept_curves_and_cleared_draws(
+        workspace, tmp_path, capsys, monkeypatch, density, components):
+    results = []
+
+    def recording(*args):
+        stacks, result = sample_curves(*args)
+        results.append(result)
+        return stacks, result
+
+    monkeypatch.setattr(cli, "sample_curves", recording)
+    out = tmp_path / "samples"
+    argv = ("sample", "--model", str(workspace["model"]), "--density",
+            density, "--count", "3")
+    assert run_cli(*argv, "--out", str(out)) == 0
+    (result,) = results
+    assert result.accepted > 3     # more draws clear the floor than are kept
+    assert capsys.readouterr().out == (
+        f"kept 3 curves; {result.accepted} of {result.attempts} draws "
+        f"cleared the density floor (rate "
+        f"{result.accepted / result.attempts:.3f})\n")
+    # an unset --components is recorded as gmm resolved it
+    assert_meta_records_options(out, *argv, components=components)
 
 
 def test_sample_writes_each_curve_as_evaluated_alone(workspace, tmp_path,
@@ -494,6 +521,11 @@ def test_rejected_option_value_exits_2(workspace, tmp_path, capsys, argv):
       "13"], "'components'"),
     (["export-plot", "--model", "{model}", "--density", "gmm",
       "--components", "13"], "'components'"),
+    # the KDE has no mixture components to count
+    (["sample", "--model", "{model}", "--density", "kde", "--components",
+      "2"], "'components'"),
+    (["export-plot", "--model", "{model}", "--density", "kde",
+      "--components", "2"], "'components'"),
     (["replan", "--count", "1", "--epochs", "2", "--hidden", "4"],
      "'count'"),
     (["replan", "--count", "2", "--epochs", "2", "--hidden", "4"],
@@ -502,7 +534,8 @@ def test_rejected_option_value_exits_2(workspace, tmp_path, capsys, argv):
         "sample-count", "eval-seeds", "eval-num-samples", "sample-grid-0",
         "sample-grid-1", "sample-grid-minus-1",
         "sample-components-above-latents",
-        "export-plot-components-above-latents", "replan-count-1",
+        "export-plot-components-above-latents", "sample-kde-components",
+        "export-plot-kde-components", "replan-count-1",
         "replan-count-2"])
 def test_bad_value_exits_2_naming_its_field(workspace, tmp_path, capsys,
                                             argv, field):
@@ -692,13 +725,19 @@ def _command_reading(workspace, tmp_path, name, corrupt):
     ("decoder.json", lambda text: json.dumps({**json.loads(text),
                                               "sizes": [2, 7]}), "sizes"),
     ("curve_model.json", _json_without("basis", "width"), "width"),
+    ("curve_model.json", lambda text: json.dumps(
+        {**json.loads(text), "basis": {**json.loads(text)["basis"],
+                                       "width": "abc"}}), "width"),
+    ("train_meta.json", lambda text: json.dumps(
+        {"config": {**json.loads(text)["config"], "hidden": 5}}), "hidden"),
     ("fits.json", _json_without("coefficients"), "coefficients"),
     ("demos.json", _json_without("trajectories", 0, "q"), "q"),
 ], ids=["env-as-list", "env-text-q_goal", "history-without-total",
         "history-text-recon", "latents-without-z", "latents-as-list",
         "train_meta-without-config", "decoder-without-weights",
         "decoder-sizes-unlike-weights",
-        "curve_model-basis-without-width", "fits-without-coefficients",
+        "curve_model-basis-without-width", "curve_model-text-width",
+        "train_meta-int-hidden", "fits-without-coefficients",
         "demos-trajectory-without-q"])
 def test_ill_typed_input_file_exits_2_naming_file_and_field(
         workspace, tmp_path, capsys, name, corrupt, key):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from motionmanifold import envs
+from motionmanifold.basis import BasisSet, CurveModel, evaluate_batch
 from motionmanifold.density import fit_density, gmm_fit
 from motionmanifold.envs import (PlanarEnv, ModelBundle,
                                  build_bundle, collision_check,
@@ -339,6 +340,99 @@ def test_success_rate_rejects_non_finite_curves(env1_demos):
     bundle, _, _ = _fixed_decode_bundle(env1_demos, np.full((2, 20), np.nan))
     with pytest.raises(NonFiniteError, match="non-finite point"):
         success_rate(bundle, env, 30, np.random.default_rng(0))
+
+
+# -- the exact squared-radius test ------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=1e-6, max_value=1e3))
+@example(0.15)                     # env1: fl(r * r) is not the threshold
+@example(0.12)                     # env2: nor here
+@example(0.09)                     # env3: here it is
+def test_below_sqrt_threshold_matches_the_depth_sign(r):
+    t = envs._below_sqrt(r)
+    assert np.sqrt(t) >= r > np.sqrt(np.nextafter(t, 0.0))
+    for d in (t, r * r):
+        for q in (np.nextafter(d, 0.0), d, np.nextafter(d, np.inf)):
+            assert (q < t) == (r - np.sqrt(q) > 0)
+
+
+def _reference_collisions(model, stacks, env):
+    grid = np.linspace(0.0, 1.0, envs.CHECK_GRID_POINTS)
+    return np.any(collision_check(evaluate_batch(model, stacks, grid),
+                                  env) > 0, axis=1)
+
+
+def _boundary_scales(model, env, around=3):
+    """Scales s whose arch curve y = s tau (1 - tau) over env1's disk
+    passes within a few ulps of touching it: the last colliding scale and
+    the first clear one, found by bisection, and `around` neighbours of
+    each."""
+    def collides(s):
+        return _reference_collisions(model, _arch(s), env)[0]
+
+    lo, hi = 0.0, 1.0                   # through the center, well clear
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if collides(mid) else (lo, mid)
+    scales = [lo, hi]
+    for _ in range(around):
+        scales += [np.nextafter(scales[0], 0.0), np.nextafter(scales[-1], 2)]
+        scales.sort()
+    return scales
+
+
+def _arch(*scales):
+    stack = np.zeros((len(scales), 2, envs.N_BASES))
+    stack[:, 1, :] = np.asarray(scales)[:, None]   # the bases sum to 1
+    return stack
+
+
+def test_check_matches_the_depth_field_per_curve(env1_demos):
+    env, demos = env1_demos
+    model, fits = fit_demos(env, demos)
+    scales = _boundary_scales(model, env)
+    touching = _arch(*scales)
+    depths = collision_check(evaluate_batch(
+        model, touching, np.linspace(0.0, 1.0, envs.CHECK_GRID_POINTS)), env)
+    assert np.abs(depths.max(axis=1)).max() < 1e-15   # all graze the disk
+    rng = np.random.default_rng(7)
+    random = 0.3 * rng.standard_normal((envs._CHECK_CURVES + 37, 2,
+                                        envs.N_BASES))
+    demo = np.stack([f.coefficients for f in fits])
+    # more curves than one block holds, the grazing ones in the second
+    stacks = np.concatenate([random, demo, touching])
+    want = _reference_collisions(model, stacks, env)
+    assert 0 < want.sum() < len(stacks) and 0 < want[-len(scales):].sum() \
+        < len(scales)
+    assert np.array_equal(envs._collisions(model, stacks, env.obstacles),
+                          want)
+    rate, _ = success_rate(_stack_bundle(model, stacks), env, len(stacks),
+                           rng)
+    assert rate == 100.0 * np.mean(~want)
+
+
+def _stack_bundle(model, stacks):
+    """Bundle that decodes any len(stacks) draws to stacks itself."""
+    density = gmm_fit(np.random.default_rng(0).normal(size=(30, 2)), 1)
+    return ModelBundle(kind="vmp-gauss", density=density,
+                       decode_batch=lambda s: stacks, curve_model=model,
+                       threshold=-np.inf)
+
+
+def test_check_rejects_a_curve_that_overflows(env1_demos):
+    # finite coefficients and endpoints whose sum overflows to inf
+    env, _ = env1_demos
+    big = np.array([1.5e308, 0.0])
+    model = CurveModel(BasisSet.uniform(envs.N_BASES), big, big)
+    stacks = np.zeros((3, 2, envs.N_BASES))
+    stacks[1, 0] = 1.5e308
+    bundle = _stack_bundle(model, stacks)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteError, match="non-finite point"):
+            _reference_collisions(model, stacks, env)
+        with pytest.raises(NonFiniteError, match="non-finite point"):
+            success_rate(bundle, env, 3, np.random.default_rng(0))
 
 
 def test_evaluate_success_report(latent_bundle, env1_demos, tmp_path):

@@ -16,6 +16,7 @@ points:
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,11 +224,6 @@ class TimedTrajectory:
     def to_dict(self):
         return {"t": self.times.tolist(), "q": self.points.tolist()}
 
-    @classmethod
-    def from_dict(cls, data):
-        return cls(np.asarray(data["t"], dtype=float),
-                   np.asarray(data["q"], dtype=float))
-
 
 def save_trajectory_dataset(trajectories, path):
     """Write {"dim": n, "trajectories": [{"t": [...], "q": [[...], ...]}]}."""
@@ -240,13 +236,25 @@ def save_trajectory_dataset(trajectories, path):
 
 
 def load_trajectory_dataset(path):
+    """The trajectories of a file save_trajectory_dataset wrote; each field
+    goes through record_field, so a bad value names the file and key, and
+    times and points that do not make a trajectory name both keys."""
+    def trajectory(record):
+        times = record_field(path, record, "t", _floats)
+        points = record_field(path, record, "q", _floats)
+        try:
+            return TimedTrajectory(times, points)
+        except ValueError as err:
+            raise ValueError(f"{path}: fields 't' and 'q': {err}") from None
+
     def parse(payload):
-        trajs = [TimedTrajectory.from_dict(d)
-                 for d in payload["trajectories"]]
+        dim = record_field(path, payload, "dim", operator.index)
+        trajs = [trajectory(record) for record
+                 in record_field(path, payload, "trajectories", list)]
         for t in trajs:
-            if t.dim != payload["dim"]:
-                raise ValueError(f"trajectory dim {t.dim} does not match "
-                                 f"declared dim {payload['dim']}")
+            if t.dim != dim:
+                raise ValueError(f"{path}: field 'dim': trajectory dim "
+                                 f"{t.dim} does not match declared dim {dim}")
         return trajs
 
     return read_json(path, parse)

@@ -51,6 +51,9 @@ class ConfigError(Exception):
 # mixture size of sample and export-plot under --density gmm when
 # --components is unset
 GMM_COMPONENTS = 2
+# curves sample and export-plot draw when --count is unset
+SAMPLE_COUNT = 20
+PLOT_COUNT = 40
 
 
 def _log(out_dir, message):
@@ -94,11 +97,28 @@ def save_fits(path, model, fits, objectives):
 
 
 def load_fits(path):
+    """(model, fits, objectives) from fits.json; each field goes through
+    record_field, so a missing or ill-typed value names the file and key."""
     def parse(data):
-        model = CurveModel.from_dict(data["model"], path)
-        fits = [CurveParams(np.asarray(c, dtype=float))
-                for c in data["coefficients"]]
-        return model, fits, data.get("objectives", [])
+        model = CurveModel.from_dict(record_field(path, data, "model", dict),
+                                     path)
+
+        def params(matrices):
+            fits = [CurveParams(np.asarray(c, dtype=float)) for c in matrices]
+            want = (model.dim, model.basis.size)
+            for k, p in enumerate(fits):
+                if p.coefficients.shape != want:
+                    raise ValueError(f"matrix {k} has shape "
+                                     f"{p.coefficients.shape}; the model's "
+                                     f"curves need {want}")
+            return fits
+
+        fits = record_field(path, data, "coefficients", params)
+        objectives = []              # optional: no command reads them
+        if "objectives" in data:
+            objectives = record_field(path, data, "objectives",
+                                      lambda v: [float(x) for x in v])
+        return model, fits, objectives
 
     return read_json(path, parse)
 
@@ -153,13 +173,26 @@ def cmd_train(args):
           f"{manifold.history['recon'][-1]:.6e}")
 
 
-def _sample_model(manifold, args):
+def _no_draws(args, reason):
+    """Reject a drawing option given to a run that draws nothing."""
+    for name in ("density", "components", "count"):
+        if getattr(args, name) is not None:
+            raise ConfigError(f"field {name!r}: {reason}; {name} applies "
+                              f"only to a run that draws curves")
+
+
+def _sample_model(manifold, args, count):
     """--count draws above the floor of a density on the model's latents.
 
     Returns the bundle, the drawn coefficient stacks and the rejection
-    result; args supplies --model, --density, --components and --seed.
-    --components applies to gmm only; unset, it becomes GMM_COMPONENTS.
+    result; args supplies --model, --density, --components, --count and
+    --seed.  Unset, --density becomes DEFAULT_FAMILY and --count count;
+    --components applies to gmm only, and unset it becomes GMM_COMPONENTS.
     """
+    if args.density is None:
+        args.density = DEFAULT_FAMILY
+    if args.count is None:
+        args.count = count
     gmm = args.density == "gmm"
     if not gmm and args.components is not None:
         raise ConfigError(f"field 'components': a {args.density} density "
@@ -193,6 +226,8 @@ def cmd_sample(args):
     if args.grid < 2:
         raise ConfigError(f"field 'grid': a curve needs at least 2 phases, "
                           f"got {args.grid}")
+    if args.from_params:
+        _no_draws(args, "sample --from-params reconstructs a stored fit")
     out = _prepare_out(args)
     if args.from_params:
         model, fits, _ = load_fits(args.from_params)
@@ -207,7 +242,7 @@ def cmd_sample(args):
         print(f"wrote reconstructed curve {args.index} to {out}")
         return
     bundle, stacks, result = _sample_model(ManifoldModel.load(args.model),
-                                           args)
+                                           args, SAMPLE_COUNT)
     taus = np.linspace(0.0, 1.0, args.grid)
     curves = basis_mod.evaluate_batch(bundle.curve_model, stacks, taus)
     save_trajectory_dataset(
@@ -319,12 +354,16 @@ def cmd_replan(args):
 
 
 def cmd_export_plot(args):
+    latents = os.path.join(args.model, "latents.json")
+    draws = os.path.exists(latents)
+    if not draws:
+        _no_draws(args, f"export-plot draws no curves without {latents}")
     out = _prepare_out(args)
     manifold = ManifoldModel.load(args.model)
     render_loss_curves(os.path.join(out, "loss_curves.svg"),
                        manifold.history)
-    if os.path.exists(os.path.join(args.model, "latents.json")):
-        bundle, stacks, result = _sample_model(manifold, args)
+    if draws:
+        bundle, stacks, result = _sample_model(manifold, args, PLOT_COUNT)
         render_latent_scatter(os.path.join(out, "latent_scatter.svg"),
                               bundle.latents, extra=result.samples)
         curves = basis_mod.evaluate_batch(bundle.curve_model, stacks,
@@ -387,11 +426,13 @@ def build_parser():
     p.add_argument("--model", default=None)
     p.add_argument("--from-params", default=None)
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--density", default=DEFAULT_FAMILY, choices=list(FAMILIES))
-    # None marks an unset count, which the kde density requires;
-    # _sample_model gives gmm GMM_COMPONENTS
+    # None marks an unset density, components or count, which
+    # --from-params requires (it draws nothing) and kde requires of
+    # components; _sample_model gives the others DEFAULT_FAMILY,
+    # GMM_COMPONENTS and SAMPLE_COUNT
+    p.add_argument("--density", default=None, choices=list(FAMILIES))
     p.add_argument("--components", type=int, default=None)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=int, default=None)
     p.add_argument("--grid", type=int, default=101)
     _add_common(p)
     p.set_defaults(func=cmd_sample)
@@ -431,9 +472,11 @@ def build_parser():
                                             "samples, and loss curves")
     p.add_argument("--model", required=True)
     p.add_argument("--env", default=None)
-    p.add_argument("--density", default=DEFAULT_FAMILY, choices=list(FAMILIES))
-    p.add_argument("--components", type=int, default=None)  # as for sample
-    p.add_argument("--count", type=int, default=40)
+    # as for sample; a model without latents.json draws nothing, and
+    # the count defaults to PLOT_COUNT
+    p.add_argument("--density", default=None, choices=list(FAMILIES))
+    p.add_argument("--components", type=int, default=None)
+    p.add_argument("--count", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_export_plot)
     return parser

@@ -307,6 +307,17 @@ _CHECK_PHASES = 50
 _CHECK_CURVES = 500
 
 
+def _least_double(start, holds):
+    """Smallest double x with holds(x), for holds monotone in x, searched
+    by ulp steps from start, which must lie within a few ulps of it."""
+    x = np.float64(start)
+    while not holds(x):
+        x = np.nextafter(x, np.inf)
+    while holds(np.nextafter(x, -np.inf)):
+        x = np.nextafter(x, -np.inf)
+    return x
+
+
 def _below_sqrt(r):
     """Smallest double t with fl(sqrt(t)) >= r.
 
@@ -314,12 +325,7 @@ def _below_sqrt(r):
     fl(sqrt(d)) < r, i.e. when r - sqrt(d) > 0.  fl(r * r) itself is off
     by an ulp for about half of all radii, 0.15 and 0.12 among them.
     """
-    t = r * r
-    while np.sqrt(t) < r:
-        t = np.nextafter(t, np.inf)
-    while np.sqrt(np.nextafter(t, 0.0)) >= r:
-        t = np.nextafter(t, 0.0)
-    return t
+    return _least_double(r * r, lambda t: np.sqrt(t) >= r)
 
 
 def _collisions(model, stacks, disks):
@@ -330,17 +336,52 @@ def _collisions(model, stacks, disks):
     d with _below_sqrt(radius), and d < t exactly when radius - sqrt(d) >
     0.  Blocks of _CHECK_PHASES phases by up to _CHECK_CURVES curves are
     evaluated and tested in buffers that every block reuses.
+
+    A phase block is skipped, unevaluated, when a bound on the
+    coefficients proves it clear of every disk.  phi >= 0, so in phase
+    block J coordinate c of a curve strays from the straight segment by at
+    most R[J, c] = sum_i |w_ci| max_J phi_i, taken over the block's curves
+    as one gemm.  Inflated to R' = R (1 + m) + m tiny, with m = 2 (B + 2)
+    eps, it also bounds the computed points: m covers the rounding of both
+    gemms, relative and, among subnormals, absolute, with room for phi on
+    the whole grid to differ from phi on a block by an ulp.  Rounding is
+    monotone, so every computed point of the block has coordinate c in
+    [fl(seg_lo - R'), fl(seg_hi + R')], and its difference to the disk
+    center rounds to at least the interval's.  When that gap is at least
+    s', the smallest double with fl(s' s') >= t (taken (1 + m) wider), the
+    squared distance d, a sum of non-negative rounded squares, is >= t:
+    no point of the block can hit that disk, and no verdict changes.  Only
+    a block whose bound is below 1e300, so that each of its points is
+    provably finite, is skipped; any other is evaluated, and a non-finite
+    point raises NonFiniteError as before.
     """
     grid = np.linspace(0.0, 1.0, CHECK_GRID_POINTS)
     tests = [(disk.center_at(0.0), _below_sqrt(disk.radius))
              for disk in disks]
+    starts = np.arange(0, len(grid), _CHECK_PHASES)
+    phimax = np.maximum.reduceat(model.basis._rows(grid), starts)   # (J, B)
+    segment = model._segment(grid)
+    seg_lo = np.minimum.reduceat(segment, starts)                   # (J, n)
+    seg_hi = np.maximum.reduceat(segment, starts)
+    margin = 2 * (model.basis.size + 2) * np.finfo(float).eps
+    reaches = [(center, (1 + margin) * _least_double(
+        np.sqrt(t), lambda s: s * s >= t)) for center, t in tests]
     shape = (_CHECK_PHASES, min(_CHECK_CURVES, len(stacks)))
     d, term, hit = np.empty(shape), np.empty(shape), np.empty(shape, bool)
     collided = np.zeros(len(stacks), dtype=bool)
     for i in range(0, len(stacks), _CHECK_CURVES):
         block = stacks[i:i + _CHECK_CURVES]
         verdict = collided[i:i + len(block)]
-        for j in range(0, len(grid), _CHECK_PHASES):
+        stray = (np.abs(block).reshape(-1, model.basis.size) @ phimax.T
+                 ).reshape(len(block), model.dim, -1).max(axis=0).T
+        stray = stray * (1 + margin) + margin * np.finfo(float).tiny
+        lo, hi = seg_lo - stray, seg_hi + stray
+        # a NaN bound fails the comparison and is evaluated
+        skip = np.all((np.abs(lo) < 1e300) & (np.abs(hi) < 1e300), axis=1)
+        for center, reach in reaches:
+            skip &= np.any((lo - center >= reach) | (center - hi >= reach),
+                           axis=1)
+        for j in starts[~skip]:
             points = evaluate_batch(model, block, grid[j:j + _CHECK_PHASES])
             if not np.isfinite(points).all():
                 raise NonFiniteError("a sampled curve reaches a non-finite "
@@ -360,7 +401,11 @@ def success_rate(bundle, env, num_samples, rng):
 
     A curve collides when collision_check is positive at any of its
     CHECK_GRID_POINTS phases, for any disk; _collisions gives that
-    verdict through an exact squared-radius test.
+    verdict through an exact squared-radius test.  It evaluates only the
+    phase blocks that a bound on the coefficients, inflated for rounding
+    by 2 (B + 2) ulps, cannot prove clear of every disk; a skipped block
+    holds no point that could hit, so the verdicts are those of checking
+    every phase.
     """
     stacks, result = sample_curves(bundle, num_samples, rng)
     collided = _collisions(bundle.curve_model, stacks, env.obstacles)

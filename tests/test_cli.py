@@ -530,22 +530,70 @@ def test_rejected_option_value_exits_2(workspace, tmp_path, capsys, argv):
      "'count'"),
     (["replan", "--count", "2", "--epochs", "2", "--hidden", "4"],
      "'count'"),
+    # a run that draws no curves has no use for the drawing options
+    (["sample", "--from-params", "{fits}", "--density", "gmm"],
+     "'density'"),
+    (["sample", "--from-params", "{fits}", "--components", "2"],
+     "'components'"),
+    (["sample", "--from-params", "{fits}", "--count", "20"], "'count'"),
+    (["export-plot", "--model", "{no_latents}", "--density", "gmm"],
+     "'density'"),
+    (["export-plot", "--model", "{no_latents}", "--components", "2"],
+     "'components'"),
+    (["export-plot", "--model", "{no_latents}", "--count", "40"],
+     "'count'"),
 ], ids=["train-learning-rate", "train-hidden", "sample-components",
         "sample-count", "eval-seeds", "eval-num-samples", "sample-grid-0",
         "sample-grid-1", "sample-grid-minus-1",
         "sample-components-above-latents",
         "export-plot-components-above-latents", "sample-kde-components",
         "export-plot-kde-components", "replan-count-1",
-        "replan-count-2"])
+        "replan-count-2", "sample-from-params-density",
+        "sample-from-params-components", "sample-from-params-count",
+        "export-plot-no-latents-density",
+        "export-plot-no-latents-components",
+        "export-plot-no-latents-count"])
 def test_bad_value_exits_2_naming_its_field(workspace, tmp_path, capsys,
                                             argv, field):
     paths = {"fits": workspace["fits"] / "fits.json",
-             "model": workspace["model"]}
+             "model": workspace["model"],
+             "no_latents": _model_without_latents(workspace, tmp_path)}
     argv = [arg.format(**paths) for arg in argv]
     assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and field in err
     assert not (tmp_path / "o" / "report.csv").exists()
+
+
+def _model_without_latents(workspace, tmp_path):
+    model = shutil.copytree(workspace["model"], tmp_path / "no_latents")
+    (model / "latents.json").unlink()
+    return model
+
+
+def test_drawing_options_resolve_only_for_runs_that_draw(workspace,
+                                                         tmp_path):
+    # a model run records the values it drew with; a run that draws
+    # nothing records them unset
+    out = tmp_path / "drawn"
+    argv = ("sample", "--model", str(workspace["model"]), "--grid", "12")
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert_meta_records_options(out, *argv, density=cli.DEFAULT_FAMILY,
+                                components=cli.GMM_COMPONENTS,
+                                count=cli.SAMPLE_COUNT)
+    assert len(load_trajectory_dataset(out / "samples.json")) == 20
+    out = tmp_path / "plotted"
+    argv = ("export-plot", "--model", str(workspace["model"]))
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert_meta_records_options(out, *argv, density=cli.DEFAULT_FAMILY,
+                                components=cli.GMM_COMPONENTS,
+                                count=cli.PLOT_COUNT)
+    out = tmp_path / "bare"
+    argv = ("export-plot", "--model",
+            str(_model_without_latents(workspace, tmp_path)))
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert_meta_records_options(out, *argv)
+    assert not (out / "trajectories.svg").exists()
 
 
 def test_unknown_train_meta_key_exits_2(workspace, tmp_path, capsys):
@@ -696,6 +744,19 @@ def _json_without(*keys):
     return corrupt
 
 
+def _json_with(change, *keys):
+    """Corrupt JSON text by replacing the value v reached through keys
+    with change(v)."""
+    def corrupt(text):
+        data = json.loads(text)
+        parent = data
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = change(parent[keys[-1]])
+        return json.dumps(data)
+    return corrupt
+
+
 def _command_reading(workspace, tmp_path, name, corrupt):
     """A copy of the workspace whose file `name` went through corrupt(text),
     and the command line that reads it; returns (path, argv)."""
@@ -732,13 +793,28 @@ def _command_reading(workspace, tmp_path, name, corrupt):
         {"config": {**json.loads(text)["config"], "hidden": 5}}), "hidden"),
     ("fits.json", _json_without("coefficients"), "coefficients"),
     ("demos.json", _json_without("trajectories", 0, "q"), "q"),
+    ("fits.json", _json_with(lambda v: "abc", "coefficients"),
+     "coefficients"),
+    ("fits.json", _json_with(lambda v: v + v[:1], "coefficients", 0),
+     "coefficients"),
+    ("fits.json", _json_with(lambda v: "abc", "objectives"), "objectives"),
+    ("fits.json", _json_with(lambda v: [v], "model"), "model"),
+    ("demos.json", _json_with(lambda v: "abc", "dim"), "dim"),
+    ("demos.json", _json_with(lambda v: 3, "dim"), "dim"),
+    ("demos.json", _json_with(lambda v: "abc", "trajectories", 0, "t"),
+     "t"),
+    ("demos.json", _json_with(lambda v: v[1:], "trajectories", 0, "q"),
+     "q"),
 ], ids=["env-as-list", "env-text-q_goal", "history-without-total",
         "history-text-recon", "latents-without-z", "latents-as-list",
         "train_meta-without-config", "decoder-without-weights",
         "decoder-sizes-unlike-weights",
         "curve_model-basis-without-width", "curve_model-text-width",
         "train_meta-int-hidden", "fits-without-coefficients",
-        "demos-trajectory-without-q"])
+        "demos-trajectory-without-q", "fits-text-coefficients",
+        "fits-matrix-unlike-model", "fits-text-objectives",
+        "fits-model-as-list", "demos-dim-text", "demos-dim-unlike-points",
+        "demos-text-t", "demos-q-unlike-t"])
 def test_ill_typed_input_file_exits_2_naming_file_and_field(
         workspace, tmp_path, capsys, name, corrupt, key):
     path, argv = _command_reading(workspace, tmp_path, name, corrupt)

@@ -433,6 +433,143 @@ def test_check_rejects_a_curve_that_overflows(env1_demos):
             _reference_collisions(model, stacks, env)
         with pytest.raises(NonFiniteError, match="non-finite point"):
             success_rate(bundle, env, 3, np.random.default_rng(0))
+        # with no disk to reach, the bound still cannot skip such a block
+        with pytest.raises(NonFiniteError, match="non-finite point"):
+            envs._collisions(model, stacks, [])
+
+
+# -- the coefficient bound that skips phase blocks ---------------------------
+
+
+def _count_blocks(model, stacks, disks):
+    """(verdicts of envs._collisions, phase blocks it evaluated)."""
+    calls = []
+
+    def counting(model, stacks, tau):
+        calls.append(len(tau))
+        return evaluate_batch(model, stacks, tau)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(envs, "evaluate_batch", counting)
+        collided = envs._collisions(model, stacks, disks)
+    return collided, len(calls)
+
+
+def _first_scale(changes, hi=1.0):
+    """The smallest scale s in (0, hi] at which changes(s) holds, for
+    changes monotone in s, and the largest one below it."""
+    lo = 0.0
+    assert changes(hi) and not changes(lo)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if changes(mid) else (mid, hi)
+    return lo, hi
+
+
+def _neighbours(*scales, around=2):
+    values = set()
+    for s in scales:
+        for _ in range(around):
+            s = np.nextafter(s, 0.0)
+        for _ in range(2 * around + 1):
+            values.add(s)
+            s = np.nextafter(s, np.inf)
+    return sorted(values)
+
+
+def _assert_skip_keeps_verdicts(model, pattern, disks, scales):
+    """Each scaled pattern alone, and all of them as one block, get the
+    verdicts of the full evaluation."""
+    stacks = np.asarray(scales)[:, None, None] * pattern
+    env = PlanarEnv(obstacles=disks, q_start=model.q_start,
+                    q_goal=model.q_end, bounds=envs.SCENE_BOUNDS)
+    want = _reference_collisions(model, stacks, env)
+    for k in range(len(stacks)):
+        assert envs._collisions(model, stacks[k:k + 1], disks) == want[k]
+    assert np.array_equal(envs._collisions(model, stacks, disks), want)
+    return want
+
+
+@pytest.mark.parametrize("env_id, index", [
+    ("env1", 0), ("env2", 0), ("env2", 1),
+    ("env3", 0), ("env3", 1), ("env3", 2)])
+def test_skip_keeps_verdicts_where_a_bound_reaches_a_disk(env_id, index):
+    # a bump toward the disk, in y for the disks above and below the
+    # straight segment and in x for those on it, scaled so that one
+    # block's bound lands just short of, on, and just past the disk
+    env, demos = generate_env(env_id, seed=0)
+    model, _ = fit_demos(env, demos)
+    disk = env.obstacles[index]
+    height = disk.center_at(0.0)[1]
+    pattern = np.zeros((2, envs.N_BASES))
+    if height == 0.0:
+        pattern[0, envs.N_BASES // 2 - 2] = 1.0
+    else:
+        pattern[1, envs.N_BASES // 2 - 2] = np.sign(height)
+
+    def blocks(scale):
+        return _count_blocks(model, scale * pattern[None], [disk])[1]
+
+    lo, hi = _first_scale(lambda s: blocks(s) > blocks(0.0), hi=10.0)
+    assert blocks(lo) < blocks(hi)
+    _assert_skip_keeps_verdicts(model, pattern, [disk], _neighbours(lo, hi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, envs.N_BASES - 2), height=st.floats(0.1, 0.6),
+       radius=st.floats(0.01, 0.09), below=st.booleans())
+def test_skip_keeps_verdicts_where_a_curve_grazes_a_disk(k, height, radius,
+                                                        below):
+    # one basis bump and a disk straight above (or below) its highest
+    # grid point: the bound is tight there, so the scale at which a block
+    # is first evaluated and the one at which the curve first hits the
+    # disk lie within 1e-12 of each other, relative
+    basis = BasisSet.uniform(envs.N_BASES)
+    model = CurveModel(basis, [0.0, 0.0], [1.0, 0.0])
+    grid = np.linspace(0.0, 1.0, envs.CHECK_GRID_POINTS)
+    peak = grid[basis.evaluate(grid)[:, k].argmax()]
+    sign = -1.0 if below else 1.0
+    disk = MovingDisk(times=[0.0], centers=[(peak, sign * height)],
+                      radius=radius)
+    pattern = np.zeros((2, envs.N_BASES))
+    pattern[1, k] = sign
+    env = PlanarEnv(obstacles=[disk], q_start=model.q_start,
+                    q_goal=model.q_end, bounds=envs.SCENE_BOUNDS)
+    # at this scale the peak reaches the center; below it the peak is the
+    # curve's point closest to the disk, so hitting is monotone in scale
+    far = height / basis.evaluate(peak)[k]
+    checked = _first_scale(
+        lambda s: _count_blocks(model, s * pattern[None], [disk])[1] > 0,
+        far)
+    hits = _first_scale(
+        lambda s: _reference_collisions(model, s * pattern[None], env)[0],
+        far)
+    assert checked[1] <= hits[1] < checked[1] * (1 + 1e-12)
+    want = _assert_skip_keeps_verdicts(model, pattern, [disk],
+                                       _neighbours(*checked, *hits))
+    assert 0 < want.sum() < len(want)
+
+
+@pytest.mark.parametrize("coefficient", [np.nan, np.inf])
+def test_check_without_obstacles_still_rejects_non_finite_curves(
+        coefficient):
+    model = CurveModel(BasisSet.uniform(envs.N_BASES), [0.0, 0.0],
+                       [1.0, 0.0])
+    stacks = np.zeros((3, 2, envs.N_BASES))
+    collided, blocks = _count_blocks(model, stacks, [])
+    assert not collided.any() and blocks == 0
+    stacks[1, 0, 4] = coefficient
+    with pytest.raises(NonFiniteError, match="non-finite point"):
+        envs._collisions(model, stacks, [])
+
+
+@pytest.mark.parametrize("env_id", sorted(_EXPECTED))
+def test_check_evaluates_few_phase_blocks_of_the_demo_fits(env_id):
+    env, demos = generate_env(env_id, seed=0)
+    model, fits = fit_demos(env, demos)
+    stacks = np.stack([f.coefficients for f in fits])
+    collided, blocks = _count_blocks(model, stacks, env.obstacles)
+    assert not collided.any()
+    assert blocks < envs.CHECK_GRID_POINTS // envs._CHECK_PHASES
 
 
 def test_evaluate_success_report(latent_bundle, env1_demos, tmp_path):

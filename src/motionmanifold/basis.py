@@ -238,7 +238,8 @@ def save_trajectory_dataset(trajectories, path):
 def load_trajectory_dataset(path):
     """The trajectories of a file save_trajectory_dataset wrote; each field
     goes through record_field, so a bad value names the file and key, and
-    times and points that do not make a trajectory name both keys."""
+    times and points that do not make a trajectory name both keys.  An
+    empty list is rejected, as save_trajectory_dataset rejects it."""
     def trajectory(record):
         times = record_field(path, record, "t", _floats)
         points = record_field(path, record, "q", _floats)
@@ -251,6 +252,9 @@ def load_trajectory_dataset(path):
         dim = record_field(path, payload, "dim", operator.index)
         trajs = [trajectory(record) for record
                  in record_field(path, payload, "trajectories", list)]
+        if not trajs:
+            raise ValueError(f"{path}: field 'trajectories': empty "
+                             f"trajectory dataset")
         for t in trajs:
             if t.dim != dim:
                 raise ValueError(f"{path}: field 'dim': trajectory dim "

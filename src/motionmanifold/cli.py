@@ -226,8 +226,16 @@ def cmd_sample(args):
     if args.grid < 2:
         raise ConfigError(f"field 'grid': a curve needs at least 2 phases, "
                           f"got {args.grid}")
+    if args.from_params and args.model:
+        raise ConfigError("field 'model': sample takes one source, --model "
+                          "or --from-params, not both")
     if args.from_params:
         _no_draws(args, "sample --from-params reconstructs a stored fit")
+        if args.index is None:
+            args.index = 0
+    elif args.index is not None:
+        raise ConfigError("field 'index': a --model run draws new curves; "
+                          "index applies only to --from-params")
     out = _prepare_out(args)
     if args.from_params:
         model, fits, _ = load_fits(args.from_params)
@@ -425,10 +433,11 @@ def build_parser():
                                        "model or reconstruct a fit")
     p.add_argument("--model", default=None)
     p.add_argument("--from-params", default=None)
-    p.add_argument("--index", type=int, default=0)
-    # None marks an unset density, components or count, which
-    # --from-params requires (it draws nothing) and kde requires of
-    # components; _sample_model gives the others DEFAULT_FAMILY,
+    p.add_argument("--index", type=int, default=None)
+    # None marks an unset index, density, components or count: --model
+    # requires it of index (it reconstructs no fit), --from-params of the
+    # rest (it draws nothing), and kde of components; cmd_sample gives an
+    # unset index 0, and _sample_model the others DEFAULT_FAMILY,
     # GMM_COMPONENTS and SAMPLE_COUNT
     p.add_argument("--density", default=None, choices=list(FAMILIES))
     p.add_argument("--components", type=int, default=None)

@@ -24,6 +24,8 @@ from .errors import NonFiniteError, ReplanInfeasibleError
 # straight eta path from the current z to a candidate z'
 WINDOW_RESOLUTION = 20
 ETA_POINTS = 11
+# run_episode makes the checks of up to LOOKAHEAD blocks in one call
+LOOKAHEAD = 10
 # the search pairs CANDIDATE_BUDGET // TAU_CANDIDATES latents z' with
 # TAU_CANDIDATES phases tau' from tau back to tau - DELTA_BACK, and ranks
 # the pairs by |z' - z|^2 + ALPHA_TIME (tau - tau')^2
@@ -193,22 +195,44 @@ def constraint_from_script(disks):
     return DynamicConstraint(evaluator=evaluator)
 
 
-def _window(tau, cfg):
-    """Phase grid over the lookahead window that starts at tau."""
-    hi = min(tau + cfg.window / cfg.total_time, 1.0)
-    return np.linspace(tau, hi, WINDOW_RESOLUTION)
+def _windows(taus, cfg):
+    """Phase grids over the lookahead windows that start at taus, (K, R).
 
-
-def predict_violation(state, model, constraint, t_now, cfg):
-    """True if the current plan violates the constraint inside the window.
-
-    Window phases map to the future wall-times their phase distance
-    implies at the nominal rate.
+    Row k is np.linspace(taus[k], hi_k, WINDOW_RESOLUTION) bit for bit.
+    linspace with array endpoints takes its zero-width route (ramp / div
+    * width) for every row once any row has zero width, as at tau = 1,
+    which moves the other rows by up to an ulp; here each row picks its
+    own route.
     """
-    grid = _window(state.tau, cfg)
-    points = model.curve_points(state.z, grid)
-    times = t_now + (grid - state.tau) * cfg.total_time
-    return bool(np.any(constraint(points, times) > 0))
+    lo = np.asarray(taus, dtype=float)
+    hi = np.minimum(lo + cfg.window / cfg.total_time, 1.0)
+    div = WINDOW_RESOLUTION - 1
+    ramp = np.arange(WINDOW_RESOLUTION, dtype=float)
+    width = hi - lo
+    step = width / div
+    grids = np.where((step == 0)[:, None], (ramp / div) * width[:, None],
+                     ramp * step[:, None])
+    grids += lo[:, None]
+    grids[:, -1] = hi
+    return grids
+
+
+def predict_violation(model, constraint, z, taus, times, cfg):
+    """Per check, True if the plan z violates the constraint in its window.
+
+    Check k starts its window at phase taus[k] and wall-time times[k];
+    window phases map to the future wall-times their phase distance
+    implies at the nominal rate.  Every window is decoded and evaluated
+    in one curve_points call and checked in one field call.  The field
+    is deterministic in (q, t), so a check made ahead of its tick gives
+    the verdict it would give on time.
+    """
+    taus = np.asarray(taus, dtype=float)
+    grids = _windows(taus, cfg)
+    points = model.curve_points(z, grids.ravel()).reshape(*grids.shape, -1)
+    times = (np.asarray(times, dtype=float)[:, None]
+             + (grids - taus[:, None]) * cfg.total_time)
+    return np.any(constraint(points, times) > 0, axis=1)
 
 
 def _candidate_latents(state, density, rng):
@@ -252,7 +276,7 @@ def solve_replan(state, model, density, constraint, t_now, cfg, rng):
     order = np.argsort(pair_obj.ravel(), kind="stable")
 
     density_ok = log_dens >= cfg.threshold
-    grids = np.stack([_window(tp, cfg) for tp in tau_grid])   # (n_tau, R)
+    grids = _windows(tau_grid, cfg)                        # (n_tau, R)
     times = t_now + (grids - tau_grid[:, None]) * cfg.total_time
     pts = evaluate_batch(model.curve_model, stacks[density_ok],
                          grids.ravel())
@@ -337,11 +361,20 @@ def initial_latent(density, cfg, rng):
 def run_episode(model, density, constraint, cfg, seed=0, z0=None):
     """Simulate the dual-frequency loop; returns the per-tick trace.
 
-    Ticks run in blocks from one replan check to the next.  A block's
-    (z, tau) updates follow the rule fixed at its check and run first;
-    its points are then decoded and evaluated together: a tracking block
-    decodes one curve per tick and evaluates it row-wise at that tick's
-    phase, a nominal block evaluates its one curve at all its phases.
+    Ticks run in blocks from one replan check to the next.  A check's
+    verdict depends only on the plan z and the phase and time at the
+    block's start, and while the plan is nominal (z fixed, tau advancing
+    by dtau per tick) those phases follow from tau alone.  So the loop
+    makes the checks of up to LOOKAHEAD blocks in one predict_violation
+    call, on the phases one running sum gives as if every check came out
+    clear, and uses those verdicts until a block tracks a goal, the goal
+    is reached or the batch runs out; a search that comes up empty moves
+    neither z nor tau, so the verdicts stay good.  A run of nominal ticks
+    takes its points from one curve_points call, made when the next
+    batch is planned, when tracking starts or when the episode ends.  A
+    tracking block runs its (z, tau) updates per tick on Python floats
+    and decodes one curve per tick, evaluated row-wise at that tick's
+    phase.
 
     A replan search that comes up empty is recorded (event code 2) and the
     previous goal, if any, keeps being tracked; the episode itself never
@@ -357,19 +390,44 @@ def run_episode(model, density, constraint, cfg, seed=0, z0=None):
     ticks_per_replan = max(1, int(round(cfg.control_hz / cfg.replan_hz)))
     max_ticks = int(np.ceil(cfg.max_time * cfg.control_hz))
 
-    # per-tick buffers; the constraint column is filled in one field call
-    # once the episode ends
-    times = np.empty(max_ticks)
+    # per-tick buffers; the time and constraint columns are filled in one
+    # call each once the episode ends
     taus = np.empty(max_ticks)
     latents = np.empty((max_ticks, state.z.size))
     points = np.empty((max_ticks, curve.dim))
     flags = np.zeros(max_ticks, dtype=int)
     events = np.zeros(max_ticks, dtype=int)
+
+    def evaluate_run(lo, hi):
+        """Latents and points of the nominal ticks lo..hi-1."""
+        latents[lo:hi] = state.z
+        points[lo:hi] = model.curve_points(state.z, taus[lo:hi])
+
     n_replans = 0
     n_infeasible = 0
     reached = False
+    run = 0              # first nominal tick whose point is not evaluated
+    batch = batch_end = 0
     for start in range(0, max_ticks, ticks_per_replan):
-        if predict_violation(state, model, constraint, start * dt, cfg):
+        if state.violated or start >= batch_end:
+            # the nominal phases tau = min(tau + dtau, 1.0) gives tick by
+            # tick: the running sum adds left to right, and the clamp can
+            # only bite at the tick that reaches the goal
+            batch, batch_end = start, min(
+                start + LOOKAHEAD * ticks_per_replan, max_ticks)
+            steps = np.full(batch_end - start + 1, dtau)
+            steps[0] = state.tau
+            ahead = np.minimum(np.add.accumulate(steps)[1:], 1.0)
+            done = np.flatnonzero(ahead >= 1.0 - 1e-12)
+            goal = start + int(done[0]) if len(done) else max_ticks
+            batch_end = min(batch_end, goal + 1)
+            taus[start:batch_end] = ahead[:batch_end - start]
+            checks = np.arange(start, batch_end, ticks_per_replan)
+            clash = predict_violation(
+                model, constraint, state.z,
+                np.concatenate(([state.tau], taus[checks[1:] - 1])),
+                checks * dt, cfg)
+        if clash[(start - batch) // ticks_per_replan]:
             try:
                 goal_z, goal_tau = solve_replan(
                     state, model, density, constraint, start * dt, cfg, rng)
@@ -386,46 +444,44 @@ def run_episode(model, density, constraint, cfg, seed=0, z0=None):
                 exc.__traceback__ = None
         else:
             state.violated = False
+        # a nominal run ends where tracking starts or a new batch begins
+        if run < start and (state.violated or start == batch):
+            evaluate_run(run, start)
+            run = start
+        stop = min(start + ticks_per_replan, max_ticks)
+        if not state.violated:
+            if goal < stop:
+                stop, reached = goal + 1, True
+            state.tau = float(taus[stop - 1])
+            if reached:
+                break
+            continue
         # per-tick updates on Python floats: the same IEEE operations as
         # on the arrays, without numpy's per-call cost
         z, goal_z = state.z.tolist(), state.goal_z.tolist()
         tau, goal_tau = state.tau, float(state.goal_tau)
         rows = []
-        for tick in range(start, min(start + ticks_per_replan, max_ticks)):
-            if state.violated:
-                z = [zc + TRACKING_GAIN * (gc - zc)
-                     for zc, gc in zip(z, goal_z)]
-                tau = tau + TRACKING_GAIN * (goal_tau - tau)
-                rows.append(z)
-            else:
-                tau = min(tau + dtau, 1.0)
+        for tick in range(start, stop):
+            z = [zc + TRACKING_GAIN * (gc - zc) for zc, gc in zip(z, goal_z)]
+            tau = tau + TRACKING_GAIN * (goal_tau - tau)
+            rows.append(z)
             taus[tick] = tau
-            if tau >= 1.0 - 1e-12 and not state.violated:
-                reached = True
-                break
-        block = slice(start, tick + 1)
-        state.tau = tau
-        times[block] = np.arange(start, tick + 1) * dt
-        flags[block] = state.violated
-        if state.violated:
-            state.z = np.array(z)
-            latents[block] = rows
-            # one decoded curve per tick, each evaluated at its own phase
-            points[block] = evaluate_rows(
-                curve, model.decode_many(latents[block]), taus[block])
-        else:
-            latents[block] = state.z
-            points[block] = evaluate_batch(
-                curve, model.decode_many(state.z[None]), taus[block])[0]
-        if reached:
-            break
+        block = slice(start, stop)
+        state.z, state.tau = np.array(z), tau
+        latents[block] = rows
+        flags[block] = 1
+        # one decoded curve per tick, each evaluated at its own phase
+        points[block] = evaluate_rows(
+            curve, model.decode_many(latents[block]), taus[block])
+        run = stop
+    if run < stop:
+        evaluate_run(run, stop)
     # Rebind every buffer to a compact copy: the buffers are sized for
     # max_time, and a slice would keep the whole buffer alive through its
     # base for as long as the trace lives.
-    k = tick + 1
-    times, taus, latents, points, flags, events = (
-        buf[:k].copy()
-        for buf in (times, taus, latents, points, flags, events))
+    taus, latents, points, flags, events = (
+        buf[:stop].copy() for buf in (taus, latents, points, flags, events))
+    times = np.arange(stop) * dt
     return EpisodeTrace(times=times, taus=taus, latents=latents,
                         points=points,
                         constraint_values=constraint(points, times),

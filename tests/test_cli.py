@@ -542,6 +542,13 @@ def test_rejected_option_value_exits_2(workspace, tmp_path, capsys, argv):
      "'components'"),
     (["export-plot", "--model", "{no_latents}", "--count", "40"],
      "'count'"),
+    # a model run reconstructs no fit, and a run takes one source
+    (["sample", "--model", "{model}", "--index", "3"], "'index'"),
+    (["sample", "--model", "{model}", "--index", "0"], "'index'"),
+    (["sample", "--model", "{model}", "--from-params", "{fits}"],
+     "'model'"),
+    (["sample", "--model", "{model}", "--from-params", "{fits}",
+      "--index", "1"], "'model'"),
 ], ids=["train-learning-rate", "train-hidden", "sample-components",
         "sample-count", "eval-seeds", "eval-num-samples", "sample-grid-0",
         "sample-grid-1", "sample-grid-minus-1",
@@ -552,7 +559,9 @@ def test_rejected_option_value_exits_2(workspace, tmp_path, capsys, argv):
         "sample-from-params-components", "sample-from-params-count",
         "export-plot-no-latents-density",
         "export-plot-no-latents-components",
-        "export-plot-no-latents-count"])
+        "export-plot-no-latents-count", "sample-model-index-3",
+        "sample-model-index-0", "sample-model-and-from-params",
+        "sample-model-and-from-params-index"])
 def test_bad_value_exits_2_naming_its_field(workspace, tmp_path, capsys,
                                             argv, field):
     paths = {"fits": workspace["fits"] / "fits.json",
@@ -822,6 +831,21 @@ def test_ill_typed_input_file_exits_2_naming_file_and_field(
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(path) in err
     assert repr(key) in err and "Traceback" not in err
+
+
+def test_fit_on_empty_dataset_exits_2_and_writes_nothing(workspace,
+                                                         tmp_path, capsys):
+    path, argv = _command_reading(
+        workspace, tmp_path, "demos.json",
+        _json_with(lambda v: [], "trajectories"))
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) in err
+    assert "'trajectories'" in err and "Traceback" not in err
+    assert not (out / "fits.json").exists()
+    with pytest.raises(ValueError, match="empty trajectory dataset"):
+        load_trajectory_dataset(path)
 
 
 @pytest.mark.parametrize("name, corrupt", [

@@ -276,17 +276,29 @@ def test_field_rejects_points_of_another_dimension():
 # -- violation prediction --------------------------------------------------
 
 
+def _predict(state, model, constraint, t_now, cfg):
+    """The one verdict of a single check at the state's own phase."""
+    verdicts = predict_violation(model, constraint, state.z, [state.tau],
+                                 [t_now], cfg)
+    assert verdicts.shape == (1,) and verdicts.dtype == bool
+    return bool(verdicts[0])
+
+
 def test_prediction_looks_ahead_in_phase():
     model = BumpModel()
     cfg = ReplanConfig(total_time=2.0, window=0.3, control_hz=200.0,
                        replan_hz=10.0)
     constraint = constraint_from_script([upper_blocker()])
     near_start = ReplanState(z=np.array([1.0, 0.0]), tau=0.02)
-    assert not predict_violation(near_start, model, constraint, 0.0, cfg)
+    assert not _predict(near_start, model, constraint, 0.0, cfg)
     approaching = ReplanState(z=np.array([1.0, 0.0]), tau=0.25)
-    assert predict_violation(approaching, model, constraint, 0.0, cfg)
+    assert _predict(approaching, model, constraint, 0.0, cfg)
     low_road = ReplanState(z=np.array([-1.0, 0.0]), tau=0.25)
-    assert not predict_violation(low_road, model, constraint, 0.0, cfg)
+    assert not _predict(low_road, model, constraint, 0.0, cfg)
+    # both checks of the upper arc in one call
+    both = predict_violation(model, constraint, np.array([1.0, 0.0]),
+                             [0.02, 0.25], [0.0, 0.0], cfg)
+    assert both.tolist() == [False, True]
 
 
 def test_prediction_maps_phase_to_wall_time():
@@ -299,8 +311,64 @@ def test_prediction_maps_phase_to_wall_time():
                                [0.5, 0.25]], radius=0.2)
     constraint = constraint_from_script([late])
     state = ReplanState(z=np.array([1.0, 0.0]), tau=0.25)
-    assert not predict_violation(state, model, constraint, 0.0, cfg)
-    assert predict_violation(state, model, constraint, 2.0, cfg)
+    assert not _predict(state, model, constraint, 0.0, cfg)
+    assert _predict(state, model, constraint, 2.0, cfg)
+    # the same phase checked at both times in one call
+    both = predict_violation(model, constraint, state.z, [0.25, 0.25],
+                             [0.0, 2.0], cfg)
+    assert both.tolist() == [False, True]
+
+
+def _per_row_linspace(taus, cfg):
+    return np.stack([np.linspace(tau, min(tau + cfg.window / cfg.total_time,
+                                          1.0), replan.WINDOW_RESOLUTION)
+                     for tau in taus])
+
+
+@settings(max_examples=60, deadline=None)
+@given(taus=st.lists(st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+                     min_size=1, max_size=12),
+       window=st.floats(1e-3, 3.0), total_time=st.floats(0.1, 10.0))
+@example(taus=[0.3, 1.0, 0.99], window=1.0, total_time=5.0)
+@example(taus=[1.0], window=1.0, total_time=5.0)
+def test_windows_are_per_row_linspace(taus, window, total_time):
+    # a zero-width row (tau = 1) must not move the others: linspace with
+    # array endpoints would put every row on its zero-width route
+    cfg = ReplanConfig(total_time=total_time, window=window)
+    grids = replan._windows(taus, cfg)
+    assert grids.shape == (len(taus), replan.WINDOW_RESOLUTION)
+    assert np.array_equal(grids, _per_row_linspace(taus, cfg))
+
+
+def test_zero_width_window_keeps_the_other_rows_bits():
+    cfg = ReplanConfig()
+    taus = np.linspace(0.0, 0.95, 40)
+    alone = replan._windows(taus, cfg)
+    mixed = replan._windows(np.append(taus, 1.0), cfg)
+    assert np.array_equal(mixed[:-1], alone)
+    assert np.all(mixed[-1] == 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(z0=st.floats(-1.5, 1.5),
+       checks=st.lists(st.tuples(st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+                                 st.floats(0.0, 4.0)),
+                       min_size=1, max_size=10),
+       window=st.floats(0.05, 1.0))
+def test_batched_checks_match_single_checks(z0, checks, window):
+    model = BumpModel()
+    cfg = ReplanConfig(total_time=2.0, window=window, control_hz=200.0,
+                       replan_hz=10.0)
+    sweeper = MovingDisk(times=[0.0, 1.0, 2.0, 3.0],
+                         centers=[[0.3, 0.6], [0.5, 0.1], [0.7, -0.4],
+                                  [0.4, 0.2]], radius=0.15)
+    constraint = constraint_from_script([upper_blocker(), sweeper])
+    z = np.array([z0, 0.0])
+    taus, times = zip(*checks)
+    batched = predict_violation(model, constraint, z, taus, times, cfg)
+    singles = [_predict(ReplanState(z=z, tau=tau), model, constraint, t, cfg)
+               for tau, t in checks]
+    assert batched.tolist() == singles
 
 
 # -- sampling-based replan search -----------------------------------------
@@ -327,14 +395,14 @@ def test_replan_finds_feasible_plan_around_blocker():
                        replan_hz=10.0, threshold=threshold)
     constraint = constraint_from_script([upper_blocker()])
     state = ReplanState(z=np.array([1.0, 0.0]), tau=0.15)
-    assert predict_violation(state, model, constraint, 0.0, cfg)
+    assert _predict(state, model, constraint, 0.0, cfg)
     z_new, tau_new = solve_replan(state, model, density, constraint, 0.0,
                                   cfg, np.random.default_rng(1))
     assert state.tau - replan.DELTA_BACK - 1e-12 <= tau_new <= state.tau
     assert z_new[0] < 0.3                        # dropped below the blocker
     assert density.logpdf(z_new) >= threshold
     after = ReplanState(z=z_new, tau=tau_new)
-    assert not predict_violation(after, model, constraint, 0.0, cfg)
+    assert not _predict(after, model, constraint, 0.0, cfg)
 
 
 def test_replan_infeasible_reports_filter_counts():
@@ -653,7 +721,7 @@ def reference_run_episode(model, density, constraint, cfg, seed=0, z0=None):
         t_now = tick * dt
         event = 0
         if tick % ticks_per_replan == 0:
-            if predict_violation(state, model, constraint, t_now, cfg):
+            if _predict(state, model, constraint, t_now, cfg):
                 try:
                     goal_z, goal_tau = solve_replan(
                         state, model, density, constraint, t_now, cfg, rng)
@@ -692,6 +760,18 @@ def reference_run_episode(model, density, constraint, cfg, seed=0, z0=None):
                         reached_goal=reached, timed_out=not reached)
 
 
+def _assert_same_trace(got, want):
+    for name in ("times", "taus", "latents", "violation_flags",
+                 "replan_events"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("n_replans", "n_infeasible", "reached_goal", "timed_out"):
+        assert getattr(got, name) == getattr(want, name), name
+    np.testing.assert_allclose(got.points, want.points, rtol=0.0,
+                               atol=1e-12)
+    np.testing.assert_allclose(got.constraint_values,
+                               want.constraint_values, rtol=0.0, atol=1e-12)
+
+
 def _blocker_density():
     density = two_cluster_density()
     return density, density.logpdf(np.zeros(2)) - 0.5
@@ -724,15 +804,7 @@ def test_blocked_episode_matches_per_tick_reference(case):
     args = (model, density, constraint, cfg)
     want = reference_run_episode(*args, seed=seed, z0=np.array(z0))
     got = run_episode(*args, seed=seed, z0=np.array(z0))
-    for name in ("times", "taus", "latents", "violation_flags",
-                 "replan_events"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    for name in ("n_replans", "n_infeasible", "reached_goal", "timed_out"):
-        assert getattr(got, name) == getattr(want, name), name
-    np.testing.assert_allclose(got.points, want.points, rtol=0.0,
-                               atol=1e-12)
-    np.testing.assert_allclose(got.constraint_values,
-                               want.constraint_values, rtol=0.0, atol=1e-12)
+    _assert_same_trace(got, want)
     ticks_per_replan = 10 if cfg.control_hz == 100.0 else 20
     if case == "free":
         assert got.reached_goal and len(got.times) % ticks_per_replan
@@ -742,6 +814,123 @@ def test_blocked_episode_matches_per_tick_reference(case):
         assert got.n_infeasible >= 1
     if case == "timeout":
         assert got.timed_out and len(got.times) % ticks_per_replan
+
+
+@st.composite
+def _disks(draw):
+    """A static or moving disk near the arcs BumpModel draws."""
+    n_way = draw(st.integers(1, 3))
+    gaps = draw(st.lists(st.floats(0.1, 1.0), min_size=n_way,
+                         max_size=n_way))
+    centers = [[draw(st.floats(0.1, 0.9)), draw(st.floats(-0.4, 0.4))]
+               for _ in range(n_way)]
+    return MovingDisk(times=np.cumsum(gaps) - 0.1, centers=centers,
+                      radius=draw(st.floats(0.05, 0.25)))
+
+
+@st.composite
+def _episode_cases(draw):
+    """(config fields, disks, floor, z0[0], seed, features a run must show).
+
+    Drawn cases promise no feature; the pinned examples below each
+    promise the one they were chosen for.
+    """
+    control_hz = draw(st.sampled_from([60.0, 100.0, 150.0]))
+    fields = dict(
+        control_hz=control_hz,
+        # 2.5 and 4.4 ticks per check are not integer ratios
+        replan_hz=control_hz / draw(st.sampled_from([2.5, 3.0, 4.4, 7.0,
+                                                     10.0])),
+        total_time=draw(st.floats(0.4, 2.0)),
+        window=draw(st.floats(0.05, 0.8)),
+        max_time=draw(st.floats(0.3, 2.0)))
+    return (fields, draw(st.lists(_disks(), min_size=1, max_size=2)),
+            draw(st.sampled_from(["none", "blocker", "all"])),
+            draw(st.floats(-1.5, 1.5)), draw(st.integers(0, 3)),
+            frozenset())
+
+
+def _episode_features(cfg, disks, trace, calls):
+    """What a batched run went through, from its trace and its monitor
+    calls (first check tick, verdicts)."""
+    per_check = max(1, int(round(cfg.control_hz / cfg.replan_hz)))
+    max_ticks = int(np.ceil(cfg.max_time * cfg.control_hz))
+    reach = replan.LOOKAHEAD * per_check        # ticks one batch covers
+    last = calls[-1][0]
+    features = set()
+    if cfg.control_hz / cfg.replan_hz != per_check:
+        features.add("non-integer ratio")
+    if trace.reached_goal and len(trace.times) > last + per_check:
+        features.add("goal inside a batch")
+    if trace.timed_out and last + reach > max_ticks:
+        features.add("max_time cuts a batch")
+    if any(verdicts.any() and np.argmax(verdicts) > 0
+           for _, verdicts in calls):
+        features.add("violation predicted mid-batch")
+    if np.any(trace.violation_flags):
+        features.add("tracking")
+    if np.any((trace.replan_events == 2) & (trace.violation_flags == 0)):
+        features.add("infeasible search while nominal")
+    if any(np.ptp(d.centers, axis=0).any() for d in disks):
+        features.add("moving disk")
+    return features
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_episode_cases())
+@example(case=({"control_hz": 100.0, "replan_hz": 100.0 / 4.4,
+                "total_time": 0.7, "window": 0.3, "max_time": 2.0}, [],
+               "none", 1.0, 0,
+               frozenset({"non-integer ratio", "goal inside a batch"})))
+@example(case=({"control_hz": 100.0, "replan_hz": 10.0, "total_time": 2.0,
+                "window": 0.3, "max_time": 0.75}, [], "none", 1.0, 0,
+               frozenset({"max_time cuts a batch"})))
+@example(case=({"control_hz": 100.0, "replan_hz": 20.0, "total_time": 1.0,
+                "window": 0.3, "max_time": 2.0}, [upper_blocker()],
+               "blocker", 1.0, 1,
+               frozenset({"violation predicted mid-batch"})))
+@example(case=({"control_hz": 100.0, "replan_hz": 20.0, "total_time": 1.0,
+                "window": 0.3, "max_time": 1.5}, [upper_blocker()],
+               "all", 1.0, 2,
+               frozenset({"violation predicted mid-batch",
+                          "infeasible search while nominal"})))
+@example(case=({"control_hz": 150.0, "replan_hz": 150.0 / 7.0,
+                "total_time": 1.0, "window": 0.4, "max_time": 2.0},
+               [MovingDisk(times=[0.0, 0.5, 1.0],
+                           centers=[[0.3, 0.6], [0.5, 0.15], [0.7, -0.3]],
+                           radius=0.12)],
+               "blocker", 0.8, 3, frozenset({"moving disk", "tracking"})))
+def test_batched_episode_matches_per_tick_reference(case):
+    fields, disks, floor, z0, seed, expect = case
+    density, blocker_floor = _blocker_density()
+    threshold = {"none": -np.inf, "blocker": blocker_floor,
+                 "all": 1e9}[floor]
+    cfg = ReplanConfig(threshold=threshold, **fields)
+    constraint = constraint_from_script(disks)
+    args = (BumpModel(), density, constraint, cfg)
+    want = reference_run_episode(*args, seed=seed, z0=np.array([z0, 0.0]))
+    calls = []
+    monitor = replan.predict_violation
+
+    def spy(model, constraint, z, taus, times, cfg):
+        verdicts = monitor(model, constraint, z, taus, times, cfg)
+        calls.append((int(round(times[0] * cfg.control_hz)), verdicts))
+        return verdicts
+
+    replan.predict_violation = spy
+    try:
+        got = run_episode(*args, seed=seed, z0=np.array([z0, 0.0]))
+    finally:
+        replan.predict_violation = monitor
+    _assert_same_trace(got, want)
+    # every block's start is checked, at most LOOKAHEAD checks a call
+    per_check = max(1, int(round(cfg.control_hz / cfg.replan_hz)))
+    checked = [first + k * per_check for first, verdicts in calls
+               for k in range(len(verdicts))]
+    blocks = range(0, len(got.times), per_check)
+    assert set(blocks) <= set(checked)
+    assert all(len(verdicts) <= replan.LOOKAHEAD for _, verdicts in calls)
+    assert expect <= _episode_features(cfg, disks, got, calls)
 
 
 def test_episode_drops_traceback_of_infeasible_search(monkeypatch):

@@ -54,6 +54,8 @@ class ReplanConfig:
             raise ValueError("window must be positive")
         if not 0 < self.total_time < np.inf:
             raise ValueError("total_time must be finite and positive")
+        if not self.threshold < np.inf:    # -inf means no floor
+            raise ValueError("threshold must be below inf")
         if self.max_time is None:
             self.max_time = 3.0 * self.total_time
         if not 0 < self.max_time < np.inf:
@@ -70,9 +72,13 @@ class ReplanState:
 
     def __post_init__(self):
         self.z = np.asarray(self.z, dtype=float)
-        self.tau = float(np.clip(self.tau, 0.0, 1.0))
         if self.goal_z is None:
             self.goal_z = self.z.copy()
+        # np.clip keeps a NaN phase, which would fail deep in the search
+        for name in ("z", "tau", "goal_z", "goal_tau"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise NonFiniteError(f"replan state {name} must be finite")
+        self.tau = float(np.clip(self.tau, 0.0, 1.0))
 
 
 @dataclass
@@ -255,30 +261,32 @@ def solve_replan(state, model, density, constraint, t_now, cfg, rng):
 
     Candidates are checked in ascending-objective order; the first one
     satisfying all four constraints wins, which equals the feasible
-    arg-min with ties broken toward the lowest candidate index.  The
-    density and window checks run for every pair up front: one all-pairs
-    evaluate_batch over the windows of every tau' and one constraint
-    call.  The eta path check then runs per pair in objective order until
-    one passes.  The path's latents depend on z' alone, so its density
-    check and its decoding run once per z'; each pair adds one row-wise
-    evaluate_rows call and one constraint call: path point j is the curve
-    decoded from z_path[j] at its own phase tau_path[j].
+    arg-min with ties broken toward the lowest candidate index.  Each
+    check sees only what the one before let through: one density call
+    scores every z'; the z' above the floor are decoded in one call and
+    their windows at every tau' checked in one all-pairs evaluate_batch
+    and one constraint call; the window-clear pairs are walked in
+    objective order.  An eta path depends on z' alone: the first z'
+    reached is scored alone, the next one scores the paths of every
+    window-clear z' left in one call, and a path is decoded once, when a
+    pair of its z' is reached.  Each pair adds one row-wise evaluate_rows
+    call and one constraint call: path point j is the curve decoded from
+    z_path[j] at its own phase tau_path[j].
     """
     tau = state.tau
     tau_lo = max(tau - DELTA_BACK, 0.0)
     tau_grid = np.linspace(tau, tau_lo, TAU_CANDIDATES)
     z_cands = _candidate_latents(state, density, rng)
-    log_dens = np.atleast_1d(density.logpdf(z_cands))
-    stacks = model.decode_many(z_cands)          # (n_z, n, B)
+    density_ok = np.atleast_1d(density.logpdf(z_cands)) >= cfg.threshold
 
     dz2 = np.sum((z_cands - state.z) ** 2, axis=1)
     pair_obj = dz2[:, None] + ALPHA_TIME * (tau - tau_grid) ** 2
     order = np.argsort(pair_obj.ravel(), kind="stable")
 
-    density_ok = log_dens >= cfg.threshold
     grids = _windows(tau_grid, cfg)                        # (n_tau, R)
     times = t_now + (grids - tau_grid[:, None]) * cfg.total_time
-    pts = evaluate_batch(model.curve_model, stacks[density_ok],
+    pts = evaluate_batch(model.curve_model,
+                         model.decode_many(z_cands[density_ok]),
                          grids.ravel())
     pts = pts.reshape(pts.shape[0], *grids.shape, pts.shape[-1])
     window_ok = np.zeros(pair_obj.shape, dtype=bool)
@@ -286,22 +294,28 @@ def solve_replan(state, model, density, constraint, t_now, cfg, rng):
 
     eta = np.linspace(0.0, 1.0, ETA_POINTS)
     n_tau = len(tau_grid)
-    paths = {}    # iz -> decoded eta path, None below the density floor
-    for rank in order:
+    walk = order[window_ok.ravel()[order]]
+    paths = {}    # iz -> eta path latents, None below the density floor
+    decoded = {}  # iz -> decoded eta path
+    for rank in walk:
         iz, it = divmod(int(rank), n_tau)
-        if not window_ok[iz, it]:
-            continue
         if iz not in paths:
-            z_path = (eta[:, None] * state.z
-                      + (1.0 - eta)[:, None] * z_cands[iz])
-            path_dens = np.atleast_1d(density.logpdf(z_path))
-            paths[iz] = None if np.any(path_dens < cfg.threshold) \
-                else model.decode_many(z_path)
+            izs = [iz] if not paths else sorted(
+                set((walk // n_tau).tolist()) - paths.keys())
+            z_paths = (eta[:, None] * state.z
+                       + (1.0 - eta)[:, None] * z_cands[izs][:, None, :])
+            path_dens = density.logpdf(z_paths.reshape(-1, state.z.size))
+            low = np.any(path_dens.reshape(len(izs), ETA_POINTS)
+                         < cfg.threshold, axis=1)
+            paths.update((k, None if out else z_path)
+                         for k, out, z_path in zip(izs, low, z_paths))
         if paths[iz] is None:
             continue
+        if iz not in decoded:
+            decoded[iz] = model.decode_many(paths[iz])
         tp = float(tau_grid[it])
         tau_path = eta * tau + (1.0 - eta) * tp
-        pts = evaluate_rows(model.curve_model, paths[iz], tau_path)
+        pts = evaluate_rows(model.curve_model, decoded[iz], tau_path)
         if not np.any(constraint(pts, t_now) > 0):
             return z_cands[iz].copy(), tp
     raise ReplanInfeasibleError(n_candidates=pair_obj.size,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from motionmanifold.basis import BasisSet, CurveModel, TimedTrajectory
+from motionmanifold.cli import build_replan_fixture
 from motionmanifold.training import TrainConfig, train
 
 
@@ -44,3 +45,12 @@ def small_manifold(arc_family):
     cfg = TrainConfig(latent_dim=2, alpha=0.0, epochs=300, hidden=(32, 32),
                       seed=0)
     return train(fits, model, cfg), model, fits
+
+
+@pytest.fixture(scope="session")
+def replan_fixture():
+    """The acceptance replanning set-up: trained decoder, KDE, obstacle."""
+    return build_replan_fixture(seed=0, epochs=1500, count=30,
+                                hidden=(128, 128), with_obstacle=True,
+                                control_hz=1000.0, replan_hz=10.0,
+                                total_time=5.0, window=1.0)

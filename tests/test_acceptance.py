@@ -11,13 +11,11 @@ import pathlib
 import time
 
 import numpy as np
-import pytest
 from scipy.sparse.linalg import lsqr
 
 from motionmanifold import lie, nets
 from motionmanifold.basis import (BasisSet, CurveModel, CurveParams,
                                   TimedTrajectory)
-from motionmanifold.cli import build_replan_fixture
 from motionmanifold.density import (SampleFilter, gmm_fit, kde_build,
                                     min_loglik_threshold, rejection_sample)
 from motionmanifold.envs import (KINDS, build_bundle, evaluate_success,
@@ -357,14 +355,6 @@ def test_density_estimation_consistency():
 
 
 # -- 8: online replanning stays safe ---------------------------------------
-
-
-@pytest.fixture(scope="module")
-def replan_fixture():
-    return build_replan_fixture(seed=0, epochs=1500, count=30,
-                                hidden=(128, 128), with_obstacle=True,
-                                control_hz=1000.0, replan_hz=10.0,
-                                total_time=5.0, window=1.0)
 
 
 def test_online_replanning_avoids_scripted_obstacle(replan_fixture):

@@ -1,5 +1,6 @@
 """Virtual-time replanning loop: constraints, search, and episode traces."""
 
+import copy
 import csv
 import json
 
@@ -85,9 +86,11 @@ def test_config_defaults_and_derived_cap():
     dict(window=np.nan),
     dict(total_time=np.nan),
     dict(control_hz=np.nan),
+    dict(threshold=np.nan),                 # every search read infeasible
+    dict(threshold=np.inf),
 ])
 def test_config_validation(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
         ReplanConfig(**kwargs)
 
 
@@ -96,6 +99,23 @@ def test_state_clips_phase_and_defaults_goal():
     assert state.tau == 1.0
     assert np.array_equal(state.goal_z, state.z)
     assert ReplanState(z=[0.0], tau=-0.3).tau == 0.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("z", [np.nan, 0.0]), ("z", [0.0, np.inf]), ("tau", np.nan),
+    ("tau", np.inf), ("goal_z", [0.0, np.nan]), ("goal_tau", np.nan),
+])
+def test_state_rejects_non_finite_values(field, value):
+    kwargs = {"z": [0.5, 0.0], field: value}
+    with pytest.raises(NonFiniteError, match=f"state {field} "):
+        ReplanState(**kwargs)
+
+
+def test_episode_rejects_non_finite_start_by_name():
+    with pytest.raises(NonFiniteError, match="state z "):
+        run_episode(BumpModel(), two_cluster_density(),
+                    constraint_from_script([upper_blocker()]),
+                    ReplanConfig(), z0=[np.nan, 0.0])
 
 
 # -- moving obstacles and constraints -------------------------------------
@@ -555,6 +575,36 @@ def test_batched_search_matches_sequential_reference():
     assert kinds >= {"moved", "infeasible"}
 
 
+def test_search_matches_reference_on_the_trained_decoder(replan_fixture,
+                                                          monkeypatch):
+    """A real decoder rounds a batch by its row count, which the linear
+    BumpModel cannot show; the outcomes must still match."""
+    fx = replan_fixture
+    situations = []
+    search = replan.solve_replan
+
+    def recording(state, *args):
+        situations.append((copy.deepcopy(state), args[3]))
+        return search(state, *args)
+
+    monkeypatch.setattr(replan, "solve_replan", recording)
+    for seed in range(5):
+        run_episode(fx["manifold"], fx["density"], fx["constraint"],
+                    fx["config"], seed=seed)
+    monkeypatch.undo()
+    assert len(situations) == 17
+    kinds = set()
+    for i, (state, t_now) in enumerate(situations):
+        args = (state, fx["manifold"], fx["density"], fx["constraint"],
+                t_now, fx["config"])
+        want = _search_outcome(reference_solve_replan, *args,
+                               np.random.default_rng(i))
+        got = _search_outcome(solve_replan, *args, np.random.default_rng(i))
+        assert got == want, i
+        kinds.add(want[0])
+    assert kinds == {"ok", "infeasible"}
+
+
 class _CountingDensity:
     """Density that records every logpdf query."""
 
@@ -570,35 +620,70 @@ class _CountingDensity:
         return self.density.logpdf(z)
 
 
+class _RecordingModel:
+    """Model that records every decode_many query."""
+
+    def __init__(self, model):
+        self.model = model
+        self.curve_model = model.curve_model
+        self.queries = []
+
+    def decode_many(self, z_batch):
+        self.queries.append(np.array(z_batch))
+        return self.model.decode_many(z_batch)
+
+
 def test_search_checks_windows_once_and_each_eta_path_once():
     path_counts = []
+    batch_sizes = []
     for case, (state, model, density, constraint, t_now, cfg) in enumerate(
             _search_cases()):
         want = _search_outcome(reference_solve_replan, state, model, density,
                                constraint, t_now, cfg,
                                np.random.default_rng(case))
         counting = _CountingDensity(density)
+        recording = _RecordingModel(model)
         time_ndims = []
 
         def field(q, t, evaluator=constraint.evaluator):
             time_ndims.append(t.ndim)
             return evaluator(q, t)
 
-        got = _search_outcome(solve_replan, state, model, counting,
+        got = _search_outcome(solve_replan, state, recording, counting,
                               DynamicConstraint(field), t_now, cfg,
                               np.random.default_rng(case))
         assert got == want, case
         # the eta path checks run at t_now; only the window check passes
         # a time array, once for every tau' at the same time
         assert sum(nd > 0 for nd in time_ndims) == 1, case
-        # the first query scores the candidates; each later one is an
-        # eta path, whose eta = 0 end is its z'
-        candidates = {z.tobytes() for z in counting.queries[0]}
-        ends = [path[0].tobytes() for path in counting.queries[1:]]
+        # the first query scores the candidates, and only those that
+        # clear the floor are decoded, in the first decode_many call
+        scored = counting.queries[0]
+        floor_ok = np.atleast_1d(density.logpdf(scored)) >= cfg.threshold
+        assert np.array_equal(recording.queries[0], scored[floor_ok]), case
+        # the eta paths come in at most two later queries: the first z'
+        # reached alone, then every window-clear z' left in one stack
+        assert len(counting.queries) <= 3, case
+        if len(counting.queries) > 1:
+            assert len(counting.queries[1]) == replan.ETA_POINTS, case
+        paths = []
+        for query in counting.queries[1:]:
+            assert len(query) % replan.ETA_POINTS == 0, case
+            batch = query.reshape(-1, replan.ETA_POINTS, query.shape[-1])
+            batch_sizes.append(len(batch))
+            paths.extend(batch)
+        # a path's eta = 0 end is its z', and no z' is scored twice
+        candidates = {z.tobytes() for z in scored}
+        ends = [path[0].tobytes() for path in paths]
         assert set(ends) <= candidates, case
         assert len(ends) == len(set(ends)), case
+        # only scored paths are decoded, each one once at most
+        decoded = [path.tobytes() for path in recording.queries[1:]]
+        assert len(decoded) == len(set(decoded)), case
+        assert set(decoded) <= {path.tobytes() for path in paths}, case
         path_counts.append(len(ends))
     assert max(path_counts) > 1
+    assert max(batch_sizes) > 1
 
 
 # -- initial draw ----------------------------------------------------------

@@ -1,9 +1,11 @@
 """Command-line driver for dataset synthesis, fitting, training,
-sampling, evaluation, and online replanning experiments.
+sampling, reconstruction, evaluation, and online replanning experiments.
 
-Every command writes only documented JSON/CSV/SVG formats into --out and
-is idempotent for identical inputs and seed; wall-clock timestamps go to
-a sidecar run.log, never into result files.  Exit codes: 2 for malformed
+Each mode is its own command, and _DEPENDENT_OPTIONS declares every
+option that only some runs of its command use.  Every command writes
+only documented JSON/CSV/SVG formats into --out and is idempotent for
+identical inputs and seed; wall-clock timestamps go to a sidecar
+run.log, never into result files.  Exit codes: 2 for malformed
 configuration, 3 for numerical failures inside the library.
 """
 
@@ -55,6 +57,17 @@ GMM_COMPONENTS = 2
 SAMPLE_COUNT = 20
 PLOT_COUNT = 40
 
+# command -> option -> (the option it depends on, the values of that
+# option it applies to, its default there); on a run it does not apply
+# to, the option stays None, so meta.json records it unset
+_DEPENDENT_OPTIONS = {
+    "synth-demos": {"count": ("env", ("continuum",), CONTINUUM_COUNT)},
+    "eval": {"alpha": ("kind", ("immp++",), IMMP_ALPHA),
+             "density": ("kind", ("mmp++", "immp++"), DEFAULT_FAMILY)},
+    "sample": {"components": ("density", ("gmm",), GMM_COMPONENTS)},
+    "export-plot": {"components": ("density", ("gmm",), GMM_COMPONENTS)},
+}
+
 
 def _log(out_dir, message):
     stamp = time.strftime("%Y-%m-%d %H:%M:%S")
@@ -75,6 +88,28 @@ def _write_meta(out_dir, args):
 def _prepare_out(args):
     os.makedirs(args.out, exist_ok=True)
     return args.out
+
+
+def _resolve_dependent_options(args):
+    """Reject each _DEPENDENT_OPTIONS option set on a run that would
+    ignore it, and give it its default on a run that uses it."""
+    for name, (parent, values, default) in _DEPENDENT_OPTIONS.get(
+            args.command, {}).items():
+        value, on = getattr(args, name), getattr(args, parent)
+        if on not in values and value is not None:
+            raise ConfigError(f"field {name!r}: --{parent} {on} does not "
+                              f"use it; {name} applies only to --{parent} "
+                              f"{' or '.join(values)}")
+        if on in values and value is None:
+            setattr(args, name, default)
+
+
+def _phases(grid):
+    """grid evenly spaced phases on [0, 1] for --grid."""
+    if grid < 2:
+        raise ConfigError(f"field 'grid': a curve needs at least 2 phases, "
+                          f"got {grid}")
+    return np.linspace(0.0, 1.0, grid)
 
 
 def _parse_hidden(text):
@@ -126,13 +161,8 @@ def load_fits(path):
 # -- commands -------------------------------------------------------------
 
 def cmd_synth_demos(args):
-    if args.env != "continuum" and args.count is not None:
-        raise ConfigError(f"field 'count': {args.env} has a fixed demo set; "
-                          f"count applies only to --env continuum")
     out = _prepare_out(args)
     if args.env == "continuum":
-        if args.count is None:
-            args.count = CONTINUUM_COUNT
         env, demos = generate_continuum_demos(count=args.count,
                                               seed=args.seed)
     else:
@@ -173,39 +203,19 @@ def cmd_train(args):
           f"{manifold.history['recon'][-1]:.6e}")
 
 
-def _no_draws(args, reason):
-    """Reject a drawing option given to a run that draws nothing."""
-    for name in ("density", "components", "count"):
-        if getattr(args, name) is not None:
-            raise ConfigError(f"field {name!r}: {reason}; {name} applies "
-                              f"only to a run that draws curves")
-
-
-def _sample_model(manifold, args, count):
+def _sample_model(manifold, args):
     """--count draws above the floor of a density on the model's latents.
 
     Returns the bundle, the drawn coefficient stacks and the rejection
-    result; args supplies --model, --density, --components, --count and
-    --seed.  Unset, --density becomes DEFAULT_FAMILY and --count count;
-    --components applies to gmm only, and unset it becomes GMM_COMPONENTS.
+    result; args supplies --model, --density, --components (None unless
+    the density is gmm), --count and --seed.
     """
-    if args.density is None:
-        args.density = DEFAULT_FAMILY
-    if args.count is None:
-        args.count = count
-    gmm = args.density == "gmm"
-    if not gmm and args.components is not None:
-        raise ConfigError(f"field 'components': a {args.density} density "
-                          f"has no mixture components; components applies "
-                          f"only to --density gmm")
-    if gmm and args.components is None:
-        args.components = GMM_COMPONENTS
     path = os.path.join(args.model, "latents.json")
-    with open(path) as fh:
-        z = record_field(path, json.load(fh), "z",
-                         lambda v: np.asarray(v, dtype=float))
+    z = read_json(path, lambda data: record_field(
+        path, data, "z", lambda v: np.asarray(v, dtype=float)))
     if not np.isfinite(z).all():
         raise ValueError(f"{path}: latents are not finite")
+    gmm = args.density == "gmm"
     if gmm and args.components > len(z):
         raise ConfigError(f"field 'components': {args.components} mixture "
                           f"components need as many latents; {path} holds "
@@ -220,38 +230,10 @@ def _sample_model(manifold, args, count):
 
 
 def cmd_sample(args):
-    if not (args.from_params or args.model):
-        raise ConfigError("field 'model': sample needs --model or "
-                          "--from-params")
-    if args.grid < 2:
-        raise ConfigError(f"field 'grid': a curve needs at least 2 phases, "
-                          f"got {args.grid}")
-    if args.from_params and args.model:
-        raise ConfigError("field 'model': sample takes one source, --model "
-                          "or --from-params, not both")
-    if args.from_params:
-        _no_draws(args, "sample --from-params reconstructs a stored fit")
-        if args.index is None:
-            args.index = 0
-    elif args.index is not None:
-        raise ConfigError("field 'index': a --model run draws new curves; "
-                          "index applies only to --from-params")
+    taus = _phases(args.grid)
     out = _prepare_out(args)
-    if args.from_params:
-        model, fits, _ = load_fits(args.from_params)
-        if not 0 <= args.index < len(fits):
-            raise ConfigError(f"field 'index': {args.index} outside "
-                              f"0..{len(fits) - 1}")
-        taus = np.linspace(0.0, 1.0, args.grid)
-        pts = model.evaluate(fits[args.index], taus)
-        traj = TimedTrajectory(times=taus, points=pts)
-        save_trajectory_dataset([traj], os.path.join(out, "samples.json"))
-        _log(out, f"sample from_params index={args.index}")
-        print(f"wrote reconstructed curve {args.index} to {out}")
-        return
     bundle, stacks, result = _sample_model(ManifoldModel.load(args.model),
-                                           args, SAMPLE_COUNT)
-    taus = np.linspace(0.0, 1.0, args.grid)
+                                           args)
     curves = basis_mod.evaluate_batch(bundle.curve_model, stacks, taus)
     save_trajectory_dataset(
         [TimedTrajectory(times=taus, points=pts) for pts in curves],
@@ -264,18 +246,21 @@ def cmd_sample(args):
           f"(rate {result.acceptance_rate:.3f})")
 
 
+def cmd_reconstruct(args):
+    taus = _phases(args.grid)
+    model, fits, _ = load_fits(args.fits)
+    if not 0 <= args.index < len(fits):
+        raise ConfigError(f"field 'index': {args.index} outside "
+                          f"0..{len(fits) - 1}")
+    out = _prepare_out(args)
+    traj = TimedTrajectory(times=taus,
+                           points=model.evaluate(fits[args.index], taus))
+    save_trajectory_dataset([traj], os.path.join(out, "samples.json"))
+    _log(out, f"reconstruct index={args.index}")
+    print(f"wrote reconstructed curve {args.index} to {out}")
+
+
 def cmd_eval(args):
-    if args.alpha is not None and args.kind != "immp++":
-        raise ConfigError(f"field 'alpha': {args.kind} has no distortion "
-                          f"penalty; alpha applies only to --kind immp++")
-    if args.density is not None and args.kind in ("vmp-gauss", "vmp-gmm"):
-        raise ConfigError(f"field 'density': {args.kind} fits its own "
-                          f"Gaussian density over the coefficients; density "
-                          f"applies only to mmp++ and immp++")
-    if args.kind == "immp++" and args.alpha is None:
-        args.alpha = IMMP_ALPHA
-    if args.kind in ("mmp++", "immp++") and args.density is None:
-        args.density = DEFAULT_FAMILY
     out = _prepare_out(args)
     env, demos = generate_env(args.env, seed=args.seed)
     cfg = TrainConfig(epochs=args.epochs, hidden=_parse_hidden(args.hidden))
@@ -362,25 +347,19 @@ def cmd_replan(args):
 
 
 def cmd_export_plot(args):
-    latents = os.path.join(args.model, "latents.json")
-    draws = os.path.exists(latents)
-    if not draws:
-        _no_draws(args, f"export-plot draws no curves without {latents}")
-    out = _prepare_out(args)
     manifold = ManifoldModel.load(args.model)
+    bundle, stacks, result = _sample_model(manifold, args)
+    env = PlanarEnv.load(args.env) if args.env else PlanarEnv(
+        obstacles=[], q_start=manifold.curve_model.q_start,
+        q_goal=manifold.curve_model.q_end, bounds=SCENE_BOUNDS)
+    out = _prepare_out(args)
     render_loss_curves(os.path.join(out, "loss_curves.svg"),
                        manifold.history)
-    if draws:
-        bundle, stacks, result = _sample_model(manifold, args, PLOT_COUNT)
-        render_latent_scatter(os.path.join(out, "latent_scatter.svg"),
-                              bundle.latents, extra=result.samples)
-        curves = basis_mod.evaluate_batch(bundle.curve_model, stacks,
-                                          np.linspace(0.0, 1.0, 200))
-        env = PlanarEnv.load(args.env) if args.env else PlanarEnv(
-            obstacles=[], q_start=manifold.curve_model.q_start,
-            q_goal=manifold.curve_model.q_end, bounds=SCENE_BOUNDS)
-        render_scene(os.path.join(out, "trajectories.svg"), env,
-                     list(curves))
+    render_latent_scatter(os.path.join(out, "latent_scatter.svg"),
+                          bundle.latents, extra=result.samples)
+    curves = basis_mod.evaluate_batch(bundle.curve_model, stacks,
+                                      np.linspace(0.0, 1.0, 200))
+    render_scene(os.path.join(out, "trajectories.svg"), env, list(curves))
     _log(out, "export-plot")
     print(f"wrote figures to {out}")
 
@@ -404,13 +383,12 @@ def build_parser():
     p = subs.add_parser("synth-demos", help="generate an environment and "
                                            "demonstration set")
     p.add_argument("--env", required=True, choices=[*ENV_IDS, "continuum"])
-    # None marks an unset count, which env1-env3 require; continuum then
-    # generates CONTINUUM_COUNT demos
+    # None marks an unset count; see _DEPENDENT_OPTIONS
     p.add_argument("--count", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_synth_demos)
 
-    # fit is deterministic, so it takes no --seed
+    # fit and reconstruct are deterministic, so neither takes --seed
     p = subs.add_parser("fit", help="fit curve coefficients to demos")
     p.add_argument("--demos", required=True)
     p.add_argument("--env", required=True)
@@ -430,21 +408,23 @@ def build_parser():
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("sample", help="draw trajectories from a trained "
-                                       "model or reconstruct a fit")
-    p.add_argument("--model", default=None)
-    p.add_argument("--from-params", default=None)
-    p.add_argument("--index", type=int, default=None)
-    # None marks an unset index, density, components or count: --model
-    # requires it of index (it reconstructs no fit), --from-params of the
-    # rest (it draws nothing), and kde of components; cmd_sample gives an
-    # unset index 0, and _sample_model the others DEFAULT_FAMILY,
-    # GMM_COMPONENTS and SAMPLE_COUNT
-    p.add_argument("--density", default=None, choices=list(FAMILIES))
+                                       "model's latent density")
+    p.add_argument("--model", required=True)
+    p.add_argument("--density", default=DEFAULT_FAMILY,
+                   choices=list(FAMILIES))
+    # None marks an unset components; see _DEPENDENT_OPTIONS
     p.add_argument("--components", type=int, default=None)
-    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--count", type=int, default=SAMPLE_COUNT)
     p.add_argument("--grid", type=int, default=101)
     _add_common(p)
     p.set_defaults(func=cmd_sample)
+
+    p = subs.add_parser("reconstruct", help="re-evaluate a stored curve fit")
+    p.add_argument("--fits", required=True)
+    p.add_argument("--index", type=int, default=0)
+    p.add_argument("--grid", type=int, default=101)
+    _add_common(p, seeded=False)
+    p.set_defaults(func=cmd_reconstruct)
 
     p = subs.add_parser("eval", help="success-rate evaluation protocol")
     p.add_argument("--env", required=True, choices=ENV_IDS)
@@ -453,9 +433,7 @@ def build_parser():
     p.add_argument("--seeds", type=int, default=len(EVAL_SEEDS))
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--hidden", type=str, default=hidden)
-    # None marks an unset alpha or density, which the kinds that do not
-    # use them require; cmd_eval gives the others IMMP_ALPHA and
-    # DEFAULT_FAMILY
+    # None marks an unset alpha or density; see _DEPENDENT_OPTIONS
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--density", default=None, choices=list(FAMILIES))
     p.add_argument("--bases", type=int, default=N_BASES)
@@ -481,11 +459,11 @@ def build_parser():
                                             "samples, and loss curves")
     p.add_argument("--model", required=True)
     p.add_argument("--env", default=None)
-    # as for sample; a model without latents.json draws nothing, and
-    # the count defaults to PLOT_COUNT
-    p.add_argument("--density", default=None, choices=list(FAMILIES))
+    # as for sample
+    p.add_argument("--density", default=DEFAULT_FAMILY,
+                   choices=list(FAMILIES))
     p.add_argument("--components", type=int, default=None)
-    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--count", type=int, default=PLOT_COUNT)
     _add_common(p)
     p.set_defaults(func=cmd_export_plot)
     return parser
@@ -526,10 +504,9 @@ def _apply_config(args, argv, parser):
         dest = key.replace("-", "_")
         if dest not in actions:
             raise ConfigError(f"unknown config field {key!r}")
-        flag = "--" + key.replace("_", "-")
-        if flag in argv:
-            continue                     # explicit flag wins
-        setattr(args, dest, _config_value(key, value, actions[dest]))
+        value = _config_value(key, value, actions[dest])
+        if "--" + key.replace("_", "-") not in argv:   # explicit flag wins
+            setattr(args, dest, value)
 
 
 def main(argv=None):
@@ -538,6 +515,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _apply_config(args, argv, parser)
+        _resolve_dependent_options(args)
         args.func(args)
         _write_meta(args.out, args)
         return 0

@@ -20,7 +20,7 @@ import numpy as np
 from .basis import BasisSet, CurveModel, TimedTrajectory, evaluate_batch
 from .density import (DEFAULT_FAMILY, SampleFilter, fit_density, gmm_fit,
                       min_loglik_threshold, rejection_sample)
-from .errors import GenerationError, NonFiniteError, record_field
+from .errors import GenerationError, NonFiniteError, read_json, record_field
 from .replan import MovingDisk, _squared_distance, constraint_from_script
 from .training import TrainConfig, train, flatten_params
 
@@ -53,17 +53,18 @@ class PlanarEnv:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            data = json.load(fh)
-
         def field(record, key, convert=lambda v: np.asarray(v, dtype=float)):
             return record_field(path, record, key, convert)
 
-        obstacles = [MovingDisk(times=[0.0], centers=[field(o, "center")],
-                                radius=field(o, "radius", float))
-                     for o in field(data, "obstacles", list)]
-        return cls(obstacles=obstacles, q_start=field(data, "q_start"),
-                   q_goal=field(data, "q_goal"), bounds=field(data, "bounds"))
+        def parse(data):
+            obstacles = [MovingDisk(times=[0.0], centers=[field(o, "center")],
+                                    radius=field(o, "radius", float))
+                         for o in field(data, "obstacles", list)]
+            return cls(obstacles=obstacles, q_start=field(data, "q_start"),
+                       q_goal=field(data, "q_goal"),
+                       bounds=field(data, "bounds"))
+
+        return read_json(path, parse)
 
 
 def collision_check(q, env, t=0.0):

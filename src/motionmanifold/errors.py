@@ -71,11 +71,15 @@ def record_field(source, record, key, convert):
 def read_json(path, parse):
     """parse(the JSON value in the file path).
 
-    A key that parse finds missing raises a ValueError naming the file and
-    the key; a value of a type that parse cannot use, one naming the file.
+    Text that is not JSON, a key that parse finds missing, and a value of
+    a type that parse cannot use each raise a ValueError naming the file
+    (and the key, when one is missing).
     """
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}: not valid JSON: {err}") from None
     try:
         return parse(data)
     except KeyError as err:

@@ -196,16 +196,27 @@ def test_sample_writes_each_curve_as_evaluated_alone(workspace, tmp_path,
         == (tmp_path / "expected.json").read_bytes()
 
 
-def test_sample_reconstructs_stored_fit(workspace, tmp_path):
+def test_reconstruct_evaluates_stored_fit(workspace, tmp_path):
     out = tmp_path / "recon"
-    argv = ("sample", "--from-params", str(workspace["fits"] / "fits.json"),
-            "--index", "4", "--grid", "80")
+    fits = workspace["fits"] / "fits.json"
+    argv = ("reconstruct", "--fits", str(fits), "--index", "4",
+            "--grid", "80")
     assert run_cli(*argv, "--out", str(out)) == 0
     assert_meta_records_options(out, *argv)
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["seed"] is None                  # reconstruct takes no seed
     rec = load_trajectory_dataset(out / "samples.json")[0]
     demo = load_trajectory_dataset(workspace["demos"] / "demos.json")[4]
     assert rec.points.shape == demo.points.shape
     assert np.abs(rec.points - demo.points).max() < 0.02
+    # the stored fit evaluated on the grid, written as one trajectory
+    model, stored, _ = load_fits(fits)
+    taus = np.linspace(0.0, 1.0, 80)
+    save_trajectory_dataset(
+        [TimedTrajectory(times=taus, points=model.evaluate(stored[4], taus))],
+        tmp_path / "expected.json")
+    assert (out / "samples.json").read_bytes() \
+        == (tmp_path / "expected.json").read_bytes()
 
 
 def test_eval_baseline_writes_report_and_scene(tmp_path):
@@ -387,7 +398,7 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, payload", [
-    (["sample"], {"from_params": 5}),
+    (["reconstruct", "--fits", "{fits}"], {"fits": 5}),
     (["export-plot", "--model", "{model}"], {"env": 7}),
     (["synth-demos", "--env", "continuum"], {"count": True}),
     (["train", "--fits", "{fits}"], {"epochs": True}),
@@ -423,17 +434,11 @@ def test_missing_input_path_exits_2(workspace, tmp_path, capsys, argv):
     assert "does not exist" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("payload", [None, {"model": None}],
-                         ids=["no-flag", "config-null"])
-def test_sample_without_model_or_params_exits_2(tmp_path, capsys, payload):
-    argv = ["sample", "--out", str(tmp_path / "o")]
-    if payload is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(payload))
-        argv += ["--config", str(cfg)]
-    assert run_cli(*argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "--from-params" in err
+def test_sample_without_model_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("sample", "--out", str(tmp_path / "o"))
+    assert exit_info.value.code == 2
+    assert "--model" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -444,12 +449,14 @@ def test_bad_hidden_spec_exits_2(workspace, tmp_path, capsys):
     assert "hidden" in capsys.readouterr().err
 
 
-def test_sample_index_out_of_range_exits_2(workspace, tmp_path, capsys):
-    code = run_cli("sample", "--from-params",
+def test_reconstruct_index_out_of_range_exits_2(workspace, tmp_path,
+                                                capsys):
+    code = run_cli("reconstruct", "--fits",
                    str(workspace["fits"] / "fits.json"), "--index", "99",
                    "--out", str(tmp_path / "o"))
     assert code == 2
     assert "index" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -512,8 +519,10 @@ def test_rejected_option_value_exits_2(workspace, tmp_path, capsys, argv):
      "seeds"),
     (["eval", "--env", "env1", "--kind", "vmp-gauss", "--num-samples", "0"],
      "num_samples"),
-    (["sample", "--from-params", "{fits}", "--grid", "0"], "'grid'"),
-    (["sample", "--from-params", "{fits}", "--grid", "1"], "'grid'"),
+    (["sample", "--model", "{model}", "--grid", "0"], "'grid'"),
+    (["sample", "--model", "{model}", "--grid", "1"], "'grid'"),
+    (["reconstruct", "--fits", "{fits}", "--grid", "0"], "'grid'"),
+    (["reconstruct", "--fits", "{fits}", "--grid", "1"], "'grid'"),
     (["sample", "--model", "{model}", "--grid", "-1"], "'grid'"),
     # the workspace model holds 12 latents, and a 2-dimensional latent
     # space needs 3 demos to span it
@@ -521,52 +530,21 @@ def test_rejected_option_value_exits_2(workspace, tmp_path, capsys, argv):
       "13"], "'components'"),
     (["export-plot", "--model", "{model}", "--density", "gmm",
       "--components", "13"], "'components'"),
-    # the KDE has no mixture components to count
-    (["sample", "--model", "{model}", "--density", "kde", "--components",
-      "2"], "'components'"),
-    (["export-plot", "--model", "{model}", "--density", "kde",
-      "--components", "2"], "'components'"),
     (["replan", "--count", "1", "--epochs", "2", "--hidden", "4"],
      "'count'"),
     (["replan", "--count", "2", "--epochs", "2", "--hidden", "4"],
      "'count'"),
-    # a run that draws no curves has no use for the drawing options
-    (["sample", "--from-params", "{fits}", "--density", "gmm"],
-     "'density'"),
-    (["sample", "--from-params", "{fits}", "--components", "2"],
-     "'components'"),
-    (["sample", "--from-params", "{fits}", "--count", "20"], "'count'"),
-    (["export-plot", "--model", "{no_latents}", "--density", "gmm"],
-     "'density'"),
-    (["export-plot", "--model", "{no_latents}", "--components", "2"],
-     "'components'"),
-    (["export-plot", "--model", "{no_latents}", "--count", "40"],
-     "'count'"),
-    # a model run reconstructs no fit, and a run takes one source
-    (["sample", "--model", "{model}", "--index", "3"], "'index'"),
-    (["sample", "--model", "{model}", "--index", "0"], "'index'"),
-    (["sample", "--model", "{model}", "--from-params", "{fits}"],
-     "'model'"),
-    (["sample", "--model", "{model}", "--from-params", "{fits}",
-      "--index", "1"], "'model'"),
 ], ids=["train-learning-rate", "train-hidden", "sample-components",
         "sample-count", "eval-seeds", "eval-num-samples", "sample-grid-0",
-        "sample-grid-1", "sample-grid-minus-1",
+        "sample-grid-1", "reconstruct-grid-0", "reconstruct-grid-1",
+        "sample-grid-minus-1",
         "sample-components-above-latents",
-        "export-plot-components-above-latents", "sample-kde-components",
-        "export-plot-kde-components", "replan-count-1",
-        "replan-count-2", "sample-from-params-density",
-        "sample-from-params-components", "sample-from-params-count",
-        "export-plot-no-latents-density",
-        "export-plot-no-latents-components",
-        "export-plot-no-latents-count", "sample-model-index-3",
-        "sample-model-index-0", "sample-model-and-from-params",
-        "sample-model-and-from-params-index"])
+        "export-plot-components-above-latents", "replan-count-1",
+        "replan-count-2"])
 def test_bad_value_exits_2_naming_its_field(workspace, tmp_path, capsys,
                                             argv, field):
     paths = {"fits": workspace["fits"] / "fits.json",
-             "model": workspace["model"],
-             "no_latents": _model_without_latents(workspace, tmp_path)}
+             "model": workspace["model"]}
     argv = [arg.format(**paths) for arg in argv]
     assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
@@ -574,35 +552,74 @@ def test_bad_value_exits_2_naming_its_field(workspace, tmp_path, capsys,
     assert not (tmp_path / "o" / "report.csv").exists()
 
 
-def _model_without_latents(workspace, tmp_path):
-    model = shutil.copytree(workspace["model"], tmp_path / "no_latents")
-    (model / "latents.json").unlink()
-    return model
+# per command, a cheap run whose {parent} is the value of the option a
+# _DEPENDENT_OPTIONS row depends on
+_DEPENDENT_RUNS = {
+    "synth-demos": ["synth-demos", "--env", "{parent}"],
+    "eval": ["eval", "--env", "env1", "--kind", "{parent}", "--epochs", "2",
+             "--hidden", "4", "--num-samples", "5", "--seeds", "1"],
+    "sample": ["sample", "--model", "{model}", "--density", "{parent}",
+               "--count", "2", "--grid", "3"],
+    "export-plot": ["export-plot", "--model", "{model}", "--density",
+                    "{parent}", "--count", "2"],
+}
+_DEPENDENT_ROWS = [(command, option, *rule)
+                   for command, rules in cli._DEPENDENT_OPTIONS.items()
+                   for option, rule in rules.items()]
+
+
+@pytest.mark.parametrize("command, option, parent, values, default",
+                         _DEPENDENT_ROWS,
+                         ids=[f"{c}-{o}" for c, o, *_ in _DEPENDENT_ROWS])
+def test_dependent_option_is_rejected_where_unused_and_defaulted_where_used(
+        workspace, tmp_path, capsys, command, option, parent, values,
+        default):
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command")
+    (choices,) = [a.choices for a in commands.choices[command]._actions
+                  if a.dest == parent]
+    unused = next(value for value in choices if value not in values)
+
+    def argv(parent_value, out):
+        return [arg.format(parent=parent_value, model=workspace["model"])
+                for arg in _DEPENDENT_RUNS[command]] + ["--out", str(out)]
+
+    # set on a run that would ignore it, as a flag or a config value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({option: default}))
+    for extra in ([f"--{option}", str(default)], ["--config", str(cfg)]):
+        assert run_cli(*argv(unused, tmp_path / "o"), *extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"'{option}'" in err
+        assert not (tmp_path / "o").exists()
+    # unset on a run that uses it
+    out = tmp_path / "used"
+    assert run_cli(*argv(values[0], out)) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["options"][option] == default
 
 
 def test_drawing_options_resolve_only_for_runs_that_draw(workspace,
-                                                         tmp_path):
-    # a model run records the values it drew with; a run that draws
-    # nothing records them unset
+                                                         tmp_path, capsys):
+    # a model run records the values it drew with; a model without
+    # latents.json has nothing to draw from
     out = tmp_path / "drawn"
     argv = ("sample", "--model", str(workspace["model"]), "--grid", "12")
     assert run_cli(*argv, "--out", str(out)) == 0
-    assert_meta_records_options(out, *argv, density=cli.DEFAULT_FAMILY,
-                                components=cli.GMM_COMPONENTS,
-                                count=cli.SAMPLE_COUNT)
+    assert_meta_records_options(out, *argv, components=cli.GMM_COMPONENTS)
     assert len(load_trajectory_dataset(out / "samples.json")) == 20
     out = tmp_path / "plotted"
     argv = ("export-plot", "--model", str(workspace["model"]))
     assert run_cli(*argv, "--out", str(out)) == 0
-    assert_meta_records_options(out, *argv, density=cli.DEFAULT_FAMILY,
-                                components=cli.GMM_COMPONENTS,
-                                count=cli.PLOT_COUNT)
-    out = tmp_path / "bare"
-    argv = ("export-plot", "--model",
-            str(_model_without_latents(workspace, tmp_path)))
-    assert run_cli(*argv, "--out", str(out)) == 0
-    assert_meta_records_options(out, *argv)
-    assert not (out / "trajectories.svg").exists()
+    assert_meta_records_options(out, *argv, components=cli.GMM_COMPONENTS)
+    model = shutil.copytree(workspace["model"], tmp_path / "no_latents")
+    (model / "latents.json").unlink()
+    capsys.readouterr()
+    assert run_cli("export-plot", "--model", str(model),
+                   "--out", str(tmp_path / "bare")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "latents.json" in err
+    assert not (tmp_path / "bare").exists()
 
 
 def test_unknown_train_meta_key_exits_2(workspace, tmp_path, capsys):
@@ -857,6 +874,18 @@ def test_fit_on_empty_dataset_exits_2_and_writes_nothing(workspace,
 def test_ill_typed_json_value_exits_2_naming_the_file(workspace, tmp_path,
                                                      capsys, name, corrupt):
     path, argv = _command_reading(workspace, tmp_path, name, corrupt)
+    assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["env.json", "demos.json", "fits.json",
+                                  "latents.json"])
+def test_truncated_json_file_exits_2_naming_it(workspace, tmp_path, capsys,
+                                               name):
+    path, argv = _command_reading(workspace, tmp_path, name,
+                                  lambda text: text[:20])
     assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(path) in err

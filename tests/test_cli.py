@@ -434,9 +434,18 @@ def test_missing_input_path_exits_2(workspace, tmp_path, capsys, argv):
     assert "does not exist" in err and "Traceback" not in err
 
 
-def test_sample_without_model_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("payload", [None, {"model": None}],
+                         ids=["no-flag", "config-null"])
+def test_sample_without_model_or_params_exits_2(tmp_path, capsys, payload):
+    # --model is the only source of sample, and argparse requires it on
+    # the command line, so a config file cannot stand in for it
+    argv = ["sample", "--out", str(tmp_path / "o")]
+    if payload is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        argv += ["--config", str(cfg)]
     with pytest.raises(SystemExit) as exit_info:
-        run_cli("sample", "--out", str(tmp_path / "o"))
+        run_cli(*argv)
     assert exit_info.value.code == 2
     assert "--model" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

@@ -500,13 +500,21 @@ def _apply_config(args, argv, parser):
     commands = next(a for a in parser._actions if a.dest == "command")
     actions = {a.dest: a for a in commands.choices[args.command]._actions
                if a.dest not in ("help", "config")}
+    values = {}
     for key, value in data.items():
         dest = key.replace("-", "_")
         if dest not in actions:
             raise ConfigError(f"unknown config field {key!r}")
-        value = _config_value(key, value, actions[dest])
-        if "--" + key.replace("_", "-") not in argv:   # explicit flag wins
-            setattr(args, dest, value)
+        if actions[dest].required:
+            raise ConfigError(f"field {key!r}: a required option is given "
+                              f"on the command line, not in a config file")
+        values[dest] = _config_value(key, value, actions[dest])
+    # parsed with no defaults, argv yields only the options it sets
+    for action in actions.values():
+        action.default = argparse.SUPPRESS
+    given = vars(parser.parse_args(argv))
+    for dest in values.keys() - given.keys():     # an explicit flag wins
+        setattr(args, dest, values[dest])
 
 
 def main(argv=None):

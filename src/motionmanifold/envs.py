@@ -356,6 +356,8 @@ def _collisions(model, stacks, disks):
     provably finite, is skipped; any other is evaluated, and a non-finite
     point raises NonFiniteError as before.
     """
+    if not np.isfinite(stacks).all():      # before inf * 0 warns in a gemm
+        raise NonFiniteError("a sampled curve reaches a non-finite point")
     grid = np.linspace(0.0, 1.0, CHECK_GRID_POINTS)
     tests = [(disk.center_at(0.0), _below_sqrt(disk.radius))
              for disk in disks]

@@ -34,6 +34,5 @@ class CurveGeomMetric:
         if total % self.n_bases != 0:
             raise ValueError(f"flattened length {total} is not a "
                              f"multiple of B = {self.n_bases}")
-        shaped = vec.reshape(vec.shape[:-1] + (-1, self.n_bases))
-        return (shaped @ self.gram).reshape(vec.shape)
+        return (vec.reshape(-1, self.n_bases) @ self.gram).reshape(vec.shape)
 

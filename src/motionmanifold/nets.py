@@ -6,8 +6,8 @@ reverse-mode, forward-mode, and reverse-through-forward passes are written
 out structurally instead of going through a general tape.
 
 Shape conventions: weight matrices are (out, in); activations are
-(batch, width); tangent stacks carry an extra direction axis,
-(batch, k, width).
+(batch, width).  Forward mode stacks a layer's batch primal rows over its
+batch*k tangent rows, k directions per point, so one gemm moves both.
 """
 
 from __future__ import annotations
@@ -150,72 +150,70 @@ class Mlp:
     # -- forward mode ----------------------------------------------------
 
     def jvp(self, x, tangent):
-        """Directional derivative J(x) @ tangent."""
+        """J(x) @ tangent for x (p,) or (batch, p) and one (p,) tangent."""
+        _, u = self._push_tangents(np.atleast_2d(x),
+                                   np.reshape(tangent, (1, self.in_dim)))
+        return u[:, 0].reshape(np.shape(x)[:-1] + (self.out_dim,))
+
+    def _push_tangents(self, x, directions):
+        """u (N, k, out) = J(x_p) directions[a] for x (N, in) and one
+        (k, in) block of directions shared by every point.
+
+        A layer's N primal rows and N*k tangent rows (point-major) go
+        through one gemm as one stacked array, rows[l]; rows[0] is x over
+        the k directions, so they are not copied per point.  Returns
+        (rows, u); the primal output is not computed.
+        """
         x = self._check_input(x)
-        v = np.asarray(tangent, dtype=float)
-        if v.shape != x.shape:
-            raise ValueError(f"tangent shape {v.shape} != input shape "
-                             f"{x.shape}")
-        acts = self.forward_cache(x)
-        _, tangents = self._push_tangents(acts, v[..., None, :])
-        return tangents[-1][1][..., 0, :]
+        n, k = len(x), len(directions)
+        rows = [np.concatenate([x, directions])]
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            h = rows[-1] @ w.T
+            a = np.tanh(np.add(h[:n], b, out=h[:n]), out=h[:n])
+            stacked = np.empty((n + n * k, len(w)))
+            stacked[:n] = a
+            np.multiply((1.0 - a * a)[:, None, :],
+                        h[n:].reshape(-1, k, len(w)),
+                        out=stacked[n:].reshape(n, k, len(w)))
+            rows.append(stacked)
+        u = (rows[-1][n:] @ self.weights[-1].T).reshape(-1, k, self.out_dim)
+        if len(u) != n:     # no hidden layer: J(x_p) = W at every point
+            u = np.repeat(u, n, axis=0)
+        return rows, u
 
-    def _push_tangents(self, acts, directions):
-        """Propagate direction stacks (batch, k, in) through cached acts.
-
-        Returns (acts, tangent cache) where the cache holds per layer the
-        pair (t_l, d_l): pre- and post-activation direction values.
+    def backward_through_jvp(self, rows, gu):
+        """Flat parameter gradient of <gu, u> for _push_tangents' rows and
+        u, one weight-gradient and one cotangent gemm per layer.  u reads no
+        primal output, so the output layer's primal cotangent and bias
+        gradient are zero; x and the directions are constants.
         """
-        d = np.asarray(directions, dtype=float)
-        cache = [(None, d)]
-        last = self.n_layers - 1
-        for i, w in enumerate(self.weights):
-            t = cache[-1][1] @ w.T
-            if i != last:
-                sp = 1.0 - acts[i + 1] ** 2
-                d_out = sp[..., None, :] * t if t.ndim == 3 else sp * t
-            else:
-                d_out = t
-            cache.append((t, d_out))
-        return acts, cache
-
-    def backward_through_jvp(self, acts, tangent_cache, cotangents):
-        """Reverse-mode through the forward-mode pass.
-
-        cotangents attach to the jvp outputs d_L, shape matching them
-        ((batch, k, out) or (k, out)).  Returns the flat parameter gradient
-        of <cotangents, d_L> summed over batch and directions; the primal
-        inputs and the seed directions are treated as constants.
-        """
-        gd = np.asarray(cotangents, dtype=float)
-        d_last = tangent_cache[-1][1]
-        if gd.shape != d_last.shape:
-            raise ValueError(f"cotangent shape {gd.shape} != jvp output "
-                             f"shape {d_last.shape}")
-        ga = np.zeros_like(acts[-1])
+        n, k, out = gu.shape
         grad = np.empty(self.params.size)
         dws, dbs = self.layer_views(grad)
-        for i in range(self.n_layers - 1, -1, -1):
-            t_i, _ = tangent_cache[i + 1]
-            d_prev = tangent_cache[i][1]
-            if i == self.n_layers - 1:
-                gt = gd
-                gs = ga
+        last = self.n_layers - 1
+        # with no hidden layer the k direction rows serve every point
+        cot = gu.reshape(n * k, out) if last else gu.sum(axis=0)
+        np.matmul(cot.T, rows[last][n:], out=dws[last])
+        dbs[last][...] = 0.0
+        for i in range(last - 1, -1, -1):
+            h = cot @ self.weights[i + 1]
+            ga, g = (None, h) if i + 1 == last else (h[:n], h[n:])
+            a, d = rows[i + 1][:n], rows[i + 1][n:].reshape(n, k, -1)
+            g, sp = g.reshape(d.shape), 1.0 - a * a
+            cot = np.empty((len(rows[i]), a.shape[1]))
+            gs, gt = cot[:n], cot[n:]
+            # tanh'' t = -2 a tanh' t = -2 a d: the tangent rows' share
+            # of the primal cotangent
+            np.einsum("pkw,pkw->pw", d, g, out=gs)
+            gs *= -2.0 * a
+            if ga is not None:
+                gs += sp * ga
+            if i:
+                np.multiply(sp[:, None, :], g, out=gt.reshape(d.shape))
             else:
-                a_i = acts[i + 1]
-                sp = 1.0 - a_i ** 2
-                spp = -2.0 * a_i * sp
-                gt = sp[..., None, :] * gd
-                gs = (spp[..., None, :] * t_i * gd).sum(axis=-2) + sp * ga
-            # sum over batch and directions: (..., k, out) x (..., k, in)
-            # -> (out, in) as one matmul over the stacked rows
-            dw = np.matmul(gt.reshape(-1, gt.shape[-1]).T,
-                           d_prev.reshape(-1, d_prev.shape[-1]), out=dws[i])
-            gs2, a2 = np.atleast_2d(gs, acts[i])
-            dw += gs2.T @ a2
-            dbs[i][...] = gs2.sum(axis=0)
-            gd = gt @ self.weights[i]
-            ga = gs @ self.weights[i]
+                np.einsum("pw,pkw->kw", sp, g, out=gt)
+            np.matmul(cot.T, rows[i], out=dws[i])
+            dbs[i][...] = gs.sum(axis=0)
         return grad
 
     # -- serialization ---------------------------------------------------
@@ -325,23 +323,17 @@ def adam_step(state, net, grad):
 
 
 def distortion_terms(decoder, z_batch, metric):
-    """Per-point traces of the latent pullback metric.
-
-    Returns (acts, tangent_cache, ku, q, tr, tr_sq) where q[p] is the m x m
-    pullback matrix at batch point p expressed through directional
-    derivatives, tr its trace and tr_sq the trace of its square.
+    """(rows, u, ku, q, tr, tr_sq): _push_tangents of the latent basis,
+    so u[p, a] = J(z_p) e_a, the metric applied to u, the m x m pullback
+    matrix q[p] at batch point p, its trace and the trace of its square.
     """
-    z = np.atleast_2d(np.asarray(z_batch, dtype=float))
-    n_pts, m = z.shape
-    acts = decoder.forward_cache(z)
-    directions = np.broadcast_to(np.eye(m), (n_pts, m, m)).copy()
-    _, cache = decoder._push_tangents(acts, directions)
-    u = cache[-1][1]                       # (N, m, nB): J e_a rows
+    rows, u = decoder._push_tangents(np.atleast_2d(z_batch),
+                                     np.eye(decoder.in_dim))
     ku = metric.apply(u)
     q = u @ ku.transpose(0, 2, 1)          # pullback matrices
     tr = np.einsum("paa->p", q)
     tr_sq = np.einsum("pab,pab->p", q, q)
-    return acts, cache, ku, q, tr, tr_sq
+    return rows, u, ku, q, tr, tr_sq
 
 
 def grad_of_distortion(decoder, z_batch, metric):
@@ -353,11 +345,10 @@ def grad_of_distortion(decoder, z_batch, metric):
     gradient flows through every directional-derivative evaluation
     (reverse over forward).  Latent points are treated as constants.
     """
-    z = np.atleast_2d(np.asarray(z_batch, dtype=float))
-    if z.shape[0] == 0:
+    rows, _, ku, q, tr, tr_sq = distortion_terms(decoder, z_batch, metric)
+    n_pts = len(tr)
+    if n_pts == 0:
         raise ValueError("empty latent batch")
-    n_pts = z.shape[0]
-    acts, cache, ku, q, tr, tr_sq = distortion_terms(decoder, z, metric)
     denom = tr.mean()
     if denom < 1e-12:
         raise DistortionUndefinedError(
@@ -369,4 +360,4 @@ def grad_of_distortion(decoder, z_batch, metric):
     # d value / d u, with u[p, a] = J(z_p) e_a.
     gu = (4.0 / (n_pts * denom ** 2)) * (q @ ku) \
         - (4.0 * numer / (n_pts * denom ** 3)) * ku
-    return value, decoder.backward_through_jvp(acts, cache, gu)
+    return value, decoder.backward_through_jvp(rows, gu)

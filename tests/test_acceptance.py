@@ -157,12 +157,13 @@ def test_gradients_match_finite_differences():
         rel_jvp = max(rel_jvp, np.abs(net.jvp(x, v) - fd).max()
                       / max(np.abs(fd).max(), 1e-8))
 
-    # distortion objective: gradient through the second-order pipeline
+    # distortion objective: gradient through the second-order pipeline,
+    # at 0-3 hidden layers (training's decoders have two or three)
     basis = BasisSet.uniform(4)
     metric = CurveGeomMetric(basis.gram())
     rel_dist = 0.0
-    for trial in range(10):
-        dec = nets.Mlp.create([2, 6, 8], seed=300 + trial)
+    for trial in range(12):
+        dec = nets.Mlp.create([2, *[6] * (trial % 4), 8], seed=300 + trial)
         z = rng.normal(size=(5, 2))
         _, dgrad = nets.grad_of_distortion(dec, z, metric)
         layer = int(rng.integers(0, dec.n_layers))

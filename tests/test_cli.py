@@ -305,20 +305,52 @@ def test_export_plot_with_nan_radius_exits_2(workspace, tmp_path, capsys):
 
 def test_config_file_supplies_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"count": 7, "env": "continuum"}))
+    cfg.write_text(json.dumps({"count": 7}))
     out = tmp_path / "out"
     assert run_cli("synth-demos", "--env", "continuum",
                    "--config", str(cfg), "--out", str(out)) == 0
     assert len(load_trajectory_dataset(out / "demos.json")) == 7
 
 
-def test_explicit_flag_beats_config_value(tmp_path):
+@pytest.mark.parametrize("flag", [["--count", "4"], ["--count=4"],
+                                  ["--cou", "4"]],
+                         ids=["separate", "equals", "abbreviated"])
+def test_explicit_flag_beats_config_value(tmp_path, flag):
+    # argparse reads --count=4 and the prefix --cou as --count 4
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"count": 7}))
     out = tmp_path / "out"
-    assert run_cli("synth-demos", "--env", "continuum", "--count", "4",
+    assert run_cli("synth-demos", "--env", "continuum", *flag,
                    "--config", str(cfg), "--out", str(out)) == 0
     assert len(load_trajectory_dataset(out / "demos.json")) == 4
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["synth-demos", "--env", "continuum"], "env"),
+    (["fit", "--demos", "{demos}", "--env", "{env}"], "demos"),
+    (["train", "--fits", "{fits}"], "fits"),
+    (["sample", "--model", "{model}"], "model"),
+    (["reconstruct", "--fits", "{fits}"], "fits"),
+    (["eval", "--env", "env1", "--kind", "mmp++"], "kind"),
+    (["replan"], "out"),
+    (["export-plot", "--model", "{model}"], "model"),
+], ids=lambda row: row[0] if isinstance(row, list) else None)
+def test_config_value_for_a_required_option_exits_2(workspace, tmp_path,
+                                                     capsys, argv, field):
+    # argparse demands a required option's flag, so its config value
+    # could only be checked and then ignored
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: str(tmp_path / "elsewhere")}))
+    argv = [arg.format(demos=workspace["demos"] / "demos.json",
+                       env=workspace["demos"] / "env.json",
+                       fits=workspace["fits"] / "fits.json",
+                       model=workspace["model"]) for arg in argv]
+    assert run_cli(*argv, "--config", str(cfg),
+                   "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"'{field}'" in err
+    assert "required" in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("payload", [

@@ -549,6 +549,7 @@ def test_skip_keeps_verdicts_where_a_curve_grazes_a_disk(k, height, radius,
     assert 0 < want.sum() < len(want)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("coefficient", [np.nan, np.inf])
 def test_check_without_obstacles_still_rejects_non_finite_curves(
         coefficient):

@@ -8,8 +8,8 @@ Curves are evaluated in two shapes, both linear maps from basis values to
 points:
 
 - all pairs, ``evaluate_batch``: every curve of an (N, n, B) stack at every
-  shared phase, (N, T, n), as one BLAS gemm per block of curves.
-  ``CurveModel.evaluate`` is its one-curve case.
+  shared phase, (N, T, n), as one BLAS gemm.  ``CurveModel.evaluate`` is
+  its one-curve case.
 - row-wise, ``evaluate_rows``: curve k at its own phase tau_k, (K, n).
 """
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import SingularFitError, read_json, record_field
+from .errors import SingularFitError, numeric, read_json, record_field
 
 # Uniform trapezoid grid used for every integral over [0, 1].
 QUAD_GRID_POINTS = 201
@@ -32,12 +32,6 @@ VIA_POINT = "via-point"
 
 # Largest normal-matrix condition number a least-squares fit accepts.
 COND_LIMIT = 1e12
-
-# Most output columns of one evaluate_batch gemm.  On OpenBLAS 0.3.31 a
-# wider gemm rounds tail curves unlike the one-curve product (N = 97..103
-# at n = 2), as does a T = 1 gemm over several curves; these blocks matched
-# it bit for bit over B in {6, 9, 20}, n in {2, 3, 7}, N <= 512, T <= 500.
-_GEMM_COLUMNS = 192
 
 
 def _as_tau_array(tau):
@@ -167,7 +161,7 @@ class BasisSet:
         value raises a ValueError naming source and the key."""
         _check_via_point(source, data, "mode")
         return cls(record_field(source, data, "centers", _floats),
-                   record_field(source, data, "width", float))
+                   record_field(source, data, "width", numeric(float)))
 
     def __eq__(self, other):
         return (isinstance(other, BasisSet) and self.width == other.width
@@ -249,7 +243,7 @@ def load_trajectory_dataset(path):
             raise ValueError(f"{path}: fields 't' and 'q': {err}") from None
 
     def parse(payload):
-        dim = record_field(path, payload, "dim", operator.index)
+        dim = record_field(path, payload, "dim", numeric(operator.index))
         trajs = [trajectory(record) for record
                  in record_field(path, payload, "trajectories", list)]
         if not trajs:
@@ -365,22 +359,18 @@ def evaluate_batch(model, coefficient_stack, tau):
 
     coefficient_stack has shape (N, n, B); returns (N, T, n), which is
     (0, T, n) for an empty stack, as a view of a coordinate-major
-    (T, n, N) buffer.  Each block of curves is one BLAS gemm, phi (T, B) @
-    the block's coefficient rows (B, n * N_block), of at most _GEMM_COLUMNS
-    columns and one curve when T = 1, so every curve keeps the bits of the
-    one-curve product elementary(tau) + phi @ w.T (swept in test_basis).
+    (T, n, N) buffer: one BLAS gemm, phi (T, B) @ the stack's coefficient
+    rows (B, n * N), plus the straight segment.  The gemm's rounding varies
+    with N and the BLAS kernel, so a curve need not keep the bits of its
+    one-curve product elementary(tau) + phi @ w.T, but it lies within
+    2 (B + 2) eps (|elementary(tau)| + |phi| @ |w|.T) of it on every kernel
+    (swept in test_basis), the margin envs._collisions allows.
     """
     stack = _coefficient_stack(model, coefficient_stack)
     arr, _ = _as_tau_array(tau)
-    phi, (n_curves, dim, n_bases) = model.basis._rows(arr), stack.shape
-    out = np.empty((len(arr), dim, n_curves))
-    step = 1 if len(arr) == 1 else max(_GEMM_COLUMNS // dim, 1)
-    for i in range(0, n_curves, step):
-        rows = stack[i:i + step].transpose(1, 0, 2).reshape(-1, n_bases).T
-        if n_curves <= step:      # one block: the gemm writes the buffer
-            np.matmul(phi, rows, out=out.reshape(len(arr), -1))
-        else:
-            out[:, :, i:i + step] = (phi @ rows).reshape(len(arr), dim, -1)
+    n_curves, dim, n_bases = stack.shape
+    rows = stack.transpose(1, 0, 2).reshape(-1, n_bases).T
+    out = (model.basis._rows(arr) @ rows).reshape(len(arr), dim, n_curves)
     out += model._segment(arr)[:, :, None]
     return out.transpose(2, 0, 1)
 

@@ -32,7 +32,7 @@ from .errors import (BranchError, DegenerateSupportError,
                      DistortionUndefinedError, GenerationError,
                      NonFiniteError, ReplanInfeasibleError,
                      SamplingStarvedError, SingularFitError, TrainingError,
-                     read_json, record_field)
+                     numeric, read_json, record_field)
 from .render import render_latent_scatter, render_loss_curves, render_scene
 from .replan import (MovingDisk, ReplanConfig, constraint_from_script,
                      run_episode, save_obstacle_script)
@@ -152,7 +152,7 @@ def load_fits(path):
         objectives = []              # optional: no command reads them
         if "objectives" in data:
             objectives = record_field(path, data, "objectives",
-                                      lambda v: [float(x) for x in v])
+                                      lambda v: list(map(numeric(float), v)))
         return model, fits, objectives
 
     return read_json(path, parse)
@@ -336,8 +336,7 @@ def cmd_replan(args):
                              fixture["script"])
     stride = max(1, len(trace.points) // 400)
     render_scene(os.path.join(out, "scene.svg"), fixture["env"],
-                 [trace.points[::stride]], colors=["#1f77b4"],
-                 moving_disks=fixture["script"],
+                 [trace.points[::stride]], moving_disks=fixture["script"],
                  snapshot_times=np.linspace(1.0, 3.0, 5))
     _log(out, f"replan seed={args.seed} replans={trace.n_replans} "
               f"max_c={trace.max_constraint:.4f}")

@@ -20,7 +20,8 @@ import numpy as np
 from .basis import BasisSet, CurveModel, TimedTrajectory, evaluate_batch
 from .density import (DEFAULT_FAMILY, SampleFilter, fit_density, gmm_fit,
                       min_loglik_threshold, rejection_sample)
-from .errors import GenerationError, NonFiniteError, read_json, record_field
+from .errors import (GenerationError, NonFiniteError, numeric, read_json,
+                     record_field)
 from .replan import MovingDisk, _squared_distance, constraint_from_script
 from .training import TrainConfig, train, flatten_params
 
@@ -58,7 +59,7 @@ class PlanarEnv:
 
         def parse(data):
             obstacles = [MovingDisk(times=[0.0], centers=[field(o, "center")],
-                                    radius=field(o, "radius", float))
+                                    radius=field(o, "radius", numeric(float)))
                          for o in field(data, "obstacles", list)]
             return cls(obstacles=obstacles, q_start=field(data, "q_start"),
                        q_goal=field(data, "q_goal"),
@@ -67,13 +68,14 @@ class PlanarEnv:
         return read_json(path, parse)
 
 
-def collision_check(q, env, t=0.0):
+def collision_check(q, env):
     """Worst-case penetration depth; positive means inside an obstacle.
 
-    Batched over points q (..., n) like the replanning field: returns
-    depths (...), a float for one point, and -1 with no obstacle.
+    Batched over points q (..., n) like the replanning field, read at t = 0
+    since the obstacles are static: returns depths (...), a float for one
+    point, and -1 with no obstacle.
     """
-    return constraint_from_script(env.obstacles)(q, t)
+    return constraint_from_script(env.obstacles)(q, 0.0)
 
 
 # obstacle disks, waypoint jitter, and one peak height per homotopy class
@@ -149,13 +151,13 @@ def _spline_demo(peak, noise, rng):
                            points=np.column_stack([x, _natural_spline(ys, x)]))
 
 
-def _demo_clear(traj, env, margin=0.02, grid_points=500):
-    # check on a dense resampling, not just the stored samples
-    xs = np.linspace(0.0, 1.0, grid_points)
+def _demo_clear(traj, env):
+    # clear of every disk by 0.02 on a dense resampling, not just the samples
+    xs = np.linspace(0.0, 1.0, 500)
     pts = np.column_stack([
         np.interp(xs, traj.times / traj.times[-1], traj.points[:, 0]),
         np.interp(xs, traj.times / traj.times[-1], traj.points[:, 1])])
-    return collision_check(pts, env).max() < -margin
+    return collision_check(pts, env).max() < -0.02
 
 
 def generate_env(env_id, seed=0):

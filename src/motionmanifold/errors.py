@@ -1,6 +1,7 @@
 """Exception types and the input-file field checkers shared by the library."""
 
 import json
+import math
 
 
 class SingularFitError(ValueError):
@@ -56,6 +57,19 @@ class ReplanInfeasibleError(RuntimeError):
 
 class GenerationError(RuntimeError):
     """Synthetic demonstration generation could not satisfy its guards."""
+
+
+def numeric(convert):
+    """convert for a number read from a file, rejecting a JSON true or
+    false, which operator.index and float read as 1 and 0, and a result
+    that is not finite."""
+    def checked(value):
+        if isinstance(value, bool):
+            raise TypeError(f"expected a number, got {json.dumps(value)}")
+        if not -math.inf < (number := convert(value)) < math.inf:
+            raise ValueError(f"{value!r} is not finite")
+        return number
+    return checked
 
 
 def record_field(source, record, key, convert):

@@ -39,13 +39,13 @@ class SvgCanvas:
         return self.height - self.pad - (y - self.ylim[0]) * self.scale
 
     def circle(self, center, radius, fill="#888888", opacity=1.0,
-               stroke="none", world_radius=True):
+               world_radius=True):
         r = radius * self.scale if world_radius else radius
         self.elements.append(
             f'<circle cx="{_fmt(self._tx(center[0]))}" '
             f'cy="{_fmt(self._ty(center[1]))}" r="{_fmt(r)}" '
             f'fill="{fill}" fill-opacity="{_fmt(opacity)}" '
-            f'stroke="{stroke}"/>')
+            f'stroke="none"/>')
 
     def polyline(self, points, stroke="#1f77b4", width=1.5, opacity=1.0):
         pts = " ".join(f"{_fmt(self._tx(p[0]))},{_fmt(self._ty(p[1]))}"
@@ -73,7 +73,7 @@ class SvgCanvas:
             fh.write(self.to_string())
 
 
-def render_scene(path, env, trajectories=(), colors=None, moving_disks=(),
+def render_scene(path, env, trajectories=(), moving_disks=(),
                  snapshot_times=()):
     """Obstacles plus trajectory polylines; moving disks drawn per snapshot."""
     canvas = SvgCanvas(env.bounds[0], env.bounds[1])
@@ -81,37 +81,32 @@ def render_scene(path, env, trajectories=(), colors=None, moving_disks=(),
         canvas.circle(obs.centers[0], obs.radius, fill="#555555",
                       opacity=0.85)
     for disk in moving_disks:
-        times = snapshot_times if len(snapshot_times) else disk.times
-        for j, center in enumerate(disk.center_at(np.asarray(times))):
-            fade = 0.15 + 0.6 * (j + 1) / len(times)
+        for j, center in enumerate(disk.center_at(np.asarray(snapshot_times))):
+            fade = 0.15 + 0.6 * (j + 1) / len(snapshot_times)
             canvas.circle(center, disk.radius, fill="#aa3377",
                           opacity=fade)
     for i, pts in enumerate(trajectories):
-        color = colors[i] if colors else PALETTE[i % len(PALETTE)]
-        canvas.polyline(pts, stroke=color, width=1.2, opacity=0.8)
+        canvas.polyline(pts, stroke=PALETTE[i % len(PALETTE)], width=1.2,
+                        opacity=0.8)
     canvas.circle(env.q_start, 0.012, fill="#000000")
     canvas.circle(env.q_goal, 0.012, fill="#000000")
     canvas.save(path)
 
 
-def render_latent_scatter(path, latents, labels=None, extra=None):
-    """Encoded points colored by label, optional extra sample cloud."""
-    z = np.atleast_2d(np.asarray(latents, dtype=float))
-    if z.shape[1] != 2:
-        z = z[:, :2]
-    alls = z if extra is None else np.vstack([z, np.atleast_2d(extra)[:, :2]])
+def render_latent_scatter(path, latents, extra):
+    """Encoded points in one color over a grey cloud of extra samples."""
+    z = np.atleast_2d(np.asarray(latents, dtype=float))[:, :2]
+    extra = np.atleast_2d(extra)[:, :2]
+    alls = np.vstack([z, extra])
     lo = alls.min(axis=0)
     hi = alls.max(axis=0)
     margin = 0.1 * np.maximum(hi - lo, 1e-6)
     canvas = SvgCanvas((lo[0] - margin[0], hi[0] + margin[0]),
                        (lo[1] - margin[1], hi[1] + margin[1]))
-    if extra is not None:
-        for p in np.atleast_2d(extra):
-            canvas.circle(p[:2], 2.0, fill="#bbbbbb", world_radius=False)
-    for i, p in enumerate(z):
-        lab = 0 if labels is None else int(labels[i])
-        canvas.circle(p, 3.5, fill=PALETTE[lab % len(PALETTE)],
-                      world_radius=False)
+    for p in extra:
+        canvas.circle(p, 2.0, fill="#bbbbbb", world_radius=False)
+    for p in z:
+        canvas.circle(p, 3.5, fill=PALETTE[0], world_radius=False)
     canvas.save(path)
 
 
@@ -119,16 +114,11 @@ def render_loss_curves(path, history):
     """One polyline per recorded series, log10 y for positive series."""
     series = {k: np.asarray(v, dtype=float) for k, v in history.items()
               if len(v) and np.asarray(v).ndim == 1}
-    series = {k: v for k, v in series.items() if np.all(np.isfinite(v))}
     if not series:
         raise ValueError("history holds no plottable series")
     n_epochs = max(len(v) for v in series.values())
-    plotted = {}
-    for k, v in series.items():
-        if np.all(v > 0):
-            plotted[k] = np.log10(v)
-        else:
-            plotted[k] = v
+    plotted = {k: np.log10(v) if np.all(v > 0) else v
+               for k, v in series.items()}
     lo = min(v.min() for v in plotted.values())
     hi = max(v.max() for v in plotted.values())
     if hi - lo < 1e-9:

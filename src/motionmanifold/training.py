@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from .basis import CurveModel, CurveParams, evaluate_batch
-from .errors import TrainingError, read_json, record_field
+from .errors import TrainingError, numeric, read_json, record_field
 from .geometry import CurveGeomMetric
 from . import nets
 
@@ -93,11 +93,11 @@ class TrainConfig:
 
 
 # how TrainConfig.from_dict reads each field; operator.index takes ints
-# only, so 2.5 or "2" is not read as a count
-_FIELD_TYPES = {"latent_dim": operator.index, "alpha": float,
-                "epochs": operator.index, "learning_rate": float,
-                "hidden": lambda sizes: tuple(map(operator.index, sizes)),
-                "seed": operator.index}
+# only, so 2.5 or "2" is not read as a count, and numeric rejects true
+_INT, _FLOAT = numeric(operator.index), numeric(float)
+_FIELD_TYPES = {"latent_dim": _INT, "alpha": _FLOAT, "epochs": _INT,
+                "learning_rate": _FLOAT, "seed": _INT,
+                "hidden": lambda sizes: tuple(map(_INT, sizes))}
 
 
 @dataclass
@@ -168,9 +168,12 @@ def write_history_csv(path, history):
 
 
 def read_history_csv(path):
+    """The loss columns of a history.csv; a cell that is not a finite
+    number raises a ValueError naming the file, its line and column."""
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    return {column: [record_field(path, row, column, float) for row in rows]
+    return {column: [record_field(f"{path} line {line}", row, column, _FLOAT)
+                     for line, row in enumerate(rows, start=2)]
             for column in ("recon", "distortion", "total")}
 
 

@@ -54,3 +54,22 @@ def replan_fixture():
                                 hidden=(128, 128), with_obstacle=True,
                                 control_hz=1000.0, replan_hz=10.0,
                                 total_time=5.0, window=1.0)
+
+
+@pytest.fixture(scope="session")
+def one_curve_rounding():
+    """share(model, taus, stack, points): the largest distance of points
+    (N, T, n) from each curve's one-curve product segment + phi @ w.T, as a
+    share of evaluate_batch's bound 2 (B + 2) eps (|segment| + |phi| @ |w|.T);
+    at most 1 when the bound holds."""
+    def share(model, taus, stack, points):
+        segment, phi = model.elementary(taus), model.basis.evaluate(taus)
+        margin = 2 * (model.basis.size + 2) * np.finfo(float).eps
+        worst = 0.0
+        for w, pts in zip(stack, points):
+            bound = margin * (np.abs(segment) + np.abs(phi) @ np.abs(w).T)
+            error = np.abs(pts - (segment + phi @ w.T))
+            worst = max(worst, float(np.max(
+                error / np.maximum(bound, np.finfo(float).tiny))))
+        return worst
+    return share

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+import motionmanifold
 from motionmanifold.basis import (BasisSet, CurveModel, CurveParams,
                                   TimedTrajectory, evaluate_batch,
                                   evaluate_rows, load_trajectory_dataset,
@@ -147,23 +152,42 @@ def test_evaluate_batch_matches_loop():
 
 
 @pytest.mark.parametrize("dim, n_bases", [(2, 6), (2, 20), (3, 6), (3, 20)])
-def test_evaluate_batch_is_the_single_curve_product_at_every_size(dim,
-                                                                  n_bases):
-    # N straddles the gemm block boundary of 192 // dim curves, and T = 1
-    # takes one curve per block; every row must keep the one-curve bits
+def test_evaluate_batch_is_the_single_curve_product_at_every_size(
+        dim, n_bases, one_curve_rounding):
+    # one gemm at every size: its blocking, and so its last bits, vary with
+    # N and T, but every curve stays within the rounding bound of its
+    # one-curve product
     rng = np.random.default_rng(dim * n_bases)
     model = CurveModel(BasisSet.uniform(n_bases), rng.normal(size=dim),
                        rng.normal(size=dim))
     for n_taus in (1, 2, 100, 500):
         taus = rng.uniform(size=n_taus)
-        segment, phi = model.elementary(taus), model.basis.evaluate(taus)
         for n_curves in (1, 2, 50, 96, 97, 102, 200, 500):
             stack = rng.normal(size=(n_curves, dim, n_bases))
             batch = evaluate_batch(model, stack, taus)
             assert batch.shape == (n_curves, n_taus, dim)
-            for k in range(n_curves):
-                assert np.array_equal(batch[k], segment + phi @ stack[k].T), \
-                    (n_taus, n_curves, k)
+            assert one_curve_rounding(model, taus, stack, batch) <= 1.0, \
+                (n_taus, n_curves)
+
+
+@pytest.mark.parametrize("coretype", [None, "Haswell", "Prescott"])
+def test_evaluate_batch_bound_holds_on_every_blas_kernel(coretype):
+    # OpenBLAS built with DYNAMIC_ARCH runs the gemm kernel that
+    # OPENBLAS_CORETYPE names, for the whole process; Prescott selects Katmai
+    env = {key: value for key, value in os.environ.items()
+           if key != "OPENBLAS_CORETYPE"}
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    src = str(pathlib.Path(motionmanifold.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
+                                                      env.get("PYTHONPATH")]))
+    sweep = (f"{__file__}::"
+             f"test_evaluate_batch_is_the_single_curve_product_at_every_size")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         sweep], capture_output=True, text=True, env=env,
+        cwd=pathlib.Path(__file__).parent.parent)
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 def test_evaluate_rows_is_the_all_pairs_diagonal():

@@ -172,7 +172,8 @@ def test_sample_summary_counts_kept_curves_and_cleared_draws(
 
 
 def test_sample_writes_each_curve_as_evaluated_alone(workspace, tmp_path,
-                                                    monkeypatch):
+                                                    monkeypatch,
+                                                    one_curve_rounding):
     stacks = []
     decode_many = ManifoldModel.decode_many
 
@@ -187,13 +188,13 @@ def test_sample_writes_each_curve_as_evaluated_alone(workspace, tmp_path,
     (stack,) = stacks
     curve = ManifoldModel.load(str(workspace["model"])).curve_model
     taus = np.linspace(0.0, 1.0, 33)
-    # the single-curve formula, one curve at a time
-    save_trajectory_dataset(
-        [TimedTrajectory(times=taus, points=curve.elementary(taus)
-                         + curve.basis.evaluate(taus) @ w.T)
-         for w in stack], tmp_path / "expected.json")
-    assert (out / "samples.json").read_bytes() \
-        == (tmp_path / "expected.json").read_bytes()
+    written = load_trajectory_dataset(out / "samples.json")
+    assert len(written) == len(stack)
+    for traj in written:
+        assert np.array_equal(traj.times, taus)
+    # each curve within rounding of the single-curve formula
+    points = np.stack([traj.points for traj in written])
+    assert one_curve_rounding(curve, taus, stack, points) <= 1.0
 
 
 def test_reconstruct_evaluates_stored_fit(workspace, tmp_path):
@@ -298,6 +299,30 @@ def test_export_plot_with_nan_radius_exits_2(workspace, tmp_path, capsys):
                    "--env", str(path), "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "radius" in err
+
+
+@pytest.mark.parametrize("columns", [("distortion",),
+                                     ("recon", "distortion", "total")],
+                         ids=["one-column", "every-column"])
+def test_export_plot_with_non_finite_history_exits_2(workspace, tmp_path,
+                                                     capsys, columns):
+    # a plot that dropped the series, or failed naming no file, would hide
+    # where the bad value came from
+    model = shutil.copytree(workspace["model"], tmp_path / "model")
+    path = model / "history.csv"
+    header, *rows = path.read_text().splitlines()
+    names = header.split(",")
+    cells = rows[2].split(",")
+    for column in columns:
+        cells[names.index(column)] = "nan"
+    rows[2] = ",".join(cells)
+    path.write_text("\n".join([header, *rows]) + "\n")
+    assert run_cli("export-plot", "--model", str(model),
+                   "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) in err
+    assert f"{path} line 4: field {columns[0]!r}: 'nan' is not finite" in err
+    assert not (tmp_path / "o").exists()
 
 
 # -- configuration handling ------------------------------------------------
@@ -856,6 +881,8 @@ def _command_reading(workspace, tmp_path, name, corrupt):
     ("curve_model.json", lambda text: json.dumps(
         {**json.loads(text), "basis": {**json.loads(text)["basis"],
                                        "width": "abc"}}), "width"),
+    ("curve_model.json", _json_with(lambda v: float("nan"), "basis",
+                                    "width"), "width"),
     ("train_meta.json", lambda text: json.dumps(
         {"config": {**json.loads(text)["config"], "hidden": 5}}), "hidden"),
     ("fits.json", _json_without("coefficients"), "coefficients"),
@@ -877,7 +904,7 @@ def _command_reading(workspace, tmp_path, name, corrupt):
         "train_meta-without-config", "decoder-without-weights",
         "decoder-sizes-unlike-weights",
         "curve_model-basis-without-width", "curve_model-text-width",
-        "train_meta-int-hidden", "fits-without-coefficients",
+        "curve_model-nan-width", "train_meta-int-hidden", "fits-without-coefficients",
         "demos-trajectory-without-q", "fits-text-coefficients",
         "fits-matrix-unlike-model", "fits-text-objectives",
         "fits-model-as-list", "demos-dim-text", "demos-dim-unlike-points",
@@ -889,6 +916,32 @@ def test_ill_typed_input_file_exits_2_naming_file_and_field(
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(path) in err
     assert repr(key) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, keys, value, key", [
+    ("train_meta.json", ("config", "latent_dim"), True, "latent_dim"),
+    ("train_meta.json", ("config", "alpha"), False, "alpha"),
+    ("train_meta.json", ("config", "epochs"), True, "epochs"),
+    ("train_meta.json", ("config", "learning_rate"), True, "learning_rate"),
+    ("train_meta.json", ("config", "hidden"), [True, 8], "hidden"),
+    ("train_meta.json", ("config", "seed"), False, "seed"),
+    ("demos.json", ("dim",), True, "dim"),
+    ("env.json", ("obstacles",), [{"center": [0.5, 3.0], "radius": True}],
+     "radius"),
+    ("curve_model.json", ("basis", "width"), True, "width"),
+    ("fits.json", ("objectives",), [False], "objectives"),
+], ids=["train_meta-latent_dim", "train_meta-alpha", "train_meta-epochs",
+        "train_meta-learning_rate", "train_meta-hidden", "train_meta-seed",
+        "demos-dim", "env-radius", "curve_model-width", "fits-objectives"])
+def test_boolean_number_in_input_file_exits_2_naming_file_and_field(
+        workspace, tmp_path, capsys, name, keys, value, key):
+    # bool subclasses int, so a JSON true must be told apart from a number
+    path, argv = _command_reading(workspace, tmp_path, name,
+                                  _json_with(lambda v: value, *keys))
+    assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) in err
+    assert f"field {key!r}: expected a number, got " in err
 
 
 def test_fit_on_empty_dataset_exits_2_and_writes_nothing(workspace,

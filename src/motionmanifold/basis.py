@@ -89,8 +89,8 @@ class BasisSet:
             raise ValueError("need at least 2 basis centers")
         if len(np.unique(centers)) != centers.size:
             raise ValueError("basis centers must be mutually distinct")
-        if width <= 0:
-            raise ValueError("basis width must be positive")
+        if not 0 < width < np.inf:         # NaN fails every comparison
+            raise ValueError("basis width must be finite and positive")
         self.centers = centers
         self.width = float(width)
 

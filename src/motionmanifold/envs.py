@@ -310,35 +310,33 @@ _CHECK_PHASES = 50
 _CHECK_CURVES = 500
 
 
-def _least_double(start, holds):
-    """Smallest double x with holds(x), for holds monotone in x, searched
-    by ulp steps from start, which must lie within a few ulps of it."""
-    x = np.float64(start)
-    while not holds(x):
-        x = np.nextafter(x, np.inf)
-    while holds(np.nextafter(x, -np.inf)):
-        x = np.nextafter(x, -np.inf)
-    return x
-
-
 def _below_sqrt(r):
     """Smallest double t with fl(sqrt(t)) >= r.
 
     sqrt rounds monotonically, so for every double d, d < t exactly when
     fl(sqrt(d)) < r, i.e. when r - sqrt(d) > 0.  fl(r * r) itself is off
-    by an ulp for about half of all radii, 0.15 and 0.12 among them.
+    by an ulp for about half of all radii, 0.15 and 0.12 among them, so t
+    is searched by ulp steps from it, which stay few if r * r is 0 or inf.
     """
-    return _least_double(r * r, lambda t: np.sqrt(t) >= r)
+    with np.errstate(over="ignore"):
+        t = np.float64(r) * np.float64(r)
+    while not np.sqrt(t) >= r:
+        t = np.nextafter(t, np.inf)
+    while np.sqrt(np.nextafter(t, -np.inf)) >= r:
+        t = np.nextafter(t, -np.inf)
+    return t
 
 
 def _collisions(model, stacks, disks):
     """Per curve of stacks (N, n, B): does any of its CHECK_GRID_POINTS
-    phases lie inside any of the disks (collision_check > 0)?
+    phases lie inside any of the disks (collision_check > 0) as evaluated
+    in blocks of _CHECK_PHASES phases by up to _CHECK_CURVES curves, in
+    buffers that every block reuses?  A gemm's last bits depend on its
+    shape, so the verdict is the field's sign on these blocks' points.
 
     The test needs no depth: it compares the field's own squared distance
     d with _below_sqrt(radius), and d < t exactly when radius - sqrt(d) >
-    0.  Blocks of _CHECK_PHASES phases by up to _CHECK_CURVES curves are
-    evaluated and tested in buffers that every block reuses.
+    0.
 
     A phase block is skipped, unevaluated, when a bound on the
     coefficients proves it clear of every disk.  phi >= 0, so in phase
@@ -349,11 +347,12 @@ def _collisions(model, stacks, disks):
     gemms, relative and, among subnormals, absolute, with room for phi on
     the whole grid to differ from phi on a block by an ulp.  Rounding is
     monotone, so every computed point of the block has coordinate c in
-    [fl(seg_lo - R'), fl(seg_hi + R')], and its difference to the disk
-    center rounds to at least the interval's.  When that gap is at least
-    s', the smallest double with fl(s' s') >= t (taken (1 + m) wider), the
-    squared distance d, a sum of non-negative rounded squares, is >= t:
-    no point of the block can hit that disk, and no verdict changes.  Only
+    [lo, hi] = [fl(seg_lo - R'), fl(seg_hi + R')], its difference to the
+    disk center rounds to at least the gap g = max(lo - center, center -
+    hi), and its rounded square to at least fl(g g).  When some coordinate
+    has g > 0 and fl(g g) >= t, the squared distance d, a sum of
+    non-negative rounded squares, is >= t for every point of the block:
+    none can hit that disk, and no verdict changes, for any radius.  Only
     a block whose bound is below 1e300, so that each of its points is
     provably finite, is skipped; any other is evaluated, and a non-finite
     point raises NonFiniteError as before.
@@ -369,8 +368,6 @@ def _collisions(model, stacks, disks):
     seg_lo = np.minimum.reduceat(segment, starts)                   # (J, n)
     seg_hi = np.maximum.reduceat(segment, starts)
     margin = 2 * (model.basis.size + 2) * np.finfo(float).eps
-    reaches = [(center, (1 + margin) * _least_double(
-        np.sqrt(t), lambda s: s * s >= t)) for center, t in tests]
     shape = (_CHECK_PHASES, min(_CHECK_CURVES, len(stacks)))
     d, term, hit = np.empty(shape), np.empty(shape), np.empty(shape, bool)
     collided = np.zeros(len(stacks), dtype=bool)
@@ -383,9 +380,10 @@ def _collisions(model, stacks, disks):
         lo, hi = seg_lo - stray, seg_hi + stray
         # a NaN bound fails the comparison and is evaluated
         skip = np.all((np.abs(lo) < 1e300) & (np.abs(hi) < 1e300), axis=1)
-        for center, reach in reaches:
-            skip &= np.any((lo - center >= reach) | (center - hi >= reach),
-                           axis=1)
+        with np.errstate(over="ignore"):        # inf is the right answer
+            for center, t in tests:
+                gap = np.maximum(lo - center, center - hi)
+                skip &= np.any((gap > 0) & (gap * gap >= t), axis=1)
         for j in starts[~skip]:
             points = evaluate_batch(model, block, grid[j:j + _CHECK_PHASES])
             if not np.isfinite(points).all():
@@ -409,8 +407,8 @@ def success_rate(bundle, env, num_samples, rng):
     verdict through an exact squared-radius test.  It evaluates only the
     phase blocks that a bound on the coefficients, inflated for rounding
     by 2 (B + 2) ulps, cannot prove clear of every disk; a skipped block
-    holds no point that could hit, so the verdicts are those of checking
-    every phase.
+    holds no point that could hit, so each verdict is the field's sign
+    on the points of the _CHECK_CURVES x _CHECK_PHASES blocks.
     """
     stacks, result = sample_curves(bundle, num_samples, rng)
     collided = _collisions(bundle.curve_model, stacks, env.obstacles)

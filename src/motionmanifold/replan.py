@@ -201,44 +201,34 @@ def constraint_from_script(disks):
     return DynamicConstraint(evaluator=evaluator)
 
 
-def _windows(taus, cfg):
-    """Phase grids over the lookahead windows that start at taus, (K, R).
+def _window_clashes(curve, stacks, taus, times, constraint, cfg):
+    """(N, K) verdicts: does curve n of stacks (N, n, B) violate the
+    constraint in the lookahead window that starts at phase taus[k] and
+    wall-time times[k]?
 
-    Row k is np.linspace(taus[k], hi_k, WINDOW_RESOLUTION) bit for bit.
-    linspace with array endpoints takes its zero-width route (ramp / div
-    * width) for every row once any row has zero width, as at tau = 1,
-    which moves the other rows by up to an ulp; here each row picks its
-    own route.
+    Window phases map to the future wall-times their phase distance
+    implies at the nominal rate.  All N x K windows are evaluated in one
+    evaluate_batch call and checked in one field call.
     """
-    lo = np.asarray(taus, dtype=float)
-    hi = np.minimum(lo + cfg.window / cfg.total_time, 1.0)
-    div = WINDOW_RESOLUTION - 1
-    ramp = np.arange(WINDOW_RESOLUTION, dtype=float)
-    width = hi - lo
-    step = width / div
-    grids = np.where((step == 0)[:, None], (ramp / div) * width[:, None],
-                     ramp * step[:, None])
-    grids += lo[:, None]
-    grids[:, -1] = hi
-    return grids
+    taus = np.asarray(taus, dtype=float)
+    grids = np.linspace(taus, np.minimum(taus + cfg.window / cfg.total_time,
+                                         1.0), WINDOW_RESOLUTION, axis=1)
+    times = (np.asarray(times, dtype=float)[:, None]
+             + (grids - taus[:, None]) * cfg.total_time)
+    points = evaluate_batch(curve, stacks, grids.ravel())
+    points = points.reshape(len(points), *grids.shape, points.shape[-1])
+    return np.any(constraint(points, times) > 0, axis=2)
 
 
 def predict_violation(model, constraint, z, taus, times, cfg):
     """Per check, True if the plan z violates the constraint in its window.
 
-    Check k starts its window at phase taus[k] and wall-time times[k];
-    window phases map to the future wall-times their phase distance
-    implies at the nominal rate.  Every window is decoded and evaluated
-    in one curve_points call and checked in one field call.  The field
-    is deterministic in (q, t), so a check made ahead of its tick gives
-    the verdict it would give on time.
+    Check k starts its window at phase taus[k] and wall-time times[k].
+    The field is deterministic in (q, t), so a check made ahead of its
+    tick gives the verdict it would give on time.
     """
-    taus = np.asarray(taus, dtype=float)
-    grids = _windows(taus, cfg)
-    points = model.curve_points(z, grids.ravel()).reshape(*grids.shape, -1)
-    times = (np.asarray(times, dtype=float)[:, None]
-             + (grids - taus[:, None]) * cfg.total_time)
-    return np.any(constraint(points, times) > 0, axis=1)
+    return _window_clashes(model.curve_model, model.decode_many(z), taus,
+                           times, constraint, cfg)[0]
 
 
 def _candidate_latents(state, density, rng):
@@ -283,17 +273,13 @@ def solve_replan(state, model, density, constraint, t_now, cfg, rng):
     pair_obj = dz2[:, None] + ALPHA_TIME * (tau - tau_grid) ** 2
     order = np.argsort(pair_obj.ravel(), kind="stable")
 
-    grids = _windows(tau_grid, cfg)                        # (n_tau, R)
-    times = t_now + (grids - tau_grid[:, None]) * cfg.total_time
-    pts = evaluate_batch(model.curve_model,
-                         model.decode_many(z_cands[density_ok]),
-                         grids.ravel())
-    pts = pts.reshape(pts.shape[0], *grids.shape, pts.shape[-1])
+    n_tau = len(tau_grid)
     window_ok = np.zeros(pair_obj.shape, dtype=bool)
-    window_ok[density_ok] = ~np.any(constraint(pts, times) > 0, axis=2)
+    window_ok[density_ok] = ~_window_clashes(
+        model.curve_model, model.decode_many(z_cands[density_ok]), tau_grid,
+        np.full(n_tau, t_now), constraint, cfg)
 
     eta = np.linspace(0.0, 1.0, ETA_POINTS)
-    n_tau = len(tau_grid)
     walk = order[window_ok.ravel()[order]]
     paths = {}    # iz -> eta path latents, None below the density floor
     decoded = {}  # iz -> decoded eta path

@@ -168,10 +168,13 @@ def write_history_csv(path, history):
 
 
 def read_history_csv(path):
-    """The loss columns of a history.csv; a cell that is not a finite
-    number raises a ValueError naming the file, its line and column."""
+    """The loss columns of a history.csv; a file with no epoch rows, or a
+    cell that is not a finite number, raises a ValueError naming the file
+    (and the cell's line and column)."""
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
+    if not rows:
+        raise ValueError(f"{path}: no epoch rows")
     return {column: [record_field(f"{path} line {line}", row, column, _FLOAT)
                      for line, row in enumerate(rows, start=2)]
             for column in ("recon", "distortion", "total")}

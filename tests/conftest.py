@@ -1,8 +1,12 @@
+import os
+import pathlib
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import motionmanifold
 from motionmanifold.basis import BasisSet, CurveModel, TimedTrajectory
 from motionmanifold.cli import build_replan_fixture
 from motionmanifold.training import TrainConfig, train
@@ -73,3 +77,25 @@ def one_curve_rounding():
                 error / np.maximum(bound, np.finfo(float).tiny))))
         return worst
     return share
+
+
+@pytest.fixture(scope="session")
+def run_pytest_on_blas():
+    """run(coretype, *args, **env): pytest *args in a fresh process whose
+    OpenBLAS, if built with DYNAMIC_ARCH, runs the gemm kernel that
+    OPENBLAS_CORETYPE = coretype names (None: the one it detects), with
+    the further environment variables env; returns the CompletedProcess."""
+    def run(coretype, *args, **extra):
+        env = {key: value for key, value in os.environ.items()
+               if key != "OPENBLAS_CORETYPE"}
+        if coretype is not None:
+            env["OPENBLAS_CORETYPE"] = coretype
+        env.update(extra)
+        src = str(pathlib.Path(motionmanifold.__file__).parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             *args], capture_output=True, text=True, env=env,
+            cwd=pathlib.Path(__file__).parent.parent)
+    return run

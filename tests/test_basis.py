@@ -1,8 +1,4 @@
 import json
-import os
-import pathlib
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -10,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-import motionmanifold
 from motionmanifold.basis import (BasisSet, CurveModel, CurveParams,
                                   TimedTrajectory, evaluate_batch,
                                   evaluate_rows, load_trajectory_dataset,
@@ -54,6 +49,13 @@ def test_via_point_mode_vanishes_at_endpoints():
 def test_default_width_is_squared_spacing():
     basis = BasisSet.uniform(11)
     assert basis.width == pytest.approx(0.1 ** 2)
+
+
+@pytest.mark.parametrize("width", [0.0, -0.1, np.nan, np.inf])
+def test_width_that_is_not_finite_and_positive_is_rejected(width):
+    # a NaN width gives all-NaN bases, an infinite one flat bases
+    with pytest.raises(ValueError, match="width must be finite and positive"):
+        BasisSet.uniform(6, width=width)
 
 
 def test_uniform_centers_include_endpoints():
@@ -171,22 +173,12 @@ def test_evaluate_batch_is_the_single_curve_product_at_every_size(
 
 
 @pytest.mark.parametrize("coretype", [None, "Haswell", "Prescott"])
-def test_evaluate_batch_bound_holds_on_every_blas_kernel(coretype):
-    # OpenBLAS built with DYNAMIC_ARCH runs the gemm kernel that
-    # OPENBLAS_CORETYPE names, for the whole process; Prescott selects Katmai
-    env = {key: value for key, value in os.environ.items()
-           if key != "OPENBLAS_CORETYPE"}
-    if coretype is not None:
-        env["OPENBLAS_CORETYPE"] = coretype
-    src = str(pathlib.Path(motionmanifold.__file__).parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
-                                                      env.get("PYTHONPATH")]))
+def test_evaluate_batch_bound_holds_on_every_blas_kernel(
+        coretype, run_pytest_on_blas):
+    # Prescott selects Katmai
     sweep = (f"{__file__}::"
              f"test_evaluate_batch_is_the_single_curve_product_at_every_size")
-    result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         sweep], capture_output=True, text=True, env=env,
-        cwd=pathlib.Path(__file__).parent.parent)
+    result = run_pytest_on_blas(coretype, sweep)
     assert result.returncode == 0, result.stdout + result.stderr
 
 

@@ -325,6 +325,18 @@ def test_export_plot_with_non_finite_history_exits_2(workspace, tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+def test_export_plot_with_empty_history_exits_2(workspace, tmp_path, capsys):
+    # a header with no epoch rows would reach the plot as empty series
+    model = shutil.copytree(workspace["model"], tmp_path / "model")
+    path = model / "history.csv"
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    assert run_cli("export-plot", "--model", str(model),
+                   "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{path}: no epoch rows" in err
+    assert not (tmp_path / "o").exists()
+
+
 # -- configuration handling ------------------------------------------------
 
 

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import signal
+import types
 
 import numpy as np
 import pytest
@@ -350,6 +352,9 @@ def test_success_rate_rejects_non_finite_curves(env1_demos):
 @example(0.15)                     # env1: fl(r * r) is not the threshold
 @example(0.12)                     # env2: nor here
 @example(0.09)                     # env3: here it is
+@example(1e-300)                   # r * r underflows to 0
+@example(1e-160)                   # to a subnormal
+@example(1e200)                    # or overflows to inf
 def test_below_sqrt_threshold_matches_the_depth_sign(r):
     t = envs._below_sqrt(r)
     assert np.sqrt(t) >= r > np.sqrt(np.nextafter(t, 0.0))
@@ -359,9 +364,19 @@ def test_below_sqrt_threshold_matches_the_depth_sign(r):
 
 
 def _reference_collisions(model, stacks, env):
+    """Per curve: is the depth field positive at any of its phases?  The
+    curves are evaluated on the blocks envs._collisions evaluates, since
+    a gemm's rounding depends on its shape and can flip a grazing curve."""
     grid = np.linspace(0.0, 1.0, envs.CHECK_GRID_POINTS)
-    return np.any(collision_check(evaluate_batch(model, stacks, grid),
-                                  env) > 0, axis=1)
+    hit = np.zeros(len(stacks), dtype=bool)
+    for i in range(0, len(stacks), envs._CHECK_CURVES):
+        block = stacks[i:i + envs._CHECK_CURVES]
+        for j in range(0, len(grid), envs._CHECK_PHASES):
+            points = evaluate_batch(model, block,
+                                    grid[j:j + envs._CHECK_PHASES])
+            hit[i:i + len(block)] |= np.any(
+                collision_check(points, env) > 0, axis=1)
+    return hit
 
 
 def _boundary_scales(model, env, around=3):
@@ -561,6 +576,50 @@ def test_check_without_obstacles_still_rejects_non_finite_curves(
     stacks[1, 0, 4] = coefficient
     with pytest.raises(NonFiniteError, match="non-finite point"):
         envs._collisions(model, stacks, [])
+
+
+@pytest.mark.parametrize("coretype", [None, "Haswell", "Prescott"])
+def test_success_check_agrees_with_the_field_on_one_blas_thread(
+        coretype, run_pytest_on_blas):
+    # one thread is the setting the benchmark measures in, and the gemm's
+    # last bits depend on the thread count as well as on the kernel
+    result = run_pytest_on_blas(coretype, __file__, "-k",
+                                "check_matches or skip_keeps",
+                                OPENBLAS_NUM_THREADS="1")
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("the success check ran past its alarm")
+
+
+@pytest.mark.parametrize("radius", [1e-300, 1e-160, 1e200])
+def test_check_finishes_for_radii_whose_square_leaves_the_normal_range(
+        radius):
+    # r * r underflows to a subnormal or 0, or overflows to inf; a
+    # threshold or skip search by ulp steps from there would never end
+    model = CurveModel(BasisSet.uniform(envs.N_BASES), [0.0, 0.0],
+                       [1.0, 0.0])
+    grid = np.linspace(0.0, 1.0, envs.CHECK_GRID_POINTS)
+    # the straight curve (stack 0) passes exactly through the center
+    disk = MovingDisk(times=[0.0], centers=[(grid[100], 0.0)],
+                      radius=radius)
+    stacks = 0.3 * np.random.default_rng(3).standard_normal(
+        (5, 2, envs.N_BASES))
+    stacks[0] = 0.0
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(10)
+    try:
+        collided = envs._collisions(model, stacks, [disk])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    # collision_check reads only the obstacles, and a PlanarEnv would
+    # reject endpoints inside the 1e200 disk
+    want = _reference_collisions(model, stacks,
+                                 types.SimpleNamespace(obstacles=[disk]))
+    assert np.array_equal(collided, want)
+    assert want[0] and (want.all() if radius > 1.0 else not want[1:].any())
 
 
 @pytest.mark.parametrize("env_id", sorted(_EXPECTED))

@@ -205,6 +205,9 @@ class TimedTrajectory:
             self.points = self.points[:, None]
         if self.times.ndim != 1 or self.times.size != self.points.shape[0]:
             raise ValueError("times and points must have matching lengths")
+        if not (np.isfinite(self.times).all()
+                and np.isfinite(self.points).all()):
+            raise ValueError("times and points must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
 

@@ -56,6 +56,8 @@ GMM_COMPONENTS = 2
 # curves sample and export-plot draw when --count is unset
 SAMPLE_COUNT = 20
 PLOT_COUNT = 40
+# TrainConfig.hidden as --hidden text
+_HIDDEN = ",".join(str(h) for h in TrainConfig.hidden)
 
 # command -> option -> (the option it depends on, the values of that
 # option it applies to, its default there); on a run it does not apply
@@ -63,7 +65,9 @@ PLOT_COUNT = 40
 _DEPENDENT_OPTIONS = {
     "synth-demos": {"count": ("env", ("continuum",), CONTINUUM_COUNT)},
     "eval": {"alpha": ("kind", ("immp++",), IMMP_ALPHA),
-             "density": ("kind", ("mmp++", "immp++"), DEFAULT_FAMILY)},
+             "density": ("kind", ("mmp++", "immp++"), DEFAULT_FAMILY),
+             "epochs": ("kind", ("mmp++", "immp++"), TrainConfig.epochs),
+             "hidden": ("kind", ("mmp++", "immp++"), _HIDDEN)},
     "sample": {"components": ("density", ("gmm",), GMM_COMPONENTS)},
     "export-plot": {"components": ("density", ("gmm",), GMM_COMPONENTS)},
 }
@@ -263,7 +267,9 @@ def cmd_reconstruct(args):
 def cmd_eval(args):
     out = _prepare_out(args)
     env, demos = generate_env(args.env, seed=args.seed)
-    cfg = TrainConfig(epochs=args.epochs, hidden=_parse_hidden(args.hidden))
+    # epochs is None for the baseline kinds, which train no network
+    cfg = None if args.epochs is None else TrainConfig(
+        epochs=args.epochs, hidden=_parse_hidden(args.hidden))
     bundle = build_bundle(args.kind, env, demos, seed=args.seed,
                           n_bases=args.bases, alpha=args.alpha,
                           density_family=args.density, train_config=cfg)
@@ -377,7 +383,6 @@ def build_parser():
         prog="motionmanifold",
         description="Motion-manifold movement primitives toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
-    hidden = ",".join(str(h) for h in TrainConfig.hidden)   # --hidden form
 
     p = subs.add_parser("synth-demos", help="generate an environment and "
                                            "demonstration set")
@@ -402,7 +407,7 @@ def build_parser():
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--learning-rate", type=float,
                    default=TrainConfig.learning_rate)
-    p.add_argument("--hidden", type=str, default=hidden)
+    p.add_argument("--hidden", type=str, default=_HIDDEN)
     _add_common(p)
     p.set_defaults(func=cmd_train)
 
@@ -430,9 +435,10 @@ def build_parser():
     p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--num-samples", type=int, default=EVAL_SAMPLES)
     p.add_argument("--seeds", type=int, default=len(EVAL_SEEDS))
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--hidden", type=str, default=hidden)
-    # None marks an unset alpha or density; see _DEPENDENT_OPTIONS
+    # None marks an unset epochs, hidden, alpha or density; see
+    # _DEPENDENT_OPTIONS
+    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--hidden", type=str, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--density", default=None, choices=list(FAMILIES))
     p.add_argument("--bases", type=int, default=N_BASES)

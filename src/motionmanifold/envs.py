@@ -22,8 +22,33 @@ from .density import (DEFAULT_FAMILY, SampleFilter, fit_density, gmm_fit,
                       min_loglik_threshold, rejection_sample)
 from .errors import (GenerationError, NonFiniteError, numeric, read_json,
                      record_field)
-from .replan import MovingDisk, _squared_distance, constraint_from_script
+from .replan import MovingDisk, constraint_from_script, squared_distance
 from .training import TrainConfig, train, flatten_params
+
+
+# converters for the fields of env.json; each raises a ValueError that
+# record_field prefixes with the file and the key
+
+def _finite(value):
+    array = np.asarray(value, dtype=float)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{value!r} is not finite")
+    return array
+
+
+def _positive(value):
+    number = numeric(float)(value)
+    if not number > 0:
+        raise ValueError(f"{value!r} is not positive")
+    return number
+
+
+def _scene_bounds(value):
+    bounds = _finite(value)
+    if bounds.shape != (2, 2) or not np.all(bounds[:, 0] < bounds[:, 1]):
+        raise ValueError(f"{value!r} is not ((xmin, xmax), (ymin, ymax)) "
+                         f"with min < max")
+    return bounds
 
 
 @dataclass
@@ -36,7 +61,7 @@ class PlanarEnv:
     def __post_init__(self):
         self.q_start = np.asarray(self.q_start, dtype=float)
         self.q_goal = np.asarray(self.q_goal, dtype=float)
-        self.bounds = np.asarray(self.bounds, dtype=float)
+        self.bounds = _scene_bounds(self.bounds)
         if np.any(collision_check(np.stack([self.q_start, self.q_goal]),
                                   self) > 0):
             raise ValueError("endpoint lies inside an obstacle")
@@ -54,16 +79,16 @@ class PlanarEnv:
 
     @classmethod
     def load(cls, path):
-        def field(record, key, convert=lambda v: np.asarray(v, dtype=float)):
+        def field(record, key, convert=_finite):
             return record_field(path, record, key, convert)
 
         def parse(data):
             obstacles = [MovingDisk(times=[0.0], centers=[field(o, "center")],
-                                    radius=field(o, "radius", numeric(float)))
+                                    radius=field(o, "radius", _positive))
                          for o in field(data, "obstacles", list)]
             return cls(obstacles=obstacles, q_start=field(data, "q_start"),
                        q_goal=field(data, "q_goal"),
-                       bounds=field(data, "bounds"))
+                       bounds=field(data, "bounds", _scene_bounds))
 
         return read_json(path, parse)
 
@@ -363,8 +388,8 @@ def _collisions(model, stacks, disks):
     tests = [(disk.center_at(0.0), _below_sqrt(disk.radius))
              for disk in disks]
     starts = np.arange(0, len(grid), _CHECK_PHASES)
-    phimax = np.maximum.reduceat(model.basis._rows(grid), starts)   # (J, B)
-    segment = model._segment(grid)
+    phimax = np.maximum.reduceat(model.basis.evaluate(grid), starts)  # (J, B)
+    segment = model.elementary(grid)
     seg_lo = np.minimum.reduceat(segment, starts)                   # (J, n)
     seg_hi = np.maximum.reduceat(segment, starts)
     margin = 2 * (model.basis.size + 2) * np.finfo(float).eps
@@ -392,7 +417,7 @@ def _collisions(model, stacks, disks):
             planes = points.T    # planes[c]: coordinate c, (phases, curves)
             used = np.s_[:planes.shape[1], :len(block)]   # of each buffer
             for center, t in tests:
-                _squared_distance(planes, center, d[used], term[used])
+                squared_distance(planes, center, d[used], term[used])
                 np.less(d[used], t, out=hit[used])
                 verdict |= hit[used].any(axis=0)
             del points, planes   # free the block before the next allocates

@@ -31,11 +31,9 @@ class DegenerateSupportError(ValueError):
 class SamplingStarvedError(RuntimeError):
     """Rejection sampling exhausted its attempt budget."""
 
-    def __init__(self, message=None, attempts=0, accepted=0):
-        if message is None:
-            message = (f"rejection sampling starved: accepted {accepted} "
-                       f"of {attempts} attempts")
-        super().__init__(message)
+    def __init__(self, attempts=0, accepted=0):
+        super().__init__(f"rejection sampling starved: accepted {accepted} "
+                         f"of {attempts} attempts")
         self.attempts = attempts
         self.accepted = accepted
 
@@ -43,13 +41,10 @@ class SamplingStarvedError(RuntimeError):
 class ReplanInfeasibleError(RuntimeError):
     """No candidate satisfied the replanning constraints."""
 
-    def __init__(self, message=None, n_candidates=0, n_density_ok=0,
-                 n_window_ok=0):
-        if message is None:
-            message = (f"no feasible replan among {n_candidates} candidates "
-                       f"({n_density_ok} cleared the density floor, "
-                       f"{n_window_ok} the window check)")
-        super().__init__(message)
+    def __init__(self, n_candidates=0, n_density_ok=0, n_window_ok=0):
+        super().__init__(f"no feasible replan among {n_candidates} "
+                         f"candidates ({n_density_ok} cleared the density "
+                         f"floor, {n_window_ok} the window check)")
         self.n_candidates = n_candidates
         self.n_density_ok = n_density_ok
         self.n_window_ok = n_window_ok

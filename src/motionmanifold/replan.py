@@ -66,16 +66,11 @@ class ReplanConfig:
 class ReplanState:
     z: np.ndarray
     tau: float = 0.0
-    goal_z: np.ndarray = None
-    goal_tau: float = 0.0
-    violated: bool = False
 
     def __post_init__(self):
         self.z = np.asarray(self.z, dtype=float)
-        if self.goal_z is None:
-            self.goal_z = self.z.copy()
         # np.clip keeps a NaN phase, which would fail deep in the search
-        for name in ("z", "tau", "goal_z", "goal_tau"):
+        for name in ("z", "tau"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise NonFiniteError(f"replan state {name} must be finite")
         self.tau = float(np.clip(self.tau, 0.0, 1.0))
@@ -134,8 +129,6 @@ class MovingDisk:
     def center_at(self, t):
         """Center at times t of shape (...); returns shape (..., n)."""
         shape = np.shape(t) + self.centers[0].shape
-        if len(self.times) == 1:
-            return np.full(shape, self.centers[0])
         center = np.empty(shape)
         for d in range(shape[-1]):
             center[..., d] = np.interp(t, self.times, self.centers[:, d])
@@ -152,7 +145,7 @@ def save_obstacle_script(path, disks):
         json.dump([d.to_dict() for d in disks], fh, indent=1)
 
 
-def _squared_distance(planes, center, out, term):
+def squared_distance(planes, center, out, term):
     """sum_c (planes[c] - center[..., c])^2 into out, summed in coordinate
     order; planes[c] holds coordinate c of every point, term is scratch.
 
@@ -177,7 +170,7 @@ def constraint_from_script(disks):
     The field is batched over points (..., n) and times (...) and returns
     depths (...); with no obstacle at all every depth is -1.  A static
     obstacle is a one-waypoint MovingDisk.  A depth is radius - sqrt(d)
-    for the squared distance d of _squared_distance, so it is positive
+    for the squared distance d of squared_distance, so it is positive
     exactly when d < t for the smallest double t whose square root rounds
     to at least the radius (the threshold success_rate tests).
     """
@@ -190,8 +183,8 @@ def constraint_from_script(disks):
         planes = [q[..., c] for c in range(q.shape[-1])]
         worst, depth, term = (np.empty(shape) for _ in range(3))
         for k, disk in enumerate(obstacles):
-            out = _squared_distance(planes, disk.center_at(t),
-                                    depth if k else worst, term)
+            out = squared_distance(planes, disk.center_at(t),
+                                   depth if k else worst, term)
             np.sqrt(out, out=out)
             np.subtract(disk.radius, out, out=out)
             if k:
@@ -348,8 +341,6 @@ class EpisodeTrace:
 
 def initial_latent(density, cfg, rng):
     """Density draw honoring the episode's own log-density floor."""
-    if not np.isfinite(cfg.threshold):
-        return np.asarray(density.sample(rng), dtype=float)
     for _ in range(INITIAL_ATTEMPTS):
         z = np.asarray(density.sample(rng), dtype=float)
         if density.logpdf(z) >= cfg.threshold:
@@ -403,13 +394,12 @@ def run_episode(model, density, constraint, cfg, seed=0, z0=None):
         latents[lo:hi] = state.z
         points[lo:hi] = model.curve_points(state.z, taus[lo:hi])
 
-    n_replans = 0
-    n_infeasible = 0
+    tracking = False     # toward (goal_z, goal_tau), once a search succeeds
     reached = False
     run = 0              # first nominal tick whose point is not evaluated
     batch = batch_end = 0
     for start in range(0, max_ticks, ticks_per_replan):
-        if state.violated or start >= batch_end:
+        if tracking or start >= batch_end:
             # the nominal phases tau = min(tau + dtau, 1.0) gives tick by
             # tick: the running sum adds left to right, and the clamp can
             # only bite at the tick that reaches the goal
@@ -431,25 +421,21 @@ def run_episode(model, density, constraint, cfg, seed=0, z0=None):
             try:
                 goal_z, goal_tau = solve_replan(
                     state, model, density, constraint, start * dt, cfg, rng)
-                state.goal_z = goal_z
-                state.goal_tau = goal_tau
-                state.violated = True
-                n_replans += 1
+                tracking = True
                 events[start] = 1
             except ReplanInfeasibleError as exc:
-                n_infeasible += 1
                 events[start] = 2
                 # a kept traceback would pin the search frame and, through
                 # f_back, every caller's frame with whatever they hold
                 exc.__traceback__ = None
         else:
-            state.violated = False
+            tracking = False
         # a nominal run ends where tracking starts or a new batch begins
-        if run < start and (state.violated or start == batch):
+        if run < start and (tracking or start == batch):
             evaluate_run(run, start)
             run = start
         stop = min(start + ticks_per_replan, max_ticks)
-        if not state.violated:
+        if not tracking:
             if goal < stop:
                 stop, reached = goal + 1, True
             state.tau = float(taus[stop - 1])
@@ -458,11 +444,10 @@ def run_episode(model, density, constraint, cfg, seed=0, z0=None):
             continue
         # per-tick updates on Python floats: the same IEEE operations as
         # on the arrays, without numpy's per-call cost
-        z, goal_z = state.z.tolist(), state.goal_z.tolist()
-        tau, goal_tau = state.tau, float(state.goal_tau)
+        z, goal, tau = state.z.tolist(), goal_z.tolist(), state.tau
         rows = []
         for tick in range(start, stop):
-            z = [zc + TRACKING_GAIN * (gc - zc) for zc, gc in zip(z, goal_z)]
+            z = [zc + TRACKING_GAIN * (gc - zc) for zc, gc in zip(z, goal)]
             tau = tau + TRACKING_GAIN * (goal_tau - tau)
             rows.append(z)
             taus[tick] = tau
@@ -486,5 +471,6 @@ def run_episode(model, density, constraint, cfg, seed=0, z0=None):
                         points=points,
                         constraint_values=constraint(points, times),
                         violation_flags=flags, replan_events=events,
-                        n_replans=n_replans, n_infeasible=n_infeasible,
+                        n_replans=int(np.count_nonzero(events == 1)),
+                        n_infeasible=int(np.count_nonzero(events == 2)),
                         reached_goal=reached, timed_out=not reached)

@@ -290,6 +290,22 @@ def test_export_plot_draws_clear_the_density_floor(workspace, tmp_path,
     assert np.array_equal(np.array(seen["curves"]), want)
 
 
+def test_export_plot_with_one_row_bounds_exits_2(workspace, tmp_path,
+                                                 capsys):
+    # the scene renderer reads bounds[1]; a one-row bounds must fail where
+    # the file is read, naming it
+    env = json.loads((workspace["demos"] / "env.json").read_text())
+    env["bounds"] = [[0.0, 1.0]]
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(env))
+    assert run_cli("export-plot", "--model", str(workspace["model"]),
+                   "--env", str(path), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) in err
+    assert "'bounds'" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_export_plot_with_nan_radius_exits_2(workspace, tmp_path, capsys):
     env = json.loads((workspace["demos"] / "env.json").read_text())
     env["obstacles"] = [{"center": [0.5, 0.0], "radius": float("nan")}]
@@ -427,12 +443,15 @@ def test_count_for_fixed_environment_exits_2(tmp_path, capsys, source):
     ("mmp++", "alpha", 0.0),
     ("vmp-gauss", "density", "gmm"),
     ("vmp-gmm", "density", "kde"),
+    ("vmp-gauss", "epochs", 7),
+    ("vmp-gmm", "hidden", "3"),
 ])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_eval_option_the_kind_does_not_use_exits_2(tmp_path, capsys, source,
                                                    kind, option, value):
     # only immp++ has a distortion weight, and the vmp kinds fit their own
-    # density, so the option would be recorded and do nothing
+    # density and train no network, so the option would be recorded and
+    # do nothing
     argv = ["eval", "--env", "env1", "--kind", kind,
             "--out", str(tmp_path / "o")]
     if source == "flag":
@@ -634,13 +653,15 @@ def test_bad_value_exits_2_naming_its_field(workspace, tmp_path, capsys,
 # _DEPENDENT_OPTIONS row depends on
 _DEPENDENT_RUNS = {
     "synth-demos": ["synth-demos", "--env", "{parent}"],
-    "eval": ["eval", "--env", "env1", "--kind", "{parent}", "--epochs", "2",
-             "--hidden", "4", "--num-samples", "5", "--seeds", "1"],
+    "eval": ["eval", "--env", "env1", "--kind", "{parent}",
+             "--num-samples", "5", "--seeds", "1"],
     "sample": ["sample", "--model", "{model}", "--density", "{parent}",
                "--count", "2", "--grid", "3"],
     "export-plot": ["export-plot", "--model", "{model}", "--density",
                     "{parent}", "--count", "2"],
 }
+# per command, dependent options that keep a run that uses them cheap
+_CHEAP_SETTINGS = {"eval": {"epochs": "2", "hidden": "4"}}
 _DEPENDENT_ROWS = [(command, option, *rule)
                    for command, rules in cli._DEPENDENT_OPTIONS.items()
                    for option, rule in rules.items()]
@@ -662,6 +683,11 @@ def test_dependent_option_is_rejected_where_unused_and_defaulted_where_used(
         return [arg.format(parent=parent_value, model=workspace["model"])
                 for arg in _DEPENDENT_RUNS[command]] + ["--out", str(out)]
 
+    # the cheap settings apply to the run that uses the option, except the
+    # option itself, which stays unset there
+    cheap = [arg for name, value in _CHEAP_SETTINGS.get(command, {}).items()
+             if name != option for arg in (f"--{name}", value)]
+
     # set on a run that would ignore it, as a flag or a config value
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({option: default}))
@@ -672,7 +698,7 @@ def test_dependent_option_is_rejected_where_unused_and_defaulted_where_used(
         assert not (tmp_path / "o").exists()
     # unset on a run that uses it
     out = tmp_path / "used"
-    assert run_cli(*argv(values[0], out)) == 0
+    assert run_cli(*argv(values[0], out), *cheap) == 0
     meta = json.loads((out / "meta.json").read_text())
     assert meta["options"][option] == default
 
@@ -911,6 +937,19 @@ def _command_reading(workspace, tmp_path, name, corrupt):
      "t"),
     ("demos.json", _json_with(lambda v: v[1:], "trajectories", 0, "q"),
      "q"),
+    ("env.json", _json_with(lambda v: [{"center": [float("nan"), 3.0],
+                                        "radius": 0.1}], "obstacles"),
+     "center"),
+    ("env.json", _json_with(lambda v: [{"center": [0.5, 3.0],
+                                        "radius": -0.1}], "obstacles"),
+     "radius"),
+    ("env.json", _json_with(lambda v: [float("nan"), v[1]], "q_start"),
+     "q_start"),
+    ("env.json", _json_with(lambda v: [[0.0, 1.0]], "bounds"), "bounds"),
+    ("env.json", _json_with(lambda v: [[1.0, 0.0], [0.0, 1.0]], "bounds"),
+     "bounds"),
+    ("demos.json", _json_with(lambda v: [[float("nan")] * len(v[0])] + v[1:],
+                              "trajectories", 0, "q"), "q"),
 ], ids=["env-as-list", "env-text-q_goal", "history-without-total",
         "history-text-recon", "latents-without-z", "latents-as-list",
         "train_meta-without-config", "decoder-without-weights",
@@ -920,7 +959,9 @@ def _command_reading(workspace, tmp_path, name, corrupt):
         "demos-trajectory-without-q", "fits-text-coefficients",
         "fits-matrix-unlike-model", "fits-text-objectives",
         "fits-model-as-list", "demos-dim-text", "demos-dim-unlike-points",
-        "demos-text-t", "demos-q-unlike-t"])
+        "demos-text-t", "demos-q-unlike-t", "env-nan-center",
+        "env-negative-radius", "env-nan-q_start", "env-one-row-bounds",
+        "env-reversed-bounds", "demos-nan-q"])
 def test_ill_typed_input_file_exits_2_naming_file_and_field(
         workspace, tmp_path, capsys, name, corrupt, key):
     path, argv = _command_reading(workspace, tmp_path, name, corrupt)

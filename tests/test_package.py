@@ -47,6 +47,34 @@ def test_modules_have_no_unused_imports():
     assert unused == []
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # a private name may change with its own module; a module that reaches
+    # another's, by a relative import or as an attribute of the module,
+    # would break with it
+    package = pathlib.Path(motionmanifold.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    crossings = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = set()                  # names bound to a package module
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or not node.level:
+                continue
+            for alias in node.names:
+                if node.module is None and alias.name in modules:
+                    bound.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    crossings.append(f"{path.name}:{node.lineno} "
+                                     f"{node.module}.{alias.name}")
+        crossings += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr.startswith("_")
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id in bound]
+    assert crossings == []
+
+
 def test_public_names_have_a_caller_outside_the_unit_tests():
     # a public function, class or method that only unit tests call is API
     # kept for its tests; a caller is the library itself (not the

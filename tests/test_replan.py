@@ -94,16 +94,14 @@ def test_config_validation(kwargs):
         ReplanConfig(**kwargs)
 
 
-def test_state_clips_phase_and_defaults_goal():
-    state = ReplanState(z=[1.0, 2.0], tau=1.7)
-    assert state.tau == 1.0
-    assert np.array_equal(state.goal_z, state.z)
+def test_state_clips_phase():
+    assert ReplanState(z=[1.0, 2.0], tau=1.7).tau == 1.0
     assert ReplanState(z=[0.0], tau=-0.3).tau == 0.0
 
 
 @pytest.mark.parametrize("field, value", [
     ("z", [np.nan, 0.0]), ("z", [0.0, np.inf]), ("tau", np.nan),
-    ("tau", np.inf), ("goal_z", [0.0, np.nan]), ("goal_tau", np.nan),
+    ("tau", np.inf),
 ])
 def test_state_rejects_non_finite_values(field, value):
     kwargs = {"z": [0.5, 0.0], field: value}
@@ -813,7 +811,7 @@ def reference_run_episode(model, density, constraint, cfg, seed=0, z0=None):
     max_ticks = int(np.ceil(cfg.max_time * cfg.control_hz))
     times, taus, latents, points, flags, events = [], [], [], [], [], []
     n_replans = n_infeasible = 0
-    reached = False
+    tracking = reached = False
     for tick in range(max_ticks):
         t_now = tick * dt
         event = 0
@@ -822,29 +820,27 @@ def reference_run_episode(model, density, constraint, cfg, seed=0, z0=None):
                 try:
                     goal_z, goal_tau = solve_replan(
                         state, model, density, constraint, t_now, cfg, rng)
-                    state.goal_z = goal_z
-                    state.goal_tau = goal_tau
-                    state.violated = True
+                    tracking = True
                     n_replans += 1
                     event = 1
                 except ReplanInfeasibleError:
                     n_infeasible += 1
                     event = 2
             else:
-                state.violated = False
-        if state.violated:
+                tracking = False
+        if tracking:
             gain = replan.TRACKING_GAIN
-            state.z = state.z + gain * (state.goal_z - state.z)
-            state.tau = state.tau + gain * (state.goal_tau - state.tau)
+            state.z = state.z + gain * (goal_z - state.z)
+            state.tau = state.tau + gain * (goal_tau - state.tau)
         else:
             state.tau = min(state.tau + dtau, 1.0)
         times.append(t_now)
         taus.append(state.tau)
         latents.append(state.z)
         points.append(model.curve_points(state.z, np.array([state.tau]))[0])
-        flags.append(int(state.violated))
+        flags.append(int(tracking))
         events.append(event)
-        if state.tau >= 1.0 - 1e-12 and not state.violated:
+        if state.tau >= 1.0 - 1e-12 and not tracking:
             reached = True
             break
     times, points = np.array(times), np.array(points)

@@ -7,8 +7,8 @@ densities with threshold rejection sampling, SE(3) pose curves, and
 sampling-based online replanning against moving obstacles.
 """
 
-from .basis import (BasisSet, CurveModel, CurveParams, TimedTrajectory,
-                    evaluate_batch, evaluate_rows, load_trajectory_dataset,
+from .basis import (BasisSet, CurveModel, TimedTrajectory, evaluate_batch,
+                    evaluate_rows, load_trajectory_dataset,
                     save_trajectory_dataset)
 from .density import (GmmModel, KdeModel, RejectionResult, SampleFilter,
                       fit_density, gmm_fit, kde_build, min_loglik_threshold,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState", "BasisSet", "BranchError", "CurveGeomMetric", "CurveModel",
-    "CurveParams", "DegenerateSupportError", "DistortionUndefinedError",
+    "DegenerateSupportError", "DistortionUndefinedError",
     "DynamicConstraint", "EpisodeTrace", "EvalReport", "GenerationError",
     "GmmModel", "KdeModel", "ManifoldModel", "Mlp", "ModelBundle",
     "MovingDisk", "NonFiniteError", "PlanarEnv",

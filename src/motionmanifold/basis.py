@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import SingularFitError, numeric, read_json, record_field
+from .errors import (SingularFitError, finite_array, numeric, read_json,
+                     record_field)
 
 # Uniform trapezoid grid used for every integral over [0, 1].
 QUAD_GRID_POINTS = 201
@@ -55,10 +56,6 @@ def _check_via_point(source, data, field):
                          f"{kind!r}; only {VIA_POINT!r} is supported")
 
 
-def _floats(value):
-    return np.asarray(value, dtype=float)
-
-
 def lstsq_coefficients(phi, targets):
     """W (d, B) minimizing sum_k ||W phi_k - targets_k||^2.
 
@@ -87,8 +84,11 @@ class BasisSet:
         centers = np.asarray(centers, dtype=float)
         if centers.ndim != 1 or centers.size < 2:
             raise ValueError("need at least 2 basis centers")
-        if len(np.unique(centers)) != centers.size:
-            raise ValueError("basis centers must be mutually distinct")
+        # np.unique keeps every NaN, so distinctness alone lets one through
+        if not (np.isfinite(centers).all()
+                and len(np.unique(centers)) == centers.size):
+            raise ValueError("basis centers must be finite and mutually "
+                             "distinct")
         if not 0 < width < np.inf:         # NaN fails every comparison
             raise ValueError("basis width must be finite and positive")
         self.centers = centers
@@ -160,35 +160,12 @@ class BasisSet:
         """Each field goes through record_field, so a missing or ill-typed
         value raises a ValueError naming source and the key."""
         _check_via_point(source, data, "mode")
-        return cls(record_field(source, data, "centers", _floats),
+        return cls(record_field(source, data, "centers", finite_array),
                    record_field(source, data, "width", numeric(float)))
 
     def __eq__(self, other):
         return (isinstance(other, BasisSet) and self.width == other.width
                 and np.array_equal(self.centers, other.centers))
-
-
-@dataclass(frozen=True)
-class CurveParams:
-    """Coefficient matrix of one curve; row i modulates coordinate i."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.coefficients, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError("coefficients must be an (n, B) matrix")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coefficients", arr)
-
-    @property
-    def dim(self):
-        return self.coefficients.shape[0]
-
-    @property
-    def n_bases(self):
-        return self.coefficients.shape[1]
 
 
 @dataclass
@@ -238,8 +215,8 @@ def load_trajectory_dataset(path):
     times and points that do not make a trajectory name both keys.  An
     empty list is rejected, as save_trajectory_dataset rejects it."""
     def trajectory(record):
-        times = record_field(path, record, "t", _floats)
-        points = record_field(path, record, "q", _floats)
+        times = record_field(path, record, "t", finite_array)
+        points = record_field(path, record, "q", finite_array)
         try:
             return TimedTrajectory(times, points)
         except ValueError as err:
@@ -266,7 +243,9 @@ class CurveModel:
 
     elementary(tau) is the straight segment (1-tau) q_start + tau q_end,
     and the bases vanish at tau = 0 and 1, so the curve meets both
-    endpoints exactly for every w.
+    endpoints exactly for every w.  A curve's coefficients w are an
+    (n, B) float array, row i modulating coordinate i; a set of curves is
+    an (N, n, B) stack.
     """
 
     def __init__(self, basis, q_start, q_end):
@@ -275,6 +254,8 @@ class CurveModel:
         self.q_end = np.asarray(q_end, dtype=float)
         if self.q_start.ndim != 1 or self.q_end.shape != self.q_start.shape:
             raise ValueError("endpoints must be vectors of one shape")
+        if not np.isfinite([self.q_start, self.q_end]).all():
+            raise ValueError("endpoints must be finite")
         self.dim = self.q_start.size
 
     def elementary(self, tau):
@@ -287,16 +268,9 @@ class CurveModel:
         return (1.0 - arr)[:, None] * self.q_start[None, :] \
             + arr[:, None] * self.q_end[None, :]
 
-    def _check_params(self, params):
-        if params.coefficients.shape != (self.dim, self.basis.size):
-            raise ValueError(
-                f"coefficient shape {params.coefficients.shape} does not match "
-                f"curve ({self.dim}, {self.basis.size})")
-
-    def evaluate(self, params, tau):
+    def evaluate(self, w, tau):
         """q(tau; w); shape (n,) for scalar tau, (T, n) for arrays."""
-        self._check_params(params)
-        out = evaluate_batch(self, params.coefficients[None], tau)[0]
+        out = evaluate_batch(self, [w], tau)[0]
         return out[0] if np.ndim(tau) == 0 else out
 
     def _phases(self, trajectory):
@@ -312,7 +286,7 @@ class CurveModel:
         return t / t[-1]
 
     def fit(self, trajectory):
-        """Least-squares coefficients for one demonstration.
+        """Least-squares coefficients (n, B) for one demonstration.
 
         Solves w = Delta Phi^T (Phi Phi^T)^{-1} at the trajectory's phases
         through a Cholesky factorization of the normal matrix.
@@ -323,13 +297,11 @@ class CurveModel:
             raise ValueError(f"need more samples ({n_samples}) than bases "
                              f"({self.basis.size}) to fit")
         delta = trajectory.points - self.elementary(tau)  # (L, n)
-        return CurveParams(lstsq_coefficients(self.basis.evaluate(tau),
-                                              delta))
+        return lstsq_coefficients(self.basis.evaluate(tau), delta)
 
-    def fit_objective(self, params, trajectory):
+    def fit_objective(self, w, trajectory):
         """Sum of squared residuals of the fitting problem, for diagnostics."""
-        resid = trajectory.points - self.evaluate(params,
-                                                  self._phases(trajectory))
+        resid = trajectory.points - self.evaluate(w, self._phases(trajectory))
         return float(np.sum(resid ** 2))
 
     def to_dict(self):
@@ -343,8 +315,8 @@ class CurveModel:
         _check_via_point(source, data, "kind")
         basis = record_field(source, data, "basis", dict)
         return cls(BasisSet.from_dict(basis, source),
-                   record_field(source, data, "q_start", _floats),
-                   record_field(source, data, "q_end", _floats))
+                   record_field(source, data, "q_start", finite_array),
+                   record_field(source, data, "q_end", finite_array))
 
 
 def _coefficient_stack(model, coefficient_stack, rows="N"):

@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .basis import (CurveModel, CurveParams, TimedTrajectory,
+from .basis import (CurveModel, TimedTrajectory,
                     load_trajectory_dataset, save_trajectory_dataset)
 from .density import (DEFAULT_FAMILY, FAMILIES, kde_build,
                       min_loglik_threshold, save_density)
@@ -32,7 +32,7 @@ from .errors import (BranchError, DegenerateSupportError,
                      DistortionUndefinedError, GenerationError,
                      NonFiniteError, ReplanInfeasibleError,
                      SamplingStarvedError, SingularFitError, TrainingError,
-                     numeric, read_json, record_field)
+                     finite_array, numeric, read_json, record_field)
 from .render import render_latent_scatter, render_loss_curves, render_scene
 from .replan import (MovingDisk, ReplanConfig, constraint_from_script,
                      run_episode, save_obstacle_script)
@@ -129,30 +129,29 @@ def _parse_hidden(text):
 
 def save_fits(path, model, fits, objectives):
     data = {"model": model.to_dict(),
-            "coefficients": [p.coefficients.tolist() for p in fits],
+            "coefficients": fits.tolist(),
             "objectives": objectives}
     with open(path, "w") as fh:
         json.dump(data, fh, indent=1)
 
 
 def load_fits(path):
-    """(model, fits, objectives) from fits.json; each field goes through
-    record_field, so a missing or ill-typed value names the file and key."""
+    """(model, fits, objectives) from fits.json, fits the finite (N, n, B)
+    coefficient stack; each field goes through record_field, so a missing
+    or ill-typed value names the file and key."""
     def parse(data):
         model = CurveModel.from_dict(record_field(path, data, "model", dict),
                                      path)
+        want = (model.dim, model.basis.size)
 
-        def params(matrices):
-            fits = [CurveParams(np.asarray(c, dtype=float)) for c in matrices]
-            want = (model.dim, model.basis.size)
-            for k, p in enumerate(fits):
-                if p.coefficients.shape != want:
-                    raise ValueError(f"matrix {k} has shape "
-                                     f"{p.coefficients.shape}; the model's "
-                                     f"curves need {want}")
+        def stack(value):
+            fits = finite_array(value)
+            if fits.ndim != 3 or fits.shape[1:] != want:
+                raise ValueError(f"shape {fits.shape}; the model's curves "
+                                 f"need (N, {want[0]}, {want[1]})")
             return fits
 
-        fits = record_field(path, data, "coefficients", params)
+        fits = record_field(path, data, "coefficients", stack)
         objectives = []              # optional: no command reads them
         if "objectives" in data:
             objectives = record_field(path, data, "objectives",
@@ -215,10 +214,8 @@ def _sample_model(manifold, args):
     the density is gmm), --count and --seed.
     """
     path = os.path.join(args.model, "latents.json")
-    z = read_json(path, lambda data: record_field(
-        path, data, "z", lambda v: np.asarray(v, dtype=float)))
-    if not np.isfinite(z).all():
-        raise ValueError(f"{path}: latents are not finite")
+    z = read_json(path, lambda data: record_field(path, data, "z",
+                                                  finite_array))
     gmm = args.density == "gmm"
     if gmm and args.components > len(z):
         raise ConfigError(f"field 'components': {args.components} mixture "

@@ -20,21 +20,14 @@ import numpy as np
 from .basis import BasisSet, CurveModel, TimedTrajectory, evaluate_batch
 from .density import (DEFAULT_FAMILY, SampleFilter, fit_density, gmm_fit,
                       min_loglik_threshold, rejection_sample)
-from .errors import (GenerationError, NonFiniteError, numeric, read_json,
-                     record_field)
+from .errors import (GenerationError, NonFiniteError, finite_array, numeric,
+                     read_json, record_field)
 from .replan import MovingDisk, constraint_from_script, squared_distance
-from .training import TrainConfig, train, flatten_params
+from .training import TrainConfig, train
 
 
 # converters for the fields of env.json; each raises a ValueError that
 # record_field prefixes with the file and the key
-
-def _finite(value):
-    array = np.asarray(value, dtype=float)
-    if not np.isfinite(array).all():
-        raise ValueError(f"{value!r} is not finite")
-    return array
-
 
 def _positive(value):
     number = numeric(float)(value)
@@ -44,7 +37,7 @@ def _positive(value):
 
 
 def _scene_bounds(value):
-    bounds = _finite(value)
+    bounds = finite_array(value)
     if bounds.shape != (2, 2) or not np.all(bounds[:, 0] < bounds[:, 1]):
         raise ValueError(f"{value!r} is not ((xmin, xmax), (ymin, ymax)) "
                          f"with min < max")
@@ -62,6 +55,16 @@ class PlanarEnv:
         self.q_start = np.asarray(self.q_start, dtype=float)
         self.q_goal = np.asarray(self.q_goal, dtype=float)
         self.bounds = _scene_bounds(self.bounds)
+        dim = self.q_start.shape
+        if self.q_start.ndim != 1 or self.q_goal.shape != dim:
+            raise ValueError(f"fields 'q_start' and 'q_goal': shapes {dim} "
+                             f"and {self.q_goal.shape} are not vectors of "
+                             f"one shape")
+        for o in self.obstacles:
+            if o.centers.shape[1:] != dim:
+                raise ValueError(f"fields 'center' and 'q_start': obstacle "
+                                 f"center {o.centers[0].tolist()} in a "
+                                 f"{dim[0]}-D scene")
         if np.any(collision_check(np.stack([self.q_start, self.q_goal]),
                                   self) > 0):
             raise ValueError("endpoint lies inside an obstacle")
@@ -79,16 +82,19 @@ class PlanarEnv:
 
     @classmethod
     def load(cls, path):
-        def field(record, key, convert=_finite):
+        def field(record, key, convert=finite_array):
             return record_field(path, record, key, convert)
 
         def parse(data):
             obstacles = [MovingDisk(times=[0.0], centers=[field(o, "center")],
                                     radius=field(o, "radius", _positive))
                          for o in field(data, "obstacles", list)]
-            return cls(obstacles=obstacles, q_start=field(data, "q_start"),
-                       q_goal=field(data, "q_goal"),
-                       bounds=field(data, "bounds", _scene_bounds))
+            ends = {key: field(data, key) for key in ("q_start", "q_goal")}
+            bounds = field(data, "bounds", _scene_bounds)
+            try:
+                return cls(obstacles=obstacles, bounds=bounds, **ends)
+            except ValueError as err:     # the checks across fields
+                raise ValueError(f"{path}: {err}") from None
 
         return read_json(path, parse)
 
@@ -230,10 +236,11 @@ def generate_continuum_demos(count=CONTINUUM_COUNT, seed=0):
 
 
 def fit_demos(env, demos, n_bases=N_BASES):
-    """Via-point curve model with shared endpoints, plus per-demo fits."""
+    """Via-point curve model with shared endpoints, and the (N, n, B)
+    stack of per-demo fits."""
     basis = BasisSet.uniform(n_bases)
     model = CurveModel(basis, env.q_start, env.q_goal)
-    return model, [model.fit(traj) for traj in demos]
+    return model, np.stack([model.fit(traj) for traj in demos])
 
 
 # -- model kinds and the shared evaluation path ---------------------------
@@ -277,11 +284,11 @@ def build_bundle(kind, env, demos, seed=0, n_bases=N_BASES,
     if kind not in KINDS:
         raise ValueError(f"unknown model kind {kind!r}; expected {KINDS}")
     model, fits = fit_demos(env, demos, n_bases=n_bases)
-    w = np.stack([flatten_params(p) for p in fits])
     dim, n_b = model.dim, model.basis.size
     n_components = default_components(env)
     if kind in ("vmp-gauss", "vmp-gmm"):
-        density = gmm_fit(w, 1 if kind == "vmp-gauss" else n_components,
+        density = gmm_fit(fits.reshape(len(fits), -1),
+                          1 if kind == "vmp-gauss" else n_components,
                           seed=seed)
         return ModelBundle(kind=kind, density=density,
                            decode_batch=lambda s: s.reshape(-1, dim, n_b),

@@ -3,6 +3,8 @@
 import json
 import math
 
+import numpy as np
+
 
 class SingularFitError(ValueError):
     """Least-squares normal matrix is numerically singular."""
@@ -65,6 +67,18 @@ def numeric(convert):
             raise ValueError(f"{value!r} is not finite")
         return number
     return checked
+
+
+def finite_array(value):
+    """value as a float array, or a ValueError naming its first entry that
+    is not finite."""
+    array = np.asarray(value, dtype=float)
+    bad = np.argwhere(~np.isfinite(array))
+    if len(bad):
+        index = bad[0].tolist()
+        raise ValueError(f"entry {index} is {array[tuple(index)]}, "
+                         f"not finite")
+    return array
 
 
 def record_field(source, record, key, convert):

@@ -1,10 +1,11 @@
 """Autoencoder latent manifolds over curve coefficients.
 
-Curve coefficient matrices are flattened row-major, pushed through a tanh
-encoder/decoder pair, and trained full-batch with Adam on mean squared
-reconstruction error.  An optional distortion penalty, evaluated on mixup
-points between encoded demonstrations, flattens the decoder pullback
-metric so latent Euclidean distances track trajectory-space distances.
+An (N, n, B) stack of curve coefficients is flattened row-major to
+(N, n * B), pushed through a tanh encoder/decoder pair, and trained
+full-batch with Adam on mean squared reconstruction error.  An optional
+distortion penalty, evaluated on mixup points between encoded
+demonstrations, flattens the decoder pullback metric so latent Euclidean
+distances track trajectory-space distances.
 """
 
 from __future__ import annotations
@@ -17,16 +18,10 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .basis import CurveModel, CurveParams, evaluate_batch
+from .basis import CurveModel, evaluate_batch
 from .errors import TrainingError, numeric, read_json, record_field
 from .geometry import CurveGeomMetric
 from . import nets
-
-
-def flatten_params(params):
-    """Coefficient matrix (n, B) -> vector of length n*B, row-major."""
-    coeffs = params.coefficients if isinstance(params, CurveParams) else params
-    return np.asarray(coeffs, dtype=float).reshape(-1)
 
 
 # the distortion penalty's latent mixup: points per epoch, and how far past
@@ -114,9 +109,9 @@ class ManifoldModel:
     def latent_dim(self):
         return self.encoder.out_dim
 
-    def encode_many(self, dataset):
-        x = np.stack([flatten_params(p) for p in dataset])
-        return self.encoder.forward(x)
+    def encode_many(self, fits):
+        """Latents (N, m) of an (N, n, B) coefficient stack."""
+        return self.encoder.forward(_dataset_matrix(fits, self.curve_model))
 
     def decode_many(self, z_batch):
         z = np.atleast_2d(np.asarray(z_batch, dtype=float))
@@ -180,14 +175,14 @@ def read_history_csv(path):
             for column in ("recon", "distortion", "total")}
 
 
-def _dataset_matrix(dataset, model):
-    rows = [flatten_params(p) for p in dataset]
-    x = np.stack(rows)
-    want = model.dim * model.basis.size
-    if x.shape[1] != want:
-        raise ValueError(f"flattened demonstrations have length {x.shape[1]},"
-                         f" curve model expects {want}")
-    return x
+def _dataset_matrix(fits, model):
+    """An (N, n, B) coefficient stack flattened row-major to (N, n * B)."""
+    stack = np.asarray(fits, dtype=float)
+    want = (model.dim, model.basis.size)
+    if stack.ndim != 3 or stack.shape[1:] != want:
+        raise ValueError(f"coefficient stack has shape {stack.shape}; the "
+                         f"curve model expects (N, {want[0]}, {want[1]})")
+    return stack.reshape(len(stack), -1)
 
 
 def fit_autoencoder(x, n_out, config, reconstruction, penalty=None):
@@ -231,17 +226,17 @@ def fit_autoencoder(x, n_out, config, reconstruction, penalty=None):
     return encoder, decoder, history
 
 
-def train(dataset, model, config=None):
+def train(fits, model, config=None):
     """Fit the latent manifold to fitted curve coefficients.
 
-    dataset: sequence of CurveParams (or (n, B) arrays) for one CurveModel.
+    fits: the (N, n, B) coefficient stack of N curves of one CurveModel.
     When ``config.alpha`` is positive, the distortion penalty measures the
     decoder under the curve model's Euclidean curve metric on MIX_BATCH
     mixup points per epoch; at zero no metric is built.
     """
     if config is None:
         config = TrainConfig()
-    x = _dataset_matrix(dataset, model)
+    x = _dataset_matrix(fits, model)
 
     def reconstruction(outputs):
         resid = outputs - x

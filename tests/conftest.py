@@ -35,7 +35,7 @@ def sine_family_fits(n_curves=12, n_bases=8, n_samples=50, seed=0):
         y = np.sin(np.pi * ts) * peak + rng.normal(scale=1e-3, size=n_samples)
         pts = np.stack([ts, y], axis=1)
         fits.append(model.fit(TimedTrajectory(times=ts, points=pts)))
-    return model, fits
+    return model, np.stack(fits)
 
 
 @pytest.fixture(scope="session")

@@ -14,8 +14,7 @@ import numpy as np
 from scipy.sparse.linalg import lsqr
 
 from motionmanifold import lie, nets
-from motionmanifold.basis import (BasisSet, CurveModel, CurveParams,
-                                  TimedTrajectory)
+from motionmanifold.basis import BasisSet, CurveModel, TimedTrajectory
 from motionmanifold.density import (SampleFilter, gmm_fit, kde_build,
                                     min_loglik_threshold, rejection_sample)
 from motionmanifold.envs import (KINDS, build_bundle, evaluate_success,
@@ -238,7 +237,7 @@ def test_via_point_endpoints_are_exact():
         q1 = rng.normal(size=n_dim) * 10.0 ** rng.uniform(-3, 3)
         w = rng.normal(size=(n_dim, n_bases)) * 10.0 ** rng.uniform(-3, 3)
         model = CurveModel(basis, q0, q1)
-        pts = model.evaluate(CurveParams(w), np.array([0.0, 1.0]))
+        pts = model.evaluate(w, np.array([0.0, 1.0]))
         scale = max(1.0, np.abs(q0).max(), np.abs(q1).max(),
                     np.abs(w).max())
         err = max(np.abs(pts[0] - q0).max(), np.abs(pts[1] - q1).max())

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from motionmanifold.basis import (BasisSet, CurveModel, CurveParams,
-                                  TimedTrajectory, evaluate_batch,
-                                  evaluate_rows, load_trajectory_dataset,
+from motionmanifold.basis import (BasisSet, CurveModel, TimedTrajectory,
+                                  evaluate_batch, evaluate_rows,
+                                  load_trajectory_dataset,
                                   save_trajectory_dataset)
 from motionmanifold.errors import SingularFitError
 
@@ -99,9 +99,9 @@ def test_via_point_endpoints_exact(seed):
     basis = BasisSet.uniform(int(rng.integers(4, 12)))
     q0, q1 = rng.normal(size=(2, n_dim)) * 10
     model = CurveModel(basis, q0, q1)
-    w = CurveParams(rng.normal(size=(n_dim, basis.size)) * 5)
+    w = rng.normal(size=(n_dim, basis.size)) * 5
     ends = model.evaluate(w, np.array([0.0, 1.0]))
-    scale = max(1.0, np.abs(w.coefficients).max(),
+    scale = max(1.0, np.abs(w).max(),
                 np.abs(q0).max(), np.abs(q1).max())
     assert np.linalg.norm(ends[0] - q0) <= 1e-12 * scale
     assert np.linalg.norm(ends[1] - q1) <= 1e-12 * scale
@@ -111,7 +111,7 @@ def test_scalar_and_array_tau_agree():
     rng = np.random.default_rng(3)
     basis = BasisSet.uniform(6)
     model = CurveModel(basis, np.zeros(2), np.ones(2))
-    w = CurveParams(rng.normal(size=(2, 6)))
+    w = rng.normal(size=(2, 6))
     taus = np.linspace(0, 1, 9)
     arr = model.evaluate(w, taus)
     for k, tau in enumerate(taus):
@@ -126,11 +126,10 @@ def test_bad_tau_is_rejected(tau, message):
     basis = BasisSet.uniform(6)
     model = CurveModel(basis, np.zeros(2), np.ones(2))
     stack = np.zeros((1, 2, 6))
-    params = CurveParams(stack[0])
     # the public entry points check tau once and then share unchecked
     # helpers, so each must still raise its own named error
     for call in (basis.evaluate, basis._derivative, model.elementary,
-                 lambda t: model.evaluate(params, t),
+                 lambda t: model.evaluate(stack[0], t),
                  lambda t: evaluate_batch(model, stack, t),
                  lambda t: evaluate_rows(model, stack, t)):
         with pytest.raises(ValueError, match=message):
@@ -146,7 +145,7 @@ def test_evaluate_batch_matches_loop():
     batch = evaluate_batch(model, stack, taus)
     assert batch.shape == (4, 11, 2)
     for i in range(4):
-        single = model.evaluate(CurveParams(stack[i]), taus)
+        single = model.evaluate(stack[i], taus)
         assert np.array_equal(batch[i], single)
         # the single-curve formula, written out
         assert np.array_equal(batch[i], model.elementary(taus)
@@ -231,11 +230,11 @@ def test_fit_recovers_known_coefficients():
     basis = BasisSet.uniform(8)
     model = CurveModel(basis, rng.normal(size=2),
                        rng.normal(size=2))
-    true = CurveParams(rng.normal(size=(2, 8)))
+    true = rng.normal(size=(2, 8))
     taus = np.linspace(0, 1, 60)
     traj = TimedTrajectory(times=taus, points=model.evaluate(true, taus))
     fitted = model.fit(traj)
-    assert np.abs(fitted.coefficients - true.coefficients).max() < 1e-8
+    assert np.abs(fitted - true).max() < 1e-8
 
 
 def test_fit_objective_matches_lstsq_oracle():
@@ -260,10 +259,10 @@ def test_fit_objective_matches_iterative_minimizer():
     model, traj = random_fixture(rng, n_bases=6, n_dim=2, n_samples=30)
     fitted = model.fit(traj)
     obj = model.fit_objective(fitted, traj)
-    shape = fitted.coefficients.shape
+    shape = fitted.shape
 
     def f(flat):
-        return model.fit_objective(CurveParams(flat.reshape(shape)), traj)
+        return model.fit_objective(flat.reshape(shape), traj)
 
     res = minimize(f, np.zeros(np.prod(shape)), method="L-BFGS-B",
                    options={"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12})
@@ -297,7 +296,7 @@ def test_fit_and_objective_reject_wrong_dimension():
     with pytest.raises(ValueError, match="trajectory dim 1 != curve dim 2"):
         model.fit(traj)
     with pytest.raises(ValueError, match="trajectory dim 1 != curve dim 2"):
-        model.fit_objective(CurveParams(np.zeros((2, 5))), traj)
+        model.fit_objective(np.zeros((2, 5)), traj)
 
 
 def test_fit_invariant_to_time_shift_and_scale():
@@ -308,7 +307,7 @@ def test_fit_invariant_to_time_shift_and_scale():
     pts = rng.normal(size=(40, 2))
     a = model.fit(TimedTrajectory(times=taus, points=pts))
     b = model.fit(TimedTrajectory(times=5.0 + 3.0 * taus, points=pts))
-    assert np.allclose(a.coefficients, b.coefficients)
+    assert np.allclose(a, b)
 
 
 # -- serialization --------------------------------------------------------
@@ -319,7 +318,7 @@ def test_curve_model_round_trip(tmp_path):
     model = CurveModel(basis, np.array([0.1, -0.2]),
                        np.array([0.9, 0.3]))
     clone = CurveModel.from_dict(model.to_dict())
-    w = CurveParams(np.random.default_rng(0).normal(size=(2, 5)))
+    w = np.random.default_rng(0).normal(size=(2, 5))
     taus = np.linspace(0, 1, 13)
     assert np.array_equal(clone.evaluate(w, taus), model.evaluate(w, taus))
 

@@ -950,6 +950,18 @@ def _command_reading(workspace, tmp_path, name, corrupt):
      "bounds"),
     ("demos.json", _json_with(lambda v: [[float("nan")] * len(v[0])] + v[1:],
                               "trajectories", 0, "q"), "q"),
+    ("fits.json", _json_with(lambda v: [float("nan"), v[1]], "model",
+                             "q_start"), "q_start"),
+    ("curve_model.json", _json_with(lambda v: [float("nan"), v[1]],
+                                    "q_start"), "q_start"),
+    ("curve_model.json", _json_with(lambda v: [float("nan")] + v[1:],
+                                    "basis", "centers"), "centers"),
+    ("env.json", _json_with(lambda v: v + [0.0], "q_start"), "q_start"),
+    ("env.json", _json_with(lambda v: [{"center": [0.5, 3.0, 0.0],
+                                        "radius": 0.1}], "obstacles"),
+     "center"),
+    ("fits.json", _json_with(lambda v: float("nan"), "coefficients", 0, 0, 0),
+     "coefficients"),
 ], ids=["env-as-list", "env-text-q_goal", "history-without-total",
         "history-text-recon", "latents-without-z", "latents-as-list",
         "train_meta-without-config", "decoder-without-weights",
@@ -961,7 +973,9 @@ def _command_reading(workspace, tmp_path, name, corrupt):
         "fits-model-as-list", "demos-dim-text", "demos-dim-unlike-points",
         "demos-text-t", "demos-q-unlike-t", "env-nan-center",
         "env-negative-radius", "env-nan-q_start", "env-one-row-bounds",
-        "env-reversed-bounds", "demos-nan-q"])
+        "env-reversed-bounds", "demos-nan-q", "fits-nan-q_start",
+        "curve_model-nan-q_start", "curve_model-nan-center", "env-3d-q_start",
+        "env-3d-center", "fits-nan-coefficient"])
 def test_ill_typed_input_file_exits_2_naming_file_and_field(
         workspace, tmp_path, capsys, name, corrupt, key):
     path, argv = _command_reading(workspace, tmp_path, name, corrupt)

@@ -12,7 +12,6 @@ from motionmanifold.density import (GmmModel, KdeModel, SampleFilter,
                                     save_density)
 from motionmanifold.envs import fit_demos, generate_env
 from motionmanifold.errors import DegenerateSupportError, SamplingStarvedError
-from motionmanifold.training import flatten_params
 
 
 def _gauss_logpdf(points, mean, cov_chol):
@@ -119,7 +118,7 @@ def env3_coefficient_fits():
     """The 40-D flattened coefficients the env3 VMP baselines fit."""
     env, demos = generate_env("env3", seed=0)
     _, fits = fit_demos(env, demos, n_bases=20)
-    return np.stack([flatten_params(p) for p in fits])
+    return fits.reshape(len(fits), -1)
 
 
 ENV3_COEFFS = env3_coefficient_fits()

@@ -330,7 +330,7 @@ def test_success_rate_counts_collisions(env1_demos):
     rate, acc = success_rate(bundle, env, 30, np.random.default_rng(0))
     assert rate == 0.0
     assert acc == 1.0
-    clear = fits[0].coefficients           # a demonstration-shaped curve
+    clear = fits[0]                        # a demonstration-shaped curve
     bundle, _, _ = _fixed_decode_bundle(env1_demos, clear)
     rate, _ = success_rate(bundle, env, 30, np.random.default_rng(0))
     assert rate == 100.0
@@ -414,9 +414,8 @@ def test_check_matches_the_depth_field_per_curve(env1_demos):
     rng = np.random.default_rng(7)
     random = 0.3 * rng.standard_normal((envs._CHECK_CURVES + 37, 2,
                                         envs.N_BASES))
-    demo = np.stack([f.coefficients for f in fits])
     # more curves than one block holds, the grazing ones in the second
-    stacks = np.concatenate([random, demo, touching])
+    stacks = np.concatenate([random, fits, touching])
     want = _reference_collisions(model, stacks, env)
     assert 0 < want.sum() < len(stacks) and 0 < want[-len(scales):].sum() \
         < len(scales)
@@ -626,8 +625,7 @@ def test_check_finishes_for_radii_whose_square_leaves_the_normal_range(
 def test_check_evaluates_few_phase_blocks_of_the_demo_fits(env_id):
     env, demos = generate_env(env_id, seed=0)
     model, fits = fit_demos(env, demos)
-    stacks = np.stack([f.coefficients for f in fits])
-    collided, blocks = _count_blocks(model, stacks, env.obstacles)
+    collided, blocks = _count_blocks(model, fits, env.obstacles)
     assert not collided.any()
     assert blocks < envs.CHECK_GRID_POINTS // envs._CHECK_PHASES
 

@@ -4,21 +4,10 @@ import numpy as np
 import pytest
 
 from motionmanifold import lie, nets
-from motionmanifold.basis import CurveParams
 from motionmanifold.errors import TrainingError
 from motionmanifold.geometry import CurveGeomMetric
 from motionmanifold.training import (ManifoldModel, TrainConfig,
-                                     flatten_params, mixup_sample, train)
-
-
-def test_flatten_round_trip():
-    rng = np.random.default_rng(0)
-    w = CurveParams(rng.normal(size=(3, 5)))
-    flat = flatten_params(w)
-    assert flat.shape == (15,)
-    assert np.array_equal(flat.reshape(3, 5), w.coefficients)
-    # row-major: coordinate i occupies the i-th block of length B
-    assert np.array_equal(flat[:5], w.coefficients[0])
+                                     mixup_sample, train)
 
 
 def test_mixup_extends_past_both_endpoints():
@@ -134,11 +123,24 @@ def test_distortion_changes_decoder_not_just_history(arc_family):
 
 def test_nan_dataset_raises_at_first_epoch(arc_family):
     model, fits = arc_family
-    poisoned = [CurveParams(f.coefficients.copy()) for f in fits]
-    poisoned[0].coefficients[0, 0] = np.nan
+    poisoned = fits.copy()
+    poisoned[0, 0, 0] = np.nan
     cfg = TrainConfig(latent_dim=2, epochs=10, hidden=(8, 8), seed=0)
     with pytest.raises(TrainingError, match="epoch 0"):
         train(poisoned, model, cfg)
+
+
+@pytest.mark.parametrize("shape", [(12, 8, 2), (12, 16), (12, 2, 7)],
+                         ids=["transposed", "flat", "narrow"])
+def test_stack_of_another_shape_is_rejected(small_manifold, shape):
+    # (12, 8, 2) and (12, 16) have the model's row width of 16, so only a
+    # check of the whole stack shape tells them from a (12, 2, 8) stack
+    m, model, fits = small_manifold
+    cfg = TrainConfig(latent_dim=2, epochs=1, hidden=(4,))
+    with pytest.raises(ValueError, match=r"expects \(N, 2, 8\)"):
+        train(np.zeros(shape), model, cfg)
+    with pytest.raises(ValueError, match=r"expects \(N, 2, 8\)"):
+        m.encode_many(np.zeros(shape))
 
 
 def test_model_save_load_round_trip(tmp_path, small_manifold):
@@ -191,10 +193,9 @@ def test_curve_points_interpolates_endpoints(small_manifold):
 
 def test_reconstruction_quality_of_trained_model(small_manifold):
     m, model, fits = small_manifold
-    x = np.stack([flatten_params(f) for f in fits])
+    x = fits.reshape(len(fits), -1)
     z = m.encode_many(fits)
-    xhat = np.stack([flatten_params(CurveParams(c))
-                     for c in m.decode_many(z)])
+    xhat = m.decode_many(z).reshape(len(fits), -1)
     rmse = np.sqrt(np.mean((xhat - x) ** 2))
     scale = np.sqrt(np.mean(x ** 2))
     assert rmse < 0.25 * scale
@@ -276,7 +277,7 @@ def test_train_matches_reference_loop(arc_family, alpha):
     cfg = TrainConfig(latent_dim=2, epochs=40, hidden=(16, 16), seed=4,
                       alpha=alpha)
     got = train(fits, model, cfg)
-    x = np.stack([flatten_params(f) for f in fits])
+    x = fits.reshape(len(fits), -1)
     encoder, decoder, history = _reference_train_loop(
         x, cfg, CurveGeomMetric(model.basis.gram()))
     assert got.history == history

@@ -245,7 +245,7 @@ class CurveModel:
     and the bases vanish at tau = 0 and 1, so the curve meets both
     endpoints exactly for every w.  A curve's coefficients w are an
     (n, B) float array, row i modulating coordinate i; a set of curves is
-    an (N, n, B) stack.
+    an (N, n, B) stack, and stack, flatten and unflatten own that layout.
     """
 
     def __init__(self, basis, q_start, q_end):
@@ -267,6 +267,24 @@ class CurveModel:
         """elementary() at phases arr (T,) that _as_tau_array checked."""
         return (1.0 - arr)[:, None] * self.q_start[None, :] \
             + arr[:, None] * self.q_end[None, :]
+
+    def stack(self, coefficients):
+        """coefficients as a float (N, n, B) stack, or a ValueError."""
+        stack = np.asarray(coefficients, dtype=float)
+        if stack.ndim != 3 or stack.shape[1:] != (self.dim, self.basis.size):
+            raise ValueError(f"coefficient stack has shape {stack.shape}; the "
+                             f"curve model expects (N, {self.dim}, "
+                             f"{self.basis.size})")
+        return stack
+
+    def flatten(self, coefficients):
+        """The checked stack as row-major (N, n * B) rows."""
+        stack = self.stack(coefficients)
+        return stack.reshape(len(stack), -1)
+
+    def unflatten(self, rows):
+        """Rows (N, n * B) that flatten made, back as an (N, n, B) stack."""
+        return rows.reshape(len(rows), self.dim, self.basis.size)
 
     def evaluate(self, w, tau):
         """q(tau; w); shape (n,) for scalar tau, (T, n) for arrays."""
@@ -319,16 +337,6 @@ class CurveModel:
                    record_field(source, data, "q_end", finite_array))
 
 
-def _coefficient_stack(model, coefficient_stack, rows="N"):
-    """The stack as a float (rows, n, B) array, or a ValueError naming it."""
-    stack = np.asarray(coefficient_stack, dtype=float)
-    if stack.ndim != 3 or stack.shape[1:] != (model.dim, model.basis.size):
-        raise ValueError(
-            f"coefficient stack has shape {stack.shape}; expected "
-            f"({rows}, {model.dim}, {model.basis.size})")
-    return stack
-
-
 def evaluate_batch(model, coefficient_stack, tau):
     """Evaluate many curves of one model at shared phases.
 
@@ -341,7 +349,7 @@ def evaluate_batch(model, coefficient_stack, tau):
     2 (B + 2) eps (|elementary(tau)| + |phi| @ |w|.T) of it on every kernel
     (swept in test_basis), the margin envs._collisions allows.
     """
-    stack = _coefficient_stack(model, coefficient_stack)
+    stack = model.stack(coefficient_stack)
     arr, _ = _as_tau_array(tau)
     n_curves, dim, n_bases = stack.shape
     rows = stack.transpose(1, 0, 2).reshape(-1, n_bases).T
@@ -357,7 +365,7 @@ def evaluate_rows(model, coefficient_stack, taus):
     K x K work.  The sum stays an einsum, which at K = 100 rows is faster
     than a stacked matmul.
     """
-    stack = _coefficient_stack(model, coefficient_stack, rows="K")
+    stack = model.stack(coefficient_stack)
     arr, _ = _as_tau_array(taus)
     if len(arr) != len(stack):
         raise ValueError(f"{len(arr)} phases for {len(stack)} curves; "

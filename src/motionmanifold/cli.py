@@ -142,16 +142,8 @@ def load_fits(path):
     def parse(data):
         model = CurveModel.from_dict(record_field(path, data, "model", dict),
                                      path)
-        want = (model.dim, model.basis.size)
-
-        def stack(value):
-            fits = finite_array(value)
-            if fits.ndim != 3 or fits.shape[1:] != want:
-                raise ValueError(f"shape {fits.shape}; the model's curves "
-                                 f"need (N, {want[0]}, {want[1]})")
-            return fits
-
-        fits = record_field(path, data, "coefficients", stack)
+        fits = record_field(path, data, "coefficients",
+                            lambda v: model.stack(finite_array(v)))
         objectives = []              # optional: no command reads them
         if "objectives" in data:
             objectives = record_field(path, data, "objectives",

@@ -55,16 +55,14 @@ class PlanarEnv:
         self.q_start = np.asarray(self.q_start, dtype=float)
         self.q_goal = np.asarray(self.q_goal, dtype=float)
         self.bounds = _scene_bounds(self.bounds)
-        dim = self.q_start.shape
-        if self.q_start.ndim != 1 or self.q_goal.shape != dim:
-            raise ValueError(f"fields 'q_start' and 'q_goal': shapes {dim} "
-                             f"and {self.q_goal.shape} are not vectors of "
-                             f"one shape")
+        if self.q_start.shape != (2,) or self.q_goal.shape != (2,):
+            raise ValueError(f"fields 'q_start' and 'q_goal': shapes "
+                             f"{self.q_start.shape} and {self.q_goal.shape}"
+                             f"; a planar scene needs 2-D points")
         for o in self.obstacles:
-            if o.centers.shape[1:] != dim:
-                raise ValueError(f"fields 'center' and 'q_start': obstacle "
-                                 f"center {o.centers[0].tolist()} in a "
-                                 f"{dim[0]}-D scene")
+            if o.centers.shape[1:] != (2,):
+                raise ValueError(f"field 'center': obstacle center "
+                                 f"{o.centers[0].tolist()} in a 2-D scene")
         if np.any(collision_check(np.stack([self.q_start, self.q_goal]),
                                   self) > 0):
             raise ValueError("endpoint lies inside an obstacle")
@@ -284,14 +282,13 @@ def build_bundle(kind, env, demos, seed=0, n_bases=N_BASES,
     if kind not in KINDS:
         raise ValueError(f"unknown model kind {kind!r}; expected {KINDS}")
     model, fits = fit_demos(env, demos, n_bases=n_bases)
-    dim, n_b = model.dim, model.basis.size
     n_components = default_components(env)
     if kind in ("vmp-gauss", "vmp-gmm"):
-        density = gmm_fit(fits.reshape(len(fits), -1),
+        density = gmm_fit(model.flatten(fits),
                           1 if kind == "vmp-gauss" else n_components,
                           seed=seed)
         return ModelBundle(kind=kind, density=density,
-                           decode_batch=lambda s: s.reshape(-1, dim, n_b),
+                           decode_batch=model.unflatten,
                            curve_model=model, threshold=-np.inf)
     kind_alpha = 0.0 if kind == "mmp++" else alpha
     if train_config is None:

@@ -71,8 +71,13 @@ def numeric(convert):
 
 def finite_array(value):
     """value as a float array, or a ValueError naming its first entry that
-    is not finite."""
-    array = np.asarray(value, dtype=float)
+    is not finite or saying that its nested lists are ragged."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except ValueError as err:
+        if "inhomogeneous" not in str(err):
+            raise
+        raise ValueError("a ragged list, not an array") from None
     bad = np.argwhere(~np.isfinite(array))
     if len(bad):
         index = bad[0].tolist()

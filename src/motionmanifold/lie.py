@@ -153,6 +153,9 @@ class Se3Trajectory:
                              f"got {l}")
         if not np.all(np.diff(self.times) > 0):
             raise ValueError("sample times must be strictly increasing")
+        for name in ("times", "positions"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if self.positions.shape != (l, 3):
             raise ValueError(f"positions shape {self.positions.shape} != "
                              f"({l}, 3)")
@@ -339,18 +342,19 @@ def unpack_se3_output(vec, p_start, r_start, n_bases):
                           r_start=r_start, r_end=exp_so3(vec[6 * b + 3:]))
 
 
-def se3_loss_and_grads(outputs, samples, p_start, r_start, n_bases):
+def se3_loss_and_grads(outputs, samples, p_start, r_start):
     """Loss and d loss / d decoder-outputs for a batch of demonstrations.
 
     outputs: (N, 6B+6) raw decoder rows, row d for demonstration d of the
-    Se3Samples.  Every step runs on component-major (3, N, K) vectors and
-    (3, 3, N, K) matrices.  One fused exp/J_r pass covers the final
-    rotations w_f and all samples' w_R phi; exp(tau ell) and J_r(tau ell)
-    come from each demo's geodesic (see _pose_curves).  The gradient
-    applies each J^T to its sample's vector, weights the rows, and sums
-    each demonstration's rows against [phi, tau] in one batched matmul.
+    Se3Samples, whose phi sets B.  Every step runs on component-major
+    (3, N, K) vectors and (3, 3, N, K) matrices.  One fused exp/J_r pass
+    covers the final rotations w_f and all samples' w_R phi; exp(tau ell)
+    and J_r(tau ell) come from each demo's geodesic (see _pose_curves).
+    The gradient applies each J^T to its sample's vector, weights the
+    rows, and sums each demonstration's rows against [phi, tau] in one
+    batched matmul.
     """
-    n, b = len(outputs), n_bases
+    n, b = len(outputs), samples.phi.shape[-1]
     if np.ndim(outputs) != 2 or np.shape(outputs)[1] != 6 * b + 6:
         raise ValueError(f"decoder outputs must be (N, 6B + 6) = (N, "
                          f"{6 * b + 6}) for {b} bases, got "
@@ -428,11 +432,10 @@ def train_se3(dataset, basis, config):
         raise ValueError("demonstrations must share the initial pose")
     fitted = [fit_se3_params(traj, basis) for traj in dataset]
     x = np.stack([pack_se3_features(p) for p in fitted])
-    n_b = basis.size
     encoder, decoder, history = fit_autoencoder(
-        x, 6 * n_b + 6, config,
+        x, 6 * basis.size + 6, config,
         lambda outputs: se3_loss_and_grads(outputs, samples, p_start,
-                                           r_start, n_b))
+                                           r_start))
     return Se3ManifoldModel(encoder=encoder, decoder=decoder, basis=basis,
                             p_start=p_start, r_start=r_start, config=config,
                             history=history)

@@ -1,7 +1,7 @@
 """Autoencoder latent manifolds over curve coefficients.
 
-An (N, n, B) stack of curve coefficients is flattened row-major to
-(N, n * B), pushed through a tanh encoder/decoder pair, and trained
+An (N, n, B) stack of curve coefficients is flattened to rows by its
+CurveModel, pushed through a tanh encoder/decoder pair, and trained
 full-batch with Adam on mean squared reconstruction error.  An optional
 distortion penalty, evaluated on mixup points between encoded
 demonstrations, flattens the decoder pullback metric so latent Euclidean
@@ -111,13 +111,12 @@ class ManifoldModel:
 
     def encode_many(self, fits):
         """Latents (N, m) of an (N, n, B) coefficient stack."""
-        return self.encoder.forward(_dataset_matrix(fits, self.curve_model))
+        return self.encoder.forward(self.curve_model.flatten(fits))
 
     def decode_many(self, z_batch):
-        z = np.atleast_2d(np.asarray(z_batch, dtype=float))
-        flat = self.decoder.forward(z)
-        return flat.reshape(len(z), self.curve_model.dim,
-                            self.curve_model.basis.size)
+        """Coefficient stack (N, n, B) of latents (N, m)."""
+        return self.curve_model.unflatten(
+            self.decoder.forward(np.atleast_2d(z_batch)))
 
     def curve_points(self, z, taus):
         """Trajectory points of the decoded curve, shape (len(taus), n)."""
@@ -175,16 +174,6 @@ def read_history_csv(path):
             for column in ("recon", "distortion", "total")}
 
 
-def _dataset_matrix(fits, model):
-    """An (N, n, B) coefficient stack flattened row-major to (N, n * B)."""
-    stack = np.asarray(fits, dtype=float)
-    want = (model.dim, model.basis.size)
-    if stack.ndim != 3 or stack.shape[1:] != want:
-        raise ValueError(f"coefficient stack has shape {stack.shape}; the "
-                         f"curve model expects (N, {want[0]}, {want[1]})")
-    return stack.reshape(len(stack), -1)
-
-
 def fit_autoencoder(x, n_out, config, reconstruction, penalty=None):
     """Full-batch Adam over a fresh encoder/decoder pair.
 
@@ -236,7 +225,7 @@ def train(fits, model, config=None):
     """
     if config is None:
         config = TrainConfig()
-    x = _dataset_matrix(fits, model)
+    x = model.flatten(fits)
 
     def reconstruction(outputs):
         resid = outputs - x

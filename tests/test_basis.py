@@ -209,10 +209,12 @@ def test_wrong_coefficient_stack_is_rejected(shape):
     model = CurveModel(BasisSet.uniform(6), np.zeros(2),
                        np.ones(2))
     taus = np.linspace(0, 1, 3)
-    with pytest.raises(ValueError, match=r"expected \(N, 2, 6\)"):
-        evaluate_batch(model, np.zeros(shape), taus)
-    with pytest.raises(ValueError, match=r"expected \(K, 2, 6\)"):
-        evaluate_rows(model, np.zeros(shape), taus)
+    for call in (model.stack, model.flatten,
+                 lambda s: evaluate_batch(model, s, taus),
+                 lambda s: evaluate_rows(model, s, taus)):
+        with pytest.raises(ValueError, match=r"has shape .*; the curve "
+                                             r"model expects \(N, 2, 6\)"):
+            call(np.zeros(shape))
 
 
 def test_evaluate_rows_needs_one_phase_per_curve():

@@ -887,6 +887,14 @@ def _json_with(change, *keys):
     return corrupt
 
 
+def _in_3d(text):
+    """Corrupt env.json text by giving both endpoints a third coordinate."""
+    data = json.loads(text)
+    for key in ("q_start", "q_goal"):
+        data[key].append(0.0)
+    return json.dumps(data)
+
+
 def _command_reading(workspace, tmp_path, name, corrupt):
     """A copy of the workspace whose file `name` went through corrupt(text),
     and the command line that reads it; returns (path, argv)."""
@@ -962,6 +970,7 @@ def _command_reading(workspace, tmp_path, name, corrupt):
      "center"),
     ("fits.json", _json_with(lambda v: float("nan"), "coefficients", 0, 0, 0),
      "coefficients"),
+    ("env.json", _in_3d, "q_start"),
 ], ids=["env-as-list", "env-text-q_goal", "history-without-total",
         "history-text-recon", "latents-without-z", "latents-as-list",
         "train_meta-without-config", "decoder-without-weights",
@@ -975,14 +984,33 @@ def _command_reading(workspace, tmp_path, name, corrupt):
         "env-negative-radius", "env-nan-q_start", "env-one-row-bounds",
         "env-reversed-bounds", "demos-nan-q", "fits-nan-q_start",
         "curve_model-nan-q_start", "curve_model-nan-center", "env-3d-q_start",
-        "env-3d-center", "fits-nan-coefficient"])
+        "env-3d-center", "fits-nan-coefficient", "env-3d-scene"])
 def test_ill_typed_input_file_exits_2_naming_file_and_field(
         workspace, tmp_path, capsys, name, corrupt, key):
     path, argv = _command_reading(workspace, tmp_path, name, corrupt)
+    argvs = [argv]
+    if name == "env.json":       # export-plot --env reads the scene too
+        argvs.append(["export-plot", "--model", str(path.parents[1] / "model"),
+                      "--env", str(path)])
+    for argv in argvs:
+        assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(path) in err
+        assert repr(key) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, keys, change, key", [
+    ("fits.json", ("coefficients", 0), lambda v: v + v[:1], "coefficients"),
+    ("env.json", ("bounds",), lambda v: [v[0], v[1][:1]], "bounds"),
+], ids=["fits-matrix-with-extra-row", "env-ragged-bounds"])
+def test_ragged_list_in_input_file_exits_2_saying_so(
+        workspace, tmp_path, capsys, name, keys, change, key):
+    path, argv = _command_reading(workspace, tmp_path, name,
+                                  _json_with(change, *keys))
     assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(path) in err
-    assert repr(key) in err and "Traceback" not in err
+    assert f"field {key!r}: a ragged list, not an array" in err
 
 
 @pytest.mark.parametrize("name, keys, value, key", [

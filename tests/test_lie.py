@@ -340,7 +340,7 @@ def test_loss_gradients_match_finite_differences(rotated):
     B = basis.size
     rng = np.random.default_rng(13)
     outputs = rng.normal(scale=0.1, size=(len(demos), 6 * B + 6))
-    loss, grads = lie.se3_loss_and_grads(outputs, samples, p0, r0, B)
+    loss, grads = lie.se3_loss_and_grads(outputs, samples, p0, r0)
     assert np.isfinite(loss)
     eps = 1e-6
     worst = 0.0
@@ -349,8 +349,8 @@ def test_loss_gradients_match_finite_differences(rotated):
         j = int(rng.integers(0, outputs.shape[1]))
         up = outputs.copy(); up[i, j] += eps
         dn = outputs.copy(); dn[i, j] -= eps
-        lu, _ = lie.se3_loss_and_grads(up, samples, p0, r0, B)
-        ld, _ = lie.se3_loss_and_grads(dn, samples, p0, r0, B)
+        lu, _ = lie.se3_loss_and_grads(up, samples, p0, r0)
+        ld, _ = lie.se3_loss_and_grads(dn, samples, p0, r0)
         fd = (lu - ld) / (2 * eps)
         worst = max(worst, abs(fd - grads[i, j]) / max(1.0, abs(fd)))
     assert worst < 1e-6
@@ -363,7 +363,7 @@ def test_loss_needs_one_output_row_per_demo(rows):
     outputs = np.zeros((rows, 6 * basis.size + 6))
     with pytest.raises(ValueError, match=f"{rows} output rows for 3 demo"):
         lie.se3_loss_and_grads(outputs, samples, demos[0].positions[0],
-                               demos[0].rotations[0], basis.size)
+                               demos[0].rotations[0])
 
 
 def _bad_pose_input(case):
@@ -384,8 +384,12 @@ def _bad_pose_input(case):
             "2 curve parameters for 3 demonstrations"),
         "output-width": (lambda: lie.se3_loss_and_grads(
             np.zeros((3, 6 * b + 5)), samples, demos[0].positions[0],
-            demos[0].rotations[0], b),
+            demos[0].rotations[0]),
             r"\(N, 66\) for 10 bases, got \(3, 65\)"),
+        "fewer-bases-width": (lambda: lie.se3_loss_and_grads(
+            np.zeros((3, 6 * (b - 1) + 6)), samples, demos[0].positions[0],
+            demos[0].rotations[0]),
+            r"\(N, 66\) for 10 bases, got \(3, 60\)"),
         "zero-count": (lambda: lie.make_pouring_demos(count=0),
                        "at least 1 demonstration, got 0"),
     }[case]
@@ -393,7 +397,7 @@ def _bad_pose_input(case):
 
 @pytest.mark.parametrize("case", ["no-demos", "extra-params",
                                   "missing-params", "output-width",
-                                  "zero-count"])
+                                  "fewer-bases-width", "zero-count"])
 def test_bad_pose_inputs_raise_named_errors(case):
     call, message = _bad_pose_input(case)
     with pytest.raises(ValueError, match=message):
@@ -585,7 +589,7 @@ def test_batched_loss_matches_per_demo_reference(case):
         # ones this test has always checked; a residual rotation near pi
         # amplifies last-bit differences past 1e-12 (see lie._log)
         rng.uniform(0.2, 2.0)
-        loss, grads = lie.se3_loss_and_grads(outputs, samples, p0, r0, B)
+        loss, grads = lie.se3_loss_and_grads(outputs, samples, p0, r0)
         ref_loss, ref_grads = _ref_se3_loss_and_grads(outputs, grids, p0, r0,
                                                       B)
         assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
@@ -617,7 +621,7 @@ def test_loss_near_pi_matches_per_demo_reference():
                                            rotations=rots))
         samples = lie.Se3Samples.from_dataset(moved, basis)
         grids = [_RefDemoGrid(t, basis) for t in moved]
-        loss, grads = lie.se3_loss_and_grads(outputs, samples, p0, r0, B)
+        loss, grads = lie.se3_loss_and_grads(outputs, samples, p0, r0)
         ref_loss, ref_grads = _ref_se3_loss_and_grads(outputs, grids, p0, r0,
                                                       B)
         assert abs(loss - ref_loss) <= 1e-13 * abs(ref_loss)
@@ -708,6 +712,16 @@ def test_trajectory_times_must_increase(times):
     with pytest.raises(ValueError, match="strictly increasing"):
         lie.Se3Trajectory(times=times, positions=np.zeros((3, 3)),
                           rotations=np.tile(np.eye(3), (3, 1, 1)))
+
+
+@pytest.mark.parametrize("name, row, value", [
+    ("times", 2, np.inf), ("positions", 1, np.nan),
+    ("positions", 2, -np.inf)])
+def test_trajectory_samples_must_be_finite(name, row, value):
+    fields = {"times": np.arange(3.0), "positions": np.zeros((3, 3))}
+    fields[name][row] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        lie.Se3Trajectory(**fields, rotations=np.tile(np.eye(3), (3, 1, 1)))
 
 
 def test_trajectory_checks_every_rotation():

@@ -183,6 +183,16 @@ def test_encode_decode_shapes(small_manifold):
     assert stack.shape == (len(fits), model.dim, model.basis.size)
 
 
+def test_flat_rows_keep_the_bits_of_the_stack(small_manifold):
+    # the curve model's flatten and unflatten are the only conversions
+    # between a coefficient stack and network rows, and neither rounds
+    m, model, fits = small_manifold
+    assert np.array_equal(model.unflatten(model.flatten(fits)), fits)
+    z = m.encode_many(fits)
+    assert np.array_equal(m.decode_many(z),
+                          model.unflatten(m.decoder.forward(z)))
+
+
 def test_curve_points_interpolates_endpoints(small_manifold):
     m, model, fits = small_manifold
     z = m.encode_many(fits[3:4])[0]
@@ -255,7 +265,7 @@ def _reference_se3_loop(x, samples, p_start, r_start, n_b, config):
         enc_acts = encoder.forward_cache(x)
         dec_acts = decoder.forward_cache(enc_acts[-1])
         loss, g_out = lie.se3_loss_and_grads(dec_acts[-1], samples,
-                                             p_start, r_start, n_b)
+                                             p_start, r_start)
         dz, dec_grad = decoder.backward(dec_acts, g_out)
         _, enc_grad = encoder.backward(enc_acts, dz)
         nets.adam_step(opt_enc, encoder, enc_grad)

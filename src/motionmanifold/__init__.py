@@ -22,7 +22,7 @@ from .errors import (BranchError, DegenerateSupportError,
                      NonFiniteError, ReplanInfeasibleError,
                      SamplingStarvedError, SingularFitError, TrainingError)
 from .geometry import CurveGeomMetric
-from .lie import (Se3CurveParams, Se3ManifoldModel, Se3Trajectory,
+from .lie import (PoseCurveModel, Se3CurveParams, Se3Trajectory,
                   eval_rotation_curve, exp_so3, fit_se3_params, log_so3,
                   make_pouring_demos, se3_recon_loss, train_se3)
 from .nets import AdamState, Mlp, adam_step
@@ -39,10 +39,10 @@ __all__ = [
     "DegenerateSupportError", "DistortionUndefinedError",
     "DynamicConstraint", "EpisodeTrace", "EvalReport", "GenerationError",
     "GmmModel", "KdeModel", "ManifoldModel", "Mlp", "ModelBundle",
-    "MovingDisk", "NonFiniteError", "PlanarEnv",
+    "MovingDisk", "NonFiniteError", "PlanarEnv", "PoseCurveModel",
     "RejectionResult", "ReplanConfig", "ReplanInfeasibleError",
     "ReplanState", "SampleFilter", "SamplingStarvedError", "Se3CurveParams",
-    "Se3ManifoldModel", "Se3Trajectory", "SingularFitError",
+    "Se3Trajectory", "SingularFitError",
     "TimedTrajectory", "TrainConfig",
     "TrainingError", "adam_step", "build_bundle", "collision_check",
     "constraint_from_script",

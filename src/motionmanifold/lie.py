@@ -11,14 +11,13 @@ right Jacobians of the exponential map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .basis import lstsq_coefficients
 from .errors import BranchError
-from . import nets
-from .training import fit_autoencoder
+from .training import ManifoldModel, fit_autoencoder
 
 _BRANCH_MARGIN = 1e-6
 _SMALL_ANGLE = 1e-8
@@ -151,11 +150,11 @@ class Se3Trajectory:
         if l < 2:
             raise ValueError(f"a pose trajectory needs at least 2 samples, "
                              f"got {l}")
-        if not np.all(np.diff(self.times) > 0):
-            raise ValueError("sample times must be strictly increasing")
-        for name in ("times", "positions"):
+        for name in ("times", "positions", "rotations"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
+        if not np.all(np.diff(self.times) > 0):
+            raise ValueError("sample times must be strictly increasing")
         if self.positions.shape != (l, 3):
             raise ValueError(f"positions shape {self.positions.shape} != "
                              f"({l}, 3)")
@@ -180,12 +179,17 @@ class Se3CurveParams:
     r_end: np.ndarray
 
     def __post_init__(self):
-        self.w_pos = np.asarray(self.w_pos, dtype=float)
-        self.w_rot = np.asarray(self.w_rot, dtype=float)
-        self.p_start = np.asarray(self.p_start, dtype=float)
-        self.p_end = np.asarray(self.p_end, dtype=float)
+        for name in ("w_pos", "w_rot", "p_start", "p_end"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
+            setattr(self, name, value)
         if self.w_pos.shape != self.w_rot.shape or self.w_pos.shape[0] != 3:
             raise ValueError("coefficient blocks must both be (3, B)")
+        for name in ("p_start", "p_end"):
+            if getattr(self, name).shape != (3,):
+                raise ValueError(f"{name} must be a 3-vector, got shape "
+                                 f"{getattr(self, name).shape}")
         self.r_start = check_rotation(self.r_start)
         self.r_end = check_rotation(self.r_end)
 
@@ -320,26 +324,35 @@ def se3_recon_loss(dataset, params_list, basis):
     return _blended_error(samples, p_hat, r_hat)[0]
 
 
-# -- autoencoder features and the training loss ---------------------------
+# -- the pose-curve family and the training loss --------------------------
 
-def pack_se3_features(params):
-    """Encoder input: shape coefficients plus the varying final pose."""
-    return np.concatenate([params.w_pos.reshape(-1),
-                           params.w_rot.reshape(-1),
-                           params.p_end,
-                           params.r_end.reshape(-1)])
+class PoseCurveModel:
+    """The pose-curve family of a training.ManifoldModel; every curve starts
+    at (p_start, r_start).  Encoder rows (N, 6B + 12) hold the shape
+    coefficients and the final pose; decoder rows (N, 6B + 6) end in the
+    final rotation's vector w_f, and unflatten sets r_end = exp([w_f])."""
 
+    def __init__(self, basis, p_start, r_start):
+        self.basis, self.p_start, self.r_start = basis, p_start, r_start
 
-def unpack_se3_output(vec, p_start, r_start, n_bases):
-    """Decoder output -> curve params; final rotation via exp([w_f])."""
-    vec = np.asarray(vec, dtype=float)
-    b = n_bases
-    if vec.size != 6 * b + 6:
-        raise ValueError(f"output length {vec.size} != {6 * b + 6}")
-    return Se3CurveParams(w_pos=vec[:3 * b].reshape(3, b),
-                          w_rot=vec[3 * b:6 * b].reshape(3, b),
-                          p_start=p_start, p_end=vec[6 * b:6 * b + 3],
-                          r_start=r_start, r_end=exp_so3(vec[6 * b + 3:]))
+    def flatten(self, params_list):
+        return np.stack([np.concatenate([p.w_pos.reshape(-1),
+                                         p.w_rot.reshape(-1), p.p_end,
+                                         p.r_end.reshape(-1)])
+                         for p in params_list])
+
+    def unflatten(self, rows):
+        b = self.basis.size
+        if np.ndim(rows) != 2 or np.shape(rows)[1] != 6 * b + 6:
+            raise ValueError(f"decoder rows must be (N, 6B + 6) = (N, "
+                             f"{6 * b + 6}) for {b} bases, got "
+                             f"{np.shape(rows)}")
+        return [Se3CurveParams(w_pos=row[:3 * b].reshape(3, b),
+                               w_rot=row[3 * b:6 * b].reshape(3, b),
+                               p_start=self.p_start, r_start=self.r_start,
+                               p_end=row[6 * b:6 * b + 3],
+                               r_end=exp_so3(row[6 * b + 3:]))
+                for row in rows]
 
 
 def se3_loss_and_grads(outputs, samples, p_start, r_start):
@@ -395,25 +408,6 @@ def se3_loss_and_grads(outputs, samples, p_start, r_start):
                                   sums[:, :3, b], g_wf.T], axis=1)
 
 
-@dataclass
-class Se3ManifoldModel:
-    encoder: nets.Mlp
-    decoder: nets.Mlp
-    basis: object
-    p_start: np.ndarray
-    r_start: np.ndarray
-    config: object
-    history: dict = field(default_factory=dict)
-
-    def encode(self, params):
-        return self.encoder.forward(pack_se3_features(params))
-
-    def decode(self, z):
-        vec = self.decoder.forward(np.asarray(z, dtype=float))
-        return unpack_se3_output(vec, self.p_start, self.r_start,
-                                 self.basis.size)
-
-
 def train_se3(dataset, basis, config):
     """Latent pose-curve model trained with the blended reconstruction loss.
 
@@ -431,14 +425,13 @@ def train_se3(dataset, basis, config):
             np.abs(rot - r_start[..., None]).max() > 1e-6:
         raise ValueError("demonstrations must share the initial pose")
     fitted = [fit_se3_params(traj, basis) for traj in dataset]
-    x = np.stack([pack_se3_features(p) for p in fitted])
+    family = PoseCurveModel(basis, p_start, r_start)
     encoder, decoder, history = fit_autoencoder(
-        x, 6 * basis.size + 6, config,
+        family.flatten(fitted), 6 * basis.size + 6, config,
         lambda outputs: se3_loss_and_grads(outputs, samples, p_start,
                                            r_start))
-    return Se3ManifoldModel(encoder=encoder, decoder=decoder, basis=basis,
-                            p_start=p_start, r_start=r_start, config=config,
-                            history=history)
+    return ManifoldModel(encoder=encoder, decoder=decoder,
+                         curve_model=family, config=config, history=history)
 
 
 def make_pouring_demos(count=8, seed=0, n_samples=60, basis=None):

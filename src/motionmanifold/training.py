@@ -97,11 +97,12 @@ _FIELD_TYPES = {"latent_dim": _INT, "alpha": _FLOAT, "epochs": _INT,
 
 @dataclass
 class ManifoldModel:
-    """Trained encoder/decoder pair tied to one curve model."""
+    """Trained encoder/decoder pair tied to one curve family, a CurveModel
+    or a lie.PoseCurveModel (save and load take a CurveModel)."""
 
     encoder: nets.Mlp
     decoder: nets.Mlp
-    curve_model: CurveModel
+    curve_model: CurveModel      # or lie.PoseCurveModel
     config: TrainConfig
     history: dict = field(default_factory=dict)
 
@@ -110,13 +111,21 @@ class ManifoldModel:
         return self.encoder.out_dim
 
     def encode_many(self, fits):
-        """Latents (N, m) of an (N, n, B) coefficient stack."""
+        """Latents (N, m) of N curves, e.g. an (N, n, B) coefficient stack."""
         return self.encoder.forward(self.curve_model.flatten(fits))
 
     def decode_many(self, z_batch):
-        """Coefficient stack (N, n, B) of latents (N, m)."""
+        """Curves of latents (N, m), e.g. an (N, n, B) coefficient stack."""
         return self.curve_model.unflatten(
             self.decoder.forward(np.atleast_2d(z_batch)))
+
+    def encode(self, item):
+        """Latent (m,) of one curve, its row pushed through alone."""
+        return self.encoder.forward(self.curve_model.flatten([item])[0])
+
+    def decode(self, z):
+        """The one curve of a latent (m,), its row pushed through alone."""
+        return self.curve_model.unflatten(self.decoder.forward(z)[None])[0]
 
     def curve_points(self, z, taus):
         """Trajectory points of the decoded curve, shape (len(taus), n)."""

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 import motionmanifold.lie as lie
 from motionmanifold.basis import BasisSet
 from motionmanifold.errors import BranchError
-from motionmanifold.training import TrainConfig
+from motionmanifold.training import ManifoldModel, TrainConfig
 
 
 def random_rotvec(rng, max_angle=np.pi - 0.1):
@@ -313,15 +315,24 @@ def test_feature_packing_round_trip():
         w_pos=rng.normal(size=(3, 5)), w_rot=rng.normal(size=(3, 5)),
         p_start=rng.normal(size=3), p_end=rng.normal(size=3),
         r_start=r0, r_end=r1)
-    feats = lie.pack_se3_features(params)
-    assert feats.shape == (6 * 5 + 12,)
-    # decoder output layout carries the final rotation as an absolute rotvec
-    vec = np.concatenate([params.w_pos.ravel(), params.w_rot.ravel(),
+    family = lie.PoseCurveModel(basis, params.p_start, r0)
+    feats = family.flatten([params, params])
+    assert feats.shape == (2, 6 * 5 + 12)
+    assert np.array_equal(feats[1], np.concatenate([
+        params.w_pos.ravel(), params.w_rot.ravel(), params.p_end,
+        r1.ravel()]))
+    # decoder rows carry the final rotation as an absolute rotvec
+    row = np.concatenate([params.w_pos.ravel(), params.w_rot.ravel(),
                           params.p_end, lie.log_so3(r1)])
-    back = lie.unpack_se3_output(vec, params.p_start, r0, 5)
-    assert np.allclose(back.w_pos, params.w_pos)
+    (back,) = family.unflatten(row[None])
+    assert np.array_equal(back.w_pos, params.w_pos)
+    assert np.array_equal(back.w_rot, params.w_rot)
+    assert np.array_equal(back.p_end, params.p_end)
     assert np.allclose(back.r_end, r1, atol=1e-10)
-    assert np.allclose(back.p_end, params.p_end)
+    assert back.p_start is params.p_start and back.r_start is r0
+    with pytest.raises(ValueError,
+                       match=r"\(N, 36\) for 5 bases, got \(1, 35\)"):
+        family.unflatten(row[None, :-1])
 
 
 @pytest.mark.parametrize("rotated", [False, True])
@@ -608,9 +619,9 @@ def test_loss_near_pi_matches_per_demo_reference():
     for _ in range(5):
         outputs = rng.normal(scale=0.3, size=(len(demos), 6 * B + 6))
         moved = []
-        for traj, row in zip(demos, outputs):
-            r_hat = _ref_eval_curve(lie.unpack_se3_output(row, p0, r0, B),
-                                    basis, traj.taus)[1]
+        decoded = lie.PoseCurveModel(basis, p0, r0).unflatten(outputs)
+        for traj, params in zip(demos, decoded):
+            r_hat = _ref_eval_curve(params, basis, traj.taus)[1]
             rots = traj.rotations.copy()
             k = int(rng.integers(1, len(rots) - 1))
             axis = rng.normal(size=3)
@@ -707,7 +718,7 @@ def test_trajectory_needs_two_samples(count):
                           rotations=np.tile(np.eye(3), (count, 1, 1)))
 
 
-@pytest.mark.parametrize("times", [[0.0, 0.0, 1.0], [0.0, np.nan, 2.0]])
+@pytest.mark.parametrize("times", [[0.0, 0.0, 1.0]])
 def test_trajectory_times_must_increase(times):
     with pytest.raises(ValueError, match="strictly increasing"):
         lie.Se3Trajectory(times=times, positions=np.zeros((3, 3)),
@@ -715,13 +726,30 @@ def test_trajectory_times_must_increase(times):
 
 
 @pytest.mark.parametrize("name, row, value", [
-    ("times", 2, np.inf), ("positions", 1, np.nan),
-    ("positions", 2, -np.inf)])
+    ("times", 1, np.nan), ("times", 2, np.inf), ("positions", 1, np.nan),
+    ("positions", 2, -np.inf), ("rotations", (1, 0, 2), np.nan)])
 def test_trajectory_samples_must_be_finite(name, row, value):
-    fields = {"times": np.arange(3.0), "positions": np.zeros((3, 3))}
+    fields = {"times": np.arange(3.0), "positions": np.zeros((3, 3)),
+              "rotations": np.tile(np.eye(3), (3, 1, 1))}
     fields[name][row] = value
     with pytest.raises(ValueError, match=f"{name} must be finite"):
-        lie.Se3Trajectory(**fields, rotations=np.tile(np.eye(3), (3, 1, 1)))
+        lie.Se3Trajectory(**fields)
+
+
+@pytest.mark.parametrize("name, value, problem", [
+    ("w_pos", [[0.0, np.nan]] + [[0.0, 0.0]] * 2, "finite"),
+    ("w_rot", [[0.0, 0.0]] * 2 + [[-np.inf, 0.0]], "finite"),
+    ("p_start", [0.0, np.nan, 0.0], "finite"),
+    ("p_end", [np.inf, 0.0, 0.0], "finite"),
+    ("p_start", [0.0, 0.0], "a 3-vector, got shape (2,)"),
+    ("p_end", [[0.0, 0.0, 1.0]], "a 3-vector, got shape (1, 3)")])
+def test_curve_params_check_their_vectors(name, value, problem):
+    fields = {"w_pos": np.zeros((3, 2)), "w_rot": np.zeros((3, 2)),
+              "p_start": np.zeros(3), "p_end": np.ones(3),
+              "r_start": np.eye(3), "r_end": np.eye(3), name: value}
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be "
+                                                   f"{problem}")):
+        lie.Se3CurveParams(**fields)
 
 
 def test_trajectory_checks_every_rotation():
@@ -736,6 +764,8 @@ def test_train_se3_learns_and_guards():
     demos, basis = se3_fixture(seed=16, n=25, n_bases=6)
     cfg = TrainConfig(latent_dim=1, epochs=400, hidden=(32, 32), seed=0)
     model = lie.train_se3(demos, basis, cfg)
+    assert isinstance(model, ManifoldModel)
+    assert isinstance(model.curve_model, lie.PoseCurveModel)
     h = model.history["recon"]
     assert h[-1] < 0.1 * h[0]
     fit0 = lie.fit_se3_params(demos[0], basis)

@@ -299,11 +299,11 @@ def test_train_se3_matches_reference_loop():
     cfg = TrainConfig(latent_dim=2, epochs=25, hidden=(16, 16), seed=2)
     got = lie.train_se3(demos, basis, cfg)
     fitted = [lie.fit_se3_params(traj, basis) for traj in demos]
-    x = np.stack([lie.pack_se3_features(p) for p in fitted])
+    p0, r0 = demos[0].positions[0], demos[0].rotations[0]
+    x = lie.PoseCurveModel(basis, p0, r0).flatten(fitted)
     samples = lie.Se3Samples.from_dataset(demos, basis)
     encoder, decoder, history = _reference_se3_loop(
-        x, samples, demos[0].positions[0], demos[0].rotations[0], basis.size,
-        cfg)
+        x, samples, p0, r0, basis.size, cfg)
     assert got.history["recon"] == history["recon"]
     assert got.history["total"] == history["recon"]
     assert got.history["distortion"] == [0.0] * cfg.epochs

@@ -22,7 +22,8 @@ from .errors import DegenerateSupportError, SamplingStarvedError
 
 # Cap on the (components, queries, m) whitened-difference block that one
 # evaluation holds at once, and on the (draws, m, m) factor stack that one
-# sampling step gathers, in float64 elements (2 MB).
+# sampling step of a multi-component density gathers, in float64 elements
+# (2 MB).
 _BLOCK_ELEMENTS = 1 << 18
 
 # EM stops once a step gains less than GMM_TOL in total log-likelihood or
@@ -45,6 +46,14 @@ def _factors(covariances):
                             for c in chols])
     logdets = np.array([2.0 * np.sum(np.log(np.diag(c))) for c in chols])
     return chols, inv_chols_t, -0.5 * (m * np.log(2.0 * np.pi) + logdets)
+
+
+def _check_finite(model, *names):
+    """Reject a non-finite array field of a density by its name."""
+    for name in names:
+        if not np.isfinite(getattr(model, name)).all():
+            raise ValueError(f"{type(model).__name__} {name} must be "
+                             f"finite")
 
 
 def _component_logpdfs(z2, means, inv_chols_t, log_norms):
@@ -80,8 +89,11 @@ def _draw(means, chols, picks, rng, count):
     block = max(1, _BLOCK_ELEMENTS // chols[0].size)
     for lo in range(0, len(picks), block):
         rows = slice(lo, lo + block)
-        # matmul per draw, not einsum: this matches chol @ eps bit for bit
-        out[rows] += (chols[picks[rows]] @ eps[rows, :, None])[:, :, 0]
+        # matmul per draw, not einsum: this matches chol @ eps bit for bit;
+        # a lone factor broadcasts over the draws instead of being gathered,
+        # and no name holds a gathered block while the next one is taken
+        out[rows] += ((chols[0] if len(chols) == 1 else chols[picks[rows]])
+                      @ eps[rows, :, None])[:, :, 0]
     return out[0] if count is None else out
 
 
@@ -98,6 +110,7 @@ class GmmModel:
         self.weights = np.asarray(self.weights, dtype=float)
         self.means = np.atleast_2d(np.asarray(self.means, dtype=float))
         self.covariances = np.asarray(self.covariances, dtype=float)
+        _check_finite(self, "weights", "means", "covariances")
         if abs(self.weights.sum() - 1.0) > 1e-9 or (self.weights < 0).any():
             raise ValueError("mixture weights must be a simplex point")
         self._chols, self._inv_chols_t, log_norms = _factors(
@@ -229,6 +242,7 @@ class KdeModel:
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         self.bandwidths = np.asarray(self.bandwidths, dtype=float)
+        _check_finite(self, "points", "bandwidths")
         self._chols, self._inv_chols_t, self._log_norms = _factors(
             self.bandwidths)
 
@@ -323,10 +337,11 @@ def rejection_sample(density, sample_filter, rng, count):
         if attempts >= sample_filter.max_attempts:
             raise SamplingStarvedError(attempts=attempts, accepted=accepted)
         take = min(REJECTION_BATCH, sample_filter.max_attempts - attempts)
-        draws = density.sample(rng, count=take)
+        good = density.sample(rng, count=take)
         attempts += take
-        ok = density.logpdf(draws) >= sample_filter.threshold
-        good = draws[ok]
+        # a -inf floor keeps every draw, so the density is not evaluated
+        if sample_filter.threshold != -np.inf:
+            good = good[density.logpdf(good) >= sample_filter.threshold]
         if len(good):
             kept.append(good)
             accepted += len(good)

@@ -38,6 +38,8 @@ def check_rotation(r, tol=1e-9):
     r = np.asarray(r, dtype=float)
     if r.shape[-2:] != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {r.shape}")
+    if not np.isfinite(r).all():
+        raise ValueError("rotation must be finite")
     if not np.all(np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)) <= tol):
         raise ValueError("matrix is not orthonormal")
     if not np.all(np.abs(np.linalg.det(r) - 1.0) <= tol):

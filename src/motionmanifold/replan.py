@@ -444,10 +444,10 @@ def run_episode(model, density, constraint, cfg, seed=0, z0=None):
             continue
         # per-tick updates on Python floats: the same IEEE operations as
         # on the arrays, without numpy's per-call cost
-        z, goal, tau = state.z.tolist(), goal_z.tolist(), state.tau
+        z, target, tau = state.z.tolist(), goal_z.tolist(), state.tau
         rows = []
         for tick in range(start, stop):
-            z = [zc + TRACKING_GAIN * (gc - zc) for zc, gc in zip(z, goal)]
+            z = [zc + TRACKING_GAIN * (gc - zc) for zc, gc in zip(z, target)]
             tau = tau + TRACKING_GAIN * (goal_tau - tau)
             rows.append(z)
             taus[tick] = tau

@@ -98,7 +98,8 @@ _FIELD_TYPES = {"latent_dim": _INT, "alpha": _FLOAT, "epochs": _INT,
 @dataclass
 class ManifoldModel:
     """Trained encoder/decoder pair tied to one curve family, a CurveModel
-    or a lie.PoseCurveModel (save and load take a CurveModel)."""
+    or a lie.PoseCurveModel (save, load and curve_points take a
+    CurveModel)."""
 
     encoder: nets.Mlp
     decoder: nets.Mlp
@@ -127,12 +128,21 @@ class ManifoldModel:
         """The one curve of a latent (m,), its row pushed through alone."""
         return self.curve_model.unflatten(self.decoder.forward(z)[None])[0]
 
+    def _check_planar(self, action):
+        """Raise before `action` on any family but a CurveModel."""
+        if not isinstance(self.curve_model, CurveModel):
+            raise NotImplementedError(
+                f"ManifoldModel.{action} takes a CurveModel family, not "
+                f"{type(self.curve_model).__name__}")
+
     def curve_points(self, z, taus):
         """Trajectory points of the decoded curve, shape (len(taus), n)."""
+        self._check_planar("curve_points")
         stack = self.decode_many(np.asarray(z, dtype=float)[None, :])
         return evaluate_batch(self.curve_model, stack, taus)[0]
 
     def save(self, directory):
+        self._check_planar("save")
         os.makedirs(directory, exist_ok=True)
         self.encoder.save(os.path.join(directory, "encoder.json"))
         self.decoder.save(os.path.join(directory, "decoder.json"))

@@ -6,10 +6,10 @@ import pytest
 from scipy.linalg import cholesky, solve_triangular
 from scipy.special import logsumexp
 
-from motionmanifold.density import (GmmModel, KdeModel, SampleFilter,
-                                    fit_density, gmm_fit, kde_build,
-                                    min_loglik_threshold, rejection_sample,
-                                    save_density)
+from motionmanifold.density import (REJECTION_BATCH, GmmModel, KdeModel,
+                                    SampleFilter, fit_density, gmm_fit,
+                                    kde_build, min_loglik_threshold,
+                                    rejection_sample, save_density)
 from motionmanifold.envs import fit_demos, generate_env
 from motionmanifold.errors import DegenerateSupportError, SamplingStarvedError
 
@@ -139,9 +139,10 @@ def test_gmm_logpdf_matches_per_component_reference(points, n_components):
 
 
 @pytest.mark.parametrize("points, n_components", [
+    (ENV3_COEFFS, 1),
     (ENV3_COEFFS, 4),
     (two_blobs(scale=0.3, seed=5), 2),
-], ids=["env3-coeffs-k4", "latents-2d-k2"])
+], ids=["env3-coeffs-k1", "env3-coeffs-k4", "latents-2d-k2"])
 def test_gmm_sample_matches_per_draw_loop_bit_for_bit(points, n_components):
     g = gmm_fit(points, n_components, seed=0)
     chols = [cholesky(c, lower=True) for c in g.covariances]
@@ -164,6 +165,24 @@ def test_gmm_weights_validated():
         GmmModel(weights=np.array([0.7, 0.7]),
                  means=np.zeros((2, 2)),
                  covariances=np.stack([np.eye(2)] * 2))
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (GmmModel, "weights", np.nan), (GmmModel, "means", np.nan),
+    (GmmModel, "covariances", np.nan), (GmmModel, "covariances", np.inf),
+    (KdeModel, "points", -np.inf), (KdeModel, "bandwidths", np.nan)])
+def test_density_fields_must_be_finite(cls, name, value):
+    # named before the factorization, which would call a NaN scipy's
+    # "array must not contain infs or NaNs", or accept a NaN mean
+    pts = two_blobs(n_per=20, seed=22)
+    data = (gmm_fit(pts, 2, seed=0) if cls is GmmModel
+            else kde_build(pts)).to_dict()
+    del data["family"]
+    data[name] = np.array(data[name])
+    data[name].flat[1] = value
+    with pytest.raises(ValueError, match=f"{cls.__name__} {name} must be "
+                                         f"finite"):
+        cls(**data)
 
 
 # -- adaptive KDE ---------------------------------------------------------
@@ -293,6 +312,18 @@ def test_kde_sample_matches_per_draw_loop_bit_for_bit():
     assert np.array_equal(one, per_draw(np.random.default_rng(18), 1)[0])
 
 
+@pytest.mark.parametrize("coretype", [None, "Haswell", "Prescott"])
+def test_draws_keep_their_bits_on_every_blas_kernel(coretype,
+                                                    run_pytest_on_blas):
+    # the bit-for-bit sampling checks, on the one thread the benchmark
+    # measures with, where the gemm kernel sets the product's last bits
+    result = run_pytest_on_blas(coretype, __file__, "-k",
+                                "sample_matches_per_draw_loop",
+                                OPENBLAS_NUM_THREADS="1")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "4 passed" in result.stdout, result.stdout
+
+
 # -- thresholds and rejection --------------------------------------------
 
 
@@ -323,6 +354,37 @@ def test_rejection_threshold_minus_inf_accepts_everything():
                            np.random.default_rng(19), 64)
     assert res.acceptance_rate == 1.0
     assert len(res.samples) == 64
+
+
+class _Unevaluated:
+    """A density's sampler, with a logpdf that must not be called."""
+
+    def __init__(self, density):
+        self.sample = density.sample
+
+    def logpdf(self, z):
+        raise AssertionError("logpdf evaluated under a -inf floor")
+
+
+@pytest.mark.parametrize("density", [gmm_fit(two_blobs(seed=18), 2, seed=0),
+                                     kde_build(two_blobs(n_per=20, seed=18))],
+                         ids=["gmm", "kde"])
+def test_rejection_at_minus_inf_floor_never_evaluates_the_density(density):
+    count = 2 * REJECTION_BATCH + 1         # three batches, overshooting
+    rng = np.random.default_rng(19)
+    got = rejection_sample(_Unevaluated(density),
+                           SampleFilter(threshold=-np.inf), rng, count)
+    # the same draws through a loop that evaluates the density
+    ref_rng = np.random.default_rng(19)
+    kept, attempts = [], 0
+    while sum(map(len, kept)) < count:
+        draws = density.sample(ref_rng, count=REJECTION_BATCH)
+        attempts += REJECTION_BATCH
+        kept.append(draws[density.logpdf(draws) >= -np.inf])
+    want = np.concatenate(kept)
+    assert np.array_equal(got.samples, want[:count])
+    assert (got.attempts, got.accepted) == (attempts, len(want))
+    assert rng.random() == ref_rng.random()
 
 
 def test_rejection_starves_above_max_density():

@@ -215,7 +215,7 @@ def test_stack_checks_reject_any_bad_matrix():
     with pytest.raises(ValueError, match="determinant"):
         lie.check_rotation(rs)
     rs[1] = np.nan
-    with pytest.raises(ValueError, match="orthonormal"):
+    with pytest.raises(ValueError, match="rotation must be finite"):
         lie.check_rotation(rs)
     with pytest.raises(ValueError, match="3x3"):
         lie.check_rotation(np.eye(4))
@@ -752,6 +752,19 @@ def test_curve_params_check_their_vectors(name, value, problem):
         lie.Se3CurveParams(**fields)
 
 
+@pytest.mark.parametrize("name", ["r_start", "r_end"])
+def test_curve_params_name_a_non_finite_rotation(name):
+    rotation = np.eye(3)
+    rotation[1, 2] = np.nan
+    fields = {"w_pos": np.zeros((3, 2)), "w_rot": np.zeros((3, 2)),
+              "p_start": np.zeros(3), "p_end": np.ones(3),
+              "r_start": np.eye(3), "r_end": np.eye(3), name: rotation}
+    with pytest.raises(ValueError, match="rotation must be finite"):
+        lie.Se3CurveParams(**fields)
+    with pytest.raises(ValueError, match="rotation must be finite"):
+        lie.log_so3(rotation)
+
+
 def test_trajectory_checks_every_rotation():
     rots = lie.exp_so3(np.linspace(0.0, 1.0, 15).reshape(5, 3))
     rots[3] = rots[3] * 1.01
@@ -783,3 +796,19 @@ def test_train_se3_learns_and_guards():
     with pytest.raises(ValueError, match="initial pose"):
         lie.train_se3(shifted, basis, TrainConfig(latent_dim=1, epochs=1,
                                                   hidden=(4,)))
+
+
+def test_pose_model_names_its_family_before_writing(tmp_path):
+    # pose save/load is not written yet; save must open no file first
+    demos, basis = se3_fixture(seed=16, n=25, n_bases=6)
+    model = lie.train_se3(demos, basis, TrainConfig(latent_dim=1, epochs=2,
+                                                    hidden=(4,)))
+    for action, call in (
+            ("save", lambda: model.save(tmp_path)),
+            ("curve_points", lambda: model.curve_points(
+                np.zeros(1), np.linspace(0.0, 1.0, 5)))):
+        with pytest.raises(NotImplementedError, match=re.escape(
+                f"ManifoldModel.{action} takes a CurveModel family, not "
+                f"PoseCurveModel")):
+            call()
+    assert list(tmp_path.iterdir()) == []

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import (SingularFitError, finite_array, numeric, read_json,
-                     record_field)
+from .errors import (SingularFitError, finite_array, json_list, json_object,
+                     numeric, read_json, record_field, sourced)
 
 # Uniform trapezoid grid used for every integral over [0, 1].
 QUAD_GRID_POINTS = 201
@@ -48,12 +48,11 @@ def _as_tau_array(tau):
     return np.clip(arr, 0.0, 1.0), np.ndim(tau) == 0
 
 
-def _check_via_point(source, data, field):
-    """Reject a serialized curve or basis of any kind but via-point."""
-    kind = record_field(source, data, field, lambda value: value)
+def _via_point(kind):
+    """convert for a serialized curve kind or basis mode: only via-point."""
     if kind != VIA_POINT:
-        raise ValueError(f"{source}: field {field!r}: unsupported value "
-                         f"{kind!r}; only {VIA_POINT!r} is supported")
+        raise ValueError(f"unsupported value {kind!r}; only {VIA_POINT!r} "
+                         f"is supported")
 
 
 def lstsq_coefficients(phi, targets):
@@ -83,14 +82,15 @@ class BasisSet:
     def __init__(self, centers, width):
         centers = np.asarray(centers, dtype=float)
         if centers.ndim != 1 or centers.size < 2:
-            raise ValueError("need at least 2 basis centers")
+            raise ValueError("field 'centers': need at least 2 basis centers")
         # np.unique keeps every NaN, so distinctness alone lets one through
-        if not (np.isfinite(centers).all()
+        if not (np.all((0 <= centers) & (centers <= 1))
                 and len(np.unique(centers)) == centers.size):
-            raise ValueError("basis centers must be finite and mutually "
-                             "distinct")
+            raise ValueError("field 'centers': basis centers must lie in the "
+                             "phase range [0, 1] and be mutually distinct")
         if not 0 < width < np.inf:         # NaN fails every comparison
-            raise ValueError("basis width must be finite and positive")
+            raise ValueError("field 'width': basis width must be finite and "
+                             "positive")
         self.centers = centers
         self.width = float(width)
 
@@ -157,11 +157,12 @@ class BasisSet:
 
     @classmethod
     def from_dict(cls, data, source="basis"):
-        """Each field goes through record_field, so a missing or ill-typed
-        value raises a ValueError naming source and the key."""
-        _check_via_point(source, data, "mode")
-        return cls(record_field(source, data, "centers", finite_array),
-                   record_field(source, data, "width", numeric(float)))
+        """The basis to_dict described; an error names source and the
+        field."""
+        record_field(source, data, "mode", _via_point)
+        return sourced(source, cls,
+                       record_field(source, data, "centers", finite_array),
+                       record_field(source, data, "width", numeric(float)))
 
     def __eq__(self, other):
         return (isinstance(other, BasisSet) and self.width == other.width
@@ -178,6 +179,9 @@ class TimedTrajectory:
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.points = np.asarray(self.points, dtype=float)
+        if self.points.ndim == 0:
+            raise ValueError("points must be one point or value per time, "
+                             "not a scalar")
         if self.points.ndim == 1:
             self.points = self.points[:, None]
         if self.times.ndim != 1 or self.times.size != self.points.shape[0]:
@@ -210,22 +214,21 @@ def save_trajectory_dataset(trajectories, path):
 
 
 def load_trajectory_dataset(path):
-    """The trajectories of a file save_trajectory_dataset wrote; each field
-    goes through record_field, so a bad value names the file and key, and
-    times and points that do not make a trajectory name both keys.  An
-    empty list is rejected, as save_trajectory_dataset rejects it."""
+    """The trajectories of a file save_trajectory_dataset wrote; an error
+    names the file and the field, and times and points that do not make a
+    trajectory name both.  An empty list is rejected, as
+    save_trajectory_dataset rejects it."""
+    source = f"{path}: field 'trajectories'"
+
     def trajectory(record):
-        times = record_field(path, record, "t", finite_array)
-        points = record_field(path, record, "q", finite_array)
-        try:
-            return TimedTrajectory(times, points)
-        except ValueError as err:
-            raise ValueError(f"{path}: fields 't' and 'q': {err}") from None
+        return sourced(f"{source}: fields 't' and 'q'", TimedTrajectory,
+                       record_field(source, record, "t", finite_array),
+                       record_field(source, record, "q", finite_array))
 
     def parse(payload):
         dim = record_field(path, payload, "dim", numeric(operator.index))
-        trajs = [trajectory(record) for record
-                 in record_field(path, payload, "trajectories", list)]
+        trajs = [trajectory(record) for record in record_field(
+            path, payload, "trajectories", json_list(json_object))]
         if not trajs:
             raise ValueError(f"{path}: field 'trajectories': empty "
                              f"trajectory dataset")
@@ -253,9 +256,12 @@ class CurveModel:
         self.q_start = np.asarray(q_start, dtype=float)
         self.q_end = np.asarray(q_end, dtype=float)
         if self.q_start.ndim != 1 or self.q_end.shape != self.q_start.shape:
-            raise ValueError("endpoints must be vectors of one shape")
+            raise ValueError(f"fields 'q_start' and 'q_end': endpoints must "
+                             f"be vectors of one shape, not "
+                             f"{self.q_start.shape} and {self.q_end.shape}")
         if not np.isfinite([self.q_start, self.q_end]).all():
-            raise ValueError("endpoints must be finite")
+            raise ValueError("fields 'q_start' and 'q_end': endpoints must "
+                             "be finite")
         self.dim = self.q_start.size
 
     def elementary(self, tau):
@@ -274,7 +280,8 @@ class CurveModel:
         if stack.ndim != 3 or stack.shape[1:] != (self.dim, self.basis.size):
             raise ValueError(f"coefficient stack has shape {stack.shape}; the "
                              f"curve model expects (N, {self.dim}, "
-                             f"{self.basis.size})")
+                             f"{self.basis.size}) from its 'q_start' and "
+                             f"its basis 'centers'")
         return stack
 
     def flatten(self, coefficients):
@@ -323,18 +330,20 @@ class CurveModel:
         return float(np.sum(resid ** 2))
 
     def to_dict(self):
-        return {"kind": VIA_POINT, "dim": self.dim,
-                "basis": self.basis.to_dict(),
+        return {"kind": VIA_POINT, "basis": self.basis.to_dict(),
                 "q_start": self.q_start.tolist(), "q_end": self.q_end.tolist()}
 
     @classmethod
     def from_dict(cls, data, source="curve model"):
-        """Each field goes through record_field, as in BasisSet.from_dict."""
-        _check_via_point(source, data, "kind")
-        basis = record_field(source, data, "basis", dict)
-        return cls(BasisSet.from_dict(basis, source),
-                   record_field(source, data, "q_start", finite_array),
-                   record_field(source, data, "q_end", finite_array))
+        """The model to_dict described, as in BasisSet.from_dict; files
+        that still carry the dimension older versions wrote load too."""
+        record_field(source, data, "kind", _via_point)
+        basis = BasisSet.from_dict(
+            record_field(source, data, "basis", json_object),
+            f"{source}: field 'basis'")
+        return sourced(source, cls, basis,
+                       record_field(source, data, "q_start", finite_array),
+                       record_field(source, data, "q_end", finite_array))
 
 
 def evaluate_batch(model, coefficient_stack, tau):

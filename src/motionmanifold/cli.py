@@ -26,13 +26,14 @@ from .density import (DEFAULT_FAMILY, FAMILIES, kde_build,
 from .envs import (CONTINUUM_COUNT, ENV_IDS, EVAL_SAMPLES, EVAL_SEEDS,
                    IMMP_ALPHA, KINDS, N_BASES, SCENE_BOUNDS, PlanarEnv,
                    build_bundle, evaluate_success, fit_demos,
-                   generate_continuum_demos, generate_env, latent_bundle,
-                   sample_curves)
+                   generate_continuum_demos, generate_env, inside_bounds,
+                   latent_bundle, sample_curves)
 from .errors import (BranchError, DegenerateSupportError,
                      DistortionUndefinedError, GenerationError,
                      NonFiniteError, ReplanInfeasibleError,
                      SamplingStarvedError, SingularFitError, TrainingError,
-                     finite_array, numeric, read_json, record_field)
+                     finite_array, json_list, json_object, numeric, read_json,
+                     record_field, squared_norms_finite)
 from .render import render_latent_scatter, render_loss_curves, render_scene
 from .replan import (MovingDisk, ReplanConfig, constraint_from_script,
                      run_episode, save_obstacle_script)
@@ -137,17 +138,18 @@ def save_fits(path, model, fits, objectives):
 
 def load_fits(path):
     """(model, fits, objectives) from fits.json, fits the finite (N, n, B)
-    coefficient stack; each field goes through record_field, so a missing
-    or ill-typed value names the file and key."""
+    coefficient stack; an error names the file and the field."""
     def parse(data):
-        model = CurveModel.from_dict(record_field(path, data, "model", dict),
-                                     path)
+        model = CurveModel.from_dict(
+            record_field(path, data, "model", json_object),
+            f"{path}: field 'model'")
         fits = record_field(path, data, "coefficients",
-                            lambda v: model.stack(finite_array(v)))
+                            lambda v: model.unflatten(squared_norms_finite(
+                                model.flatten(finite_array(v)))))
         objectives = []              # optional: no command reads them
         if "objectives" in data:
             objectives = record_field(path, data, "objectives",
-                                      lambda v: list(map(numeric(float), v)))
+                                      json_list(numeric(float)))
         return model, fits, objectives
 
     return read_json(path, parse)
@@ -173,7 +175,15 @@ def cmd_fit(args):
     out = _prepare_out(args)
     env = PlanarEnv.load(args.env)
     demos = load_trajectory_dataset(args.demos)
-    model, fits = fit_demos(env, demos, n_bases=args.bases)
+    try:
+        model, fits = fit_demos(env, demos, n_bases=args.bases)
+    except SingularFitError as err:      # the demos' phases cannot fit it
+        raise SingularFitError(f"{args.demos}: fields 't' and 'q': "
+                               f"{err}") from None
+    for k, traj in enumerate(demos):
+        if not inside_bounds(traj.points, env.bounds).all():
+            raise ConfigError(f"{args.demos}: field 'q': trajectory {k} "
+                              f"leaves the 'bounds' of {args.env}")
     objectives = [model.fit_objective(p, traj)
                   for p, traj in zip(fits, demos)]
     save_fits(os.path.join(out, "fits.json"), model, fits, objectives)
@@ -206,8 +216,15 @@ def _sample_model(manifold, args):
     the density is gmm), --count and --seed.
     """
     path = os.path.join(args.model, "latents.json")
-    z = read_json(path, lambda data: record_field(path, data, "z",
-                                                  finite_array))
+
+    def latents(value):
+        z = finite_array(value)
+        if z.ndim != 2 or z.shape[1] != manifold.decoder.in_dim:
+            raise ValueError(f"shape {z.shape}, not (N, "
+                             f"{manifold.decoder.in_dim}) for the decoder")
+        return squared_norms_finite(z)
+
+    z = read_json(path, lambda data: record_field(path, data, "z", latents))
     gmm = args.density == "gmm"
     if gmm and args.components > len(z):
         raise ConfigError(f"field 'components': {args.components} mixture "

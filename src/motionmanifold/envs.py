@@ -20,8 +20,8 @@ import numpy as np
 from .basis import BasisSet, CurveModel, TimedTrajectory, evaluate_batch
 from .density import (DEFAULT_FAMILY, SampleFilter, fit_density, gmm_fit,
                       min_loglik_threshold, rejection_sample)
-from .errors import (GenerationError, NonFiniteError, finite_array, numeric,
-                     read_json, record_field)
+from .errors import (GenerationError, NonFiniteError, finite_array, json_list,
+                     json_object, numeric, read_json, record_field, sourced)
 from .replan import MovingDisk, constraint_from_script, squared_distance
 from .training import TrainConfig, train
 
@@ -65,7 +65,9 @@ class PlanarEnv:
                                  f"{o.centers[0].tolist()} in a 2-D scene")
         if np.any(collision_check(np.stack([self.q_start, self.q_goal]),
                                   self) > 0):
-            raise ValueError("endpoint lies inside an obstacle")
+            raise ValueError("fields 'q_start', 'q_goal' and 'obstacles': an "
+                             "endpoint lies inside an obstacle's 'center' "
+                             "and 'radius'")
 
     def to_dict(self):
         return {"obstacles": [{"center": o.centers[0].tolist(),
@@ -80,21 +82,39 @@ class PlanarEnv:
 
     @classmethod
     def load(cls, path):
-        def field(record, key, convert=finite_array):
-            return record_field(path, record, key, convert)
+        disks = f"{path}: field 'obstacles'"
 
         def parse(data):
-            obstacles = [MovingDisk(times=[0.0], centers=[field(o, "center")],
-                                    radius=field(o, "radius", _positive))
-                         for o in field(data, "obstacles", list)]
-            ends = {key: field(data, key) for key in ("q_start", "q_goal")}
-            bounds = field(data, "bounds", _scene_bounds)
-            try:
-                return cls(obstacles=obstacles, bounds=bounds, **ends)
-            except ValueError as err:     # the checks across fields
-                raise ValueError(f"{path}: {err}") from None
+            records = record_field(path, data, "obstacles",
+                                   json_list(json_object, "obstacle"))
+            bounds = record_field(path, data, "bounds", _scene_bounds)
+
+            def point(value):
+                q = finite_array(value)
+                if q.shape == (2,) and not inside_bounds(q, bounds):
+                    raise ValueError(f"{q.tolist()} lies outside 'bounds' "
+                                     f"{bounds.tolist()}")
+                return q
+
+            obstacles = [
+                MovingDisk(times=[0.0],
+                           radius=record_field(disks, o, "radius", _positive),
+                           centers=[record_field(disks, o, "center", point)])
+                for o in records]
+            ends = {key: record_field(path, data, key, point)
+                    for key in ("q_start", "q_goal")}
+            # the checks across fields
+            return sourced(path, cls, obstacles=obstacles, bounds=bounds,
+                           **ends)
 
         return read_json(path, parse)
+
+
+def inside_bounds(points, bounds):
+    """Whether each of points (..., 2) lies in the closed box bounds
+    ((xmin, xmax), (ymin, ymax)); an env.json point must."""
+    return np.all((bounds[:, 0] <= points) & (points <= bounds[:, 1]),
+                  axis=-1)
 
 
 def collision_check(q, env):

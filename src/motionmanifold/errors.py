@@ -70,8 +70,10 @@ def numeric(convert):
 
 
 def finite_array(value):
-    """value as a float array, or a ValueError naming its first entry that
-    is not finite or saying that its nested lists are ragged."""
+    """value as a float array, or an error naming its first entry that is
+    not finite or saying that its lists are ragged or hold true or false."""
+    if any(isinstance(x, bool) for x in np.array(value, dtype=object).flat):
+        raise TypeError("expected numbers, got a JSON true or false")
     try:
         array = np.asarray(value, dtype=float)
     except ValueError as err:
@@ -86,31 +88,57 @@ def finite_array(value):
     return array
 
 
+def squared_norms_finite(rows):
+    """rows (N, d), or a ValueError naming the first row whose squared
+    norm overflows, as a squared error or a variance over rows would."""
+    big = np.flatnonzero(~(np.hypot.reduce(rows, axis=1)
+                           <= np.sqrt(np.finfo(float).max)))
+    if len(big):
+        raise ValueError(f"row {big[0]} has a squared norm beyond the "
+                         f"largest double")
+    return rows
+
+
+def json_list(convert, entry=None):
+    """convert for a JSON list: each item through convert, an error naming
+    the item as "{entry} {index}" ("layer 1") when entry is given.
+    Anything but a list raises a TypeError naming its type."""
+    def checked(value):
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, got {type(value).__name__}")
+        return [sourced(f"{entry} {i}", convert, item) if entry
+                else convert(item) for i, item in enumerate(value)]
+    return checked
+
+
+def json_object(value):
+    """value if it is a JSON object, else a TypeError naming its type."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def sourced(source, call, *args, **kwargs):
+    """call(*args, **kwargs), a TypeError or ValueError it raises turned
+    into a ValueError that starts with source, such as a file's path."""
+    try:
+        return call(*args, **kwargs)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{source}: {err}") from None
+
+
 def record_field(source, record, key, convert):
-    """convert(record[key]), or a ValueError naming the file source and key."""
+    """convert(record[key]), or a ValueError naming the file source and key;
+    the source of a nested record names its path ("fits.json: field
+    'model'")."""
     if not isinstance(record, dict) or key not in record:
         raise ValueError(f"{source}: missing field {key!r}")
-    try:
-        return convert(record[key])
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"{source}: field {key!r}: {err}") from None
+    return sourced(f"{source}: field {key!r}", convert, record[key])
 
 
 def read_json(path, parse):
-    """parse(the JSON value in the file path).
-
-    Text that is not JSON, a key that parse finds missing, and a value of
-    a type that parse cannot use each raise a ValueError naming the file
-    (and the key, when one is missing).
-    """
+    """parse(the JSON value in the file path); text that is not JSON
+    raises a ValueError naming the file.  parse reads every field through
+    record_field and the converters above."""
     with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path}: not valid JSON: {err}") from None
-    try:
-        return parse(data)
-    except KeyError as err:
-        raise ValueError(f"{path}: missing field {err.args[0]!r}") from None
-    except TypeError as err:
-        raise ValueError(f"{path}: {err}") from None
+        return parse(sourced(f"{path}: not valid JSON", json.load, fh))

@@ -13,23 +13,27 @@ batch*k tangent rows, k directions per point, so one gemm moves both.
 from __future__ import annotations
 
 import json
+import operator
 
 import numpy as np
 
-from .errors import (DistortionUndefinedError, TrainingError, read_json,
-                     record_field)
+from .errors import (DistortionUndefinedError, TrainingError, finite_array,
+                     json_list, numeric, read_json, record_field, sourced)
 
 
 class Mlp:
     """Fully connected network, tanh on hidden layers, identity output."""
 
-    def __init__(self, sizes, weights, biases, seed=None):
+    def __init__(self, sizes, weights, biases):
         self.sizes = list(int(s) for s in sizes)
-        self.seed = seed
+        if len(self.sizes) < 2 or min(self.sizes) < 1:
+            raise ValueError(f"field 'sizes': {self.sizes} is not two or more "
+                             f"layer widths of at least 1")
         n_layers = len(self.sizes) - 1
         if len(weights) != n_layers or len(biases) != n_layers:
-            raise ValueError(f"{len(weights)} weights and {len(biases)} "
-                             f"biases for {n_layers} layers")
+            raise ValueError(f"fields 'weights' and 'biases': {len(weights)} "
+                             f"weights and {len(biases)} biases for "
+                             f"{n_layers} layers of 'sizes' {self.sizes}")
         # (start, stop, out, in) of each layer's weight block in params;
         # its bias follows at stop
         layout, start = [], 0
@@ -42,13 +46,13 @@ class Mlp:
         self.weights, self.biases = self.layer_views(self.params)
         for i, (w, b) in enumerate(zip(weights, biases)):
             if np.shape(w) != self.weights[i].shape:
-                raise ValueError(f"layer {i} weight shape {np.shape(w)} does "
-                                 f"not match sizes {self.sizes}")
+                raise ValueError(f"field 'weights': layer {i} weight shape "
+                                 f"{np.shape(w)} does not match 'sizes' "
+                                 f"{self.sizes}")
             if np.shape(b) != self.biases[i].shape:
-                raise ValueError(f"layer {i} bias shape {np.shape(b)} does "
-                                 f"not match sizes {self.sizes}")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError(f"layer {i} has a non-finite weight or bias")
+                raise ValueError(f"field 'biases': layer {i} bias shape "
+                                 f"{np.shape(b)} does not match 'sizes' "
+                                 f"{self.sizes}")
             self.weights[i][...] = w
             self.biases[i][...] = b
 
@@ -61,7 +65,7 @@ class Mlp:
             bound = 1.0 / np.sqrt(fan_in)
             weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
             biases.append(rng.uniform(-bound, bound, size=fan_out))
-        return cls(sizes, weights, biases, seed=seed)
+        return cls(sizes, weights, biases)
 
     @property
     def n_layers(self):
@@ -223,28 +227,17 @@ class Mlp:
             "sizes": self.sizes,
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
-            "seed": self.seed,
         }
 
     @classmethod
     def from_dict(cls, data, source="network"):
-        """The network that to_dict described.
-
-        Each field goes through record_field, so a non-finite weights or
-        biases entry, and sizes that do not fit them, raise a ValueError
-        naming source and the field.
-        """
-        def layers(rows):
-            arrays = [np.asarray(r, dtype=float) for r in rows]
-            for i, a in enumerate(arrays):
-                if not np.isfinite(a).all():
-                    raise ValueError(f"layer {i} is not finite")
-            return arrays
-
-        weights = record_field(source, data, "weights", layers)
-        biases = record_field(source, data, "biases", layers)
-        return record_field(source, data, "sizes", lambda sizes: cls(
-            sizes, weights, biases, seed=data.get("seed")))
+        """The network that to_dict described; an error names source and
+        the field."""
+        layers = json_list(finite_array, "layer")
+        sizes = json_list(numeric(operator.index))
+        return sourced(source, cls, record_field(source, data, "sizes", sizes),
+                       record_field(source, data, "weights", layers),
+                       record_field(source, data, "biases", layers))
 
     def save(self, path):
         with open(path, "w") as f:

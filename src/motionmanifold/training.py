@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from .basis import CurveModel, evaluate_batch
-from .errors import TrainingError, numeric, read_json, record_field
+from .errors import (TrainingError, json_list, json_object, numeric,
+                     read_json, record_field, sourced)
 from .geometry import CurveGeomMetric
 from . import nets
 
@@ -54,16 +55,19 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.latent_dim < 1:
-            raise ValueError("latent_dim must be at least 1")
+            raise ValueError("field 'latent_dim': must be at least 1")
         if not 0 <= self.alpha < np.inf:     # NaN fails every comparison
-            raise ValueError("alpha must be finite and nonnegative")
+            raise ValueError("field 'alpha': must be finite and nonnegative")
         if self.epochs < 1:
-            raise ValueError("epochs must be positive")
+            raise ValueError("field 'epochs': must be positive")
         if not 0 < self.learning_rate < np.inf:
-            raise ValueError("learning_rate must be finite and positive")
+            raise ValueError("field 'learning_rate': must be finite and "
+                             "positive")
         self.hidden = tuple(int(h) for h in self.hidden)
         if not all(h >= 1 for h in self.hidden):
-            raise ValueError("hidden sizes must each be at least 1")
+            raise ValueError("field 'hidden': sizes must each be at least 1")
+        if self.seed < 0:                   # as np.random.default_rng needs
+            raise ValueError("field 'seed': must be nonnegative")
 
     def to_dict(self):
         d = asdict(self)
@@ -72,8 +76,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data, source="config"):
-        """Each field goes through record_field, so a missing or ill-typed
-        value raises a ValueError naming source and the key."""
+        """The config to_dict described; an error names source and the
+        field."""
         values = {f.name: record_field(source, data, f.name,
                                        _FIELD_TYPES[f.name])
                   for f in fields(cls)}
@@ -81,10 +85,7 @@ class TrainConfig:
         if unknown:
             raise ValueError(f"{source}: unknown TrainConfig field "
                              f"{unknown[0]!r}")
-        try:
-            return cls(**values)
-        except ValueError as err:
-            raise ValueError(f"{source}: {err}") from None
+        return sourced(source, cls, **values)
 
 
 # how TrainConfig.from_dict reads each field; operator.index takes ints
@@ -92,7 +93,7 @@ class TrainConfig:
 _INT, _FLOAT = numeric(operator.index), numeric(float)
 _FIELD_TYPES = {"latent_dim": _INT, "alpha": _FLOAT, "epochs": _INT,
                 "learning_rate": _FLOAT, "seed": _INT,
-                "hidden": lambda sizes: tuple(map(_INT, sizes))}
+                "hidden": json_list(_INT)}
 
 
 @dataclass
@@ -156,14 +157,27 @@ class ManifoldModel:
 
     @classmethod
     def load(cls, directory):
-        encoder = nets.Mlp.load(os.path.join(directory, "encoder.json"))
-        decoder = nets.Mlp.load(os.path.join(directory, "decoder.json"))
-        path = os.path.join(directory, "curve_model.json")
-        curve_model = read_json(path,
-                                lambda data: CurveModel.from_dict(data, path))
-        meta_path = os.path.join(directory, "train_meta.json")
+        """The model save wrote.  An error names the file and the field,
+        and networks whose sizes do not fit the curve model and the
+        config name all four files."""
+        enc_path, dec_path, curve_path, meta_path = (
+            os.path.join(directory, f"{name}.json")
+            for name in ("encoder", "decoder", "curve_model", "train_meta"))
+        encoder, decoder = nets.Mlp.load(enc_path), nets.Mlp.load(dec_path)
+        curve_model = read_json(curve_path, lambda data: CurveModel.from_dict(
+            data, curve_path))
         config = read_json(meta_path, lambda meta: TrainConfig.from_dict(
-            record_field(meta_path, meta, "config", dict), meta_path))
+            record_field(meta_path, meta, "config", json_object),
+            f"{meta_path}: field 'config'"))
+        width = curve_model.dim * curve_model.basis.size
+        m, hidden = config.latent_dim, list(config.hidden)
+        if [encoder.sizes, decoder.sizes] != [[width, *hidden, m],
+                                              [m, *hidden, width]]:
+            raise ValueError(
+                f"{enc_path} 'sizes' {encoder.sizes} and {dec_path} 'sizes' "
+                f"{decoder.sizes} do not fit {width} curve coefficients "
+                f"(the 'q_start' and basis 'centers' of {curve_path}), "
+                f"'hidden' {hidden} and 'latent_dim' {m} (of {meta_path})")
         history = read_history_csv(os.path.join(directory, "history.csv"))
         return cls(encoder=encoder, decoder=decoder, curve_model=curve_model,
                    config=config, history=history)

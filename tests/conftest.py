@@ -8,7 +8,7 @@ import pytest
 
 import motionmanifold
 from motionmanifold.basis import BasisSet, CurveModel, TimedTrajectory
-from motionmanifold.cli import build_replan_fixture
+from motionmanifold.cli import build_replan_fixture, main
 from motionmanifold.training import TrainConfig, train
 
 
@@ -49,6 +49,28 @@ def small_manifold(arc_family):
     cfg = TrainConfig(latent_dim=2, alpha=0.0, epochs=300, hidden=(32, 32),
                       seed=0)
     return train(fits, model, cfg), model, fits
+
+
+@pytest.fixture(scope="session")
+def workspace(tmp_path_factory):
+    """synth-demos -> fit -> train chain shared by the read-only tests."""
+    root = tmp_path_factory.mktemp("cli")
+    demos_dir = root / "demos"
+    fits_dir = root / "fits"
+    model_dir = root / "model"
+    argv = {
+        "demos": ("synth-demos", "--env", "continuum", "--count", "12",
+                  "--seed", "3"),
+        "fits": ("fit", "--demos", str(demos_dir / "demos.json"),
+                 "--env", str(demos_dir / "env.json")),
+        "model": ("train", "--fits", str(fits_dir / "fits.json"),
+                  "--epochs", "150", "--hidden", "32,32"),
+    }
+    for name, out in (("demos", demos_dir), ("fits", fits_dir),
+                      ("model", model_dir)):
+        assert main([*argv[name], "--out", str(out)]) == 0
+    return {"root": root, "demos": demos_dir, "fits": fits_dir,
+            "model": model_dir, "argv": argv}
 
 
 @pytest.fixture(scope="session")

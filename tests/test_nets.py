@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -399,6 +401,15 @@ def test_params_is_shared_by_every_layer_view():
     clone = nets.Mlp.from_dict(net.to_dict())
     assert np.array_equal(clone.params, net.params)
     assert clone.to_dict() == net.to_dict()
+
+
+def test_network_keeps_no_seed():
+    # create draws from its seed; nothing reads the seed back
+    net = nets.Mlp.create([3, 4, 2], seed=5)
+    assert list(inspect.signature(nets.Mlp).parameters) == [
+        "sizes", "weights", "biases"]
+    assert not hasattr(net, "seed")
+    assert sorted(net.to_dict()) == ["biases", "sizes", "weights"]
 
 
 def test_init_copies_its_inputs():

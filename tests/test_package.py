@@ -109,6 +109,23 @@ def test_public_names_have_a_caller_outside_the_unit_tests():
     assert uncalled == []
 
 
+def test_file_fields_are_converted_by_errors_not_by_builtins():
+    # list({...}) reads an object as its keys and tuple(map(...)) takes
+    # any iterable, so a JSON list or object goes through errors.json_list
+    # or errors.json_object
+    package = pathlib.Path(motionmanifold.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and len(node.args) == 4
+                    and getattr(node.func, "id", None) == "record_field"):
+                names = {n.id for n in ast.walk(node.args[3])
+                         if isinstance(n, ast.Name)}
+                if names & {"list", "tuple", "dict", "map"}:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_every_config_field_has_a_cli_option():
     # a field that no command sets is a tuning value with no caller; it
     # belongs in a module constant beside the code that reads it
